@@ -46,7 +46,12 @@ from .scattering import (
     t_elements,
     t_matrix,
 )
-from .spectral import DEFAULT_QUAD, QuadratureConfig, build_grid
+from .spectral import (
+    DEFAULT_QUAD,
+    QuadratureConfig,
+    build_grid,
+    spectral_average,
+)
 from .statesim import run_memory_protocol
 
 #: kappa of every bundled curve family, in units of gamma = 1.
@@ -104,11 +109,10 @@ def fig2_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 61
     for case, delta_e, delta_p in FIG2_CASES:
         pulse = PulseSpec(profile=Profile.GAUSSIAN, delta_p=delta_p,
                           kappa_p=0.1 * FAMILY_KAPPA)
-        for coop in coops:
-            params = family_params(float(coop), delta_e=delta_e)
-            rows.append((float(coop), case,
-                         metrics.qm_fidelity(params, pulse, quad),
-                         metrics.swap_fidelity(params, pulse, quad)))
+        points = [(family_params(float(coop), delta_e=delta_e), pulse)
+                  for coop in coops]
+        for coop, report in zip(coops, metrics.compute_reports(points, quad)):
+            rows.append((float(coop), case, report.F_qm, report.F_swap))
     return rows
 
 
@@ -121,11 +125,11 @@ def fig3_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 25
     for profile in (Profile.GAUSSIAN, Profile.LORENTZIAN):
         for case, delta_e, delta_p in FIG3_CASES:
             params = family_params(20.0, delta_e=delta_e)
-            for x in ratios:
-                pulse = PulseSpec(profile=profile, delta_p=delta_p,
-                                  kappa_p=float(x) * FAMILY_KAPPA)
-                rows.append((float(x), profile.value, case,
-                             metrics.qm_fidelity(params, pulse, quad)))
+            points = [(params, PulseSpec(profile=profile, delta_p=delta_p,
+                                         kappa_p=float(x) * FAMILY_KAPPA))
+                      for x in ratios]
+            for x, report in zip(ratios, metrics.compute_reports(points, quad)):
+                rows.append((float(x), profile.value, case, report.F_qm))
     return rows
 
 
@@ -140,12 +144,12 @@ def fig4_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 41
     for case, delta_e, delta_p in FIG2_CASES:
         pulse = PulseSpec(profile=Profile.GAUSSIAN, delta_p=delta_p,
                           kappa_p=0.1 * FAMILY_KAPPA)
-        for coop in (1.0, 10.0, 100.0):
-            for ratio in ratios:
-                params = family_params(coop, ratio=float(ratio),
-                                       delta_e=delta_e)
-                rows.append((float(ratio), coop, case,
-                             metrics.qm_success(params, pulse, quad, eta=1.0)))
+        keys = list(itertools.product((1.0, 10.0, 100.0), ratios))
+        points = [(family_params(coop, ratio=float(ratio), delta_e=delta_e),
+                   pulse) for coop, ratio in keys]
+        for (coop, ratio), report in zip(keys,
+                                         metrics.compute_reports(points, quad)):
+            rows.append((float(ratio), coop, case, report.P_qm))
     return rows
 
 
@@ -220,13 +224,15 @@ def _with_field(params: SystemParams, pulse: PulseSpec, field: str,
 def sweep_rows(spec: SweepSpec) -> list[tuple]:
     """Evaluate the metric columns on the sweep grid, outer axis major."""
     grids = [axis.values() for axis in spec.axes]
-    rows = []
+    points = []
     for values in itertools.product(*grids):
         params, pulse = spec.params, spec.pulse
         for axis, value in zip(spec.axes, values):
             params, pulse = _with_field(params, pulse, axis.field,
                                         float(value))
-        report = metrics.compute_report(params, pulse, spec.quad, spec.eta)
+        points.append((params, pulse))
+    rows = []
+    for report in metrics.compute_reports(points, spec.quad, spec.eta):
         echo = report.to_dict()
         rows.append(tuple(echo[c] for c in PARAM_COLUMNS)
                     + (spec.eta, report.F_swap, report.F_swap_leading,
@@ -462,7 +468,9 @@ def validate_suite(trials: int = 20, seed: int = 20112,
         pulse = PulseSpec(delta_p=delta_p, kappa_p=0.1 * FAMILY_KAPPA)
         for coop in (1.0, 10.0, 100.0):
             params = family_params(coop, delta_e=delta_e)
-            direct = metrics.qm_success(params, pulse, quad, 1.0)
+            direct = float(np.real(spectral_average(
+                lambda k: np.abs(t_elements(k, params)[2]) ** 2, pulse, quad,
+                params.k_c)))
             factored = params.sin_2xi ** 2 * metrics.swap_fidelity(
                 params, pulse, quad)
             dual_r = max(dual_r, abs(direct - factored))

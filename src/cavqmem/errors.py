@@ -42,8 +42,9 @@ class GammaZero(CavqmemError):
         super().__init__("cooperativity is undefined (infinite) at gamma = 0")
 
 
-class InvalidField(CavqmemError):
-    """An unknown or unusable field name in serialized input or a sweep axis."""
+class InvalidField(CavqmemError, ValueError):
+    """An unknown or unusable input field: a serialized key, a sweep axis, a
+    qubit that is not normalized, or a detector efficiency outside (0, 1]."""
 
     def __init__(self, name: str, reason: str = "unknown field"):
         super().__init__(f"{reason}: {name!r}")

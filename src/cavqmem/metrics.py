@@ -6,23 +6,36 @@ polarization channel (efficiency eta), which leaves the qubit on the atom; a
 later retrieval photon |k_R> scatters and a projective measurement finds the
 atom in |L>, releasing the qubit onto the retrieval photon.
 
-All the averages below are over the pulse intensity |f(k)|^2 and use the
-quadrature rules from `spectral`.  The state-vector oracle in `statesim`
-recomputes each quantity from explicitly propagated amplitudes; the pair is
-cross-checked in the test suite.
+The polarization-flip element is T_LR = e^{-i(theta_L - theta_R)} sin(2 xi)
+h(k), so every closed form is arithmetic on five intensity averages of the
+scattered amplitude h(k) over the pulse,
+
+    [h]_f, [|h|^2]_f, [eta]_f, [eta h]_f, [eta |h|^2]_f,
+
+with the detector efficiency eta(k) evaluated on the quadrature nodes.
+`spectral_moments` computes all five for a batch of parameter points in one
+pass: node tables from `spectral.quadrature_rule`, h from `scattering`, in
+chunks of at most CHUNK_NODES node evaluations so that memory stays flat in
+the batch size.  Each scalar metric is a batch of one through that pass, and
+`compute_reports` serves a whole sweep.  A point's results do not depend on
+the batch it is evaluated in, bit for bit.  The state-vector oracle in
+`statesim` recomputes each quantity from explicitly propagated amplitudes;
+the pair is cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidField, UnequalCouplings, ZeroScatteringWeight
+from .errors import UnequalCouplings, ZeroScatteringWeight
 from .params import (
     AtomQubit,
     DetectorModel,
     PhotonQubit,
+    Profile,
     PulseSpec,
     SystemParams,
     as_detector,
@@ -31,8 +44,8 @@ from .params import (
     validate,
     validate_pulse,
 )
-from .scattering import scattered_amplitude, t_elements
-from .spectral import DEFAULT_QUAD, KGrid, QuadratureConfig, build_grid
+from .scattering import ParamRows, scattered_amplitude
+from .spectral import DEFAULT_QUAD, QuadratureConfig, quadrature_rule
 
 #: Relative coupling asymmetry below which lambda_L and lambda_R count as equal.
 EQUAL_COUPLING_RTOL = 1e-12
@@ -40,11 +53,131 @@ EQUAL_COUPLING_RTOL = 1e-12
 #: Probability mass below which conditioning and fidelity ratios are refused.
 TINY_WEIGHT = 1e-300
 
+#: Node evaluations per chunk of the moment pass.  A point with more nodes
+#: than this forms a chunk of its own.
+CHUNK_NODES = 4096
 
-def _grid(params: SystemParams, pulse: PulseSpec, quad: QuadratureConfig) -> KGrid:
-    validate(params)
-    validate_pulse(pulse)
-    return build_grid(pulse, quad, k_c=params.k_c)
+Point = tuple[SystemParams, PulseSpec]
+
+
+@dataclass(frozen=True)
+class SpectralMoments:
+    """Intensity averages of h(k) for a batch of points, one entry per point."""
+
+    h: np.ndarray       # [h]_f, complex
+    h2: np.ndarray      # [|h|^2]_f
+    eta: np.ndarray     # [eta]_f
+    eta_h: np.ndarray   # [eta h]_f, complex
+    eta_h2: np.ndarray  # [eta |h|^2]_f
+
+
+def spectral_moments(points: Sequence[Point],
+                     quad: QuadratureConfig = DEFAULT_QUAD,
+                     detector: DetectorModel | float = 1.0) -> SpectralMoments:
+    """The five moments of every (params, pulse) point, in one chunked pass.
+
+    Validates every point; raises DegenerateDenominator from the scattering
+    map and InvalidField from the detector model.
+    """
+    detector = as_detector(detector)
+    for params, pulse in points:
+        validate(params)
+        validate_pulse(pulse)
+    out = np.empty((5, len(points)), dtype=complex)
+    for profile in Profile:
+        batch = [i for i, (_, pulse) in enumerate(points)
+                 if pulse.profile is profile]
+        if not batch:
+            continue
+        x, omega = quadrature_rule(profile, quad)
+        rows = max(1, CHUNK_NODES // x.size)
+        for start in range(0, len(batch), rows):
+            chunk = batch[start:start + rows]
+            out[:, chunk] = _chunk_moments([points[i] for i in chunk], x,
+                                           omega, detector)
+    return SpectralMoments(h=out[0], h2=out[1].real, eta=out[2].real,
+                           eta_h=out[3], eta_h2=out[4].real)
+
+
+def _chunk_moments(points: list[Point], x: np.ndarray, omega: np.ndarray,
+                   detector: DetectorModel) -> list[np.ndarray]:
+    """Moments of points sharing one node table: row i of the (B, n) node
+    array belongs to point i, and each row is summed on its own."""
+    k_p, width = np.array([(params.k_c + pulse.delta_p, pulse.kappa_p)
+                           for params, pulse in points]).T[:, :, None]
+    k = k_p + width * x
+    h = scattered_amplitude(k, ParamRows.of([params for params, _ in points]))
+    h2 = h.real ** 2 + h.imag ** 2
+    weight = omega * detector(k)
+    return [(omega * h).sum(axis=1), (omega * h2).sum(axis=1),
+            weight.sum(axis=1), (weight * h).sum(axis=1),
+            (weight * h2).sum(axis=1)]
+
+
+# Closed forms on the moments, elementwise over a batch.  sin2 is
+# sin^2(2 xi) per point, cl2 and cr2 the input weights |c_L|^2 and |c_R|^2.
+
+def _sin2(points: Sequence[Point]) -> np.ndarray:
+    return np.array([params.sin_2xi for params, _ in points]) ** 2
+
+
+def _memory_fidelity(m: SpectralMoments) -> np.ndarray:
+    if (m.h2 < TINY_WEIGHT).any():
+        raise ZeroScatteringWeight()
+    return (m.h.real ** 2 + m.h.imag ** 2) / m.h2
+
+
+def _success(m: SpectralMoments, sin2: np.ndarray) -> np.ndarray:
+    """P_qm = [eta |T_LR|^2]_f."""
+    return sin2 * m.eta_h2
+
+
+def _storage(m: SpectralMoments, sin2: np.ndarray, cl2: float,
+             cr2: float) -> np.ndarray:
+    """P(k_L) = [eta (|c_L|^2 + |c_R|^2 |T_LR|^2)]_f."""
+    return cl2 * m.eta + cr2 * _success(m, sin2)
+
+
+def _retrieved_weight(m: SpectralMoments, sin2: np.ndarray, cl2: float,
+                      cr2: float) -> np.ndarray:
+    """|c_R|^2 [eta |T_LR|^2]_f + |c_L|^2 [|T_LR|^2]_f [eta]_f: the joint
+    probability of storage and retrieval."""
+    return cr2 * _success(m, sin2) + cl2 * sin2 * m.h2 * m.eta
+
+
+def _retrieval(m: SpectralMoments, sin2: np.ndarray, cl2: float,
+               cr2: float) -> np.ndarray:
+    denominator = _storage(m, sin2, cl2, cr2)
+    if (denominator < TINY_WEIGHT).any():
+        raise ZeroScatteringWeight()
+    return _retrieved_weight(m, sin2, cl2, cr2) / denominator
+
+
+def _retrieved_fidelity(m: SpectralMoments, sin2: np.ndarray, cl2: float,
+                        cr2: float) -> np.ndarray:
+    denominator = _retrieved_weight(m, sin2, cl2, cr2)
+    if (denominator < TINY_WEIGHT).any():
+        raise ZeroScatteringWeight()
+    cross = m.h.real * m.eta_h.real + m.h.imag * m.eta_h.imag
+    numerator = sin2 * (cr2 * cr2 * m.eta_h2 + 2.0 * cr2 * cl2 * cross
+                        + cl2 * cl2 * (m.h.real ** 2 + m.h.imag ** 2) * m.eta)
+    return numerator / denominator
+
+
+def _input_weights(photon: PhotonQubit) -> tuple[float, float]:
+    require_normalized(photon)
+    return abs(photon.c_L) ** 2, abs(photon.c_R) ** 2
+
+
+def _balanced(params: SystemParams) -> bool:
+    return (abs(params.lambda_L - params.lambda_R)
+            <= EQUAL_COUPLING_RTOL * params.lam)
+
+
+def _swap_leading(params: SystemParams, pulse: PulseSpec) -> float:
+    lam2 = params.lambda_sq
+    penalty = params.kappa * params.delta_e / lam2 + pulse.delta_p / params.kappa
+    return 1.0 - 2.0 * params.kappa * params.gamma / lam2 - penalty * penalty
 
 
 def swap_fidelity(params: SystemParams, pulse: PulseSpec,
@@ -55,9 +188,7 @@ def swap_fidelity(params: SystemParams, pulse: PulseSpec,
     (reports carry a flag); for other mixing angles it still sets the success
     probability through P_qm = eta sin^2(2 xi) [|h|^2]_f.
     """
-    grid = _grid(params, pulse, quad)
-    h = scattered_amplitude(grid.k, params)
-    return float(np.real(grid.average(np.abs(h) ** 2)))
+    return float(spectral_moments([(params, pulse)], quad).h2[0])
 
 
 def swap_fidelity_leading(params: SystemParams, pulse: PulseSpec) -> float:
@@ -71,9 +202,7 @@ def swap_fidelity_leading(params: SystemParams, pulse: PulseSpec) -> float:
     """
     validate(params)
     validate_pulse(pulse)
-    lam2 = params.lambda_sq
-    penalty = params.kappa * params.delta_e / lam2 + pulse.delta_p / params.kappa
-    return 1.0 - 2.0 * params.kappa * params.gamma / lam2 - penalty * penalty
+    return _swap_leading(params, pulse)
 
 
 def qm_fidelity(params: SystemParams, pulse: PulseSpec,
@@ -86,27 +215,21 @@ def qm_fidelity(params: SystemParams, pulse: PulseSpec,
     h) and of the detection efficiency.  Raises ZeroScatteringWeight when the
     pulse effectively never scatters.
     """
-    grid = _grid(params, pulse, quad)
-    h = scattered_amplitude(grid.k, params)
-    mean_sq = float(np.real(grid.average(np.abs(h) ** 2)))
-    if mean_sq < TINY_WEIGHT:
-        raise ZeroScatteringWeight()
-    mean = grid.average(h)
-    return float(abs(mean) ** 2 / mean_sq)
+    return float(_memory_fidelity(spectral_moments([(params, pulse)], quad))[0])
 
 
 def qm_success(params: SystemParams, pulse: PulseSpec,
-               quad: QuadratureConfig = DEFAULT_QUAD, eta: float = 1.0) -> float:
-    """Success probability of the memory cycle, P_qm = eta [|T_LR(k)|^2]_f.
+               quad: QuadratureConfig = DEFAULT_QUAD,
+               eta: DetectorModel | float = 1.0) -> float:
+    """Success probability of the memory cycle, P_qm = [eta |T_LR(k)|^2]_f.
 
-    Equal to eta sin^2(2 xi) [|h|^2]_f; the test suite checks the two routes
-    against each other.  Input-qubit independent for constant eta.
+    For constant eta this is eta sin^2(2 xi) [|h|^2]_f, independent of the
+    input qubit; the test suite checks it against a direct average of
+    |T_LR|^2.  Raises InvalidField unless 0 < eta <= 1.
     """
-    if not 0.0 < eta <= 1.0:
-        raise InvalidField("eta", "constant efficiency must lie in (0, 1]")
-    grid = _grid(params, pulse, quad)
-    _, _, t_lr, _ = t_elements(grid.k, params)
-    return float(eta * np.real(grid.average(np.abs(t_lr) ** 2)))
+    points = [(params, pulse)]
+    m = spectral_moments(points, quad, eta)
+    return float(_success(m, _sin2(points))[0])
 
 
 def storage_success(params: SystemParams, pulse: PulseSpec,
@@ -115,13 +238,10 @@ def storage_success(params: SystemParams, pulse: PulseSpec,
                     detector: DetectorModel | float = 1.0) -> float:
     """P(k_L): probability that the scattered qubit photon is detected in the
     k_L polarization channel, [eta(k) (|c_L|^2 + |c_R|^2 |T_LR(k)|^2)]_f."""
-    require_normalized(photon)
-    grid = _grid(params, pulse, quad)
-    eta = as_detector(detector)(grid.k)
-    _, _, t_lr, _ = t_elements(grid.k, params)
-    cl2 = abs(photon.c_L) ** 2
-    cr2 = abs(photon.c_R) ** 2
-    return float(np.real(grid.average(eta * (cl2 + cr2 * np.abs(t_lr) ** 2))))
+    cl2, cr2 = _input_weights(photon)
+    points = [(params, pulse)]
+    m = spectral_moments(points, quad, detector)
+    return float(_storage(m, _sin2(points), cl2, cr2)[0])
 
 
 def retrieval_success(params: SystemParams, pulse: PulseSpec,
@@ -132,19 +252,10 @@ def retrieval_success(params: SystemParams, pulse: PulseSpec,
     given a successful storage detection.  The projective atomic measurement
     is ideal; eta(k) enters only through the storage-stage mixture weights,
     so for constant eta the efficiency cancels."""
-    require_normalized(photon)
-    grid = _grid(params, pulse, quad)
-    eta = as_detector(detector)(grid.k)
-    _, _, t_lr, _ = t_elements(grid.k, params)
-    t2 = np.abs(t_lr) ** 2
-    cl2 = abs(photon.c_L) ** 2
-    cr2 = abs(photon.c_R) ** 2
-    mean_t2 = np.real(grid.average(t2))
-    numerator = cr2 * np.real(grid.average(eta * t2)) + cl2 * mean_t2 * np.real(grid.average(eta))
-    denominator = np.real(grid.average(eta * (cl2 + cr2 * t2)))
-    if denominator < TINY_WEIGHT:
-        raise ZeroScatteringWeight()
-    return float(numerator / denominator)
+    cl2, cr2 = _input_weights(photon)
+    points = [(params, pulse)]
+    m = spectral_moments(points, quad, detector)
+    return float(_retrieval(m, _sin2(points), cl2, cr2)[0])
 
 
 def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
@@ -163,25 +274,10 @@ def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
     as F_qm.  For tabulated eta(k) the ratio of spectral averages is
     evaluated directly.
     """
-    require_normalized(photon)
-    grid = _grid(params, pulse, quad)
-    eta = as_detector(detector)(grid.k)
-    _, _, t_lr, _ = t_elements(grid.k, params)
-    t2 = np.abs(t_lr) ** 2
-    cl2 = abs(photon.c_L) ** 2
-    cr2 = abs(photon.c_R) ** 2
-    mean_t = grid.average(t_lr)
-    mean_t2 = np.real(grid.average(t2))
-    mean_eta = np.real(grid.average(eta))
-    mean_eta_t = grid.average(eta * t_lr)
-    mean_eta_t2 = np.real(grid.average(eta * t2))
-    numerator = (cr2 * cr2 * mean_eta_t2
-                 + 2.0 * cr2 * cl2 * np.real(np.conjugate(mean_t) * mean_eta_t)
-                 + cl2 * cl2 * abs(mean_t) ** 2 * mean_eta)
-    denominator = cr2 * mean_eta_t2 + cl2 * mean_t2 * mean_eta
-    if denominator < TINY_WEIGHT:
-        raise ZeroScatteringWeight()
-    return float(numerator / denominator)
+    cl2, cr2 = _input_weights(photon)
+    points = [(params, pulse)]
+    m = spectral_moments(points, quad, detector)
+    return float(_retrieved_fidelity(m, _sin2(points), cl2, cr2)[0])
 
 
 def swap_target_atom(photon: PhotonQubit, params: SystemParams) -> AtomQubit:
@@ -215,7 +311,7 @@ def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
     yields 1 + [|T_LR|^2]_f.
     """
     validate(params)
-    if abs(params.lambda_L - params.lambda_R) > EQUAL_COUPLING_RTOL * params.lam:
+    if not _balanced(params):
         raise UnequalCouplings(params.lambda_L, params.lambda_R)
     require_normalized(atom)
     require_normalized(photon)
@@ -233,11 +329,10 @@ def convergence_delta(params: SystemParams, pulse: PulseSpec,
     The quadrature health check: below 1e-9 for every bundled curve-family
     parameter point at the default counts.
     """
-    grid_1 = _grid(params, pulse, quad)
-    grid_2 = build_grid(pulse, quad.doubled(), k_c=params.k_c)
-    mean_1 = grid_1.average(scattered_amplitude(grid_1.k, params))
-    mean_2 = grid_2.average(scattered_amplitude(grid_2.k, params))
-    return float(abs(mean_2 - mean_1))
+    point = [(params, pulse)]
+    coarse = spectral_moments(point, quad).h[0]
+    fine = spectral_moments(point, quad.doubled()).h[0]
+    return float(abs(fine - coarse))
 
 
 @dataclass(frozen=True)
@@ -245,12 +340,13 @@ class MetricReport:
     """Bundle of the closed-form figures of merit at one parameter point.
 
     P_kL and P_L depend on the input qubit (their product P_qm does not, for
-    constant eta); the qubit used is echoed in the serialized form.
+    constant eta); the qubit used is echoed in the serialized form.  eta is
+    the constant efficiency or the tabulated DetectorModel.
     """
 
     params: SystemParams
     pulse: PulseSpec
-    eta: float
+    eta: float | DetectorModel
     photon: PhotonQubit
     F_swap: float
     F_swap_leading: float
@@ -264,7 +360,8 @@ class MetricReport:
     def to_dict(self) -> dict:
         """One flat JSON-ready dict: parameter echo plus the metrics."""
         out = point_to_dict(self.params, self.pulse)
-        out["eta"] = self.eta
+        out["eta"] = (self.eta.to_json() if isinstance(self.eta, DetectorModel)
+                      else self.eta)
         out["input_c_L"] = [float(np.real(self.photon.c_L)), float(np.imag(self.photon.c_L))]
         out["input_c_R"] = [float(np.real(self.photon.c_R)), float(np.imag(self.photon.c_R))]
         out["F_swap"] = self.F_swap
@@ -281,23 +378,41 @@ class MetricReport:
 _BALANCED = PhotonQubit(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 
+def compute_reports(points: Sequence[Point],
+                    quad: QuadratureConfig = DEFAULT_QUAD,
+                    eta: float | DetectorModel = 1.0,
+                    photon: PhotonQubit = _BALANCED) -> list[MetricReport]:
+    """Evaluate every closed-form metric at each point from one moment pass."""
+    cl2, cr2 = _input_weights(photon)
+    m = spectral_moments(points, quad, eta)
+    sin2 = _sin2(points)
+    f_qm = _memory_fidelity(m)
+    p_qm = _success(m, sin2)
+    p_kl = _storage(m, sin2, cl2, cr2)
+    p_l = _retrieval(m, sin2, cl2, cr2)
+    reports = []
+    for i, (params, pulse) in enumerate(points):
+        p = float(p_qm[i])
+        reports.append(MetricReport(
+            params=params,
+            pulse=pulse,
+            eta=eta,
+            photon=photon,
+            F_swap=float(m.h2[i]),
+            F_swap_leading=_swap_leading(params, pulse),
+            F_qm=float(f_qm[i]),
+            P_kL=float(p_kl[i]),
+            P_L=float(p_l[i]),
+            P_qm=p,
+            P_qm_conditional=p * p,
+            f_swap_meaningful=_balanced(params),
+        ))
+    return reports
+
+
 def compute_report(params: SystemParams, pulse: PulseSpec,
-                   quad: QuadratureConfig = DEFAULT_QUAD, eta: float = 1.0,
+                   quad: QuadratureConfig = DEFAULT_QUAD,
+                   eta: float | DetectorModel = 1.0,
                    photon: PhotonQubit = _BALANCED) -> MetricReport:
     """Evaluate every closed-form metric at one parameter point."""
-    p_qm = qm_success(params, pulse, quad, eta)
-    meaningful = abs(params.lambda_L - params.lambda_R) <= EQUAL_COUPLING_RTOL * params.lam
-    return MetricReport(
-        params=params,
-        pulse=pulse,
-        eta=eta,
-        photon=photon,
-        F_swap=swap_fidelity(params, pulse, quad),
-        F_swap_leading=swap_fidelity_leading(params, pulse),
-        F_qm=qm_fidelity(params, pulse, quad),
-        P_kL=storage_success(params, pulse, quad, photon, eta),
-        P_L=retrieval_success(params, pulse, quad, photon, eta),
-        P_qm=p_qm,
-        P_qm_conditional=p_qm * p_qm,
-        f_swap_meaningful=meaningful,
-    )
+    return compute_reports([(params, pulse)], quad, eta, photon)[0]

@@ -203,9 +203,9 @@ class PhotonQubit:
 
 
 def require_normalized(qubit, tol: float = 1e-9) -> None:
-    """Raise ValueError unless |amplitudes|^2 sum to 1 within tol."""
+    """Raise InvalidField unless |amplitudes|^2 sum to 1 within tol."""
     if abs(qubit.norm_sq - 1.0) > tol:
-        raise ValueError(f"qubit is not normalized: |a|^2 = {qubit.norm_sq!r}")
+        raise InvalidField("qubit", f"not normalized, |a|^2 = {qubit.norm_sq!r}")
 
 
 class DetectorModel:
@@ -213,7 +213,8 @@ class DetectorModel:
 
     Either a constant efficiency or a tabulated curve interpolated linearly in
     k (held flat beyond the table ends).  Efficiencies must lie in (0, 1] on
-    every wavenumber where the model is evaluated.
+    every wavenumber where the model is evaluated; every check raises
+    InvalidField.
     """
 
     def __init__(self, eta: float | None = None,
@@ -221,7 +222,8 @@ class DetectorModel:
                  eta_table: np.ndarray | None = None):
         if eta is not None:
             if not (0.0 < eta <= 1.0):
-                raise ValueError(f"constant efficiency must be in (0, 1], got {eta!r}")
+                raise InvalidField(
+                    "eta", f"constant efficiency must be in (0, 1], got {eta!r}")
             self._eta = float(eta)
             self._k_table = None
             self._eta_table = None
@@ -229,9 +231,10 @@ class DetectorModel:
             k_arr = np.asarray(k_table, dtype=float)
             e_arr = np.asarray(eta_table, dtype=float)
             if k_arr.ndim != 1 or k_arr.shape != e_arr.shape or k_arr.size < 2:
-                raise ValueError("tabulated model needs matching 1-d tables, >= 2 points")
+                raise InvalidField("eta_table", "tabulated model needs matching "
+                                                "1-d tables, >= 2 points")
             if np.any(np.diff(k_arr) <= 0.0):
-                raise ValueError("k table must be strictly increasing")
+                raise InvalidField("k_table", "must be strictly increasing")
             self._eta = None
             self._k_table = k_arr
             self._eta_table = e_arr
@@ -255,8 +258,15 @@ class DetectorModel:
             return np.full(k_arr.shape, self._eta)
         out = np.interp(k_arr, self._k_table, self._eta_table)
         if np.any(out <= 0.0) or np.any(out > 1.0):
-            raise ValueError("tabulated efficiency leaves (0, 1] on the requested support")
+            raise InvalidField("eta", "tabulated efficiency leaves (0, 1] on "
+                                      "the requested support")
         return out
+
+    def to_json(self) -> float | dict:
+        """The constant efficiency, or the table as {"k": [...], "eta": [...]}."""
+        if self._eta is not None:
+            return self._eta
+        return {"k": self._k_table.tolist(), "eta": self._eta_table.tolist()}
 
 
 def as_detector(detector) -> DetectorModel:

@@ -18,12 +18,16 @@ sub-unimodular (|w_+|^2 - |w_-|^2 = -4 kappa gamma lambda^2), so the 2x2
 polarization map below is a contraction; the missing weight is the photon
 lost to free-space emission.
 
-All wavenumber arguments accept scalars or numpy arrays and broadcast.
+All wavenumber arguments accept scalars or numpy arrays and broadcast.  The
+phase factor and h(k) also take a `ParamRows` in place of SystemParams: a
+batch of parameter points as column arrays, so that row i of a (B, n)
+wavenumber array is evaluated at point i in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +48,25 @@ def coupling_amplitude(k, params: SystemParams, pol: str):
     return out if out.ndim else complex(out)
 
 
-def bright_phase_factor(k, params: SystemParams):
+class ParamRows(NamedTuple):
+    """The fields that the phase factor reads, for a batch of parameter
+    points: each is a (B, 1) column that broadcasts against (B, n)
+    wavenumbers."""
+
+    k_c: np.ndarray
+    delta_e: np.ndarray
+    gamma: np.ndarray
+    kappa: np.ndarray
+    lambda_sq: np.ndarray
+
+    @classmethod
+    def of(cls, points: Sequence[SystemParams]) -> "ParamRows":
+        table = np.array([[getattr(p, name) for name in cls._fields]
+                          for p in points])
+        return cls(*table.T[:, :, None])
+
+
+def bright_phase_factor(k, params: SystemParams | ParamRows):
     """Phase factor e^{i phi_s(k)} of the bright ground-state superposition."""
     s = np.asarray(k, dtype=float) - params.k_c
     a = params.delta_e - 1j * params.gamma
@@ -53,13 +75,13 @@ def bright_phase_factor(k, params: SystemParams):
     w_plus = s * s - (a + ik) * s - lam2 + ik * a
     w_minus = s * s - (a - ik) * s - lam2 - ik * a
     den = (s - ik) * w_minus
-    if np.any(np.abs(den) < 1e-300):
+    if (np.abs(den) < 1e-300).any():
         raise DegenerateDenominator()
     out = (s + ik) * w_plus / den
     return out if out.ndim else complex(out)
 
 
-def scattered_amplitude(k, params: SystemParams):
+def scattered_amplitude(k, params: SystemParams | ParamRows):
     """Half the deviation of the phase factor from unity, h(k) = (e^{i phi_s} - 1)/2.
 
     This is the amplitude with which the bright component is rephased; the

@@ -65,10 +65,13 @@ DEFAULT_QUAD = QuadratureConfig()
 
 @lru_cache(maxsize=32)
 def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite rule normalized to the Gaussian intensity measure:
+    (u, weight) with sum(weight) = 1 and wavenumber nodes k_p + kappa_p * u."""
     u, w = np.polynomial.hermite.hermgauss(n)
+    omega = w / np.sqrt(np.pi)
     u.flags.writeable = False
-    w.flags.writeable = False
-    return u, w
+    omega.flags.writeable = False
+    return u, omega
 
 
 #: Geometric grading depth of the Lorentzian panels: each endpoint gets
@@ -137,18 +140,24 @@ class KGrid:
         return complex(np.sum(self.omega * v))
 
 
+def quadrature_rule(profile: Profile, quad: QuadratureConfig = DEFAULT_QUAD
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The profile's cached, read-only node table (x, omega).
+
+    A pulse of this profile has nodes k = k_c + delta_p + kappa_p * x and
+    intensity weights omega, sum(omega) = 1.  Every spectral average in the
+    package takes its nodes from here.
+    """
+    if profile is Profile.GAUSSIAN:
+        return _hermite_table(quad.n_gauss)
+    return _lorentz_table(quad.n_lorentz)
+
+
 def build_grid(pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,
                k_c: float = 0.0) -> KGrid:
-    """Quadrature nodes and weights for the pulse's intensity measure."""
-    k_p = k_c + pulse.delta_p
-    if pulse.profile is Profile.GAUSSIAN:
-        u, wh = _hermite_table(quad.n_gauss)
-        k = k_p + pulse.kappa_p * u
-        omega = wh / np.sqrt(np.pi)
-    else:
-        cot, wl = _lorentz_table(quad.n_lorentz)
-        k = k_p + pulse.kappa_p * cot
-        omega = wl.copy()
+    """Quadrature nodes, weights and pulse amplitudes for one pulse."""
+    x, omega = quadrature_rule(pulse.profile, quad)
+    k = k_c + pulse.delta_p + pulse.kappa_p * x
     f = profile_amplitude(k, pulse, k_c)
     w = omega / np.abs(f) ** 2
     for arr in (k, omega, f, w):

@@ -127,8 +127,11 @@ def test_a5_exact_scattering_and_average_identities():
                           kappa_p=params.kappa * 10.0 ** rng.uniform(-2.0,
                                                                      -0.3))
         eta = rng.uniform(0.1, 1.0)
+        direct = eta * spectral_average(
+            lambda k: np.abs(t_elements(k, params)[2]) ** 2, pulse,
+            k_c=params.k_c).real
         dual_r = max(dual_r, abs(
-            metrics.qm_success(params, pulse, eta=eta)
+            direct
             - eta * params.sin_2xi**2 * metrics.swap_fidelity(params, pulse)))
         f_ref = metrics.qm_fidelity(params, pulse)
         lam = params.lam

@@ -5,16 +5,20 @@ analytic integrands, independently of the package's fixed quadrature rules.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavqmem.cli import SweepAxis, SweepSpec, draw_equivalence_point, sweep_rows
 from cavqmem.errors import InvalidField, UnequalCouplings, ZeroScatteringWeight
 from cavqmem.metrics import (
+    CHUNK_NODES,
     MetricReport,
     compute_report,
+    compute_reports,
     convergence_delta,
     qm_fidelity,
     qm_success,
@@ -34,9 +38,10 @@ from cavqmem.params import (
     Profile,
     PulseSpec,
     SystemParams,
+    as_detector,
 )
-from cavqmem.scattering import scattered_amplitude
-from cavqmem.spectral import spectral_average
+from cavqmem.scattering import scattered_amplitude, t_elements
+from cavqmem.spectral import DEFAULT_QUAD, build_grid, spectral_average
 
 
 def family_point(coop, width_ratio, profile=Profile.GAUSSIAN, delta_e=0.0,
@@ -117,9 +122,14 @@ def test_memory_fidelity_ignores_coupling_ratio():
 def test_success_probability_dual_route():
     params = SystemParams(lambda_L=1.0, lambda_R=2.0, delta_e=1.5)
     pulse = PulseSpec(profile=Profile.LORENTZIAN, kappa_p=0.4, delta_p=0.2)
-    direct = qm_success(params, pulse, eta=0.7)
+    # the direct side averages the map element itself, outside `metrics`
+    direct = 0.7 * spectral_average(
+        lambda k: np.abs(t_elements(k, params)[2]) ** 2, pulse,
+        k_c=params.k_c).real
     via_swap = 0.7 * params.sin_2xi**2 * swap_fidelity(params, pulse)
     assert direct == pytest.approx(via_swap, abs=1e-12)
+    assert direct == pytest.approx(qm_success(params, pulse, eta=0.7),
+                                   abs=1e-12)
 
 
 def test_success_probability_validates_efficiency():
@@ -297,3 +307,87 @@ def test_report_bundles_consistent_values():
 
     lopsided = compute_report(SystemParams(lambda_L=1.0, lambda_R=2.0), pulse)
     assert not lopsided.f_swap_meaningful
+
+
+def _per_point_reference(params, pulse, detector, photon):
+    """The closed forms evaluated one point at a time from a fresh grid and
+    the full polarization map, the way they were computed before the moment
+    pass existed."""
+    grid = build_grid(pulse, DEFAULT_QUAD, k_c=params.k_c)
+    eta = as_detector(detector)(grid.k)
+    h = scattered_amplitude(grid.k, params)
+    t_lr = t_elements(grid.k, params)[2]
+    t2 = np.abs(t_lr) ** 2
+    cl2, cr2 = abs(photon.c_L) ** 2, abs(photon.c_R) ** 2
+    mean_h2 = grid.average(np.abs(h) ** 2).real
+    mean_t, mean_t2 = grid.average(t_lr), grid.average(t2).real
+    mean_eta = grid.average(eta).real
+    mean_eta_t = grid.average(eta * t_lr)
+    mean_eta_t2 = grid.average(eta * t2).real
+    p_kl = grid.average(eta * (cl2 + cr2 * t2)).real
+    joint = cr2 * mean_eta_t2 + cl2 * mean_t2 * mean_eta
+    fidelity = (cr2 * cr2 * mean_eta_t2
+                + 2.0 * cr2 * cl2 * (np.conjugate(mean_t) * mean_eta_t).real
+                + cl2 * cl2 * abs(mean_t) ** 2 * mean_eta) / joint
+    return {"F_swap": mean_h2,
+            "F_swap_leading": swap_fidelity_leading(params, pulse),
+            "F_qm": abs(grid.average(h)) ** 2 / mean_h2,
+            "P_kL": p_kl, "P_L": joint / p_kl, "P_qm": mean_eta_t2,
+            "P_qm_conditional": mean_eta_t2 ** 2, "fidelity": fidelity}
+
+
+@pytest.mark.parametrize("detector", [
+    0.8, DetectorModel.tabulated([-3.0, 0.0, 4.0], [0.3, 0.9, 0.6])],
+    ids=["constant", "tabulated"])
+@pytest.mark.parametrize("profile", list(Profile))
+def test_batching_does_not_change_results(profile, detector):
+    rng = np.random.default_rng(31)
+    nodes = DEFAULT_QUAD.node_count(profile)
+    count = 3 * max(1, CHUNK_NODES // nodes) + 1  # spans at least 3 chunks
+    points = []
+    for _ in range(count):
+        params, pulse, _ = draw_equivalence_point(rng)
+        points.append((params, PulseSpec(profile, pulse.delta_p, pulse.kappa_p,
+                                         pulse.x_0)))
+    photon = PhotonQubit(0.6, 0.8 * np.exp(0.7j))
+    reports = compute_reports(points, DEFAULT_QUAD, detector, photon)
+    assert len(reports) == count
+    for (params, pulse), report in zip(points, reports):
+        alone = compute_report(params, pulse, DEFAULT_QUAD, detector, photon)
+        assert report == alone  # every field, floats bit for bit
+        ref = _per_point_reference(params, pulse, detector, photon)
+        for name, value in ref.items():
+            got = (storage_retrieval_fidelity(params, pulse, DEFAULT_QUAD,
+                                              photon, detector)
+                   if name == "fidelity" else getattr(report, name))
+            assert got == pytest.approx(value, abs=1e-12), name
+
+    # a point that never flips the polarization poisons the conditioning of
+    # a |k_R> input wherever it sits in the batch
+    dark = (SystemParams(lambda_L=0.0, lambda_R=2.0), points[1][1])
+    with pytest.raises(ZeroScatteringWeight):
+        compute_reports(points[:-1] + [dark] + points[-1:], DEFAULT_QUAD,
+                        detector, PhotonQubit(0.0, 1.0))
+
+
+def test_sweep_memory_stays_bounded():
+    # chunking keeps the moment pass's arrays independent of the batch size:
+    # one Lorentzian sweep point alone holds 1040 complex nodes (17 kB)
+    def peak(count):
+        spec = SweepSpec(params=SystemParams(),
+                         pulse=PulseSpec(profile=Profile.LORENTZIAN,
+                                         kappa_p=0.2),
+                         axes=(SweepAxis("delta_e", "linear", -5.0, 5.0,
+                                         count),))
+        tracemalloc.start()
+        try:
+            sweep_rows(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warm the node tables
+    small, large = peak(100), peak(400)
+    assert large < 2e6
+    # the 300 extra result rows take ~0.1 MB; their nodes would take 5 MB
+    assert large - small < 0.25e6

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cavqmem
 from cavqmem.errors import (
     GammaZero,
     InvalidField,
@@ -159,3 +160,22 @@ def test_rescaling_preserves_dimensionless_combinations(factor):
 def test_rescaling_rejects_nonpositive_factor():
     with pytest.raises(ValueError):
         rescaled(SystemParams(), PulseSpec(), 0.0)
+
+
+def test_input_failures_are_typed_and_still_value_errors():
+    with pytest.raises(InvalidField) as err:
+        require_normalized(PhotonQubit(1.0, 1.0))
+    assert isinstance(err.value, ValueError)
+    for make in (lambda: DetectorModel.constant(1.5),
+                 lambda: DetectorModel.tabulated([0.0], [0.5]),
+                 lambda: DetectorModel.tabulated([1.0, 0.0], [0.5, 0.5]),
+                 lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, 1.5])(0.9)):
+        with pytest.raises(InvalidField):
+            make()
+    assert DetectorModel.constant(0.5).to_json() == 0.5
+    assert DetectorModel.tabulated([0.0, 1.0], [0.5, 0.7]).to_json() == {
+        "k": [0.0, 1.0], "eta": [0.5, 0.7]}
+    for name in ("NonPositiveKappa", "NegativeGamma", "ZeroCoupling",
+                 "GammaZero"):
+        assert issubclass(getattr(cavqmem, name), cavqmem.CavqmemError)
+        assert name in cavqmem.__all__
