@@ -79,6 +79,9 @@ PARAM_COLUMNS = (
 SWEEP_HEADER = PARAM_COLUMNS + (
     "eta", "F_swap", "F_swap_leading", "F_qm", "P_qm", "P_qm_conditional",
 )
+#: The simulated-cycle quantities that `oracle` and `validate` compare with
+#: their closed forms.
+ORACLE_KEYS = ("P_kL", "P_L", "P_qm", "fidelity")
 
 PULSE_FIELD_NAMES = ("delta_p", "kappa_p", "x_0")
 SYSTEM_FIELD_NAMES = (
@@ -315,24 +318,15 @@ def equivalence_deltas(params: SystemParams, pulse: PulseSpec, eta: float,
     """Worst |state oracle - closed form| per reported quantity."""
     base = run_memory_protocol(params, pulse, quad,
                                photon=PhotonQubit(1.0, 0.0), detector=eta)
-    out = {
-        "F_qm": abs(base.fidelity - metrics.qm_fidelity(params, pulse, quad)),
-        "P_kL": 0.0, "P_L": 0.0, "P_qm": 0.0, "fidelity": 0.0,
-    }
-    p_qm_closed = metrics.qm_success(params, pulse, quad, eta)
-    for qubit in qubits:
+    base_closed, *closed = metrics.cycle_closed_forms(
+        params, pulse, quad, [PhotonQubit(1.0, 0.0), *qubits], eta)
+    out = {"F_qm": abs(base.fidelity - base_closed["F_qm"]),
+           "P_kL": 0.0, "P_L": 0.0, "P_qm": 0.0, "fidelity": 0.0}
+    for qubit, forms in zip(qubits, closed):
         record = run_memory_protocol(params, pulse, quad, photon=qubit,
-                                     detector=eta)
-        out["P_kL"] = max(out["P_kL"], abs(
-            record.p_k_l - metrics.storage_success(params, pulse, quad,
-                                                   qubit, eta)))
-        out["P_L"] = max(out["P_L"], abs(
-            record.p_l - metrics.retrieval_success(params, pulse, quad,
-                                                   qubit, eta)))
-        out["P_qm"] = max(out["P_qm"], abs(record.p_qm - p_qm_closed))
-        out["fidelity"] = max(out["fidelity"], abs(
-            record.fidelity - metrics.storage_retrieval_fidelity(
-                params, pulse, quad, qubit, eta)))
+                                     detector=eta).to_dict()
+        for key in ORACLE_KEYS:
+            out[key] = max(out[key], abs(record[key] - forms[key]))
     return out
 
 
@@ -643,18 +637,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     photon = _photon_qubit(args)
     record = run_memory_protocol(params, pulse, quad, photon=photon,
                                  detector=args.eta, readout=args.readout)
-    closed = {
-        "P_kL": metrics.storage_success(params, pulse, quad, photon,
-                                        args.eta),
-        "P_L": metrics.retrieval_success(params, pulse, quad, photon,
-                                         args.eta),
-        "P_qm": metrics.qm_success(params, pulse, quad, args.eta),
-        "fidelity": metrics.storage_retrieval_fidelity(params, pulse, quad,
-                                                       photon, args.eta),
-    }
+    closed = metrics.cycle_closed_forms(params, pulse, quad, [photon],
+                                        args.eta)[0]
     out = record.to_dict()
-    out["closed_form_deltas"] = {key: abs(out[key] - value)
-                                 for key, value in closed.items()}
+    out["closed_form_deltas"] = {key: abs(out[key] - closed[key])
+                                 for key in ORACLE_KEYS}
     _emit_json(out, args.out)
     return 0
 

@@ -280,6 +280,33 @@ def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
     return float(_retrieved_fidelity(m, _sin2(points), cl2, cr2)[0])
 
 
+def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
+                       quad: QuadratureConfig = DEFAULT_QUAD,
+                       photons: Sequence[PhotonQubit] = (PhotonQubit(0.0, 1.0),),
+                       detector: DetectorModel | float = 1.0
+                       ) -> list[dict[str, float]]:
+    """Every closed form of one store-and-retrieve cycle, per input qubit,
+    from a single moment pass.
+
+    Entry i holds "F_qm", "P_kL", "P_L", "P_qm" and "fidelity" for
+    photons[i], bit-identical to `qm_fidelity`, `storage_success`,
+    `retrieval_success`, `qm_success` and `storage_retrieval_fidelity` at
+    the same point and detector.
+    """
+    weights = [_input_weights(photon) for photon in photons]
+    points = [(params, pulse)]
+    m = spectral_moments(points, quad, detector)
+    sin2 = _sin2(points)
+    f_qm = float(_memory_fidelity(m)[0])
+    p_qm = float(_success(m, sin2)[0])
+    return [{"F_qm": f_qm,
+             "P_kL": float(_storage(m, sin2, cl2, cr2)[0]),
+             "P_L": float(_retrieval(m, sin2, cl2, cr2)[0]),
+             "P_qm": p_qm,
+             "fidelity": float(_retrieved_fidelity(m, sin2, cl2, cr2)[0])}
+            for cl2, cr2 in weights]
+
+
 def swap_target_atom(photon: PhotonQubit, params: SystemParams) -> AtomQubit:
     """Atomic state onto which an ideal swap maps the photonic qubit:
     c_R e^{i theta_R} |L> - c_L e^{i theta_L} |R>."""

@@ -172,8 +172,8 @@ def spectral_average(G, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,
     G must accept a numpy array of wavenumbers.  Raises NonFiniteIntegrand if
     any node value is NaN or infinite.
     """
-    grid = build_grid(pulse, quad, k_c)
-    values = np.asarray(G(grid.k))
+    x, omega = quadrature_rule(pulse.profile, quad)
+    values = np.asarray(G(k_c + pulse.delta_p + pulse.kappa_p * x))
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand()
-    return grid.average(values)
+    return complex(np.sum(omega * values))

@@ -11,6 +11,17 @@ makes the module useful as an oracle for the closed forms.
 The grid convention follows `spectral.KGrid`: amplitudes carry the envelope
 f(k_j) explicitly and quadratic functionals are summed against the plain dk
 weights `w`, so the norm of a single-photon state is sum_j w_j |f(k_j)|^2 = 1.
+
+States that live on two grids are kept as the factors of their outer
+products, never as node-by-node arrays.  Each scattering event acts on one
+grid only, so a state that starts as a sum of r products stays one: the two
+cavities of `TwoCavityState` hold rank-r factor stacks, one per grid, and the
+released photon of `RetrievalOutcome` is a storage-branch factor times a
+retrieval-envelope factor per polarization.  Norms, probabilities and
+overlaps are contractions of r x r Gram matrices of the factors, O(r^2 n)
+work and memory; only `RetrievalOutcome.photon_density`, whose output is a
+node-by-node matrix, builds one.  This is an exact re-representation: every
+sum that the full array would take is still taken, node by node.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ZeroProbability
+from .errors import InvalidField, ZeroProbability
 from .params import (
     AtomQubit,
     DetectorModel,
@@ -78,20 +89,30 @@ def prepare_input(atom: AtomQubit, photon: PhotonQubit, grid: KGrid) -> JointSta
     return JointState(grid=grid, amps=amps)
 
 
-def apply_scattering(state: JointState, params: SystemParams) -> JointState:
-    """One pass of the photon through the cavity.
+def _scatter(amps: np.ndarray, k: np.ndarray,
+             params: SystemParams) -> np.ndarray:
+    """The single-node scattering map on amps[..., a, p, j] at nodes k.
 
     The bright channels |L, k_L> and |R, k_R> mix through the 2x2 block of
-    t_elements; |L, k_R> and |R, k_L> pass through untouched.  Norm lost to
-    spontaneous decay (gamma > 0) is added to loss_weight.
+    t_elements; |L, k_R> and |R, k_L> pass through untouched.
     """
+    t_ll, t_rr, t_lr, t_rl = t_elements(k, params)
+    bright_l = amps[..., ATOM_L, POL_L, :]
+    bright_r = amps[..., ATOM_R, POL_R, :]
+    out = amps.copy()
+    out[..., ATOM_L, POL_L, :] = t_ll * bright_l + t_lr * bright_r
+    out[..., ATOM_R, POL_R, :] = t_rl * bright_l + t_rr * bright_r
+    return out
+
+
+def apply_scattering(state: JointState, params: SystemParams) -> JointState:
+    """One pass of the photon through the cavity (see `_scatter`).  Norm lost
+    to spontaneous decay (gamma > 0) is added to loss_weight."""
     validate(params)
-    t_ll, t_rr, t_lr, t_rl = t_elements(state.grid.k, params)
     before = state.norm
-    amps = state.amps.copy()
-    amps[ATOM_L, POL_L] = t_ll * state.amps[ATOM_L, POL_L] + t_lr * state.amps[ATOM_R, POL_R]
-    amps[ATOM_R, POL_R] = t_rl * state.amps[ATOM_L, POL_L] + t_rr * state.amps[ATOM_R, POL_R]
-    out = JointState(grid=state.grid, amps=amps, loss_weight=state.loss_weight)
+    out = JointState(grid=state.grid,
+                     amps=_scatter(state.amps, state.grid.k, params),
+                     loss_weight=state.loss_weight)
     if params.gamma == 0.0:
         # unitary pass: keep the loss weight free of rounding residue
         return out
@@ -140,36 +161,46 @@ def detect_photon_L(state: JointState,
 class RetrievalOutcome:
     """Result of scattering a retrieval photon and finding the atom in |L>.
 
-    pol_l_amps[j, j'] and pol_r_amps[j, j'] are the released photon's
-    amplitudes on the k_L / k_R channels at retrieval node k'_j', for storage
-    branch j; they keep the raw scale of the stored ensemble.  `probability`
-    is P(L) conditioned on the earlier detection, `fidelity` the overlap of
-    the released photon with the target qubit, and `loss` the decay mass shed
+    The released photon is kept as factors: on polarization channel p, for
+    storage branch j, its amplitude at retrieval node k'_j' is
+    storage_amps[p, j] * release_amps[p, j'].  Row POL_L pairs the stored
+    |R> amplitudes beta[ATOM_R] with t_LR f' (the scattered branch), row
+    POL_R pairs beta[ATOM_L] with f' (the transparent branch); the rows keep
+    the raw scale of the stored ensemble.  `probability` is P(L)
+    conditioned on the earlier detection, `fidelity` the overlap of the
+    released photon with the target qubit, and `loss` the decay mass shed
     during retrieval (same conditioning).
     """
 
     storage_grid: KGrid
     grid: KGrid
-    pol_l_amps: np.ndarray
-    pol_r_amps: np.ndarray
+    storage_amps: np.ndarray
+    release_amps: np.ndarray
     probability: float
     fidelity: float
     loss: float
 
     def photon_density(self) -> np.ndarray:
         """Released photon's density matrix rho[p, j', q, j''], normalized so
-        that contracting the diagonal with the grid weights gives 1."""
-        w1 = self.storage_grid.w
-        stack = (self.pol_l_amps, self.pol_r_amps)
-        rho = np.empty((2, self.grid.n, 2, self.grid.n), dtype=complex)
-        for p in (POL_L, POL_R):
-            for q in (POL_L, POL_R):
-                rho[p, :, q, :] = np.einsum("ja,jb,j->ab", stack[p],
-                                            np.conjugate(stack[q]), w1)
-        mass = sum(np.real(np.einsum("ja,ja,j,a->", stack[p],
-                                     np.conjugate(stack[p]), w1, self.grid.w))
-                   for p in (POL_L, POL_R))
-        return rho / float(mass)
+        that contracting the diagonal with the grid weights gives 1.  The
+        storage branches are summed incoherently with their grid weights."""
+        gram = _branch_gram(self.storage_amps, self.storage_grid.w)
+        release = self.release_amps
+        rho = np.einsum("pq,pa,qb->paqb", gram, release,
+                        np.conjugate(release))
+        return rho / _released_mass(gram, release, self.grid.w)
+
+
+def _branch_gram(amps: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """G[p, q] = sum_j w_j amps[p, j] conj(amps[q, j])."""
+    return np.einsum("pj,qj,j->pq", amps, np.conjugate(amps), w)
+
+
+def _released_mass(gram: np.ndarray, release: np.ndarray,
+                   w: np.ndarray) -> float:
+    """Norm of the released photon: sum_p G[p, p] sum_j' w_j' |release[p, j']|^2."""
+    per_channel = np.einsum("pa,pa,a->p", release, np.conjugate(release), w)
+    return float(np.real(np.diagonal(gram) @ per_channel))
 
 
 def retrieve(stored: AtomEnsemble, params: SystemParams, pulse: PulseSpec,
@@ -190,19 +221,18 @@ def retrieve(stored: AtomEnsemble, params: SystemParams, pulse: PulseSpec,
     _, t_rr, t_lr, _ = t_elements(grid2.k, params)
     # Atom found in |L>: the transparent |L> branch keeps polarization k_R,
     # the scattered |R> branch arrives on k_L via T_LR.
-    gam_l = stored.beta[ATOM_R][:, None] * (t_lr * grid2.f)[None, :]
-    gam_r = stored.beta[ATOM_L][:, None] * grid2.f[None, :]
+    storage_amps = stored.beta[[ATOM_R, ATOM_L]]
+    release_amps = np.stack([t_lr * grid2.f, grid2.f])
     w1 = stored.grid.w
     w2 = grid2.w
-    mass = float(np.real(
-        np.einsum("ja,ja,j,a->", gam_l, np.conjugate(gam_l), w1, w2)
-        + np.einsum("ja,ja,j,a->", gam_r, np.conjugate(gam_r), w1, w2)))
+    mass = _released_mass(_branch_gram(storage_amps, w1), release_amps, w2)
     if mass < TINY_PROB:
         raise ZeroProbability("atom found in the retrieval level")
     # Overlap with the target qubit on the retrieval envelope, branch by
     # branch; the unresolved storage node makes the branches incoherent.
-    ovl = (gam_l @ (w2 * np.conjugate(target.c_L * grid2.f))
-           + gam_r @ (w2 * np.conjugate(target.c_R * grid2.f)))
+    target_amps = np.array([[target.c_L], [target.c_R]]) * grid2.f
+    channel_ovl = (release_amps * np.conjugate(target_amps)) @ w2
+    ovl = channel_ovl @ storage_amps
     fidelity = float(np.real(np.sum(w1 * np.abs(ovl) ** 2)) / mass)
     survive = float(np.real(np.sum(
         w2 * np.abs(grid2.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
@@ -211,8 +241,8 @@ def retrieve(stored: AtomEnsemble, params: SystemParams, pulse: PulseSpec,
     return RetrievalOutcome(
         storage_grid=stored.grid,
         grid=grid2,
-        pol_l_amps=gam_l,
-        pol_r_amps=gam_r,
+        storage_amps=storage_amps,
+        release_amps=release_amps,
         probability=mass / stored.probability,
         fidelity=fidelity,
         loss=decay / stored.probability,
@@ -295,7 +325,7 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     extra success factor [eta |T_RL|^2]_f appears in p_total.
     """
     if readout not in ("projective", "third_photon"):
-        raise ValueError(f"unknown readout mode: {readout!r}")
+        raise InvalidField(readout, "unknown readout mode")
     grid = build_grid(pulse, quad, k_c=params.k_c)
     state = prepare_input(AtomQubit(0.0, 1.0), photon, grid)
     state = apply_scattering(state, params)
@@ -358,68 +388,78 @@ class PhotonPair:
 
 @dataclass(frozen=True)
 class TwoCavityState:
-    """Pure state of two atom-cavity nodes, one photon at each.
+    """Pure state of two atom-cavity nodes, one photon at each, as a sum of
+    rank-r outer products.
 
-    amps[a, b, p, q, j, j'] is the amplitude of atom 1 in level a, atom 2 in
-    level b, photon 1 in polarization channel p at node k_j of grid_1, photon
-    2 in polarization channel q at node k'_j' of grid_2.  `loss_weight` pools
-    the decay mass of both cavities.
+    left[r, a, p, j] is a function of atom 1 in level a with photon 1 in
+    polarization channel p at node k_j of grid_1; right[r, b, q, j'] one of
+    atom 2 in level b with photon 2 in channel q at node k'_j' of grid_2.
+    The amplitude of (a, b, p, q, j, j') is sum_r left[r, a, p, j]
+    right[r, b, q, j'].  Each cavity acts on its own factor stack, so the
+    rank never grows.  `loss_weight` pools the decay mass of both cavities.
     """
 
     grid_1: KGrid
     grid_2: KGrid
-    amps: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     loss_weight: float = 0.0
 
     @property
     def norm(self) -> float:
-        return float(np.real(np.einsum("abpqjk,abpqjk,j,k->", self.amps,
-                                       np.conjugate(self.amps),
-                                       self.grid_1.w, self.grid_2.w)))
+        return float(np.real(np.einsum("abab->", self.atom_density())))
+
+    def atom_density(self) -> np.ndarray:
+        """Two-atom density matrix rho[a, b, c, d], both photons traced out.
+        Not normalized: its trace is the surviving probability mass."""
+        return _pair_density(self.left, self.right, self.grid_1.w,
+                             self.grid_2.w)
+
+
+def _pair_density(left: np.ndarray, right: np.ndarray, w_1: np.ndarray,
+                  w_2: np.ndarray) -> np.ndarray:
+    """rho[a, b, c, d] of sum_r left[r] x right[r] with the photon channels
+    and nodes traced against the weights w_1 and w_2.
+
+    Each side contributes its r x r Gram matrix with the atom index left
+    open, g[r, s, a, c] = sum_{p, j} w_j left[r, a, p, j] conj(left[s, c, p, j]);
+    the trace over both photons is the product of the two, summed over r, s.
+    """
+    gram_1 = np.einsum("rapj,scpj,j->rsac", left, np.conjugate(left), w_1)
+    gram_2 = np.einsum("rbqj,sdqj,j->rsbd", right, np.conjugate(right), w_2)
+    return np.einsum("rsac,rsbd->abcd", gram_1, gram_2)
 
 
 def prepare_pair(pair: PhotonPair, grid_1: KGrid, grid_2: KGrid
                  ) -> TwoCavityState:
     """Both atoms in |R>, the photon pair c_LR |k_L, k'_R> + c_RL |k_R, k'_L>
-    carried by the two grid envelopes."""
+    carried by the two grid envelopes: one rank term per pair amplitude."""
     require_normalized(pair)
-    amps = np.zeros((2, 2, 2, 2, grid_1.n, grid_2.n), dtype=complex)
-    envelope = grid_1.f[:, None] * grid_2.f[None, :]
-    amps[ATOM_R, ATOM_R, POL_L, POL_R] = pair.c_LR * envelope
-    amps[ATOM_R, ATOM_R, POL_R, POL_L] = pair.c_RL * envelope
-    return TwoCavityState(grid_1=grid_1, grid_2=grid_2, amps=amps)
+    left = np.zeros((2, 2, 2, grid_1.n), dtype=complex)
+    right = np.zeros((2, 2, 2, grid_2.n), dtype=complex)
+    left[0, ATOM_R, POL_L] = pair.c_LR * grid_1.f
+    right[0, ATOM_R, POL_R] = grid_2.f
+    left[1, ATOM_R, POL_R] = pair.c_RL * grid_1.f
+    right[1, ATOM_R, POL_L] = grid_2.f
+    return TwoCavityState(grid_1=grid_1, grid_2=grid_2, left=left, right=right)
 
 
 def scatter_pair(state: TwoCavityState, params_1: SystemParams,
                  params_2: SystemParams) -> TwoCavityState:
     """Scatter photon 1 off cavity 1 and photon 2 off cavity 2.
 
-    The two events act on disjoint (atom, polarization) pairs, so their order
-    is immaterial; decay mass from both is added to loss_weight.
+    Each event is the single-node map of `apply_scattering` on its own
+    factor stack, so their order is immaterial; decay mass from both is added
+    to loss_weight.
     """
     validate(params_1)
     validate(params_2)
     before = state.norm
-    psi = state.amps.copy()
-    # Cavity 1 mixes (atom_1, pol_1); its kernel depends on node_1 only.  The
-    # selected blocks have remaining axes (atom_2, pol_2, node_1, node_2).
-    t_ll, t_rr, t_lr, t_rl = t_elements(state.grid_1.k, params_1)
-    bright_l = psi[ATOM_L, :, POL_L, :].copy()
-    bright_r = psi[ATOM_R, :, POL_R, :].copy()
-    psi[ATOM_L, :, POL_L, :] = (t_ll[None, None, :, None] * bright_l
-                                + t_lr[None, None, :, None] * bright_r)
-    psi[ATOM_R, :, POL_R, :] = (t_rl[None, None, :, None] * bright_l
-                                + t_rr[None, None, :, None] * bright_r)
-    # Cavity 2 mixes (atom_2, pol_2) with a kernel on node_2.
-    t_ll, t_rr, t_lr, t_rl = t_elements(state.grid_2.k, params_2)
-    bright_l = psi[:, ATOM_L, :, POL_L].copy()
-    bright_r = psi[:, ATOM_R, :, POL_R].copy()
-    psi[:, ATOM_L, :, POL_L] = (t_ll[None, None, None, :] * bright_l
-                                + t_lr[None, None, None, :] * bright_r)
-    psi[:, ATOM_R, :, POL_R] = (t_rl[None, None, None, :] * bright_l
-                                + t_rr[None, None, None, :] * bright_r)
-    out = TwoCavityState(grid_1=state.grid_1, grid_2=state.grid_2, amps=psi,
-                         loss_weight=state.loss_weight)
+    out = TwoCavityState(
+        grid_1=state.grid_1, grid_2=state.grid_2,
+        left=_scatter(state.left, state.grid_1.k, params_1),
+        right=_scatter(state.right, state.grid_2.k, params_2),
+        loss_weight=state.loss_weight)
     if params_1.gamma == 0.0 and params_2.gamma == 0.0:
         return out
     return replace(out, loss_weight=out.loss_weight + before - out.norm)
@@ -456,22 +496,18 @@ def entanglement_storage(pair: PhotonPair,
     surviving trace).
     """
     if mode not in ("postselect", "swap"):
-        raise ValueError(f"unknown storage mode: {mode!r}")
+        raise InvalidField(mode, "unknown storage mode")
     validate_pulse(pulse_1)
     validate_pulse(pulse_2)
     grid_1 = build_grid(pulse_1, quad, k_c=params_1.k_c)
     grid_2 = build_grid(pulse_2, quad, k_c=params_2.k_c)
-    envelope = grid_1.f[:, None] * grid_2.f[None, :]
     state = scatter_pair(prepare_pair(pair, grid_1, grid_2), params_1,
                          params_2)
-    psi = state.amps
-    w1, w2 = grid_1.w, grid_2.w
+    target = np.zeros((2, 2), dtype=complex)
+    target[ATOM_R, ATOM_L] = pair.c_LR
+    target[ATOM_L, ATOM_R] = pair.c_RL
     if mode == "swap":
-        rho4 = np.einsum("abpqjk,cdpqjk,j,k->abcd", psi, np.conjugate(psi),
-                         w1, w2)
-        target = np.zeros((2, 2), dtype=complex)
-        target[ATOM_R, ATOM_L] = pair.c_LR
-        target[ATOM_L, ATOM_R] = pair.c_RL
+        rho4 = state.atom_density()
         fidelity = float(np.real(np.einsum("ab,abcd,cd->",
                                            np.conjugate(target), rho4, target)))
         probability = float(np.real(np.einsum("abab->", rho4)))
@@ -479,16 +515,18 @@ def entanglement_storage(pair: PhotonPair,
                                    mode=mode)
     root_eta_1 = np.sqrt(as_detector(detector_1)(grid_1.k))
     root_eta_2 = np.sqrt(as_detector(detector_2)(grid_2.k))
-    root_eta = root_eta_1[:, None] * root_eta_2[None, :]
-    sel = psi[:, :, POL_L, POL_L] * root_eta[None, None]
-    prob = float(np.real(np.einsum("abjk,abjk,j,k->", sel, np.conjugate(sel),
-                                   w1, w2)))
+    # Both photons counted in k_L: the Kraus factors act on each side's
+    # POL_L channel, which keeps the state a sum of the same rank terms.
+    sel_1 = state.left[:, :, POL_L, :] * root_eta_1
+    sel_2 = state.right[:, :, POL_L, :] * root_eta_2
+    prob = replace(state, left=sel_1[:, :, None], right=sel_2[:, :, None]).norm
     if prob < TINY_PROB:
         raise ZeroProbability("two-photon k_L detection")
-    overlap = np.einsum("jk,jk,j,k->", np.conjugate(envelope) * root_eta,
-                        np.conjugate(pair.c_RL) * sel[ATOM_L, ATOM_R]
-                        + np.conjugate(pair.c_LR) * sel[ATOM_R, ATOM_L],
-                        w1, w2)
+    # Overlap with the swap image carried by the detected envelopes: each
+    # rank term factors into one node sum per grid.
+    ovl_1 = sel_1 @ (grid_1.w * root_eta_1 * np.conjugate(grid_1.f))
+    ovl_2 = sel_2 @ (grid_2.w * root_eta_2 * np.conjugate(grid_2.f))
+    overlap = np.einsum("ab,ra,rb->", np.conjugate(target), ovl_1, ovl_2)
     weight = (float(np.real(grid_1.average(root_eta_1 ** 2)))
               * float(np.real(grid_2.average(root_eta_2 ** 2))))
     fidelity = float(abs(overlap) ** 2 / (weight * prob))

@@ -20,6 +20,7 @@ from cavqmem.metrics import (
     compute_report,
     compute_reports,
     convergence_delta,
+    cycle_closed_forms,
     qm_fidelity,
     qm_success,
     retrieval_success,
@@ -368,6 +369,33 @@ def test_batching_does_not_change_results(profile, detector):
     with pytest.raises(ZeroScatteringWeight):
         compute_reports(points[:-1] + [dark] + points[-1:], DEFAULT_QUAD,
                         detector, PhotonQubit(0.0, 1.0))
+
+
+@pytest.mark.parametrize("detector", [
+    0.8, DetectorModel.tabulated([-3.0, 0.0, 4.0], [0.3, 0.9, 0.6])],
+    ids=["constant", "tabulated"])
+@pytest.mark.parametrize("profile", list(Profile))
+def test_cycle_closed_forms_equal_the_scalar_calls(profile, detector):
+    rng = np.random.default_rng(47)
+    params, pulse, _ = draw_equivalence_point(rng)
+    pulse = PulseSpec(profile, pulse.delta_p, pulse.kappa_p, pulse.x_0)
+    photons = [PhotonQubit(1.0, 0.0), PhotonQubit(0.0, 1.0),
+               PhotonQubit(0.6, 0.8 * np.exp(0.7j))]
+    forms = cycle_closed_forms(params, pulse, DEFAULT_QUAD, photons, detector)
+    assert len(forms) == len(photons)
+    for photon, got in zip(photons, forms):
+        # bit for bit: one moment pass serves all five scalar closed forms
+        assert got == {
+            "F_qm": qm_fidelity(params, pulse),
+            "P_kL": storage_success(params, pulse, DEFAULT_QUAD, photon,
+                                    detector),
+            "P_L": retrieval_success(params, pulse, DEFAULT_QUAD, photon,
+                                     detector),
+            "P_qm": qm_success(params, pulse, DEFAULT_QUAD, detector),
+            "fidelity": storage_retrieval_fidelity(params, pulse,
+                                                   DEFAULT_QUAD, photon,
+                                                   detector),
+        }
 
 
 def test_sweep_memory_stays_bounded():

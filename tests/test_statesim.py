@@ -1,11 +1,12 @@
 """Propagated-amplitude oracle: conservation laws and closed-form twins."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cavqmem.errors import ZeroProbability
+from cavqmem.errors import InvalidField, ZeroProbability
 from cavqmem.metrics import (
     qm_fidelity,
     qm_success,
@@ -19,10 +20,12 @@ from cavqmem.metrics import (
 )
 from cavqmem.params import (
     AtomQubit,
+    DetectorModel,
     PhotonQubit,
     Profile,
     PulseSpec,
     SystemParams,
+    as_detector,
 )
 from cavqmem.scattering import t_elements
 from cavqmem.spectral import DEFAULT_QUAD, QuadratureConfig, build_grid, spectral_average
@@ -334,3 +337,205 @@ def test_ideal_pair_storage_is_nearly_perfect():
     with pytest.raises(ValueError):
         entanglement_storage(bell, params, params, pulse, pulse,
                              mode="teleport")
+
+
+def test_unknown_mode_strings_raise_typed_errors():
+    params, pulse = ideal_point()
+    with pytest.raises(InvalidField):
+        run_memory_protocol(params, pulse, readout="homodyne")
+    with pytest.raises(InvalidField):
+        entanglement_storage(PhotonPair(1.0, 0.0), params, params, pulse,
+                             pulse, mode="teleport")
+
+
+# Dense reference: the two-grid code as it stood before the states were kept
+# as factors, with every n1 x n2 array built in full.  Test-only.
+
+def _dense_norm(amps, grid_1, grid_2):
+    return float(np.real(np.einsum("abpqjk,abpqjk,j,k->", amps,
+                                   np.conjugate(amps), grid_1.w, grid_2.w)))
+
+
+def _dense_prepare_pair(pair, grid_1, grid_2):
+    amps = np.zeros((2, 2, 2, 2, grid_1.n, grid_2.n), dtype=complex)
+    envelope = grid_1.f[:, None] * grid_2.f[None, :]
+    amps[ATOM_R, ATOM_R, POL_L, POL_R] = pair.c_LR * envelope
+    amps[ATOM_R, ATOM_R, POL_R, POL_L] = pair.c_RL * envelope
+    return amps
+
+
+def _dense_scatter_pair(amps, grid_1, grid_2, params_1, params_2):
+    """Returns the scattered amplitudes and the decay mass shed."""
+    before = _dense_norm(amps, grid_1, grid_2)
+    psi = amps.copy()
+    t_ll, t_rr, t_lr, t_rl = t_elements(grid_1.k, params_1)
+    bright_l = psi[ATOM_L, :, POL_L, :].copy()
+    bright_r = psi[ATOM_R, :, POL_R, :].copy()
+    psi[ATOM_L, :, POL_L, :] = (t_ll[None, None, :, None] * bright_l
+                                + t_lr[None, None, :, None] * bright_r)
+    psi[ATOM_R, :, POL_R, :] = (t_rl[None, None, :, None] * bright_l
+                                + t_rr[None, None, :, None] * bright_r)
+    t_ll, t_rr, t_lr, t_rl = t_elements(grid_2.k, params_2)
+    bright_l = psi[:, ATOM_L, :, POL_L].copy()
+    bright_r = psi[:, ATOM_R, :, POL_R].copy()
+    psi[:, ATOM_L, :, POL_L] = (t_ll[None, None, None, :] * bright_l
+                                + t_lr[None, None, None, :] * bright_r)
+    psi[:, ATOM_R, :, POL_R] = (t_rl[None, None, None, :] * bright_l
+                                + t_rr[None, None, None, :] * bright_r)
+    if params_1.gamma == 0.0 and params_2.gamma == 0.0:
+        return psi, 0.0
+    return psi, before - _dense_norm(psi, grid_1, grid_2)
+
+
+def _dense_entanglement_storage(pair, params_1, params_2, pulse_1, pulse_2,
+                                quad, detector_1, detector_2, mode):
+    """Returns (probability, fidelity)."""
+    grid_1 = build_grid(pulse_1, quad, k_c=params_1.k_c)
+    grid_2 = build_grid(pulse_2, quad, k_c=params_2.k_c)
+    envelope = grid_1.f[:, None] * grid_2.f[None, :]
+    psi, _ = _dense_scatter_pair(_dense_prepare_pair(pair, grid_1, grid_2),
+                                 grid_1, grid_2, params_1, params_2)
+    w1, w2 = grid_1.w, grid_2.w
+    if mode == "swap":
+        rho4 = np.einsum("abpqjk,cdpqjk,j,k->abcd", psi, np.conjugate(psi),
+                         w1, w2)
+        target = np.zeros((2, 2), dtype=complex)
+        target[ATOM_R, ATOM_L] = pair.c_LR
+        target[ATOM_L, ATOM_R] = pair.c_RL
+        fidelity = float(np.real(np.einsum("ab,abcd,cd->",
+                                           np.conjugate(target), rho4, target)))
+        return float(np.real(np.einsum("abab->", rho4))), fidelity
+    root_eta_1 = np.sqrt(as_detector(detector_1)(grid_1.k))
+    root_eta_2 = np.sqrt(as_detector(detector_2)(grid_2.k))
+    root_eta = root_eta_1[:, None] * root_eta_2[None, :]
+    sel = psi[:, :, POL_L, POL_L] * root_eta[None, None]
+    prob = float(np.real(np.einsum("abjk,abjk,j,k->", sel, np.conjugate(sel),
+                                   w1, w2)))
+    overlap = np.einsum("jk,jk,j,k->", np.conjugate(envelope) * root_eta,
+                        np.conjugate(pair.c_RL) * sel[ATOM_L, ATOM_R]
+                        + np.conjugate(pair.c_LR) * sel[ATOM_R, ATOM_L],
+                        w1, w2)
+    weight = (float(np.real(grid_1.average(root_eta_1 ** 2)))
+              * float(np.real(grid_2.average(root_eta_2 ** 2))))
+    return prob, float(abs(overlap) ** 2 / (weight * prob))
+
+
+def _dense_retrieve(stored, params, pulse, quad, target):
+    """Returns (probability, fidelity, loss, photon density)."""
+    grid2 = build_grid(pulse, quad, k_c=params.k_c)
+    _, t_rr, t_lr, _ = t_elements(grid2.k, params)
+    gam_l = stored.beta[ATOM_R][:, None] * (t_lr * grid2.f)[None, :]
+    gam_r = stored.beta[ATOM_L][:, None] * grid2.f[None, :]
+    w1 = stored.grid.w
+    w2 = grid2.w
+    mass = float(np.real(
+        np.einsum("ja,ja,j,a->", gam_l, np.conjugate(gam_l), w1, w2)
+        + np.einsum("ja,ja,j,a->", gam_r, np.conjugate(gam_r), w1, w2)))
+    ovl = (gam_l @ (w2 * np.conjugate(target.c_L * grid2.f))
+           + gam_r @ (w2 * np.conjugate(target.c_R * grid2.f)))
+    fidelity = float(np.real(np.sum(w1 * np.abs(ovl) ** 2)) / mass)
+    survive = float(np.real(np.sum(
+        w2 * np.abs(grid2.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
+    decay = (0.0 if params.gamma == 0.0 else
+             float(np.sum(w1 * np.abs(stored.beta[ATOM_R]) ** 2) * (1.0 - survive)))
+    stack = (gam_l, gam_r)
+    rho = np.empty((2, grid2.n, 2, grid2.n), dtype=complex)
+    for p in (POL_L, POL_R):
+        for q in (POL_L, POL_R):
+            rho[p, :, q, :] = np.einsum("ja,jb,j->ab", stack[p],
+                                        np.conjugate(stack[q]), w1)
+    return (mass / stored.probability, fidelity,
+            decay / stored.probability, rho / mass)
+
+
+LORENTZ_104 = QuadratureConfig(n_lorentz=104)
+OTHER = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_L=-1.1, theta_R=0.6,
+                     gamma=0.4, k_c=-0.2, delta_e=-0.7)
+CLEAN_1 = SystemParams(lambda_L=1.2, lambda_R=2.1, theta_L=0.4, gamma=0.0)
+CLEAN_2 = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_R=-0.3, gamma=0.0,
+                       delta_e=0.9)
+TABULATED = DetectorModel.tabulated([-3.0, 0.0, 4.0], [0.3, 0.9, 0.6])
+PULSE_PAIRS = [(GAUSS, GAUSS), (LORENTZ, LORENTZ), (GAUSS, LORENTZ)]
+PULSE_IDS = ["gaussian", "lorentzian", "mixed"]
+
+
+@pytest.mark.parametrize("cavities", [(LOSSY, OTHER), (CLEAN_1, CLEAN_2)],
+                         ids=["lossy", "lossless"])
+@pytest.mark.parametrize("pulses", PULSE_PAIRS, ids=PULSE_IDS)
+def test_factored_pair_matches_dense_reference(pulses, cavities):
+    (pulse_1, pulse_2), (params_1, params_2) = pulses, cavities
+    pair = PhotonPair(0.6, 0.8j)
+    grid_1 = build_grid(pulse_1, LORENTZ_104, k_c=params_1.k_c)
+    grid_2 = build_grid(pulse_2, LORENTZ_104, k_c=params_2.k_c)
+    assert {grid_1.n, grid_2.n} <= {64, 104}
+    dense = _dense_prepare_pair(pair, grid_1, grid_2)
+    state = prepare_pair(pair, grid_1, grid_2)
+    assert state.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
+                                       abs=1e-12)
+    dense, loss = _dense_scatter_pair(dense, grid_1, grid_2, params_1,
+                                      params_2)
+    state = scatter_pair(state, params_1, params_2)
+    assert state.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
+                                       abs=1e-12)
+    assert state.loss_weight == pytest.approx(loss, abs=1e-12)
+    if loss == 0.0:
+        assert state.loss_weight == 0.0
+    amps = np.einsum("rapj,rbqk->abpqjk", state.left, state.right)
+    np.testing.assert_allclose(amps, dense, rtol=0.0, atol=1e-12)
+    for mode in ("postselect", "swap"):
+        for detectors in ((1.0, 1.0), (0.9, TABULATED)):
+            out = entanglement_storage(pair, params_1, params_2, pulse_1,
+                                       pulse_2, LORENTZ_104, *detectors,
+                                       mode=mode)
+            prob, fid = _dense_entanglement_storage(
+                pair, params_1, params_2, pulse_1, pulse_2, LORENTZ_104,
+                *detectors, mode)
+            assert out.probability == pytest.approx(prob, abs=1e-12)
+            assert out.fidelity == pytest.approx(fid, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", [LOSSY, CLEAN_1], ids=["lossy", "lossless"])
+@pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
+                                                         "lorentzian"])
+def test_factored_retrieval_matches_dense_reference(pulse, params):
+    grid = build_grid(pulse, LORENTZ_104, k_c=params.k_c)
+    state = apply_scattering(prepare_input(ATOM_START, BALANCED, grid),
+                             params)
+    stored, _ = detect_photon_L(state, TABULATED)
+    target = PhotonQubit(0.28, 0.96j)
+    outcome = retrieve(stored, params, pulse, LORENTZ_104, target=target)
+    prob, fid, loss, rho = _dense_retrieve(stored, params, pulse,
+                                           LORENTZ_104, target)
+    assert outcome.probability == pytest.approx(prob, abs=1e-12)
+    assert outcome.fidelity == pytest.approx(fid, abs=1e-12)
+    assert outcome.loss == pytest.approx(loss, abs=1e-12)
+    assert (outcome.loss == 0.0) == (params.gamma == 0.0)
+    np.testing.assert_allclose(outcome.photon_density(), rho, rtol=0.0,
+                               atol=1e-12)
+
+
+def _peak_bytes(call) -> int:
+    call()  # warm the node tables
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("which", ["pair", "protocol"])
+def test_state_memory_grows_linearly_in_the_node_count(which):
+    def peak(n):
+        quad = QuadratureConfig(n_lorentz=n)
+        if which == "pair":
+            return _peak_bytes(lambda: entanglement_storage(
+                PhotonPair(0.6, 0.8j), LOSSY, OTHER, LORENTZ, LORENTZ, quad,
+                mode="swap"))
+        return _peak_bytes(lambda: run_memory_protocol(
+            LOSSY, LORENTZ, quad, photon=BALANCED, detector=0.8))
+
+    # a 1040 x 1040 complex array alone takes 17 MB
+    assert peak(1040) < 2e6
+    # linear growth gives 4x from 520 to 2080 nodes, quadratic 16x
+    assert peak(2080) < 6 * peak(520)
