@@ -1,10 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: argument handling, curve-family and sweep rows,
+and the CSV writer.
 
 Subcommands: `point` (closed-form metrics and scattering amplitudes at one
 parameter point), `fig2` / `fig3` / `fig4` (the bundled curve families as
 CSV data), `sweep` (generic one- or two-axis parameter scans), `oracle` (one
 simulated storage/retrieval cycle cross-checked against the closed forms),
-and `validate` (the invariant suite; nonzero exit on failure).
+and `validate` (the suite of `invariants`; exit status 1 on failure).
+Every input failure is a `CavqmemError` and exits with status 2.
 
 Unit convention: the spontaneous-emission rate gamma is the unit (gamma = 1),
 so "kappa = 2 gamma" is simply kappa = 2; wavenumbers are measured in the
@@ -29,48 +31,22 @@ import numpy as np
 
 from . import metrics
 from .errors import CavqmemError, InvalidField
+from .invariants import ORACLE_KEYS, validate_suite
 from .params import (
+    FAMILY_KAPPA,
+    FIG2_CASES,
+    FIG3_CASES,
     PhotonQubit,
     Profile,
     PulseSpec,
     SystemParams,
+    family_params,
     point_from_dict,
     point_to_dict,
-    validate,
-    validate_pulse,
 )
-from .scattering import (
-    bright_phase_factor,
-    coupling_amplitude,
-    scattered_amplitude,
-    t_elements,
-    t_matrix,
-)
-from .spectral import (
-    DEFAULT_QUAD,
-    QuadratureConfig,
-    build_grid,
-    spectral_average,
-)
+from .scattering import coupling_amplitude, t_matrix
+from .spectral import DEFAULT_QUAD, QuadratureConfig
 from .statesim import run_memory_protocol
-
-#: kappa of every bundled curve family, in units of gamma = 1.
-FAMILY_KAPPA = 2.0
-
-#: (label, delta_e, delta_p) triples of the detuning cases on the
-#: cooperativity and coupling-ratio curve families.
-FIG2_CASES: tuple[tuple[str, float, float], ...] = (
-    ("solid", 0.0, 0.0),
-    ("dashed", 5.0, 0.0),
-    ("dotted", 0.0, 0.5),
-)
-
-#: Detuning cases of the pulse-bandwidth family (larger detunings there).
-FIG3_CASES: tuple[tuple[str, float, float], ...] = (
-    ("solid", 0.0, 0.0),
-    ("dashed", 10.0, 0.0),
-    ("dotted", 0.0, 2.0),
-)
 
 PARAM_COLUMNS = (
     "lambda_L", "lambda_R", "theta_L", "theta_R", "kappa", "gamma", "k_c",
@@ -79,10 +55,6 @@ PARAM_COLUMNS = (
 SWEEP_HEADER = PARAM_COLUMNS + (
     "eta", "F_swap", "F_swap_leading", "F_qm", "P_qm", "P_qm_conditional",
 )
-#: The simulated-cycle quantities that `oracle` and `validate` compare with
-#: their closed forms.
-ORACLE_KEYS = ("P_kL", "P_L", "P_qm", "fidelity")
-
 PULSE_FIELD_NAMES = ("delta_p", "kappa_p", "x_0")
 SYSTEM_FIELD_NAMES = (
     "lambda_L", "lambda_R", "theta_L", "theta_R", "kappa", "gamma", "k_c",
@@ -91,16 +63,6 @@ SYSTEM_FIELD_NAMES = (
 #: Derived sweep axes: coupling ratio at fixed lambda^2, and lambda^2/kappa
 #: gamma at fixed ratio.
 VIRTUAL_FIELD_NAMES = ("lambda_ratio", "cooperativity")
-
-
-def family_params(coop: float, ratio: float = 1.0,
-                  delta_e: float = 0.0) -> SystemParams:
-    """Curve-family parameter point: lambda^2 = coop * kappa * gamma with the
-    given coupling ratio lambda_L/lambda_R, kappa = 2, gamma = 1."""
-    lam_sq = coop * FAMILY_KAPPA
-    lam_r = math.sqrt(lam_sq / (1.0 + ratio * ratio))
-    return SystemParams(lambda_L=ratio * lam_r, lambda_R=lam_r,
-                        kappa=FAMILY_KAPPA, gamma=1.0, delta_e=delta_e)
 
 
 def fig2_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 61
@@ -172,6 +134,8 @@ class SweepAxis:
             raise InvalidField(self.field, "not a sweepable field")
         if self.scale not in ("linear", "log"):
             raise InvalidField(self.field, f"unknown scale {self.scale!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidField(self.field, "axis bounds must be finite")
         if self.count < 2:
             raise InvalidField(self.field, "axis count must be >= 2")
         if self.scale == "log" and (self.lo <= 0.0 or self.hi <= 0.0):
@@ -203,8 +167,13 @@ def parse_axis(text: str) -> SweepAxis:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
         raise InvalidField(text, "expected FIELD,SCALE,MIN,MAX,COUNT")
-    return SweepAxis(field=parts[0], scale=parts[1], lo=float(parts[2]),
-                     hi=float(parts[3]), count=int(parts[4]))
+    try:
+        lo, hi, count = float(parts[2]), float(parts[3]), int(parts[4])
+    except ValueError:
+        raise InvalidField(text, "MIN and MAX must be numbers, COUNT an "
+                                 "integer") from None
+    return SweepAxis(field=parts[0], scale=parts[1], lo=lo, hi=hi,
+                     count=count)
 
 
 def _with_field(params: SystemParams, pulse: PulseSpec, field: str,
@@ -217,6 +186,8 @@ def _with_field(params: SystemParams, pulse: PulseSpec, field: str,
         lam_r = math.sqrt(params.lambda_sq / (1.0 + value * value))
         return replace(params, lambda_L=value * lam_r, lambda_R=lam_r), pulse
     if field == "cooperativity":
+        if value <= 0.0:
+            raise InvalidField(field, "cooperativity must be > 0")
         scale = math.sqrt(value * params.kappa * params.gamma
                           / params.lambda_sq)
         return replace(params, lambda_L=scale * params.lambda_L,
@@ -259,267 +230,17 @@ def write_csv(path: str, meta: dict, header: tuple[str, ...],
 
 
 # ---------------------------------------------------------------------------
-# invariant suite
-
-def _random_params(rng: np.random.Generator,
-                   gamma: float | None = None) -> SystemParams:
-    return SystemParams(
-        lambda_L=rng.uniform(0.05, 5.0),
-        lambda_R=rng.uniform(0.05, 5.0),
-        theta_L=rng.uniform(-math.pi, math.pi),
-        theta_R=rng.uniform(-math.pi, math.pi),
-        kappa=rng.uniform(0.2, 5.0),
-        gamma=rng.uniform(0.0, 3.0) if gamma is None else gamma,
-        k_c=rng.uniform(-3.0, 3.0),
-        delta_e=rng.uniform(-8.0, 8.0),
-    )
-
-
-def draw_equivalence_point(rng: np.random.Generator
-                           ) -> tuple[SystemParams, PulseSpec, float]:
-    """Random parameter set in the oracle-equivalence ranges: cooperativity
-    in [1, 100], kappa_p/kappa in [0.01, 0.3], delta_e in [-10, 10] gamma,
-    delta_p in [-2, 2] gamma, mixing angle inside (0, pi/2), either profile,
-    constant detector efficiency in (0.25, 1]."""
-    kappa, gamma = 2.0, 1.0
-    lam = math.sqrt(10.0 ** rng.uniform(0.0, 2.0) * kappa * gamma)
-    xi = rng.uniform(0.05, math.pi / 2 - 0.05)
-    params = SystemParams(
-        lambda_L=lam * math.sin(xi),
-        lambda_R=lam * math.cos(xi),
-        theta_L=rng.uniform(-math.pi, math.pi),
-        theta_R=rng.uniform(-math.pi, math.pi),
-        kappa=kappa,
-        gamma=gamma,
-        k_c=rng.uniform(-2.0, 2.0),
-        delta_e=rng.uniform(-10.0, 10.0),
-    )
-    profile = Profile.GAUSSIAN if rng.random() < 0.5 else Profile.LORENTZIAN
-    pulse = PulseSpec(
-        profile=profile,
-        delta_p=rng.uniform(-2.0, 2.0),
-        kappa_p=kappa * 10.0 ** rng.uniform(-2.0, math.log10(0.3)),
-        x_0=rng.uniform(0.0, 5.0),
-    )
-    return params, pulse, float(rng.uniform(0.25, 1.0))
-
-
-def random_photon_qubit(rng: np.random.Generator) -> PhotonQubit:
-    c_l_sq = rng.uniform(0.0, 1.0)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return PhotonQubit(math.sqrt(c_l_sq),
-                       math.sqrt(1.0 - c_l_sq) * complex(math.cos(phase),
-                                                         math.sin(phase)))
-
-
-def equivalence_deltas(params: SystemParams, pulse: PulseSpec, eta: float,
-                       qubits: list[PhotonQubit],
-                       quad: QuadratureConfig = DEFAULT_QUAD) -> dict[str, float]:
-    """Worst |state oracle - closed form| per reported quantity."""
-    base = run_memory_protocol(params, pulse, quad,
-                               photon=PhotonQubit(1.0, 0.0), detector=eta)
-    base_closed, *closed = metrics.cycle_closed_forms(
-        params, pulse, quad, [PhotonQubit(1.0, 0.0), *qubits], eta)
-    out = {"F_qm": abs(base.fidelity - base_closed["F_qm"]),
-           "P_kL": 0.0, "P_L": 0.0, "P_qm": 0.0, "fidelity": 0.0}
-    for qubit, forms in zip(qubits, closed):
-        record = run_memory_protocol(params, pulse, quad, photon=qubit,
-                                     detector=eta).to_dict()
-        for key in ORACLE_KEYS:
-            out[key] = max(out[key], abs(record[key] - forms[key]))
-    return out
-
-
-def _gate_points() -> list[tuple[SystemParams, PulseSpec]]:
-    """Representative parameter points of the three curve families for the
-    node-doubling convergence gate."""
-    points = []
-    for case, delta_e, delta_p in FIG2_CASES:
-        for coop in (1.0, 10.0, 100.0):
-            points.append((family_params(coop, delta_e=delta_e),
-                           PulseSpec(profile=Profile.GAUSSIAN,
-                                     delta_p=delta_p,
-                                     kappa_p=0.1 * FAMILY_KAPPA)))
-    for profile in (Profile.GAUSSIAN, Profile.LORENTZIAN):
-        for case, delta_e, delta_p in FIG3_CASES:
-            for x in (0.01, 0.1, 0.5):
-                points.append((family_params(20.0, delta_e=delta_e),
-                               PulseSpec(profile=profile, delta_p=delta_p,
-                                         kappa_p=x * FAMILY_KAPPA)))
-    for ratio in (0.1, 1.0, 10.0):
-        points.append((family_params(10.0, ratio=ratio),
-                       PulseSpec(profile=Profile.GAUSSIAN,
-                                 kappa_p=0.1 * FAMILY_KAPPA)))
-    return points
-
-
-def validate_suite(trials: int = 20, seed: int = 20112,
-                   quad: QuadratureConfig = DEFAULT_QUAD
-                   ) -> tuple[bool, list[str]]:
-    """Cross-module invariant families plus oracle-equivalence trials.
-
-    Returns (all_passed, report_lines).  The final family deliberately
-    corrupts one matrix element and demands that the determinant identity
-    notices, so a silently weakened identity check cannot pass unnoticed.
-    """
-    rng = np.random.default_rng(seed)
-    lines: list[str] = []
-    all_ok = True
-
-    def check(passed: bool, name: str, detail: str) -> None:
-        nonlocal all_ok
-        all_ok = all_ok and bool(passed)
-        lines.append(f"{'ok  ' if passed else 'FAIL'} {name}: {detail}")
-
-    n_sets, n_k = 100, 100
-    det_r = trace_r = cross_r = 0.0
-    excess = -1.0
-    for _ in range(n_sets):
-        params = _random_params(rng)
-        k = params.k_c + params.kappa * rng.uniform(-20.0, 20.0, n_k)
-        t_ll, t_rr, t_lr, t_rl = t_elements(k, params)
-        phase = bright_phase_factor(k, params)
-        h = scattered_amplitude(k, params)
-        det_r = max(det_r, float(np.max(np.abs(t_ll * t_rr - t_lr * t_rl
-                                               - phase))))
-        trace_r = max(trace_r, float(np.max(np.abs(t_ll + t_rr - 1.0
-                                                   - phase))))
-        cross_r = max(cross_r, float(np.max(np.abs(
-            np.abs(t_lr) - params.sin_2xi * np.abs(h)))))
-        excess = max(excess, float(np.max(np.abs(phase))) - 1.0)
-    samples = n_sets * n_k
-    check(det_r < 1e-12, "determinant identity",
-          f"max residual {det_r:.2e} over {samples} samples")
-    check(trace_r < 1e-12, "trace identity",
-          f"max residual {trace_r:.2e} over {samples} samples")
-    check(cross_r < 1e-12, "cross-element magnitude",
-          f"max residual {cross_r:.2e} over {samples} samples")
-    check(excess < 1e-12, "passivity of the bright phase",
-          f"max |phase|-1 = {excess:.2e} over {samples} samples")
-
-    rel_r = 0.0
-    for _ in range(30):
-        params = _random_params(rng)
-        params = replace(params, lambda_R=params.lambda_L)
-        k = params.k_c + params.kappa * rng.uniform(-20.0, 20.0, n_k)
-        t_ll, _, t_lr, _ = t_elements(k, params)
-        shift = np.exp(1j * (params.theta_L - params.theta_R))
-        rel_r = max(rel_r, float(np.max(np.abs(t_ll - shift * t_lr - 1.0))))
-    check(rel_r < 1e-12, "left-unit relation at equal couplings",
-          f"max residual {rel_r:.2e}")
-
-    unit_r = 0.0
-    for _ in range(30):
-        params = _random_params(rng, gamma=0.0)
-        k = params.k_c + params.kappa * rng.uniform(-20.0, 20.0, n_k)
-        t_ll, t_rr, t_lr, t_rl = t_elements(k, params)
-        phase = bright_phase_factor(k, params)
-        unit_r = max(unit_r, float(np.max(np.abs(np.abs(phase) - 1.0))))
-        unit_r = max(unit_r, float(np.max(np.abs(
-            np.abs(t_ll) ** 2 + np.abs(t_rl) ** 2 - 1.0))))
-        unit_r = max(unit_r, float(np.max(np.abs(
-            np.abs(t_lr) ** 2 + np.abs(t_rr) ** 2 - 1.0))))
-        unit_r = max(unit_r, float(np.max(np.abs(
-            t_ll * np.conjugate(t_lr) + t_rl * np.conjugate(t_rr)))))
-    check(unit_r < 1e-12, "lossless-limit unitarity",
-          f"max residual {unit_r:.2e}")
-
-    k_probe = np.linspace(-6.0, 6.0, 121)
-    ref = bright_phase_factor(k_probe, family_params(10.0, ratio=1.0))
-    ratio_phase_r = 0.0
-    for ratio in (0.1, 0.5, 2.0, 10.0):
-        other = bright_phase_factor(k_probe, family_params(10.0, ratio=ratio))
-        ratio_phase_r = max(ratio_phase_r, float(np.max(np.abs(other - ref))))
-    check(ratio_phase_r < 1e-12, "phase depends on couplings via their sum of squares",
-          f"max spread {ratio_phase_r:.2e}")
-
-    norm_r = 0.0
-    for profile in (Profile.GAUSSIAN, Profile.LORENTZIAN):
-        for kappa_p in (0.02, 0.2, 1.0):
-            grid = build_grid(PulseSpec(profile=profile, kappa_p=kappa_p),
-                              quad)
-            norm_r = max(norm_r, abs(float(np.sum(grid.omega)) - 1.0))
-    check(norm_r < 1e-12, "quadrature normalization",
-          f"max |sum(omega) - 1| = {norm_r:.2e}")
-
-    gate_r = 0.0
-    for params, pulse in _gate_points():
-        gate_r = max(gate_r, metrics.convergence_delta(params, pulse, quad))
-    check(gate_r < 1e-9, "node-doubling gate at curve-family points",
-          f"max delta {gate_r:.2e}")
-
-    base_params = family_params(10.0)
-    base_pulse = PulseSpec(kappa_p=0.2)
-    x0_delta = abs(metrics.qm_fidelity(base_params, base_pulse, quad)
-                   - metrics.qm_fidelity(base_params,
-                                         replace(base_pulse, x_0=3.7), quad))
-    check(x0_delta == 0.0, "pulse-position invariance of averages",
-          f"delta {x0_delta:.2e}")
-
-    dual_r = ratio_r = 0.0
-    margin = math.inf
-    for case, delta_e, delta_p in FIG2_CASES:
-        pulse = PulseSpec(delta_p=delta_p, kappa_p=0.1 * FAMILY_KAPPA)
-        for coop in (1.0, 10.0, 100.0):
-            params = family_params(coop, delta_e=delta_e)
-            direct = float(np.real(spectral_average(
-                lambda k: np.abs(t_elements(k, params)[2]) ** 2, pulse, quad,
-                params.k_c)))
-            factored = params.sin_2xi ** 2 * metrics.swap_fidelity(
-                params, pulse, quad)
-            dual_r = max(dual_r, abs(direct - factored))
-            f_qm = metrics.qm_fidelity(params, pulse, quad)
-            margin = min(margin,
-                         f_qm - metrics.swap_fidelity(params, pulse, quad))
-            for ratio in (0.1, 10.0):
-                f_other = metrics.qm_fidelity(
-                    family_params(coop, ratio=ratio, delta_e=delta_e), pulse,
-                    quad)
-                ratio_r = max(ratio_r, abs(f_other - f_qm))
-    check(dual_r < 1e-12, "success-probability dual path",
-          f"max |direct - factored| = {dual_r:.2e}")
-    check(ratio_r < 1e-12, "memory-fidelity ratio invariance",
-          f"max spread {ratio_r:.2e}")
-    check(margin >= 0.0, "memory >= swap ordering on the family grid",
-          f"min margin {margin:.2e}")
-
-    eq: dict[str, float] = {}
-    for _ in range(trials):
-        params, pulse, eta = draw_equivalence_point(rng)
-        qubits = [random_photon_qubit(rng) for _ in range(3)]
-        for key, value in equivalence_deltas(params, pulse, eta, qubits,
-                                             quad).items():
-            eq[key] = max(eq.get(key, 0.0), value)
-    worst_key = max(eq, key=eq.get)
-    check(eq[worst_key] <= 1e-6, "state-oracle equivalence",
-          f"{trials} parameter sets, worst |delta| = {eq[worst_key]:.2e} "
-          f"({worst_key})")
-
-    params = family_params(10.0)
-    k = np.linspace(-3.0, 3.0, 241)
-    t_ll, t_rr, t_lr, t_rl = t_elements(k, params)
-    phase = bright_phase_factor(k, params)
-    # The classic misreading: square the angle instead of the sine.
-    mutant = phase * np.sin(params.xi ** 2) ** 2 + params.cos_xi ** 2
-    resid = float(np.max(np.abs(mutant * t_rr - t_lr * t_rl - phase)))
-    check(resid > 1e-6, "mutation sensitivity of the determinant identity",
-          f"corrupted element shifts the residual to {resid:.2e}")
-
-    return all_ok, lines
-
-
-# ---------------------------------------------------------------------------
 # argument handling
 
 def _load_point(path: str | None) -> tuple[SystemParams, PulseSpec]:
     if path is None:
-        params, pulse = SystemParams(), PulseSpec()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            params, pulse = point_from_dict(json.load(handle))
-    validate(params)
-    validate_pulse(pulse)
-    return params, pulse
+        return SystemParams(), PulseSpec()
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidField(path, f"not a JSON file ({exc})") from None
+    return point_from_dict(data)
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
@@ -533,6 +254,8 @@ def _photon_qubit(args: argparse.Namespace) -> PhotonQubit:
     c_l = args.c_l
     if not 0.0 <= c_l <= 1.0:
         raise InvalidField("c_l", "the k_L amplitude magnitude must lie in [0, 1]")
+    if not math.isfinite(args.phase):
+        raise InvalidField("phase", "must be finite")
     c_r = math.sqrt(1.0 - c_l * c_l)
     return PhotonQubit(c_l, c_r * complex(math.cos(args.phase),
                                           math.sin(args.phase)))
@@ -754,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CavqmemError, ValueError, OSError) as exc:
+    except (CavqmemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

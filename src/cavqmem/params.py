@@ -112,7 +112,11 @@ def validate(params: SystemParams) -> SystemParams:
         raise NonPositiveKappa("kappa")
     if params.gamma < 0.0:
         raise NegativeGamma()
-    if params.lambda_sq <= 0.0:
+    try:
+        lambda_sq = params.lambda_sq
+    except OverflowError:
+        raise NonFiniteField("lambda_sq") from None
+    if lambda_sq <= 0.0:
         raise ZeroCoupling()
     return params
 
@@ -125,6 +129,35 @@ def validate_pulse(pulse: PulseSpec) -> PulseSpec:
     if pulse.kappa_p <= 0.0:
         raise NonPositiveKappa("kappa_p")
     return pulse
+
+
+#: kappa of every bundled curve family, in units of gamma = 1.
+FAMILY_KAPPA = 2.0
+
+#: (label, delta_e, delta_p) triples of the detuning cases on the
+#: cooperativity and coupling-ratio curve families.
+FIG2_CASES: tuple[tuple[str, float, float], ...] = (
+    ("solid", 0.0, 0.0),
+    ("dashed", 5.0, 0.0),
+    ("dotted", 0.0, 0.5),
+)
+
+#: Detuning cases of the pulse-bandwidth family (larger detunings there).
+FIG3_CASES: tuple[tuple[str, float, float], ...] = (
+    ("solid", 0.0, 0.0),
+    ("dashed", 10.0, 0.0),
+    ("dotted", 0.0, 2.0),
+)
+
+
+def family_params(coop: float, ratio: float = 1.0,
+                  delta_e: float = 0.0) -> SystemParams:
+    """Curve-family parameter point: lambda^2 = coop * kappa * gamma with the
+    given coupling ratio lambda_L/lambda_R, kappa = 2, gamma = 1."""
+    lam_sq = coop * FAMILY_KAPPA
+    lam_r = math.sqrt(lam_sq / (1.0 + ratio * ratio))
+    return SystemParams(lambda_L=ratio * lam_r, lambda_R=lam_r,
+                        kappa=FAMILY_KAPPA, gamma=1.0, delta_e=delta_e)
 
 
 def cooperativity(params: SystemParams) -> float:
@@ -146,23 +179,33 @@ def point_to_dict(params: SystemParams, pulse: PulseSpec) -> dict:
     return out
 
 
+def _number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidField(key, f"not a number: {value!r}") from None
+
+
 def point_from_dict(data: dict) -> tuple[SystemParams, PulseSpec]:
     """Build (SystemParams, PulseSpec) from a flat dict.
 
-    Missing fields take their defaults; unknown keys raise InvalidField.
+    Missing fields take their defaults; anything but a dict, unknown keys
+    and values that are not numbers (or a profile name) raise InvalidField.
     Both halves are validated.
     """
+    if not isinstance(data, dict):
+        raise InvalidField("params", "expected an object of parameter fields")
     sys_kwargs, pulse_kwargs = {}, {}
     for key, value in data.items():
         if key in _SYSTEM_FIELDS:
-            sys_kwargs[key] = float(value)
+            sys_kwargs[key] = _number(key, value)
         elif key == "profile":
             try:
                 pulse_kwargs[key] = Profile(value)
             except ValueError:
                 raise InvalidField(str(value), "unknown profile") from None
         elif key in _PULSE_FIELDS:
-            pulse_kwargs[key] = float(value)
+            pulse_kwargs[key] = _number(key, value)
         else:
             raise InvalidField(key)
     params = validate(SystemParams(**sys_kwargs))
@@ -284,7 +327,7 @@ def rescaled(params: SystemParams, pulse: PulseSpec, factor: float
     under this map; it exists mainly so the invariance can be tested.
     """
     if factor <= 0.0:
-        raise ValueError("scale factor must be > 0")
+        raise InvalidField("factor", "scale factor must be > 0")
     new_params = replace(
         params,
         lambda_L=params.lambda_L * factor,

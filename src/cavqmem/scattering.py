@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, InvalidField
 from .params import SystemParams
 
 
@@ -42,7 +42,7 @@ def coupling_amplitude(k, params: SystemParams, pol: str):
     elif pol == "R":
         strength, phase = params.lambda_R, params.theta_R
     else:
-        raise ValueError(f"pol must be 'L' or 'R', got {pol!r}")
+        raise InvalidField(str(pol), "pol must be 'L' or 'R'")
     s = np.asarray(k, dtype=float) - params.k_c
     out = strength * np.sqrt(params.kappa / np.pi) * np.exp(1j * phase) / (s + 1j * params.kappa)
     return out if out.ndim else complex(out)

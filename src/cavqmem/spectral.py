@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand
+from .errors import InvalidField, NonFiniteIntegrand
 from .params import Profile, PulseSpec
 
 
@@ -50,8 +50,9 @@ class QuadratureConfig:
     n_lorentz: int = 1040
 
     def __post_init__(self):
-        if self.n_gauss < 8 or self.n_lorentz < 8:
-            raise ValueError("quadrature needs at least 8 nodes")
+        for name in ("n_gauss", "n_lorentz"):
+            if getattr(self, name) < 8:
+                raise InvalidField(name, "quadrature needs at least 8 nodes")
 
     def node_count(self, profile: Profile) -> int:
         return self.n_gauss if profile is Profile.GAUSSIAN else self.n_lorentz

@@ -6,19 +6,13 @@ integration (scipy.integrate.quad), not from the package's own quadrature.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cavqmem import metrics
-from cavqmem.cli import (
-    draw_equivalence_point,
-    equivalence_deltas,
-    fig2_rows,
-    fig3_rows,
-    fig4_rows,
-    random_photon_qubit,
-)
+from cavqmem import invariants, metrics
+from cavqmem.cli import fig2_rows, fig3_rows, fig4_rows
 from cavqmem.params import (
     AtomQubit,
     PhotonQubit,
@@ -26,7 +20,7 @@ from cavqmem.params import (
     PulseSpec,
     SystemParams,
 )
-from cavqmem.scattering import bright_phase_factor, t_elements
+from cavqmem.scattering import t_elements
 from cavqmem.spectral import spectral_average
 from cavqmem.statesim import (
     PhotonPair,
@@ -73,13 +67,10 @@ def test_a3_leading_order_swap_fidelity_and_exact_detuning_tuning():
 
 def test_a4_state_oracle_matches_closed_forms_across_random_points():
     rng = np.random.default_rng(41019)
-    worst = {}
-    for _ in range(20):
-        params, pulse, eta = draw_equivalence_point(rng)
-        qubits = [random_photon_qubit(rng) for _ in range(3)]
-        for key, value in equivalence_deltas(params, pulse, eta,
-                                             qubits).items():
-            worst[key] = max(worst.get(key, 0.0), value)
+    worst = invariants.oracle_equivalence([
+        (*invariants.draw_equivalence_point(rng),
+         [invariants.random_photon_qubit(rng) for _ in range(3)])
+        for _ in range(20)])
     assert set(worst) == {"F_qm", "P_kL", "P_L", "P_qm", "fidelity"}
     for key, value in worst.items():
         assert value <= 1e-6, f"{key} oracle gap {value:.3e}"
@@ -88,10 +79,9 @@ def test_a4_state_oracle_matches_closed_forms_across_random_points():
 def test_a5_exact_scattering_and_average_identities():
     rng = np.random.default_rng(55011)
 
-    def sample_params(gamma=None, ratio=None):
+    def sample_params(gamma=None):
         lam = math.sqrt(10.0 ** rng.uniform(-1.0, 1.5))
-        xi = (math.atan(ratio) if ratio is not None
-              else rng.uniform(0.02, math.pi / 2 - 0.02))
+        xi = rng.uniform(0.02, math.pi / 2 - 0.02)
         return SystemParams(
             lambda_L=lam * math.sin(xi), lambda_R=lam * math.cos(xi),
             theta_L=rng.uniform(-math.pi, math.pi),
@@ -101,50 +91,33 @@ def test_a5_exact_scattering_and_average_identities():
             k_c=rng.uniform(-2.0, 2.0), delta_e=rng.uniform(-8.0, 8.0))
 
     # pointwise identities, 100 parameter sets x 100 wavenumbers each
-    det_r = trace_r = unimod_r = 0.0
+    lossy, lossless = [], []
     for _ in range(100):
         params = sample_params()
         k = params.k_c + params.kappa * rng.uniform(-15.0, 15.0, 100)
-        t_ll, t_rr, t_lr, t_rl = t_elements(k, params)
-        phase = bright_phase_factor(k, params)
-        det_r = max(det_r, np.max(np.abs(t_ll * t_rr - t_lr * t_rl - phase)))
-        trace_r = max(trace_r, np.max(np.abs(t_ll + t_rr - 1.0 - phase)))
-        lossless = sample_params(gamma=0.0)
-        unimod_r = max(unimod_r, np.max(np.abs(
-            np.abs(bright_phase_factor(k, lossless)) - 1.0)))
-    assert det_r < 1e-12
-    assert trace_r < 1e-12
-    assert unimod_r < 1e-12
+        lossy.append((params, k))
+        lossless.append((sample_params(gamma=0.0), k))
+    residuals = invariants.scattering_identities(lossy)
+    assert max(residuals.values()) < 1e-12, residuals
+    assert invariants.lossless_unitarity(lossless) < 1e-12
 
     # averaged identities on 1e4 random parameter sets (plus a slower
     # Lorentzian-profile sprinkle): success-probability factorization and
     # coupling-ratio invariance of the memory fidelity
-    dual_r = ratio_r = 0.0
+    points, groups = [], []
     for i in range(10_200):
         profile = Profile.LORENTZIAN if i >= 10_000 else Profile.GAUSSIAN
         params = sample_params(gamma=rng.uniform(0.0, 3.0))
         pulse = PulseSpec(profile=profile, delta_p=rng.uniform(-2.0, 2.0),
                           kappa_p=params.kappa * 10.0 ** rng.uniform(-2.0,
                                                                      -0.3))
-        eta = rng.uniform(0.1, 1.0)
-        direct = eta * spectral_average(
-            lambda k: np.abs(t_elements(k, params)[2]) ** 2, pulse,
-            k_c=params.k_c).real
-        dual_r = max(dual_r, abs(
-            direct
-            - eta * params.sin_2xi**2 * metrics.swap_fidelity(params, pulse)))
-        f_ref = metrics.qm_fidelity(params, pulse)
-        lam = params.lam
-        for xi in (0.3, 1.2):
-            turned = SystemParams(
-                lambda_L=lam * math.sin(xi), lambda_R=lam * math.cos(xi),
-                theta_L=params.theta_L, theta_R=params.theta_R,
-                kappa=params.kappa, gamma=params.gamma, k_c=params.k_c,
-                delta_e=params.delta_e)
-            ratio_r = max(ratio_r, abs(
-                metrics.qm_fidelity(turned, pulse) - f_ref))
-    assert dual_r < 1e-12
-    assert ratio_r < 1e-12
+        points.append((params, pulse, rng.uniform(0.1, 1.0)))
+        groups.append([(params, pulse)] + [
+            (replace(params, lambda_L=params.lam * math.sin(xi),
+                     lambda_R=params.lam * math.cos(xi)), pulse)
+            for xi in (0.3, 1.2)])
+    assert invariants.success_dual_route(points) < 1e-12
+    assert invariants.coupling_ratio_invariance(groups) < 1e-12
 
 
 def test_a6_curve_family_orderings():

@@ -5,23 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavqmem import metrics
+from cavqmem import invariants, metrics
 from cavqmem.cli import (
-    FAMILY_KAPPA,
+    PULSE_FIELD_NAMES,
     SWEEP_HEADER,
+    SYSTEM_FIELD_NAMES,
     SweepAxis,
     SweepSpec,
-    family_params,
-    fig2_rows,
     main,
     parse_axis,
     sweep_rows,
-    validate_suite,
     write_csv,
 )
-from cavqmem.errors import InvalidField
-from cavqmem.params import Profile, PulseSpec, SystemParams
+from cavqmem.errors import CavqmemError, InvalidField
+from cavqmem.invariants import validate_suite
+from cavqmem.params import FAMILY_KAPPA, PulseSpec, SystemParams, family_params
 
 
 def read_csv(path):
@@ -158,8 +159,11 @@ def test_axis_parsing_rejects_malformed_specs():
                  "resonance,linear,0,1,5",        # unknown field
                  "kappa_p,cubic,0.1,0.5,5",       # unknown scale
                  "kappa_p,log,0,0.5,5",           # log needs positive bounds
-                 "kappa_p,linear,0.1,0.5,1"):     # need two samples
-        with pytest.raises((InvalidField, ValueError)):
+                 "kappa_p,linear,0.1,0.5,1",      # need two samples
+                 "kappa_p,linear,a,1,3",          # bounds must be numbers
+                 "kappa_p,linear,0,inf,3",        # and finite
+                 "kappa_p,linear,0,1,2.5"):       # count must be an integer
+        with pytest.raises(InvalidField):
             parse_axis(text)
     axis = parse_axis(" delta_e , linear , -1 , 1 , 3 ")
     assert axis == SweepAxis("delta_e", "linear", -1.0, 1.0, 3)
@@ -245,10 +249,22 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
                  "--points", "1"]) == 2
     assert main(["sweep", "--axis", "resonance,linear,0,1,5",
                  "--out", str(tmp_path / "y.csv")]) == 2
+    assert main(["sweep", "--axis", "kappa_p,linear,a,1,3",
+                 "--out", str(tmp_path / "y.csv")]) == 2
+    assert main(["sweep", "--axis", "cooperativity,linear,-1,1,3",
+                 "--out", str(tmp_path / "y.csv")]) == 2
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"kapa": 1.0}), encoding="utf-8")
-    assert main(["point", "--params", str(bad)]) == 2
+    for text in ('{"kapa": 1.0}', '{"kappa": null}', "[1, 2]",
+                 '{"kappa": "abc"}', '{"kappa": 2', '{"kappa": 1e999}',
+                 "[" * 100_000):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["point", "--params", str(bad)]) == 2, text[:20]
     assert main(["point", "--params", str(tmp_path / "absent.json")]) == 2
+    assert main(["point", "--phase", "inf"]) == 2
+    assert main(["point", "--quad-n", "4"]) == 2
+    assert main(["validate", "--trials", "0"]) == 2
+    assert main(["validate", "--trials", "-3"]) == 2
+    assert main(["validate", "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -261,6 +277,32 @@ def test_invariant_suite_passes_and_reports(capsys):
     assert main(["validate", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert "all invariant families passed" in out
+
+
+def test_validate_exits_one_when_a_family_fails(monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "quadrature_normalization",
+                        lambda quad: 1.0)
+    assert main(["validate", "--trials", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL quadrature normalization: max |sum(omega) - 1| = 1.00e+00" in out
+    assert sum(line.startswith("FAIL") for line in out.splitlines()) == 1
+    assert "INVARIANT FAILURES" in out
+
+
+numbers = st.floats().map(repr) | st.integers().map(str)
+fields = st.sampled_from(SYSTEM_FIELD_NAMES + PULSE_FIELD_NAMES
+                         + ("lambda_ratio", "cooperativity", "profile"))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.text() | st.tuples(fields | st.text(), st.sampled_from(
+    ("linear", "log", "cubic")), numbers | st.text(), numbers,
+    numbers | st.text()).map(",".join))
+def test_axis_parsing_raises_only_typed_errors(text):
+    try:
+        assert isinstance(parse_axis(text), SweepAxis)
+    except CavqmemError:
+        pass
 
 
 def test_csv_writer_format(tmp_path):

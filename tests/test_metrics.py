@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqmem.cli import SweepAxis, SweepSpec, draw_equivalence_point, sweep_rows
+from cavqmem.cli import SweepAxis, SweepSpec, sweep_rows
+from cavqmem.invariants import (
+    coupling_ratio_invariance,
+    draw_equivalence_point,
+    success_dual_route,
+)
 from cavqmem.errors import InvalidField, UnequalCouplings, ZeroScatteringWeight
 from cavqmem.metrics import (
     CHUNK_NODES,
@@ -115,22 +120,18 @@ def test_tuned_carrier_cancels_detuning_penalty_exactly():
 
 def test_memory_fidelity_ignores_coupling_ratio():
     pulse = PulseSpec(kappa_p=0.3)
-    a = qm_fidelity(SystemParams(lambda_L=1.0, lambda_R=1.5), pulse)
-    b = qm_fidelity(SystemParams(lambda_L=1.5, lambda_R=1.0), pulse)
-    assert a == b  # h depends on the couplings only through lambda^2
+    # h depends on the couplings only through lambda^2
+    assert coupling_ratio_invariance([[
+        (SystemParams(lambda_L=1.0, lambda_R=1.5), pulse),
+        (SystemParams(lambda_L=1.5, lambda_R=1.0), pulse)]]) == 0.0
 
 
 def test_success_probability_dual_route():
     params = SystemParams(lambda_L=1.0, lambda_R=2.0, delta_e=1.5)
     pulse = PulseSpec(profile=Profile.LORENTZIAN, kappa_p=0.4, delta_p=0.2)
-    # the direct side averages the map element itself, outside `metrics`
-    direct = 0.7 * spectral_average(
-        lambda k: np.abs(t_elements(k, params)[2]) ** 2, pulse,
-        k_c=params.k_c).real
-    via_swap = 0.7 * params.sin_2xi**2 * swap_fidelity(params, pulse)
-    assert direct == pytest.approx(via_swap, abs=1e-12)
-    assert direct == pytest.approx(qm_success(params, pulse, eta=0.7),
-                                   abs=1e-12)
+    assert success_dual_route([(params, pulse, 0.7)]) < 1e-12
+    assert qm_success(params, pulse, eta=0.7) == pytest.approx(
+        0.7 * params.sin_2xi**2 * swap_fidelity(params, pulse), abs=1e-12)
 
 
 def test_success_probability_validates_efficiency():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavqmem
@@ -32,6 +32,8 @@ from cavqmem.params import (
     validate,
     validate_pulse,
 )
+from cavqmem.scattering import coupling_amplitude
+from cavqmem.spectral import QuadratureConfig
 
 
 def test_defaults_describe_symmetric_strong_coupling():
@@ -169,7 +171,10 @@ def test_input_failures_are_typed_and_still_value_errors():
     for make in (lambda: DetectorModel.constant(1.5),
                  lambda: DetectorModel.tabulated([0.0], [0.5]),
                  lambda: DetectorModel.tabulated([1.0, 0.0], [0.5, 0.5]),
-                 lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, 1.5])(0.9)):
+                 lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, 1.5])(0.9),
+                 lambda: QuadratureConfig(n_lorentz=4),
+                 lambda: rescaled(SystemParams(), PulseSpec(), -1.0),
+                 lambda: coupling_amplitude(0.0, SystemParams(), "H")):
         with pytest.raises(InvalidField):
             make()
     assert DetectorModel.constant(0.5).to_json() == 0.5
@@ -179,3 +184,27 @@ def test_input_failures_are_typed_and_still_value_errors():
                  "GammaZero"):
         assert issubclass(getattr(cavqmem, name), cavqmem.CavqmemError)
         assert name in cavqmem.__all__
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([p.value for p in Profile]),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=8)
+
+
+field_names = st.sampled_from(sorted(point_to_dict(SystemParams(),
+                                                  PulseSpec())))
+
+
+@settings(deadline=None, max_examples=100)
+@given(json_values | st.dictionaries(field_names | st.text(), json_values)
+       | st.dictionaries(field_names, st.floats() | st.integers()))
+@example({"lambda_L": 1e200})  # lambda^2 overflows
+@example({"kappa": 10**400})   # too large for a float
+def test_point_from_dict_raises_only_typed_errors(data):
+    try:
+        params, pulse = point_from_dict(data)
+    except cavqmem.CavqmemError:
+        return
+    assert point_from_dict(point_to_dict(params, pulse)) == (params, pulse)
