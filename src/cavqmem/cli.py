@@ -21,6 +21,7 @@ configuration including the quadrature node counts.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -36,6 +37,8 @@ from .params import (
     FAMILY_KAPPA,
     FIG2_CASES,
     FIG3_CASES,
+    PULSE_FIELDS,
+    SYSTEM_FIELDS,
     PhotonQubit,
     Profile,
     PulseSpec,
@@ -48,18 +51,12 @@ from .scattering import coupling_amplitude, t_matrix
 from .spectral import DEFAULT_QUAD, QuadratureConfig
 from .statesim import run_memory_protocol
 
-PARAM_COLUMNS = (
-    "lambda_L", "lambda_R", "theta_L", "theta_R", "kappa", "gamma", "k_c",
-    "delta_e", "profile", "delta_p", "kappa_p", "x_0",
-)
+PARAM_COLUMNS = SYSTEM_FIELDS + PULSE_FIELDS
 SWEEP_HEADER = PARAM_COLUMNS + (
     "eta", "F_swap", "F_swap_leading", "F_qm", "P_qm", "P_qm_conditional",
 )
-PULSE_FIELD_NAMES = ("delta_p", "kappa_p", "x_0")
-SYSTEM_FIELD_NAMES = (
-    "lambda_L", "lambda_R", "theta_L", "theta_R", "kappa", "gamma", "k_c",
-    "delta_e",
-)
+#: The numeric pulse fields; with SYSTEM_FIELDS, the directly sweepable ones.
+PULSE_FIELD_NAMES = tuple(name for name in PULSE_FIELDS if name != "profile")
 #: Derived sweep axes: coupling ratio at fixed lambda^2, and lambda^2/kappa
 #: gamma at fixed ratio.
 VIRTUAL_FIELD_NAMES = ("lambda_ratio", "cooperativity")
@@ -129,7 +126,7 @@ class SweepAxis:
     count: int
 
     def __post_init__(self) -> None:
-        known = SYSTEM_FIELD_NAMES + PULSE_FIELD_NAMES + VIRTUAL_FIELD_NAMES
+        known = SYSTEM_FIELDS + PULSE_FIELD_NAMES + VIRTUAL_FIELD_NAMES
         if self.field not in known:
             raise InvalidField(self.field, "not a sweepable field")
         if self.scale not in ("linear", "log"):
@@ -178,7 +175,7 @@ def parse_axis(text: str) -> SweepAxis:
 
 def _with_field(params: SystemParams, pulse: PulseSpec, field: str,
                 value: float) -> tuple[SystemParams, PulseSpec]:
-    if field in SYSTEM_FIELD_NAMES:
+    if field in SYSTEM_FIELDS:
         return replace(params, **{field: value}), pulse
     if field in PULSE_FIELD_NAMES:
         return params, replace(pulse, **{field: value})
@@ -281,10 +278,12 @@ def _quad_meta(quad: QuadratureConfig) -> dict:
 def _cmd_point(args: argparse.Namespace) -> int:
     params, pulse = _load_point(args.params)
     quad = _quad_config(args)
+    k = args.k if args.k is not None else params.k_c + pulse.delta_p
+    if not math.isfinite(k):
+        raise InvalidField("k", "must be finite")
     report = metrics.compute_report(params, pulse, quad, args.eta,
                                     _photon_qubit(args))
     out = report.to_dict()
-    k = args.k if args.k is not None else params.k_c + pulse.delta_p
     matrix = t_matrix(k, params)
     out["scattering"] = {
         "k": k,
@@ -402,7 +401,10 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
                         help="write JSON here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every
+    `main` call in the process; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="cavqmem",
         description="Atomic quantum memory for polarization qubits via "

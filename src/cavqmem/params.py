@@ -167,14 +167,16 @@ def cooperativity(params: SystemParams) -> float:
     return params.lambda_sq / (params.kappa * params.gamma)
 
 
-_SYSTEM_FIELDS = tuple(f.name for f in fields(SystemParams))
-_PULSE_FIELDS = tuple(f.name for f in fields(PulseSpec))
+#: Field names of the two dataclasses in declaration order: the key order
+#: of `point_to_dict` and the parameter columns of the sweep CSV.
+SYSTEM_FIELDS = tuple(f.name for f in fields(SystemParams))
+PULSE_FIELDS = tuple(f.name for f in fields(PulseSpec))
 
 
 def point_to_dict(params: SystemParams, pulse: PulseSpec) -> dict:
     """Flatten one parameter point into a JSON-ready dict."""
-    out = {name: getattr(params, name) for name in _SYSTEM_FIELDS}
-    out.update({name: getattr(pulse, name) for name in _PULSE_FIELDS})
+    out = {name: getattr(params, name) for name in SYSTEM_FIELDS}
+    out.update({name: getattr(pulse, name) for name in PULSE_FIELDS})
     out["profile"] = pulse.profile.value
     return out
 
@@ -197,14 +199,14 @@ def point_from_dict(data: dict) -> tuple[SystemParams, PulseSpec]:
         raise InvalidField("params", "expected an object of parameter fields")
     sys_kwargs, pulse_kwargs = {}, {}
     for key, value in data.items():
-        if key in _SYSTEM_FIELDS:
+        if key in SYSTEM_FIELDS:
             sys_kwargs[key] = _number(key, value)
         elif key == "profile":
             try:
                 pulse_kwargs[key] = Profile(value)
             except ValueError:
                 raise InvalidField(str(value), "unknown profile") from None
-        elif key in _PULSE_FIELDS:
+        elif key in PULSE_FIELDS:
             pulse_kwargs[key] = _number(key, value)
         else:
             raise InvalidField(key)

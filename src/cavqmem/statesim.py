@@ -89,14 +89,14 @@ def prepare_input(atom: AtomQubit, photon: PhotonQubit, grid: KGrid) -> JointSta
     return JointState(grid=grid, amps=amps)
 
 
-def _scatter(amps: np.ndarray, k: np.ndarray,
-             params: SystemParams) -> np.ndarray:
-    """The single-node scattering map on amps[..., a, p, j] at nodes k.
+def _scatter(amps: np.ndarray, elements: tuple) -> np.ndarray:
+    """The single-node scattering map on amps[..., a, p, j], given the
+    `t_elements` (t_LL, t_RR, t_LR, t_RL) at the nodes j.
 
     The bright channels |L, k_L> and |R, k_R> mix through the 2x2 block of
-    t_elements; |L, k_R> and |R, k_L> pass through untouched.
+    elements; |L, k_R> and |R, k_L> pass through untouched.
     """
-    t_ll, t_rr, t_lr, t_rl = t_elements(k, params)
+    t_ll, t_rr, t_lr, t_rl = elements
     bright_l = amps[..., ATOM_L, POL_L, :]
     bright_r = amps[..., ATOM_R, POL_R, :]
     out = amps.copy()
@@ -105,18 +105,24 @@ def _scatter(amps: np.ndarray, k: np.ndarray,
     return out
 
 
+def _scatter_state(state: JointState, elements: tuple,
+                   lossless: bool) -> JointState:
+    """`_scatter` on a joint state, given the `t_elements` at its grid nodes;
+    unless the atom is lossless, the norm it sheds is added to loss_weight."""
+    out = JointState(grid=state.grid, amps=_scatter(state.amps, elements),
+                     loss_weight=state.loss_weight)
+    if lossless:
+        # unitary pass: keep the loss weight free of rounding residue
+        return out
+    return replace(out, loss_weight=out.loss_weight + state.norm - out.norm)
+
+
 def apply_scattering(state: JointState, params: SystemParams) -> JointState:
     """One pass of the photon through the cavity (see `_scatter`).  Norm lost
     to spontaneous decay (gamma > 0) is added to loss_weight."""
     validate(params)
-    before = state.norm
-    out = JointState(grid=state.grid,
-                     amps=_scatter(state.amps, state.grid.k, params),
-                     loss_weight=state.loss_weight)
-    if params.gamma == 0.0:
-        # unitary pass: keep the loss weight free of rounding residue
-        return out
-    return replace(out, loss_weight=out.loss_weight + before - out.norm)
+    return _scatter_state(state, t_elements(state.grid.k, params),
+                          params.gamma == 0.0)
 
 
 @dataclass(frozen=True)
@@ -217,30 +223,38 @@ def retrieve(stored: AtomEnsemble, params: SystemParams, pulse: PulseSpec,
     validate(params)
     validate_pulse(pulse)
     require_normalized(target)
-    grid2 = build_grid(pulse, quad, k_c=params.k_c)
-    _, t_rr, t_lr, _ = t_elements(grid2.k, params)
+    grid = build_grid(pulse, quad, k_c=params.k_c)
+    return _retrieve(stored, grid, t_elements(grid.k, params),
+                     params.gamma == 0.0, target)
+
+
+def _retrieve(stored: AtomEnsemble, grid: KGrid, elements: tuple,
+              lossless: bool, target: PhotonQubit) -> RetrievalOutcome:
+    """`retrieve` on the retrieval photon's `grid`, given the `t_elements`
+    at its nodes and whether the atom is lossless."""
+    _, t_rr, t_lr, _ = elements
     # Atom found in |L>: the transparent |L> branch keeps polarization k_R,
     # the scattered |R> branch arrives on k_L via T_LR.
     storage_amps = stored.beta[[ATOM_R, ATOM_L]]
-    release_amps = np.stack([t_lr * grid2.f, grid2.f])
+    release_amps = np.stack([t_lr * grid.f, grid.f])
     w1 = stored.grid.w
-    w2 = grid2.w
+    w2 = grid.w
     mass = _released_mass(_branch_gram(storage_amps, w1), release_amps, w2)
     if mass < TINY_PROB:
         raise ZeroProbability("atom found in the retrieval level")
     # Overlap with the target qubit on the retrieval envelope, branch by
     # branch; the unresolved storage node makes the branches incoherent.
-    target_amps = np.array([[target.c_L], [target.c_R]]) * grid2.f
+    target_amps = np.array([[target.c_L], [target.c_R]]) * grid.f
     channel_ovl = (release_amps * np.conjugate(target_amps)) @ w2
     ovl = channel_ovl @ storage_amps
     fidelity = float(np.real(np.sum(w1 * np.abs(ovl) ** 2)) / mass)
     survive = float(np.real(np.sum(
-        w2 * np.abs(grid2.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
-    decay = (0.0 if params.gamma == 0.0 else
+        w2 * np.abs(grid.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
+    decay = (0.0 if lossless else
              float(np.sum(w1 * np.abs(stored.beta[ATOM_R]) ** 2) * (1.0 - survive)))
     return RetrievalOutcome(
         storage_grid=stored.grid,
-        grid=grid2,
+        grid=grid,
         storage_amps=storage_amps,
         release_amps=release_amps,
         probability=mass / stored.probability,
@@ -274,9 +288,15 @@ def atomic_readout_via_third_photon(atom: AtomQubit, params: SystemParams,
     validate_pulse(pulse)
     require_normalized(atom)
     grid = build_grid(pulse, quad, k_c=params.k_c)
+    return _readout(atom, grid, t_elements(grid.k, params), detector)
+
+
+def _readout(atom: AtomQubit, grid: KGrid, elements: tuple,
+             detector: DetectorModel | float) -> ReadoutOutcome:
+    """`atomic_readout_via_third_photon` on the probe photon's `grid`, given
+    the `t_elements` at its nodes."""
     eta = as_detector(detector)(grid.k)
-    _, _, _, t_rl = t_elements(grid.k, params)
-    click = float(np.real(grid.average(eta * np.abs(t_rl) ** 2)))
+    click = float(np.real(grid.average(eta * np.abs(elements[3]) ** 2)))
     prob = click * abs(atom.a_L) ** 2
     if prob < TINY_PROB:
         return ReadoutOutcome(probability=prob, conditioned=None)
@@ -326,18 +346,23 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     """
     if readout not in ("projective", "third_photon"):
         raise InvalidField(readout, "unknown readout mode")
+    validate(params)
+    validate_pulse(pulse)
+    # Storage, retrieval and probe photons share the pulse, so one grid and
+    # one evaluation of the scattering elements serve the whole cycle.
     grid = build_grid(pulse, quad, k_c=params.k_c)
     state = prepare_input(AtomQubit(0.0, 1.0), photon, grid)
-    state = apply_scattering(state, params)
+    elements = t_elements(grid.k, params)
+    lossless = params.gamma == 0.0
+    state = _scatter_state(state, elements, lossless)
     stored, p_k_l = detect_photon_L(state, detector)
-    outcome = retrieve(stored, params, pulse, quad, target=photon)
+    outcome = _retrieve(stored, grid, elements, lossless, photon)
     p_qm = p_k_l * outcome.probability
     if readout == "projective":
         p_readout = None
         p_total = p_qm
     else:
-        probe = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0), params,
-                                                pulse, quad, detector)
+        probe = _readout(AtomQubit(1.0, 0.0), grid, elements, detector)
         p_readout = probe.probability
         p_total = p_qm * p_readout
     return MemoryRecord(
@@ -457,8 +482,8 @@ def scatter_pair(state: TwoCavityState, params_1: SystemParams,
     before = state.norm
     out = TwoCavityState(
         grid_1=state.grid_1, grid_2=state.grid_2,
-        left=_scatter(state.left, state.grid_1.k, params_1),
-        right=_scatter(state.right, state.grid_2.k, params_2),
+        left=_scatter(state.left, t_elements(state.grid_1.k, params_1)),
+        right=_scatter(state.right, t_elements(state.grid_2.k, params_2)),
         loss_weight=state.loss_weight)
     if params_1.gamma == 0.0 and params_2.gamma == 0.0:
         return out

@@ -12,9 +12,9 @@ from cavqmem import invariants, metrics
 from cavqmem.cli import (
     PULSE_FIELD_NAMES,
     SWEEP_HEADER,
-    SYSTEM_FIELD_NAMES,
     SweepAxis,
     SweepSpec,
+    build_parser,
     main,
     parse_axis,
     sweep_rows,
@@ -22,7 +22,13 @@ from cavqmem.cli import (
 )
 from cavqmem.errors import CavqmemError, InvalidField
 from cavqmem.invariants import validate_suite
-from cavqmem.params import FAMILY_KAPPA, PulseSpec, SystemParams, family_params
+from cavqmem.params import (
+    FAMILY_KAPPA,
+    SYSTEM_FIELDS,
+    PulseSpec,
+    SystemParams,
+    family_params,
+)
 
 
 def read_csv(path):
@@ -123,6 +129,28 @@ def test_sweep_two_axes_outer_major(tmp_path):
     dp = [float(r[header.index("delta_p")]) for r in rows]
     assert de == [-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]
     assert dp == [-0.5, 0.5] * 3
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["sweep", "--axis", "kappa_p,linear,0.1,0.5,3",
+                 "--out", str(first)]) == 0
+    assert main(["sweep", "--axis", "delta_e,linear,-1,1,4",
+                 "--out", str(second)]) == 0
+    assert [a["field"] for a in read_csv(first)[0]["axes"]] == ["kappa_p"]
+    assert [a["field"] for a in read_csv(second)[0]["axes"]] == ["delta_e"]
+    assert len(read_csv(second)[2]) == 4
+    # calls that leave through argparse do not leak into the next one
+    with pytest.raises(SystemExit):
+        main(["sweep"])
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    again = tmp_path / "again.csv"
+    assert main(["sweep", "--axis", "delta_e,linear,-1,1,4",
+                 "--out", str(again)]) == 0
+    assert again.read_bytes() == second.read_bytes()
+    capsys.readouterr()
 
 
 def test_sweep_over_coupling_ratio_keeps_memory_fidelity_flat(tmp_path):
@@ -261,6 +289,8 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
         assert main(["point", "--params", str(bad)]) == 2, text[:20]
     assert main(["point", "--params", str(tmp_path / "absent.json")]) == 2
     assert main(["point", "--phase", "inf"]) == 2
+    assert main(["point", "--k", "inf"]) == 2
+    assert main(["point", "--k", "nan"]) == 2
     assert main(["point", "--quad-n", "4"]) == 2
     assert main(["validate", "--trials", "0"]) == 2
     assert main(["validate", "--trials", "-3"]) == 2
@@ -290,7 +320,7 @@ def test_validate_exits_one_when_a_family_fails(monkeypatch, capsys):
 
 
 numbers = st.floats().map(repr) | st.integers().map(str)
-fields = st.sampled_from(SYSTEM_FIELD_NAMES + PULSE_FIELD_NAMES
+fields = st.sampled_from(SYSTEM_FIELDS + PULSE_FIELD_NAMES
                          + ("lambda_ratio", "cooperativity", "profile"))
 
 

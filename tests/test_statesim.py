@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cavqmem import statesim
 from cavqmem.errors import InvalidField, ZeroProbability
 from cavqmem.metrics import (
     qm_fidelity,
@@ -256,6 +257,50 @@ def test_heralded_readout_multiplies_success_probabilities():
     assert "P_readout" in record.to_dict()
     with pytest.raises(ValueError):
         run_memory_protocol(params, GAUSS, readout="homodyne")
+
+
+@pytest.mark.parametrize("readout", ["projective", "third_photon"])
+def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
+    calls = {"build_grid": 0, "t_elements": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(statesim, "build_grid",
+                        counting("build_grid", statesim.build_grid))
+    monkeypatch.setattr(statesim, "t_elements",
+                        counting("t_elements", statesim.t_elements))
+    run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED, detector=0.7,
+                        readout=readout)
+    assert calls == {"build_grid": 1, "t_elements": 1}
+
+
+@pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
+                                                         "lorentzian"])
+@pytest.mark.parametrize("readout", ["projective", "third_photon"])
+def test_memory_cycle_equals_the_public_steps(pulse, readout):
+    photon, eta = PhotonQubit(0.6, 0.8j), 0.7
+    grid = build_grid(pulse, DEFAULT_QUAD, k_c=LOSSY.k_c)
+    state = apply_scattering(prepare_input(ATOM_START, photon, grid), LOSSY)
+    stored, p_k_l = detect_photon_L(state, eta)
+    outcome = retrieve(stored, LOSSY, pulse, DEFAULT_QUAD, target=photon)
+    p_qm = p_k_l * outcome.probability
+    p_readout = p_total = None
+    if readout == "third_photon":
+        p_readout = atomic_readout_via_third_photon(
+            AtomQubit(1.0, 0.0), LOSSY, pulse, DEFAULT_QUAD, eta).probability
+        p_total = p_qm * p_readout
+    by_hand = MemoryRecord(
+        p_k_l=p_k_l, p_l=outcome.probability, p_qm=p_qm,
+        fidelity=outcome.fidelity,
+        loss_weight=state.loss_weight + outcome.loss, readout=readout,
+        p_readout=p_readout, p_total=p_qm if p_total is None else p_total)
+    record = run_memory_protocol(LOSSY, pulse, photon=photon, detector=eta,
+                                 readout=readout)
+    assert record == by_hand
 
 
 def test_swap_transfer_twin_matches_closed_form():
