@@ -26,18 +26,20 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .errors import CavqmemError, InvalidField
+from .errors import (CavqmemError, GammaZero, InvalidField, NonFiniteField,
+                     ZeroCoupling)
 from .invariants import ORACLE_KEYS, validate_suite
 from .params import (
     FAMILY_KAPPA,
     FIG2_CASES,
     FIG3_CASES,
     PULSE_FIELDS,
+    PULSE_NUMERIC_FIELDS,
     SYSTEM_FIELDS,
     PhotonQubit,
     Profile,
@@ -55,8 +57,6 @@ PARAM_COLUMNS = SYSTEM_FIELDS + PULSE_FIELDS
 SWEEP_HEADER = PARAM_COLUMNS + (
     "eta", "F_swap", "F_swap_leading", "F_qm", "P_qm", "P_qm_conditional",
 )
-#: The numeric pulse fields; with SYSTEM_FIELDS, the directly sweepable ones.
-PULSE_FIELD_NAMES = tuple(name for name in PULSE_FIELDS if name != "profile")
 #: Derived sweep axes: coupling ratio at fixed lambda^2, and lambda^2/kappa
 #: gamma at fixed ratio.
 VIRTUAL_FIELD_NAMES = ("lambda_ratio", "cooperativity")
@@ -126,7 +126,7 @@ class SweepAxis:
     count: int
 
     def __post_init__(self) -> None:
-        known = SYSTEM_FIELDS + PULSE_FIELD_NAMES + VIRTUAL_FIELD_NAMES
+        known = SYSTEM_FIELDS + PULSE_NUMERIC_FIELDS + VIRTUAL_FIELD_NAMES
         if self.field not in known:
             raise InvalidField(self.field, "not a sweepable field")
         if self.scale not in ("linear", "log"):
@@ -173,35 +173,44 @@ def parse_axis(text: str) -> SweepAxis:
                      count=count)
 
 
-def _with_field(params: SystemParams, pulse: PulseSpec, field: str,
-                value: float) -> tuple[SystemParams, PulseSpec]:
-    if field in SYSTEM_FIELDS:
-        return replace(params, **{field: value}), pulse
-    if field in PULSE_FIELD_NAMES:
-        return params, replace(pulse, **{field: value})
+def _set_field(fields: dict, field: str, value: float) -> None:
+    """Apply one axis value to the flat field dict of a sweep point."""
+    if field not in VIRTUAL_FIELD_NAMES:
+        fields[field] = value
+        return
+    try:
+        lam_sq = fields["lambda_L"] ** 2 + fields["lambda_R"] ** 2
+    except OverflowError:
+        raise NonFiniteField("lambda_sq") from None
     if field == "lambda_ratio":
-        lam_r = math.sqrt(params.lambda_sq / (1.0 + value * value))
-        return replace(params, lambda_L=value * lam_r, lambda_R=lam_r), pulse
-    if field == "cooperativity":
+        lam_r = math.sqrt(lam_sq / (1.0 + value * value))
+        fields.update(lambda_L=value * lam_r, lambda_R=lam_r)
+    else:
         if value <= 0.0:
             raise InvalidField(field, "cooperativity must be > 0")
-        scale = math.sqrt(value * params.kappa * params.gamma
-                          / params.lambda_sq)
-        return replace(params, lambda_L=scale * params.lambda_L,
-                       lambda_R=scale * params.lambda_R), pulse
-    raise InvalidField(field, "not a sweepable field")
+        if lam_sq == 0.0:
+            raise ZeroCoupling()
+        if fields["gamma"] == 0.0:
+            raise GammaZero()
+        ratio = value * fields["kappa"] * fields["gamma"] / lam_sq
+        # ratio <= 0 means kappa <= 0 or gamma < 0: building the point says so
+        if ratio > 0.0:
+            scale = math.sqrt(ratio)
+            fields.update(lambda_L=scale * fields["lambda_L"],
+                          lambda_R=scale * fields["lambda_R"])
 
 
 def sweep_rows(spec: SweepSpec) -> list[tuple]:
-    """Evaluate the metric columns on the sweep grid, outer axis major."""
+    """Evaluate the metric columns on the sweep grid, outer axis major; each
+    point is built once, after every axis applies; only it must be valid."""
     grids = [axis.values() for axis in spec.axes]
+    base = point_to_dict(spec.params, spec.pulse)
     points = []
     for values in itertools.product(*grids):
-        params, pulse = spec.params, spec.pulse
+        fields = dict(base)
         for axis, value in zip(spec.axes, values):
-            params, pulse = _with_field(params, pulse, axis.field,
-                                        float(value))
-        points.append((params, pulse))
+            _set_field(fields, axis.field, float(value))
+        points.append(point_from_dict(fields))
     rows = []
     for report in metrics.compute_reports(points, spec.quad, spec.eta):
         echo = report.to_dict()
@@ -259,7 +268,7 @@ def _photon_qubit(args: argparse.Namespace) -> PhotonQubit:
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

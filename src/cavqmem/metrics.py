@@ -20,7 +20,8 @@ the batch size.  Each scalar metric is a batch of one through that pass, and
 `compute_reports` serves a whole sweep.  A point's results do not depend on
 the batch it is evaluated in, bit for bit.  The state-vector oracle in
 `statesim` recomputes each quantity from explicitly propagated amplitudes;
-the pair is cross-checked in the test suite.
+the pair is cross-checked in the test suite.  SystemParams and PulseSpec
+check themselves when they are built, so nothing here re-checks a point.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .params import (
     as_detector,
     point_to_dict,
     require_normalized,
-    validate,
-    validate_pulse,
 )
 from .scattering import ParamRows, scattered_amplitude
 from .spectral import DEFAULT_QUAD, QuadratureConfig, quadrature_rule
@@ -76,13 +75,10 @@ def spectral_moments(points: Sequence[Point],
                      detector: DetectorModel | float = 1.0) -> SpectralMoments:
     """The five moments of every (params, pulse) point, in one chunked pass.
 
-    Validates every point; raises DegenerateDenominator from the scattering
-    map and InvalidField from the detector model.
+    Raises DegenerateDenominator from the scattering map and InvalidField
+    from the detector model.
     """
     detector = as_detector(detector)
-    for params, pulse in points:
-        validate(params)
-        validate_pulse(pulse)
     out = np.empty((5, len(points)), dtype=complex)
     for profile in Profile:
         batch = [i for i, (_, pulse) in enumerate(points)
@@ -174,12 +170,6 @@ def _balanced(params: SystemParams) -> bool:
             <= EQUAL_COUPLING_RTOL * params.lam)
 
 
-def _swap_leading(params: SystemParams, pulse: PulseSpec) -> float:
-    lam2 = params.lambda_sq
-    penalty = params.kappa * params.delta_e / lam2 + pulse.delta_p / params.kappa
-    return 1.0 - 2.0 * params.kappa * params.gamma / lam2 - penalty * penalty
-
-
 def swap_fidelity(params: SystemParams, pulse: PulseSpec,
                   quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """One-shot state-swap fidelity, [|h(k)|^2]_f.
@@ -200,9 +190,9 @@ def swap_fidelity_leading(params: SystemParams, pulse: PulseSpec) -> float:
     Choosing delta_p = -(kappa/lambda)^2 delta_e cancels the detuning penalty
     identically.
     """
-    validate(params)
-    validate_pulse(pulse)
-    return _swap_leading(params, pulse)
+    lam2 = params.lambda_sq
+    penalty = params.kappa * params.delta_e / lam2 + pulse.delta_p / params.kappa
+    return 1.0 - 2.0 * params.kappa * params.gamma / lam2 - penalty * penalty
 
 
 def qm_fidelity(params: SystemParams, pulse: PulseSpec,
@@ -337,7 +327,6 @@ def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
     Summed over the photon inputs |k_L> and |k_R> at any fixed atom this
     yields 1 + [|T_LR|^2]_f.
     """
-    validate(params)
     if not _balanced(params):
         raise UnequalCouplings(params.lambda_L, params.lambda_R)
     require_normalized(atom)
@@ -426,7 +415,7 @@ def compute_reports(points: Sequence[Point],
             eta=eta,
             photon=photon,
             F_swap=float(m.h2[i]),
-            F_swap_leading=_swap_leading(params, pulse),
+            F_swap_leading=swap_fidelity_leading(params, pulse),
             F_qm=float(f_qm[i]),
             P_kL=float(p_kl[i]),
             P_L=float(p_l[i]),

@@ -4,6 +4,9 @@ Unit convention: every rate and frequency is a dimensionless multiple of one
 global rate unit (the CLI fixes gamma = 1).  Frequencies enter the formulas
 only relative to the cavity resonance k_c, which is retained purely so that
 displayed wavenumbers can be absolute; all defaults put k_c = 0.
+
+SystemParams and PulseSpec check themselves when they are built, so every
+point that exists is physical and nothing downstream re-checks one.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ class SystemParams:
     k_c: float = 0.0
     delta_e: float = 0.0
 
+    def __post_init__(self):
+        validate(self)
+
     @property
     def lambda_sq(self) -> float:
         """Total coupling lambda^2 = lambda_L^2 + lambda_R^2."""
@@ -97,17 +103,26 @@ class PulseSpec:
         # Accept the plain string spelling from JSON.
         if not isinstance(self.profile, Profile):
             object.__setattr__(self, "profile", Profile(self.profile))
+        validate_pulse(self)
+
+
+#: Field names of the two dataclasses in declaration order: the key order
+#: of `point_to_dict` and the parameter columns of the sweep CSV.
+SYSTEM_FIELDS = tuple(f.name for f in fields(SystemParams))
+PULSE_FIELDS = tuple(f.name for f in fields(PulseSpec))
+#: The numeric pulse fields; with SYSTEM_FIELDS, the directly sweepable ones.
+PULSE_NUMERIC_FIELDS = tuple(f for f in PULSE_FIELDS if f != "profile")
 
 
 def validate(params: SystemParams) -> SystemParams:
-    """Check a parameter set and return it unchanged (validation is idempotent).
+    """Check a parameter set and return it unchanged; every SystemParams runs
+    this when it is built, so an unphysical point cannot exist.
 
     Raises NonFiniteField, NonPositiveKappa, NegativeGamma or ZeroCoupling.
     """
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if not math.isfinite(value):
-            raise NonFiniteField(f.name)
+    for name in SYSTEM_FIELDS:
+        if not math.isfinite(getattr(params, name)):
+            raise NonFiniteField(name)
     if params.kappa <= 0.0:
         raise NonPositiveKappa("kappa")
     if params.gamma < 0.0:
@@ -122,8 +137,9 @@ def validate(params: SystemParams) -> SystemParams:
 
 
 def validate_pulse(pulse: PulseSpec) -> PulseSpec:
-    """Check a pulse spec and return it unchanged."""
-    for name in ("delta_p", "kappa_p", "x_0"):
+    """Check a pulse spec and return it unchanged; every PulseSpec runs this
+    when it is built.  Raises NonFiniteField or NonPositiveKappa."""
+    for name in PULSE_NUMERIC_FIELDS:
         if not math.isfinite(getattr(pulse, name)):
             raise NonFiniteField(name)
     if pulse.kappa_p <= 0.0:
@@ -167,12 +183,6 @@ def cooperativity(params: SystemParams) -> float:
     return params.lambda_sq / (params.kappa * params.gamma)
 
 
-#: Field names of the two dataclasses in declaration order: the key order
-#: of `point_to_dict` and the parameter columns of the sweep CSV.
-SYSTEM_FIELDS = tuple(f.name for f in fields(SystemParams))
-PULSE_FIELDS = tuple(f.name for f in fields(PulseSpec))
-
-
 def point_to_dict(params: SystemParams, pulse: PulseSpec) -> dict:
     """Flatten one parameter point into a JSON-ready dict."""
     out = {name: getattr(params, name) for name in SYSTEM_FIELDS}
@@ -192,8 +202,8 @@ def point_from_dict(data: dict) -> tuple[SystemParams, PulseSpec]:
     """Build (SystemParams, PulseSpec) from a flat dict.
 
     Missing fields take their defaults; anything but a dict, unknown keys
-    and values that are not numbers (or a profile name) raise InvalidField.
-    Both halves are validated.
+    and values that are not numbers (or a profile name) raise InvalidField;
+    an unphysical point raises its typed error when it is built.
     """
     if not isinstance(data, dict):
         raise InvalidField("params", "expected an object of parameter fields")
@@ -210,9 +220,7 @@ def point_from_dict(data: dict) -> tuple[SystemParams, PulseSpec]:
             pulse_kwargs[key] = _number(key, value)
         else:
             raise InvalidField(key)
-    params = validate(SystemParams(**sys_kwargs))
-    pulse = validate_pulse(PulseSpec(**pulse_kwargs))
-    return params, pulse
+    return SystemParams(**sys_kwargs), PulseSpec(**pulse_kwargs)
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,13 @@ DEFAULT_QUAD = QuadratureConfig()
 @lru_cache(maxsize=32)
 def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite rule normalized to the Gaussian intensity measure:
-    (u, weight) with sum(weight) = 1 and wavenumber nodes k_p + kappa_p * u."""
-    u, w = np.polynomial.hermite.hermgauss(n)
+    (u, weight) with sum(weight) = 1 and wavenumber nodes k_p + kappa_p * u.
+    Raises InvalidField where `hermgauss` underflows (numpy 2.4: n > 370)."""
+    with np.errstate(all="ignore"):
+        u, w = np.polynomial.hermite.hermgauss(n)
     omega = w / np.sqrt(np.pi)
+    if not (np.all(omega > 0.0) and abs(omega.sum() - 1.0) <= 1e-12):
+        raise InvalidField("n_gauss", "Gauss-Hermite weights underflow")
     u.flags.writeable = False
     omega.flags.writeable = False
     return u, omega
@@ -124,8 +128,6 @@ class KGrid:
              carries an explicit factor of f
     """
 
-    pulse: PulseSpec
-    k_c: float
     k: np.ndarray
     omega: np.ndarray
     f: np.ndarray
@@ -163,7 +165,7 @@ def build_grid(pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,
     w = omega / np.abs(f) ** 2
     for arr in (k, omega, f, w):
         arr.flags.writeable = False
-    return KGrid(pulse=pulse, k_c=k_c, k=k, omega=omega, f=f, w=w)
+    return KGrid(k=k, omega=omega, f=f, w=w)
 
 
 def spectral_average(G, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,

@@ -22,6 +22,9 @@ overlaps are contractions of r x r Gram matrices of the factors, O(r^2 n)
 work and memory; only `RetrievalOutcome.photon_density`, whose output is a
 node-by-node matrix, builds one.  This is an exact re-representation: every
 sum that the full array would take is still taken, node by node.
+
+SystemParams and PulseSpec check themselves when they are built; only the
+qubit amplitudes are checked (for normalization) where they enter.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from .params import (
     SystemParams,
     as_detector,
     require_normalized,
-    validate,
-    validate_pulse,
 )
 from .scattering import t_elements
 from .spectral import DEFAULT_QUAD, KGrid, QuadratureConfig, build_grid
@@ -120,7 +121,6 @@ def _scatter_state(state: JointState, elements: tuple,
 def apply_scattering(state: JointState, params: SystemParams) -> JointState:
     """One pass of the photon through the cavity (see `_scatter`).  Norm lost
     to spontaneous decay (gamma > 0) is added to loss_weight."""
-    validate(params)
     return _scatter_state(state, t_elements(state.grid.k, params),
                           params.gamma == 0.0)
 
@@ -220,8 +220,6 @@ def retrieve(stored: AtomEnsemble, params: SystemParams, pulse: PulseSpec,
     onto the photon; the outcome fidelity compares it with `target` carried
     by the same envelope.
     """
-    validate(params)
-    validate_pulse(pulse)
     require_normalized(target)
     grid = build_grid(pulse, quad, k_c=params.k_c)
     return _retrieve(stored, grid, t_elements(grid.k, params),
@@ -284,8 +282,6 @@ def atomic_readout_via_third_photon(atom: AtomQubit, params: SystemParams,
     k_R click occurs with probability |a_L|^2 [eta |T_RL|^2]_f and pins the
     atom to |R>.  A transparent pass (|R> atom) never clicks.
     """
-    validate(params)
-    validate_pulse(pulse)
     require_normalized(atom)
     grid = build_grid(pulse, quad, k_c=params.k_c)
     return _readout(atom, grid, t_elements(grid.k, params), detector)
@@ -346,8 +342,6 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     """
     if readout not in ("projective", "third_photon"):
         raise InvalidField(readout, "unknown readout mode")
-    validate(params)
-    validate_pulse(pulse)
     # Storage, retrieval and probe photons share the pulse, so one grid and
     # one evaluation of the scattering elements serve the whole cycle.
     grid = build_grid(pulse, quad, k_c=params.k_c)
@@ -477,8 +471,6 @@ def scatter_pair(state: TwoCavityState, params_1: SystemParams,
     factor stack, so their order is immaterial; decay mass from both is added
     to loss_weight.
     """
-    validate(params_1)
-    validate(params_2)
     before = state.norm
     out = TwoCavityState(
         grid_1=state.grid_1, grid_2=state.grid_2,
@@ -522,8 +514,6 @@ def entanglement_storage(pair: PhotonPair,
     """
     if mode not in ("postselect", "swap"):
         raise InvalidField(mode, "unknown storage mode")
-    validate_pulse(pulse_1)
-    validate_pulse(pulse_2)
     grid_1 = build_grid(pulse_1, quad, k_c=params_1.k_c)
     grid_2 = build_grid(pulse_2, quad, k_c=params_2.k_c)
     state = scatter_pair(prepare_pair(pair, grid_1, grid_2), params_1,

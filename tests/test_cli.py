@@ -1,5 +1,6 @@
 """Command-line front end: CSV determinism, JSON reports, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from cavqmem import invariants, metrics
 from cavqmem.cli import (
-    PULSE_FIELD_NAMES,
     SWEEP_HEADER,
     SweepAxis,
     SweepSpec,
@@ -24,6 +24,7 @@ from cavqmem.errors import CavqmemError, InvalidField
 from cavqmem.invariants import validate_suite
 from cavqmem.params import (
     FAMILY_KAPPA,
+    PULSE_NUMERIC_FIELDS,
     SYSTEM_FIELDS,
     PulseSpec,
     SystemParams,
@@ -281,6 +282,18 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
                  "--out", str(tmp_path / "y.csv")]) == 2
     assert main(["sweep", "--axis", "cooperativity,linear,-1,1,3",
                  "--out", str(tmp_path / "y.csv")]) == 2
+    for base, message in (('{"lambda_R": 0.0}', "lambda_R**2 must be > 0"),
+                          ('{"gamma": 0.0}', "at gamma = 0")):
+        (tmp_path / "base.json").write_text(base, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["sweep", "--params", str(tmp_path / "base.json"),
+                     "--axis", "lambda_L,linear,0,1,2",
+                     "--axis", "cooperativity,log,1,10,2",
+                     "--out", str(tmp_path / "y.csv")]) == 2
+        assert message in capsys.readouterr().err
+    for derived in ("cooperativity,log,1,10,2", "lambda_ratio,log,1,10,2"):
+        assert main(["sweep", "--axis", "lambda_L,linear,1,1e200,2",
+                     "--axis", derived, "--out", str(tmp_path / "y.csv")]) == 2
     bad = tmp_path / "bad.json"
     for text in ('{"kapa": 1.0}', '{"kappa": null}', "[1, 2]",
                  '{"kappa": "abc"}', '{"kappa": 2', '{"kappa": 1e999}',
@@ -292,6 +305,8 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
     assert main(["point", "--k", "inf"]) == 2
     assert main(["point", "--k", "nan"]) == 2
     assert main(["point", "--quad-n", "4"]) == 2
+    assert main(["point", "--quad-n", "400"]) == 2
+    assert main(["point", "--quad-n", "350", "--quad-check"]) == 2
     assert main(["validate", "--trials", "0"]) == 2
     assert main(["validate", "--trials", "-3"]) == 2
     assert main(["validate", "--seed", "-1"]) == 2
@@ -320,7 +335,7 @@ def test_validate_exits_one_when_a_family_fails(monkeypatch, capsys):
 
 
 numbers = st.floats().map(repr) | st.integers().map(str)
-fields = st.sampled_from(SYSTEM_FIELDS + PULSE_FIELD_NAMES
+fields = st.sampled_from(SYSTEM_FIELDS + PULSE_NUMERIC_FIELDS
                          + ("lambda_ratio", "cooperativity", "profile"))
 
 
@@ -341,3 +356,35 @@ def test_csv_writer_format(tmp_path):
               [(0.1, "lab"), (2.0, "el")])
     text = path.read_text(encoding="utf-8")
     assert text == '# {"a": 2, "b": 1}\nx,y\n0.1,lab\n2.0,el\n'
+
+
+def test_sweep_builds_each_point_once(tmp_path):
+    # (lambda_L, lambda_R) passes through (0, 0) on the way to each point,
+    # but every point the sweep evaluates is physical
+    base = tmp_path / "base.json"
+    base.write_text('{"lambda_R": 0.0}', encoding="utf-8")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--params", str(base),
+                 "--axis", "lambda_L,linear,0,1,2",
+                 "--axis", "lambda_R,linear,0.5,1,2", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    couplings = [(float(r[header.index("lambda_L")]),
+                  float(r[header.index("lambda_R")])) for r in rows]
+    assert couplings == [(0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.0, 1.0)]
+
+
+def test_largest_gauss_hermite_rule_still_works(capsys):
+    assert main(["point", "--quad-n", "370"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0.0 < out["F_qm"] <= 1.0
+
+
+def test_non_finite_json_output_is_a_bug_not_a_result(monkeypatch):
+    real = metrics.compute_report
+
+    def nan_report(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), F_qm=math.nan)
+
+    monkeypatch.setattr(metrics, "compute_report", nan_report)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        main(["point"])

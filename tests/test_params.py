@@ -1,6 +1,8 @@
 """Parameter containers, validation, serialization and detector models."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from cavqmem.params import (
 from cavqmem.scattering import coupling_amplitude
 from cavqmem.spectral import QuadratureConfig
 
+PACKAGE_DIR = Path(cavqmem.__file__).parent
+
 
 def test_defaults_describe_symmetric_strong_coupling():
     p = SystemParams()
@@ -54,14 +58,22 @@ def test_mixing_angle_matches_coupling_ratio():
     assert p.xi == pytest.approx(math.atan2(3.0, 4.0))
 
 
-@pytest.mark.parametrize("bad, exc", [
+BAD_SYSTEM = [
     (dict(kappa=0.0), NonPositiveKappa),
     (dict(kappa=-1.0), NonPositiveKappa),
     (dict(gamma=-0.5), NegativeGamma),
     (dict(lambda_L=0.0, lambda_R=0.0), ZeroCoupling),
     (dict(delta_e=math.nan), NonFiniteField),
     (dict(k_c=math.inf), NonFiniteField),
-])
+]
+BAD_PULSE = [
+    (dict(kappa_p=0.0), NonPositiveKappa),
+    (dict(kappa_p=-0.2), NonPositiveKappa),
+    (dict(delta_p=math.nan), NonFiniteField),
+]
+
+
+@pytest.mark.parametrize("bad, exc", BAD_SYSTEM)
 def test_validate_rejects_unphysical_fields(bad, exc):
     with pytest.raises(exc):
         validate(SystemParams(**bad))
@@ -74,14 +86,36 @@ def test_validate_accepts_zero_gamma():
         cooperativity(SystemParams(gamma=0.0))
 
 
-@pytest.mark.parametrize("bad, exc", [
-    (dict(kappa_p=0.0), NonPositiveKappa),
-    (dict(kappa_p=-0.2), NonPositiveKappa),
-    (dict(delta_p=math.nan), NonFiniteField),
-])
+@pytest.mark.parametrize("bad, exc", BAD_PULSE)
 def test_validate_pulse_rejects_unphysical_fields(bad, exc):
     with pytest.raises(exc):
         validate_pulse(PulseSpec(**bad))
+
+
+@pytest.mark.parametrize("build, bad, exc", [
+    *[(SystemParams, bad, exc) for bad, exc in BAD_SYSTEM],
+    *[(PulseSpec, bad, exc) for bad, exc in BAD_PULSE],
+    (PulseSpec, dict(kappa_p=math.nan), NonFiniteField),
+    (PulseSpec, dict(x_0=math.nan), NonFiniteField),
+])
+def test_invalid_points_cannot_be_constructed(build, bad, exc):
+    # an unphysical point raises its typed error before it exists, so no
+    # function that takes a point has to check it again
+    with pytest.raises(exc):
+        build(**bad)
+
+
+def test_only_params_calls_the_point_checks():
+    # the constructors run validate and validate_pulse; a call anywhere
+    # else would be a redundant re-check
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "params":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node.func for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)]
+        names = {getattr(f, "id", getattr(f, "attr", None)) for f in calls}
+        assert not names & {"validate", "validate_pulse"}, path.name
 
 
 def test_pulse_accepts_profile_as_string():
