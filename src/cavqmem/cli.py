@@ -12,10 +12,16 @@ Unit convention: the spontaneous-emission rate gamma is the unit (gamma = 1),
 so "kappa = 2 gamma" is simply kappa = 2; wavenumbers are measured in the
 same unit relative to k = 0.  No MHz <-> rate conversion is provided.
 
+The closed forms are exact (`metrics` with quad=None) unless `--quad-n`
+asks for quadrature on that many nodes.  The state-vector oracle of
+`oracle` and `validate` always integrates on a rule: `--quad-n`'s, else
+DEFAULT_QUAD.
+
 CSV outputs are deterministic byte for byte at fixed configuration: fixed
 sampling order, fixed summation order, floats serialized with repr.  The
 first line of every CSV is a '#'-prefixed JSON comment recording the full
-configuration including the quadrature node counts.
+configuration: which route produced the closed forms ("closed_forms":
+"exact" or "quadrature") and the node counts of the rule ("quad").
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ SWEEP_HEADER = PARAM_COLUMNS + (
 VIRTUAL_FIELD_NAMES = ("lambda_ratio", "cooperativity")
 
 
-def fig2_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 61
+def fig2_rows(quad: QuadratureConfig | None = None, count: int = 61
               ) -> list[tuple]:
     """Memory and swap fidelity versus cooperativity, Gaussian pulse with
     kappa_p = 0.1 kappa, one row block per detuning case."""
@@ -78,7 +84,7 @@ def fig2_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 61
     return rows
 
 
-def fig3_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 25
+def fig3_rows(quad: QuadratureConfig | None = None, count: int = 25
               ) -> list[tuple]:
     """Memory fidelity versus pulse bandwidth for both spectral profiles at
     cooperativity 20."""
@@ -95,7 +101,7 @@ def fig3_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 25
     return rows
 
 
-def fig4_rows(quad: QuadratureConfig = DEFAULT_QUAD, count: int = 41
+def fig4_rows(quad: QuadratureConfig | None = None, count: int = 41
               ) -> list[tuple]:
     """Success probability versus coupling ratio at eta = 1 for cooperativity
     1, 10, 100, Gaussian pulse with kappa_p = 0.1 kappa."""
@@ -152,7 +158,7 @@ class SweepSpec:
     pulse: PulseSpec
     axes: tuple[SweepAxis, ...]
     eta: float = 1.0
-    quad: QuadratureConfig = DEFAULT_QUAD
+    quad: QuadratureConfig | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 2:
@@ -200,23 +206,29 @@ def _set_field(fields: dict, field: str, value: float) -> None:
                           lambda_R=scale * fields["lambda_R"])
 
 
-def sweep_rows(spec: SweepSpec) -> list[tuple]:
-    """Evaluate the metric columns on the sweep grid, outer axis major; each
-    point is built once, after every axis applies; only it must be valid."""
+def _sweep_points(spec: SweepSpec):
+    """The sweep grid's points, outer axis major; each point is built once,
+    after every axis applies; only it must be valid."""
     grids = [axis.values() for axis in spec.axes]
     base = point_to_dict(spec.params, spec.pulse)
-    points = []
     for values in itertools.product(*grids):
         fields = dict(base)
         for axis, value in zip(spec.axes, values):
             _set_field(fields, axis.field, float(value))
-        points.append(point_from_dict(fields))
+        yield point_from_dict(fields)
+
+
+def sweep_rows(spec: SweepSpec) -> list[tuple]:
+    """Evaluate the metric columns on the sweep grid, CHUNK_ROWS points at a
+    time, so that only the output rows grow with the grid."""
+    points = _sweep_points(spec)
     rows = []
-    for report in metrics.compute_reports(points, spec.quad, spec.eta):
-        echo = report.to_dict()
-        rows.append(tuple(echo[c] for c in PARAM_COLUMNS)
-                    + (spec.eta, report.F_swap, report.F_swap_leading,
-                       report.F_qm, report.P_qm, report.P_qm_conditional))
+    while block := list(itertools.islice(points, metrics.CHUNK_ROWS)):
+        for report in metrics.compute_reports(block, spec.quad, spec.eta):
+            echo = report.to_dict()
+            rows.append(tuple(echo[c] for c in PARAM_COLUMNS)
+                        + (spec.eta, report.F_swap, report.F_swap_leading,
+                           report.F_qm, report.P_qm, report.P_qm_conditional))
     return rows
 
 
@@ -249,10 +261,11 @@ def _load_point(path: str | None) -> tuple[SystemParams, PulseSpec]:
     return point_from_dict(data)
 
 
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
+def _quad_config(args: argparse.Namespace) -> QuadratureConfig | None:
+    """The rule `--quad-n` asks for, or None (exact closed forms)."""
     n = getattr(args, "quad_n", None)
     if n is None:
-        return DEFAULT_QUAD
+        return None
     return QuadratureConfig(n_gauss=n, n_lorentz=n)
 
 
@@ -280,8 +293,16 @@ def _pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _quad_meta(quad: QuadratureConfig) -> dict:
-    return {"n_gauss": quad.n_gauss, "n_lorentz": quad.n_lorentz}
+def _quad_meta(quad: QuadratureConfig | None) -> dict:
+    """Node counts of the rule in use: `--quad-n`'s, else DEFAULT_QUAD's,
+    which the state oracle integrates on when the closed forms are exact."""
+    rule = quad or DEFAULT_QUAD
+    return {"n_gauss": rule.n_gauss, "n_lorentz": rule.n_lorentz}
+
+
+def _route(quad: QuadratureConfig | None) -> str:
+    """Which route produced the closed forms."""
+    return "exact" if quad is None else "quadrature"
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
@@ -293,6 +314,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     report = metrics.compute_report(params, pulse, quad, args.eta,
                                     _photon_qubit(args))
     out = report.to_dict()
+    out["closed_forms"] = _route(quad)
     matrix = t_matrix(k, params)
     out["scattering"] = {
         "k": k,
@@ -305,8 +327,8 @@ def _cmd_point(args: argparse.Namespace) -> int:
         "T_RL": _pair(matrix.t_rl),
     }
     if args.quad_check:
-        out["quad_check_delta"] = metrics.convergence_delta(params, pulse,
-                                                            quad)
+        out["quad_check_delta"] = metrics.convergence_delta(
+            params, pulse, quad or DEFAULT_QUAD)
     _emit_json(out, args.out)
     return 0
 
@@ -330,6 +352,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         "cases": {name: {"delta_e": de, "delta_p": dp}
                   for name, de, dp in cases},
         "points": count,
+        "closed_forms": _route(quad),
         "quad": _quad_meta(quad),
     }
     if family == "fig2":
@@ -356,6 +379,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "axes": [{"field": a.field, "scale": a.scale, "min": a.lo,
                   "max": a.hi, "count": a.count} for a in axes],
         "eta": args.eta,
+        "closed_forms": _route(quad),
         "quad": _quad_meta(quad),
     }
     write_csv(args.out, meta, SWEEP_HEADER, sweep_rows(spec))
@@ -366,11 +390,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     params, pulse = _load_point(args.params)
     quad = _quad_config(args)
     photon = _photon_qubit(args)
-    record = run_memory_protocol(params, pulse, quad, photon=photon,
-                                 detector=args.eta, readout=args.readout)
+    record = run_memory_protocol(params, pulse, quad or DEFAULT_QUAD,
+                                 photon=photon, detector=args.eta,
+                                 readout=args.readout)
     closed = metrics.cycle_closed_forms(params, pulse, quad, [photon],
                                         args.eta)[0]
     out = record.to_dict()
+    out["closed_forms"] = _route(quad)
     out["closed_form_deltas"] = {key: abs(out[key] - closed[key])
                                  for key in ORACLE_KEYS}
     _emit_json(out, args.out)
@@ -378,7 +404,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    ok, lines = validate_suite(args.trials, args.seed, _quad_config(args))
+    ok, lines = validate_suite(args.trials, args.seed,
+                               _quad_config(args) or DEFAULT_QUAD)
     for line in lines:
         print(line)
     print("all invariant families passed" if ok
@@ -388,9 +415,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_quad_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quad-n", type=int, default=None, metavar="N",
-                        help="override the quadrature node count for both "
-                             "profiles (defaults: 64 Gaussian, 1040 "
-                             "Lorentzian)")
+                        help="compute the closed forms by quadrature on N "
+                             "nodes for both profiles instead of exactly; the "
+                             "state-vector oracle also uses N (default rule: "
+                             "64 Gaussian, 1040 Lorentzian nodes)")
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:

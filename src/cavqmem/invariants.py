@@ -3,9 +3,10 @@
 The exact algebra of the polarization map T(k) (det T = trace T - 1 = the
 bright phase, |T_LR| = sin(2 xi) |h|, passivity, lossless unitarity, the
 left-unit relation, dependence on lambda^2 only) and the averaged claims
-(quadrature normalization and convergence, F_qm independent of the pulse
-position and the coupling ratio, the factored success probability, memory
->= swap, oracle agreement).  Each family maps given inputs to its worst
+(quadrature normalization and convergence, agreement of the exact closed
+forms with the quadrature ones, F_qm independent of the pulse position and
+the coupling ratio, the factored success probability, memory >= swap,
+oracle agreement).  Each family maps given inputs to its worst
 residual; the averaged ones take their closed forms from one
 `metrics.compute_reports` batch.  `validate_suite` draws the inputs and
 applies the bounds of `cavqmem validate`; the acceptance tests call the same
@@ -101,6 +102,16 @@ def node_doubling_gate(points: Sequence[Point],
     """Worst `metrics.convergence_delta` over the points."""
     return max(metrics.convergence_delta(params, pulse, quad)
                for params, pulse in points)
+
+
+def exact_route_agreement(points: Sequence[Point],
+                          quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+    """Worst |exact - quadrature on `quad`| of F_qm and F_swap over the
+    points: the error of the rule the state oracle integrates on."""
+    exact = metrics.compute_reports(points)
+    ruled = metrics.compute_reports(points, quad)
+    return max(max(abs(a.F_qm - b.F_qm), abs(a.F_swap - b.F_swap))
+               for a, b in zip(exact, ruled))
 
 
 def _f_qm(points: Sequence[Point], quad: QuadratureConfig) -> np.ndarray:
@@ -263,9 +274,10 @@ def validate_suite(trials: int = 20, seed: int = 20112,
         for params, k in (_random_sample(rng) for _ in range(30))])
     unitarity = lossless_unitarity([_random_sample(rng, gamma=0.0)
                                     for _ in range(30)])
-    eq = oracle_equivalence([(*draw_equivalence_point(rng),
-                              [random_photon_qubit(rng) for _ in range(3)])
-                             for _ in range(trials)], quad)
+    cases = [(*draw_equivalence_point(rng),
+              [random_photon_qubit(rng) for _ in range(3)])
+             for _ in range(trials)]
+    eq = oracle_equivalence(cases, quad)
     worst = max(eq, key=eq.get)
     grid = _fig2_points()
     groups = list(zip(grid, _fig2_points(0.1), _fig2_points(10.0)))
@@ -273,6 +285,8 @@ def validate_suite(trials: int = 20, seed: int = 20112,
         family_params(10.0, ratio) for ratio in (1.0, 0.1, 0.5, 2.0, 10.0)])
     norm = quadrature_normalization(quad)
     gate = node_doubling_gate(_gate_points(), quad)
+    agreement = exact_route_agreement(
+        _gate_points() + [case[:2] for case in cases], quad)
     x0_delta = position_invariance(
         [(family_params(10.0), PulseSpec(kappa_p=0.2))], 3.7, quad)
     dual = success_dual_route([(*point, 1.0) for point in grid], quad)
@@ -300,6 +314,9 @@ def validate_suite(trials: int = 20, seed: int = 20112,
          f"max |sum(omega) - 1| = {norm:.2e}"),
         (gate < 1e-9, "node-doubling gate at curve-family points",
          f"max delta {gate:.2e}"),
+        (agreement < 1e-9, "exact closed forms against the quadrature rule",
+         f"max |F_qm, F_swap delta| {agreement:.2e} at the curve-family "
+         f"points and the {trials} parameter sets"),
         (x0_delta == 0.0, "pulse-position invariance of averages",
          f"delta {x0_delta:.2e}"),
         (dual < 1e-12, "success-probability dual path",

@@ -10,18 +10,27 @@ The polarization-flip element is T_LR = e^{-i(theta_L - theta_R)} sin(2 xi)
 h(k), so every closed form is arithmetic on five intensity averages of the
 scattered amplitude h(k) over the pulse,
 
-    [h]_f, [|h|^2]_f, [eta]_f, [eta h]_f, [eta |h|^2]_f,
+    [h]_f, [|h|^2]_f, [eta]_f, [eta h]_f, [eta |h|^2]_f.
 
-with the detector efficiency eta(k) evaluated on the quadrature nodes.
-`spectral_moments` computes all five for a batch of parameter points in one
-pass: node tables from `spectral.quadrature_rule`, h from `scattering`, in
-chunks of at most CHUNK_NODES node evaluations so that memory stays flat in
-the batch size.  Each scalar metric is a batch of one through that pass, and
-`compute_reports` serves a whole sweep.  A point's results do not depend on
-the batch it is evaluated in, bit for bit.  The state-vector oracle in
-`statesim` recomputes each quantity from explicitly propagated amplitudes;
-the pair is cross-checked in the test suite.  SystemParams and PulseSpec
-check themselves when they are built, so nothing here re-checks a point.
+`spectral_moments` computes all five for a batch of parameter points, by
+one of two routes:
+
+* exact (quad=None, the default of every public function here): h has three
+  poles, so [h]_f and [|h|^2]_f are finite sums of exact pole averages
+  (`scattering.pole_expansion`, `spectral.pole_averages`).  A constant eta
+  factors out of the other three; a tabulated eta(k) takes them from the
+  quadrature pass on DEFAULT_QUAD.
+* quadrature (an explicit QuadratureConfig): every moment is a sum over the
+  rule's nodes (`spectral.quadrature_rule`), with eta(k) evaluated on them.
+  This is the rule the state-vector oracle in `statesim` integrates on, so
+  the two agree to rounding on the same rule.
+
+Both routes work in row chunks (at most CHUNK_ROWS points, or CHUNK_NODES
+node evaluations) so that memory stays flat in the batch size.  Each scalar
+metric is a batch of one, and `compute_reports` serves a whole sweep.  A
+point's results do not depend on the batch it is evaluated in, bit for bit.
+SystemParams and PulseSpec check themselves when they are built, so nothing
+here re-checks a point.
 """
 
 from __future__ import annotations
@@ -43,8 +52,9 @@ from .params import (
     point_to_dict,
     require_normalized,
 )
-from .scattering import ParamRows, scattered_amplitude
-from .spectral import DEFAULT_QUAD, QuadratureConfig, quadrature_rule
+from .scattering import ParamRows, pole_expansion, scattered_amplitude
+from .spectral import (DEFAULT_QUAD, QuadratureConfig, pole_averages,
+                       quadrature_rule)
 
 #: Relative coupling asymmetry below which lambda_L and lambda_R count as equal.
 EQUAL_COUPLING_RTOL = 1e-12
@@ -52,9 +62,12 @@ EQUAL_COUPLING_RTOL = 1e-12
 #: Probability mass below which conditioning and fidelity ratios are refused.
 TINY_WEIGHT = 1e-300
 
-#: Node evaluations per chunk of the moment pass.  A point with more nodes
-#: than this forms a chunk of its own.
+#: Node evaluations per chunk of the quadrature pass.  A point with more
+#: nodes than this forms a chunk of its own.
 CHUNK_NODES = 4096
+
+#: Parameter points per chunk of the exact pass.
+CHUNK_ROWS = 128
 
 Point = tuple[SystemParams, PulseSpec]
 
@@ -71,20 +84,67 @@ class SpectralMoments:
 
 
 def spectral_moments(points: Sequence[Point],
-                     quad: QuadratureConfig = DEFAULT_QUAD,
+                     quad: QuadratureConfig | None = None,
                      detector: DetectorModel | float = 1.0) -> SpectralMoments:
-    """The five moments of every (params, pulse) point, in one chunked pass.
+    """The five moments of every (params, pulse) point: exact for quad=None,
+    else on the given rule (see the module docstring).
 
     Raises DegenerateDenominator from the scattering map and InvalidField
     from the detector model.
     """
     detector = as_detector(detector)
-    out = np.empty((5, len(points)), dtype=complex)
+    if quad is not None:
+        return _quadrature_moments(points, quad, detector)
+    h, h2 = _exact_moments(points)
+    if detector.is_constant:
+        eta = detector(np.zeros(len(points)))
+        return SpectralMoments(h=h, h2=h2, eta=eta, eta_h=eta * h,
+                               eta_h2=eta * h2)
+    weighted = _quadrature_moments(points, DEFAULT_QUAD, detector)
+    return SpectralMoments(h=h, h2=h2, eta=weighted.eta,
+                           eta_h=weighted.eta_h, eta_h2=weighted.eta_h2)
+
+
+def _profile_batches(points: Sequence[Point]):
+    """(profile, indices of its points) for every profile in the batch."""
     for profile in Profile:
         batch = [i for i, (_, pulse) in enumerate(points)
                  if pulse.profile is profile]
-        if not batch:
-            continue
+        if batch:
+            yield profile, batch
+
+
+def _exact_moments(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """[h]_f and [|h|^2]_f of every point from the pole sums of h."""
+    h = np.empty(len(points), dtype=complex)
+    h2 = np.empty(len(points))
+    for profile, batch in _profile_batches(points):
+        for start in range(0, len(batch), CHUNK_ROWS):
+            chunk = batch[start:start + CHUNK_ROWS]
+            h[chunk], h2[chunk] = _chunk_exact(profile,
+                                               [points[i] for i in chunk])
+    return h, h2
+
+
+def _chunk_exact(profile: Profile, points: list[Point]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """[h]_f and [|h|^2]_f of points sharing a profile, from the pole sums
+    of `scattering.pole_expansion` and the averages of each pole."""
+    e = pole_expansion(ParamRows.of([params for params, _ in points]))
+    center, width = np.array([(pulse.delta_p, pulse.kappa_p)
+                              for _, pulse in points]).T[:, :, None]
+    a_0, a_2, a_12 = pole_averages(profile, center, width, e.z0,
+                                   (e.z1, e.z2))
+    h = e.a0 * (a_0 - a_2) + e.a12 * a_12
+    h2 = -h.real - 2.0 * (e.l2 * a_2 + e.l12 * a_12).real
+    return h[:, 0], h2[:, 0]
+
+
+def _quadrature_moments(points: Sequence[Point], quad: QuadratureConfig,
+                        detector: DetectorModel) -> SpectralMoments:
+    """All five moments on the rule `quad`, in one chunked pass."""
+    out = np.empty((5, len(points)), dtype=complex)
+    for profile, batch in _profile_batches(points):
         x, omega = quadrature_rule(profile, quad)
         rows = max(1, CHUNK_NODES // x.size)
         for start in range(0, len(batch), rows):
@@ -171,7 +231,7 @@ def _balanced(params: SystemParams) -> bool:
 
 
 def swap_fidelity(params: SystemParams, pulse: PulseSpec,
-                  quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+                  quad: QuadratureConfig | None = None) -> float:
     """One-shot state-swap fidelity, [|h(k)|^2]_f.
 
     Physically meaningful as a swap fidelity only for lambda_L = lambda_R
@@ -196,7 +256,7 @@ def swap_fidelity_leading(params: SystemParams, pulse: PulseSpec) -> float:
 
 
 def qm_fidelity(params: SystemParams, pulse: PulseSpec,
-                quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+                quad: QuadratureConfig | None = None) -> float:
     """Memory fidelity of the full store-and-retrieve cycle,
 
         F_qm = |[h(k)]_f|^2 / [|h(k)|^2]_f.
@@ -209,7 +269,7 @@ def qm_fidelity(params: SystemParams, pulse: PulseSpec,
 
 
 def qm_success(params: SystemParams, pulse: PulseSpec,
-               quad: QuadratureConfig = DEFAULT_QUAD,
+               quad: QuadratureConfig | None = None,
                eta: DetectorModel | float = 1.0) -> float:
     """Success probability of the memory cycle, P_qm = [eta |T_LR(k)|^2]_f.
 
@@ -223,7 +283,7 @@ def qm_success(params: SystemParams, pulse: PulseSpec,
 
 
 def storage_success(params: SystemParams, pulse: PulseSpec,
-                    quad: QuadratureConfig = DEFAULT_QUAD,
+                    quad: QuadratureConfig | None = None,
                     photon: PhotonQubit = PhotonQubit(0.0, 1.0),
                     detector: DetectorModel | float = 1.0) -> float:
     """P(k_L): probability that the scattered qubit photon is detected in the
@@ -235,7 +295,7 @@ def storage_success(params: SystemParams, pulse: PulseSpec,
 
 
 def retrieval_success(params: SystemParams, pulse: PulseSpec,
-                      quad: QuadratureConfig = DEFAULT_QUAD,
+                      quad: QuadratureConfig | None = None,
                       photon: PhotonQubit = PhotonQubit(0.0, 1.0),
                       detector: DetectorModel | float = 1.0) -> float:
     """P(L): probability that the retrieval scattering leaves the atom in |L>,
@@ -249,7 +309,7 @@ def retrieval_success(params: SystemParams, pulse: PulseSpec,
 
 
 def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
-                               quad: QuadratureConfig = DEFAULT_QUAD,
+                               quad: QuadratureConfig | None = None,
                                photon: PhotonQubit = PhotonQubit(0.0, 1.0),
                                detector: DetectorModel | float = 1.0) -> float:
     """Fidelity of the retrieved photon against the stored qubit.
@@ -271,7 +331,7 @@ def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
 
 
 def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
-                       quad: QuadratureConfig = DEFAULT_QUAD,
+                       quad: QuadratureConfig | None = None,
                        photons: Sequence[PhotonQubit] = (PhotonQubit(0.0, 1.0),),
                        detector: DetectorModel | float = 1.0
                        ) -> list[dict[str, float]]:
@@ -316,7 +376,7 @@ def swap_target_photon(atom: AtomQubit, params: SystemParams) -> PhotonQubit:
 
 
 def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
-                      quad: QuadratureConfig = DEFAULT_QUAD,
+                      quad: QuadratureConfig | None = None,
                       atom: AtomQubit = AtomQubit(0.0, 1.0),
                       photon: PhotonQubit = PhotonQubit(0.0, 1.0)) -> float:
     """One-shot swap fidelity for an arbitrary atomic pre-state,
@@ -395,7 +455,7 @@ _BALANCED = PhotonQubit(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 
 def compute_reports(points: Sequence[Point],
-                    quad: QuadratureConfig = DEFAULT_QUAD,
+                    quad: QuadratureConfig | None = None,
                     eta: float | DetectorModel = 1.0,
                     photon: PhotonQubit = _BALANCED) -> list[MetricReport]:
     """Evaluate every closed-form metric at each point from one moment pass."""
@@ -427,7 +487,7 @@ def compute_reports(points: Sequence[Point],
 
 
 def compute_report(params: SystemParams, pulse: PulseSpec,
-                   quad: QuadratureConfig = DEFAULT_QUAD,
+                   quad: QuadratureConfig | None = None,
                    eta: float | DetectorModel = 1.0,
                    photon: PhotonQubit = _BALANCED) -> MetricReport:
     """Evaluate every closed-form metric at one parameter point."""

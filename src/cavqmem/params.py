@@ -102,7 +102,12 @@ class PulseSpec:
     def __post_init__(self):
         # Accept the plain string spelling from JSON.
         if not isinstance(self.profile, Profile):
-            object.__setattr__(self, "profile", Profile(self.profile))
+            try:
+                profile = Profile(self.profile)
+            except ValueError:
+                raise InvalidField(str(self.profile),
+                                   "unknown profile") from None
+            object.__setattr__(self, "profile", profile)
         validate_pulse(self)
 
 
@@ -114,15 +119,26 @@ PULSE_FIELDS = tuple(f.name for f in fields(PulseSpec))
 PULSE_NUMERIC_FIELDS = tuple(f for f in PULSE_FIELDS if f != "profile")
 
 
+def _require_finite(point, names: tuple[str, ...]) -> None:
+    """Raise InvalidField for a field that is not a real number and
+    NonFiniteField for one that is NaN or infinite."""
+    for name in names:
+        try:
+            finite = math.isfinite(getattr(point, name))
+        except TypeError:
+            raise InvalidField(name, "not a number") from None
+        if not finite:
+            raise NonFiniteField(name)
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Check a parameter set and return it unchanged; every SystemParams runs
     this when it is built, so an unphysical point cannot exist.
 
-    Raises NonFiniteField, NonPositiveKappa, NegativeGamma or ZeroCoupling.
+    Raises InvalidField, NonFiniteField, NonPositiveKappa, NegativeGamma or
+    ZeroCoupling.
     """
-    for name in SYSTEM_FIELDS:
-        if not math.isfinite(getattr(params, name)):
-            raise NonFiniteField(name)
+    _require_finite(params, SYSTEM_FIELDS)
     if params.kappa <= 0.0:
         raise NonPositiveKappa("kappa")
     if params.gamma < 0.0:
@@ -138,10 +154,9 @@ def validate(params: SystemParams) -> SystemParams:
 
 def validate_pulse(pulse: PulseSpec) -> PulseSpec:
     """Check a pulse spec and return it unchanged; every PulseSpec runs this
-    when it is built.  Raises NonFiniteField or NonPositiveKappa."""
-    for name in PULSE_NUMERIC_FIELDS:
-        if not math.isfinite(getattr(pulse, name)):
-            raise NonFiniteField(name)
+    when it is built.  Raises InvalidField, NonFiniteField or
+    NonPositiveKappa."""
+    _require_finite(pulse, PULSE_NUMERIC_FIELDS)
     if pulse.kappa_p <= 0.0:
         raise NonPositiveKappa("kappa_p")
     return pulse

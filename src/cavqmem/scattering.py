@@ -22,6 +22,12 @@ All wavenumber arguments accept scalars or numpy arrays and broadcast.  The
 phase factor and h(k) also take a `ParamRows` in place of SystemParams: a
 batch of parameter points as column arrays, so that row i of a (B, n)
 wavenumber array is evaluated at point i in one call.
+
+In s = k - k_c, h(s) = -i kappa lambda^2 / ((s - i kappa) w_-(s)) is a
+rational function with three simple poles: i kappa above the real axis and
+the two roots of w_- below it.  `pole_expansion` writes h and |h|^2 as sums
+over those poles, which turns every spectral average of them into a finite
+sum of exact pole averages (`spectral.pole_averages`).
 """
 
 from __future__ import annotations
@@ -137,3 +143,59 @@ def t_matrix(k: float, params: SystemParams) -> ScatteringMatrix:
         t_lr=complex(t_lr),
         t_rl=complex(t_rl),
     )
+
+
+class PoleExpansion(NamedTuple):
+    """h and |h|^2 on the real axis as sums over the poles of h, for a batch
+    of parameter points, each field a (B, 1) column.  With z0 = i kappa and
+    z1, z2 the roots of w_-,
+
+        h(s)     = a0 [1/(s - z0) - 1/(s - z2)] + a12/((s - z1)(s - z2)),
+        |h(s)|^2 = -Re h(s) - 2 Re[l2/(s - z2) + l12/((s - z1)(s - z2))].
+
+    The second line is passivity, |1 + 2h|^2 = 1 - 4 kappa gamma lambda^2 /
+    |w_-|^2, with the loss term split between w_- and its mirror image.  The
+    roots of w_- stay together in the pair terms, so no coefficient grows
+    where they merge (at delta_e = 0, |kappa - gamma| = 2 lambda).
+    """
+
+    z0: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    a0: np.ndarray
+    a12: np.ndarray
+    l2: np.ndarray
+    l12: np.ndarray
+
+
+def pole_expansion(rows: ParamRows) -> PoleExpansion:
+    """The pole sums of h and |h|^2 for a batch of parameter points.
+
+    Raises DegenerateDenominator if a root of w_- is not strictly below the
+    real axis (never for a valid point: the roots have Im < 0 when
+    kappa > 0 and gamma >= 0).
+    """
+    kappa, gamma, lam2 = rows.kappa, rows.gamma, rows.lambda_sq
+    z0 = 1j * kappa
+    # w_-(s) = s^2 - b s + c = (s - z1)(s - z2); the sign of the root keeps
+    # b + root clear of cancellation, and z2 follows from z1 z2 = c
+    b = rows.delta_e - 1j * gamma - z0
+    root = np.sqrt((b + 2.0 * z0) ** 2 + 4.0 * lam2)
+    root *= np.copysign(1.0, b.real * root.real + b.imag * root.imag)
+    z1 = 0.5 * (b + root)
+    z2 = (-lam2 - z0 * (b + z0)) / z1
+    if (np.maximum(z1.imag, z2.imag) >= 0.0).any():
+        raise DegenerateDenominator()
+    # h = g / ((s - z0) w_-(s)); its w_- part is P(s)/w_-(s), P the line
+    # through g/(s - z0) at z1 and z2
+    g = -z0 * lam2
+    a0 = g / ((z0 - z1) * (z0 - z2))
+    # 1/|w_-|^2 = 1/(w_-(s) w~(s)), w~(s) = (s - conj z1)(s - conj z2): its
+    # w_- part is the line through 1/w~ at z1 and z2, where w~(z1) = u1,
+    # w~(z2) = u2 and w~[z1, z2] = z1 + z2 - conj(z1 + z2) = -2i(gamma + kappa)
+    d = z1 - np.conj(z2)
+    u1 = 2j * z1.imag * d
+    u2 = -2j * z2.imag * np.conj(d)
+    loss = kappa * gamma * lam2 / u1
+    return PoleExpansion(z0=z0, z1=z1, z2=z2, a0=a0, a12=g / (z1 - z0),
+                         l2=2j * (gamma + kappa) * loss / u2, l12=loss)

@@ -1,19 +1,31 @@
-"""Pulse spectra and the quadrature rules used for every spectral average.
+"""Pulse spectra, the quadrature rules, and exact averages of poles.
 
 Averages are taken against the pulse intensity, [G]_f = integral |f(k)|^2 G(k) dk.
-For a Gaussian envelope the substitution u = (k - k_p)/kappa_p turns this into
-a Gauss-Hermite sum; for a Lorentzian the substitution k = k_p + kappa_p tan(theta)
-maps the Cauchy weight exactly onto a flat measure on (-pi/2, pi/2), which is
-integrated by composite Gauss-Legendre with panels graded geometrically toward
-the endpoints.  The grading matters: for a narrow pulse the cavity and
-polariton structure of the integrand lives deep in the Cauchy tails, i.e. in
-thin layers next to theta = +-pi/2, where a single Legendre panel converges
-only algebraically.  Node tables are cached and immutable, and each average is
-a fixed-order vectorized sum, so results are deterministic.
+There are two ways to take one.
+
+Quadrature, for any integrand: for a Gaussian envelope the substitution
+u = (k - k_p)/kappa_p turns the average into a Gauss-Hermite sum; for a
+Lorentzian the substitution k = k_p + kappa_p tan(theta) maps the Cauchy
+weight exactly onto a flat measure on (-pi/2, pi/2), which is integrated by
+composite Gauss-Legendre with panels graded geometrically toward the
+endpoints.  The grading matters: for a narrow pulse the cavity and polariton
+structure of the integrand lives deep in the Cauchy tails, i.e. in thin
+layers next to theta = +-pi/2, where a single Legendre panel converges only
+algebraically.  Node tables are cached and immutable, and each average is a
+fixed-order vectorized sum, so results are deterministic.
+
+Exact, for rational integrands: `pole_averages` gives [1/(s - z)]_f for a
+pole z off the real axis and [1/((s - z1)(s - z2))]_f for a pair of poles
+on one side of it, in closed form.  A Lorentzian average of 1/(s - z) is
+1/(s_p +- i kappa_p - z), the pulse pole taken on the side away from z.  A
+Gaussian one is +-i sqrt(pi) w(t)/kappa_p with t = +-(z - s_p)/kappa_p in
+the upper half plane, where w is the Faddeeva function, computed here
+(`faddeeva`) by Weideman's rational approximation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -180,3 +192,126 @@ def spectral_average(G, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand()
     return complex(np.sum(omega * values))
+
+
+# ---------------------------------------------------------------------------
+# exact averages of poles
+
+#: Terms of Weideman's rational approximation of the Faddeeva function
+#: (SIAM J. Numer. Anal. 31, 1497 (1994)): relative error below 5e-14 for
+#: |Re z| <= 1e5 and 1e-6 <= Im z <= 1e5 (tested against scipy).
+FADDEEVA_TERMS = 36
+_W_L = math.sqrt(FADDEEVA_TERMS / math.sqrt(2.0))
+
+
+def _weideman_coefficients() -> np.ndarray:
+    """The N = 36 coefficients a_n of w(z) = 2 p(Z)/(L - iz)^2 + 1/(sqrt(pi)
+    (L - iz)), p(Z) = sum_n a_n Z^(n-1), Z = (L + iz)/(L - iz): the cosine
+    transform of exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta/2),
+    theta = k pi/M for |k| < M = 2N.  Highest power first, the order of
+    `np.vander`."""
+    m = 2 * FADDEEVA_TERMS
+    k = np.arange(1 - m, m)
+    t = _W_L * np.tan(k * np.pi / (2 * m))
+    f = np.exp(-t * t) * (_W_L ** 2 + t * t)
+    n = np.arange(FADDEEVA_TERMS, 0, -1)
+    out = np.cos(np.outer(n, k) * (np.pi / m)) @ f / (2 * m)
+    out.flags.writeable = False
+    return out
+
+
+_W_COEF = _weideman_coefficients()
+#: Hankel table H[j, k] = c_{j+k+1}, with c_i the coefficient of Z^i in p:
+#: the divided difference (p(X) - p(Y))/(X - Y) is sum_{j,k} H[j, k] X^j Y^k,
+#: which stays exact at X = Y.
+_W_HANKEL = np.array([[_W_COEF[::-1][j + k + 1] if j + k + 1 < FADDEEVA_TERMS
+                       else 0.0 for k in range(FADDEEVA_TERMS - 1)]
+                      for j in range(FADDEEVA_TERMS - 1)])
+_W_HANKEL.flags.writeable = False
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_I_SQRT_PI = 1j * math.sqrt(math.pi)
+
+#: Separation, relative to max(1, |z|), below which `faddeeva_difference`
+#: takes the confluent form: beyond it the plain quotient of two values
+#: loses at most ~1e-14 to rounding.
+_CONFLUENT_GAP = 1e-2
+
+
+def _weideman_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, Z) = (1/(L - iz), (L + iz)/(L - iz)); |Z| <= 1 for Im z >= 0."""
+    u = 1.0 / (_W_L - 1j * z)
+    return u, (_W_L + 1j * z) * u
+
+
+def faddeeva(z) -> np.ndarray:
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-iz), for Im z >= 0.
+
+    Weideman's N = 36 rational approximation, numpy only.  The polynomial is
+    summed row by row, so each value is independent of the others in z.
+    """
+    z = np.asarray(z, dtype=complex)
+    u, big_z = _weideman_parts(z)
+    p = (np.vander(big_z.ravel(), FADDEEVA_TERMS) * _W_COEF).sum(axis=1)
+    return (2.0 * p.reshape(z.shape) * u + _INV_SQRT_PI) * u
+
+
+def faddeeva_difference(z1, z2, w1, w2) -> np.ndarray:
+    """The divided difference (w(z1) - w(z2))/(z1 - z2), and w'(z1) where
+    z1 = z2, for Im z1, Im z2 >= 0, given w1 = w(z1) and w2 = w(z2).
+
+    Close arguments take the divided difference of the rational approximant
+    itself, term by term, which stays exact in the confluent limit.
+    """
+    gap = z1 - z2
+    close = np.abs(gap) < _CONFLUENT_GAP * np.maximum(1.0, np.abs(z1))
+    if not close.any():
+        return (w1 - w2) / gap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (w1 - w2) / gap
+    out[close] = _confluent_difference(z1[close], z2[close])
+    return out
+
+
+def _confluent_difference(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Divided difference of the approximant 2 p(Z) u^2 + u/sqrt(pi) at
+    (z1, z2) by the product and chain rules: u[z1, z2] = i u1 u2,
+    Z[z1, z2] = 2 i L u1 u2, and p[Z1, Z2] from the Hankel table."""
+    u1, big_z1 = _weideman_parts(z1)
+    u2, big_z2 = _weideman_parts(z2)
+    n = FADDEEVA_TERMS - 1
+    v1 = np.vander(big_z1, n, increasing=True)
+    v2 = np.vander(big_z2, n + 1, increasing=True)
+    p2 = (v2 * _W_COEF[::-1]).sum(axis=1)
+    p_diff = np.einsum("bj,jk,bk->b", v1, _W_HANKEL, v2[:, :n])
+    u_diff = 1j * u1 * u2
+    return (2.0 * (p_diff * 2.0 * _W_L * u_diff * u1 * u1
+                   + p2 * u_diff * (u1 + u2))
+            + u_diff * _INV_SQRT_PI)
+
+
+def pole_averages(profile: Profile, center, width, upper, pair
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact intensity averages of a pole above the real axis and of a pair
+    of poles below it, over pulses of one profile.
+
+    center and width are the pulse centres s_p and widths kappa_p in the
+    variable s of the poles, upper a pole z0 with Im z0 > 0 and pair = (z1,
+    z2) two poles with Im < 0, equal or not; all are (B, 1) columns.
+    Returns [1/(s - z0)]_f, [1/(s - z2)]_f and [1/((s - z1)(s - z2))]_f,
+    each row from its own pulse.
+    """
+    z1, z2 = pair
+    if profile is Profile.LORENTZIAN:
+        # the pulse intensity has its poles at s_p +- i kappa_p
+        pulse_pole = 1j * width
+        below, above = center - pulse_pole, center + pulse_pole
+        return (1.0 / (below - upper), 1.0 / (above - z2),
+                1.0 / ((above - z1) * (above - z2)))
+    # Gaussian: [1/(s - z)]_f = +-i sqrt(pi) w(+-(z - s_p)/kappa_p)/kappa_p,
+    # the sign taking the argument into the upper half plane
+    tau = np.concatenate([upper - center, center - z1, center - z2],
+                         axis=-1) / width
+    w = faddeeva(tau)
+    scale = _I_SQRT_PI / width
+    diff = faddeeva_difference(tau[:, 1:2], tau[:, 2:], w[:, 1:2], w[:, 2:])
+    return scale * w[:, :1], -scale * w[:, 2:], scale * diff / width

@@ -154,7 +154,12 @@ def detect_photon_L(state: JointState,
     Returns the conditioned atomic ensemble and the detection probability
     P(k_L).  Raises ZeroProbability when that outcome has no support.
     """
-    eta = as_detector(detector)(state.grid.k)
+    return _detect(state, as_detector(detector)(state.grid.k))
+
+
+def _detect(state: JointState, eta: np.ndarray
+            ) -> tuple[AtomEnsemble, float]:
+    """`detect_photon_L` given the efficiency at the grid nodes."""
     beta = np.sqrt(eta) * state.amps[:, POL_L, :]
     prob = float(np.real(np.einsum("aj,aj,j->", beta, np.conjugate(beta),
                                    state.grid.w)))
@@ -284,14 +289,14 @@ def atomic_readout_via_third_photon(atom: AtomQubit, params: SystemParams,
     """
     require_normalized(atom)
     grid = build_grid(pulse, quad, k_c=params.k_c)
-    return _readout(atom, grid, t_elements(grid.k, params), detector)
+    return _readout(atom, grid, t_elements(grid.k, params),
+                    as_detector(detector)(grid.k))
 
 
 def _readout(atom: AtomQubit, grid: KGrid, elements: tuple,
-             detector: DetectorModel | float) -> ReadoutOutcome:
+             eta: np.ndarray) -> ReadoutOutcome:
     """`atomic_readout_via_third_photon` on the probe photon's `grid`, given
-    the `t_elements` at its nodes."""
-    eta = as_detector(detector)(grid.k)
+    the `t_elements` and the detector efficiency at its nodes."""
     click = float(np.real(grid.average(eta * np.abs(elements[3]) ** 2)))
     prob = click * abs(atom.a_L) ** 2
     if prob < TINY_PROB:
@@ -342,21 +347,23 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     """
     if readout not in ("projective", "third_photon"):
         raise InvalidField(readout, "unknown readout mode")
-    # Storage, retrieval and probe photons share the pulse, so one grid and
-    # one evaluation of the scattering elements serve the whole cycle.
+    # Storage, retrieval and probe photons share the pulse, so one grid, one
+    # evaluation of the scattering elements and one of the detector serve
+    # the whole cycle.
     grid = build_grid(pulse, quad, k_c=params.k_c)
     state = prepare_input(AtomQubit(0.0, 1.0), photon, grid)
     elements = t_elements(grid.k, params)
+    eta = as_detector(detector)(grid.k)
     lossless = params.gamma == 0.0
     state = _scatter_state(state, elements, lossless)
-    stored, p_k_l = detect_photon_L(state, detector)
+    stored, p_k_l = _detect(state, eta)
     outcome = _retrieve(stored, grid, elements, lossless, photon)
     p_qm = p_k_l * outcome.probability
     if readout == "projective":
         p_readout = None
         p_total = p_qm
     else:
-        probe = _readout(AtomQubit(1.0, 0.0), grid, elements, detector)
+        probe = _readout(AtomQubit(1.0, 0.0), grid, elements, eta)
         p_readout = probe.probability
         p_total = p_qm * p_readout
     return MemoryRecord(

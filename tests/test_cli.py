@@ -254,6 +254,23 @@ def test_quad_override_reaches_the_metadata(tmp_path):
                  "--quad-n", "32"]) == 0
     meta, _, _ = read_csv(out)
     assert meta["quad"] == {"n_gauss": 32, "n_lorentz": 32}
+    assert meta["closed_forms"] == "quadrature"
+    # without --quad-n the closed forms are exact; "quad" names the rule
+    # that an oracle check of the rows integrates on
+    assert main(["fig2", "--out", str(out), "--points", "3"]) == 0
+    meta, _, _ = read_csv(out)
+    assert meta["closed_forms"] == "exact"
+    assert meta["quad"] == {"n_gauss": 64, "n_lorentz": 1040}
+    assert main(["sweep", "--axis", "delta_e,linear,0,1,2", "--out", str(out),
+                 "--quad-n", "32"]) == 0
+    assert read_csv(out)[0]["closed_forms"] == "quadrature"
+    for argv, route in ((["point"], "exact"), (["oracle"], "exact"),
+                        (["point", "--quad-n", "32"], "quadrature"),
+                        (["oracle", "--quad-n", "32"], "quadrature")):
+        path = tmp_path / "out.json"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert json.loads(path.read_text(encoding="utf-8"))[
+            "closed_forms"] == route
 
 
 def test_oracle_report_agrees_with_closed_forms(capsys):
@@ -317,7 +334,7 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
 def test_invariant_suite_passes_and_reports(capsys):
     ok, lines = validate_suite(trials=2)
     assert ok
-    assert len(lines) == 15
+    assert len(lines) == 16
     assert all(line.startswith("ok  ") for line in lines)
     assert main(["validate", "--trials", "1"]) == 0
     out = capsys.readouterr().out

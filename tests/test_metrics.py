@@ -6,11 +6,13 @@ analytic integrands, independently of the package's fixed quadrature rules.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from cavqmem.cli import SweepAxis, SweepSpec, sweep_rows
 from cavqmem.invariants import (
@@ -18,9 +20,11 @@ from cavqmem.invariants import (
     draw_equivalence_point,
     success_dual_route,
 )
-from cavqmem.errors import InvalidField, UnequalCouplings, ZeroScatteringWeight
+from cavqmem.errors import (DegenerateDenominator, InvalidField,
+                            UnequalCouplings, ZeroScatteringWeight)
 from cavqmem.metrics import (
     CHUNK_NODES,
+    CHUNK_ROWS,
     MetricReport,
     compute_report,
     compute_reports,
@@ -29,6 +33,7 @@ from cavqmem.metrics import (
     qm_fidelity,
     qm_success,
     retrieval_success,
+    spectral_moments,
     storage_retrieval_fidelity,
     storage_success,
     swap_fidelity,
@@ -46,7 +51,8 @@ from cavqmem.params import (
     SystemParams,
     as_detector,
 )
-from cavqmem.scattering import scattered_amplitude, t_elements
+from cavqmem.scattering import (ParamRows, pole_expansion,
+                                scattered_amplitude, t_elements)
 from cavqmem.spectral import DEFAULT_QUAD, build_grid, spectral_average
 
 
@@ -372,30 +378,29 @@ def test_batching_does_not_change_results(profile, detector):
                         detector, PhotonQubit(0.0, 1.0))
 
 
+@pytest.mark.parametrize("quad", [None, DEFAULT_QUAD],
+                         ids=["exact", "quadrature"])
 @pytest.mark.parametrize("detector", [
     0.8, DetectorModel.tabulated([-3.0, 0.0, 4.0], [0.3, 0.9, 0.6])],
     ids=["constant", "tabulated"])
 @pytest.mark.parametrize("profile", list(Profile))
-def test_cycle_closed_forms_equal_the_scalar_calls(profile, detector):
+def test_cycle_closed_forms_equal_the_scalar_calls(profile, detector, quad):
     rng = np.random.default_rng(47)
     params, pulse, _ = draw_equivalence_point(rng)
     pulse = PulseSpec(profile, pulse.delta_p, pulse.kappa_p, pulse.x_0)
     photons = [PhotonQubit(1.0, 0.0), PhotonQubit(0.0, 1.0),
                PhotonQubit(0.6, 0.8 * np.exp(0.7j))]
-    forms = cycle_closed_forms(params, pulse, DEFAULT_QUAD, photons, detector)
+    forms = cycle_closed_forms(params, pulse, quad, photons, detector)
     assert len(forms) == len(photons)
     for photon, got in zip(photons, forms):
         # bit for bit: one moment pass serves all five scalar closed forms
         assert got == {
-            "F_qm": qm_fidelity(params, pulse),
-            "P_kL": storage_success(params, pulse, DEFAULT_QUAD, photon,
-                                    detector),
-            "P_L": retrieval_success(params, pulse, DEFAULT_QUAD, photon,
-                                     detector),
-            "P_qm": qm_success(params, pulse, DEFAULT_QUAD, detector),
-            "fidelity": storage_retrieval_fidelity(params, pulse,
-                                                   DEFAULT_QUAD, photon,
-                                                   detector),
+            "F_qm": qm_fidelity(params, pulse, quad),
+            "P_kL": storage_success(params, pulse, quad, photon, detector),
+            "P_L": retrieval_success(params, pulse, quad, photon, detector),
+            "P_qm": qm_success(params, pulse, quad, detector),
+            "fidelity": storage_retrieval_fidelity(params, pulse, quad,
+                                                   photon, detector),
         }
 
 
@@ -420,3 +425,109 @@ def test_sweep_memory_stays_bounded():
     assert large < 2e6
     # the 300 extra result rows take ~0.1 MB; their nodes would take 5 MB
     assert large - small < 0.25e6
+
+
+def _moments_by_adaptive_integration(params, pulse):
+    """[h]_f and [|h|^2]_f by scipy.integrate.quad on the analytic
+    integrand, split at the real parts of the poles of h."""
+    kp, sp = pulse.kappa_p, params.k_c + pulse.delta_p
+    roots = np.roots([1.0, -(params.delta_e - 1j * (params.gamma
+                                                    + params.kappa)),
+                      -params.lambda_sq - 1j * params.kappa
+                      * (params.delta_e - 1j * params.gamma)])
+    centers = [params.k_c] + [params.k_c + r.real for r in roots]
+    if pulse.profile is Profile.GAUSSIAN:
+        def to_k(u):
+            return sp + kp * u
+
+        def weight(u):
+            return math.exp(-u * u) / math.sqrt(math.pi)
+        lo, hi = -12.0, 12.0
+        breaks = [(c - sp) / kp for c in centers]
+    else:
+        def to_k(theta):
+            return sp + kp * math.tan(theta)
+
+        def weight(theta):
+            return 1.0 / math.pi
+        lo, hi = -math.pi / 2, math.pi / 2
+        breaks = [math.atan((c - sp) / kp) for c in centers]
+    breaks = sorted(b for b in breaks if lo < b < hi)
+
+    def average(g):
+        return integrate.quad(lambda x: weight(x) * g(complex(
+            scattered_amplitude(to_k(x), params))), lo, hi, points=breaks,
+            limit=2000, epsabs=1e-14, epsrel=1e-13)[0]
+    mean = complex(average(lambda h: h.real), average(lambda h: h.imag))
+    return mean, average(lambda h: abs(h) ** 2)
+
+
+def _balanced(lam, **fields):
+    return SystemParams(lambda_L=lam / math.sqrt(2.0),
+                        lambda_R=lam / math.sqrt(2.0), **fields)
+
+
+# The frozen-oracle points, a point where the 64-node Hermite rule misses
+# [|h|^2]_f by 1.3e-3, and the exceptional point of w_- (delta_e = 0,
+# kappa - gamma = 2 lambda) with points just beside it, for both profiles.
+EXACT_ROUTE_POINTS = [
+    (family_point(20.0, 0.05)[0], 0.1, 0.0),
+    (family_point(10.0, 0.1)[0], 0.2, 0.0),
+    (family_point(100.0, 0.1)[0], 0.2, 0.0),
+    (family_point(200.0, 1e-3)[0], 2e-3, 0.0),
+    (family_point(20.0, 0.01)[0], 0.02, 0.0),
+    (family_point(20.0, 0.2, delta_e=10.0)[0], 0.4, 0.0),
+    (SystemParams(lambda_L=0.805, lambda_R=1.129, kappa=4.957, gamma=0.119,
+                  delta_e=0.742), 2.10, 0.454),
+    *[(_balanced(2.0 * (1.0 + offset), kappa=5.0, gamma=1.0), kappa_p, 0.3)
+      for offset in (0.0, -1e-9, 1e-9, -1e-5, 1e-5)
+      for kappa_p in (1.0, 0.05)],
+]
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+@pytest.mark.parametrize("params, kappa_p, delta_p", EXACT_ROUTE_POINTS)
+def test_exact_moments_match_adaptive_integration(params, kappa_p, delta_p,
+                                                  profile):
+    pulse = PulseSpec(profile=profile, delta_p=delta_p, kappa_p=kappa_p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = spectral_moments([(params, pulse)])
+    mean, power = _moments_by_adaptive_integration(params, pulse)
+    assert abs(m.h[0] - mean) <= 1e-12
+    assert abs(m.h2[0] - power) <= 1e-12
+
+
+def test_exact_route_is_batch_independent():
+    # chunks of the exact pass, and the batch a point sits in, leave its
+    # moments unchanged bit for bit
+    rng = np.random.default_rng(61)
+    points = []
+    for _ in range(2 * CHUNK_ROWS + 3):
+        params, pulse, _ = draw_equivalence_point(rng)
+        points.append((params, pulse))
+    points.append((_balanced(2.0, kappa=5.0, gamma=1.0), PulseSpec()))
+    batch = spectral_moments(points)
+    for i, point in enumerate(points):
+        alone = spectral_moments([point])
+        assert (alone.h[0], alone.h2[0]) == (batch.h[i], batch.h2[i])
+
+
+def test_constant_efficiency_factors_out_of_the_exact_moments():
+    params, pulse = family_point(10.0, 0.3, Profile.LORENTZIAN, delta_e=1.0)
+    m = spectral_moments([(params, pulse)], None, 0.7)
+    assert (m.eta[0], m.eta_h[0], m.eta_h2[0]) == (0.7, 0.7 * m.h[0],
+                                                   0.7 * m.h2[0])
+    # a tabulated efficiency takes its moments from the default rule
+    flat = DetectorModel.tabulated([-50.0, 50.0], [0.7, 0.7])
+    tab = spectral_moments([(params, pulse)], None, flat)
+    ruled = spectral_moments([(params, pulse)], DEFAULT_QUAD, flat)
+    assert (tab.h[0], tab.h2[0]) == (m.h[0], m.h2[0])
+    assert (tab.eta_h[0], tab.eta_h2[0]) == (ruled.eta_h[0], ruled.eta_h2[0])
+
+
+def test_pole_outside_the_lower_half_plane_is_reported():
+    # only a non-physical kappa < 0 puts a root of w_- above the axis
+    rows = ParamRows(*(np.array([[v]]) for v in (0.0, 0.0, 0.5, -2.0, 10.0)))
+    with pytest.raises(DegenerateDenominator):
+        pole_expansion(rows)

@@ -105,6 +105,22 @@ def test_invalid_points_cannot_be_constructed(build, bad, exc):
         build(**bad)
 
 
+#: Fields of the wrong type, which a library caller can pass directly (the
+#: CLI's point_from_dict types every value first).
+MISTYPED = [
+    (SystemParams, dict(kappa="2")),
+    (PulseSpec, dict(profile="boxcar")),
+    (PulseSpec, dict(kappa_p=None)),
+]
+
+
+@pytest.mark.parametrize("build, bad", MISTYPED)
+def test_mistyped_fields_raise_typed_errors(build, bad):
+    with pytest.raises(InvalidField) as err:
+        build(**bad)
+    assert isinstance(err.value, ValueError)
+
+
 def test_only_params_calls_the_point_checks():
     # the constructors run validate and validate_pulse; a call anywhere
     # else would be a redundant re-check

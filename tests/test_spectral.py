@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import wofz
 
 from cavqmem.errors import NonFiniteIntegrand
 from cavqmem.params import Profile, PulseSpec, SystemParams
@@ -14,6 +15,9 @@ from cavqmem.spectral import (
     KGrid,
     QuadratureConfig,
     build_grid,
+    faddeeva,
+    faddeeva_difference,
+    pole_averages,
     profile_amplitude,
     spectral_average,
 )
@@ -152,3 +156,75 @@ def test_grid_average_returns_complex_scalar():
     out = grid.average(np.exp(1j * grid.k))
     assert isinstance(out, complex)
     assert isinstance(grid, KGrid)
+
+
+def test_faddeeva_matches_scipy_in_the_upper_half_plane():
+    # |Re z| <= 1e5 and 1e-6 <= Im z <= 1e5: a log grid plus random points
+    rng = np.random.default_rng(11)
+    re = np.concatenate([[0.0], np.geomspace(1e-3, 1e5, 60)])
+    re = np.concatenate([-re[::-1], re])
+    im = np.geomspace(1e-6, 1e5, 60)
+    grid = (re[:, None] + 1j * im[None, :]).ravel()
+    scatter = (rng.uniform(-1.0, 1.0, 20000) * 10.0 ** rng.uniform(-3, 5, 20000)
+               + 1j * 10.0 ** rng.uniform(-6, 5, 20000))
+    for z in (grid, scatter, scatter.reshape(200, 100)):
+        ref = wofz(z)
+        assert np.max(np.abs(faddeeva(z) - ref) / np.abs(ref)) <= 5e-14
+
+
+def test_faddeeva_difference_is_smooth_through_the_confluent_limit():
+    rng = np.random.default_rng(12)
+    z = rng.uniform(-6.0, 6.0, 200) + 1j * 10.0 ** rng.uniform(-3, 0.7, 200)
+    # derivatives from w' = -2 z w + 2i/sqrt(pi)
+    w0 = wofz(z)
+    w1 = -2.0 * z * w0 + 2j / math.sqrt(math.pi)
+    w2 = -2.0 * w0 - 2.0 * z * w1
+    w3 = -4.0 * w1 - 2.0 * z * w2
+    w4 = -6.0 * w2 - 2.0 * z * w3
+    w5 = -8.0 * w3 - 2.0 * z * w4
+    for gap in (0.0, 1e-12, 1e-8, 1e-6, 1e-3, 5e-3, 2e-2, 0.3):
+        step = gap * (1 + 1j) / math.sqrt(2.0)
+        z1, z2 = z + 0.5 * step, z - 0.5 * step
+        got = faddeeva_difference(z1, z2, faddeeva(z1), faddeeva(z2))
+        # close: the Taylor series of the divided difference about the
+        # midpoint, exact to O(gap^6); wide: the plain quotient of scipy's
+        # values, whose rounding is then small
+        h2 = step * step
+        ref = (w1 + w3 * h2 / 24.0 + w5 * h2 * h2 / 1920.0 if gap < 1e-2
+               else (wofz(z1) - wofz(z2)) / step)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-11, gap
+
+
+def _pole_average_by_quadrature(pulse, g):
+    """[g]_f by adaptive integration, for g with no pole on the axis."""
+    kp, sp = pulse.kappa_p, pulse.delta_p
+    if pulse.profile is Profile.GAUSSIAN:
+        def weighted(u):
+            return math.exp(-u * u) / math.sqrt(math.pi) * g(sp + kp * u)
+        lo, hi = -12.0, 12.0
+    else:
+        def weighted(theta):
+            return g(sp + kp * math.tan(theta)) / math.pi
+        lo, hi = -math.pi / 2, math.pi / 2
+    parts = [quad(lambda x: f(weighted(x)), lo, hi, limit=1000,
+                  epsabs=1e-14, epsrel=1e-13)[0]
+             for f in (lambda v: v.real, lambda v: v.imag)]
+    return complex(*parts)
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+def test_pole_averages_match_adaptive_integration(profile):
+    pulse = PulseSpec(profile=profile, delta_p=0.4, kappa_p=0.7)
+    z0, z1, z2 = 0.3 + 1.1j, -0.8 - 0.5j, 1.3 - 0.9j
+    col = lambda v: np.array([[v]])
+    got = pole_averages(profile, col(pulse.delta_p), col(pulse.kappa_p),
+                        col(z0), (col(z1), col(z2)))
+    expected = [
+        _pole_average_by_quadrature(pulse, lambda s: 1.0 / (s - z0)),
+        _pole_average_by_quadrature(pulse, lambda s: 1.0 / (s - z2)),
+        _pole_average_by_quadrature(pulse,
+                                    lambda s: 1.0 / ((s - z1) * (s - z2))),
+    ]
+    for value, ref in zip(got, expected):
+        assert value.shape == (1, 1)
+        assert abs(value[0, 0] - ref) < 1e-13

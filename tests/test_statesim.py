@@ -278,6 +278,31 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
     assert calls == {"build_grid": 1, "t_elements": 1}
 
 
+class CountingDetector(DetectorModel):
+    """A tabulated detector that counts its evaluations."""
+
+    def __init__(self):
+        super().__init__(k_table=[-50.0, 50.0], eta_table=[0.6, 0.9])
+        self.calls = 0
+
+    def __call__(self, k):
+        self.calls += 1
+        return super().__call__(k)
+
+
+@pytest.mark.parametrize("readout", ["projective", "third_photon"])
+def test_memory_cycle_evaluates_the_detector_once(readout):
+    # the heralding probe shares the storage photon's grid, so the detector
+    # efficiency on it is evaluated once per cycle
+    detector = CountingDetector()
+    record = run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED,
+                                 detector=detector, readout=readout)
+    assert detector.calls == 1
+    tabulated = DetectorModel.tabulated([-50.0, 50.0], [0.6, 0.9])
+    assert record == run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED,
+                                         detector=tabulated, readout=readout)
+
+
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
                                                          "lorentzian"])
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
