@@ -12,16 +12,17 @@ Unit convention: the spontaneous-emission rate gamma is the unit (gamma = 1),
 so "kappa = 2 gamma" is simply kappa = 2; wavenumbers are measured in the
 same unit relative to k = 0.  No MHz <-> rate conversion is provided.
 
-The closed forms are exact (`metrics` with quad=None) unless `--quad-n`
-asks for quadrature on that many nodes.  The state-vector oracle of
-`oracle` and `validate` always integrates on a rule: `--quad-n`'s, else
-DEFAULT_QUAD.
+The closed forms are always exact: no `metrics` call here passes a
+quadrature rule.  Only the state-vector oracle of `oracle` and `validate`
+integrates on a rule, `--quad-n`'s, else DEFAULT_QUAD; `oracle` compares it
+with the exact closed forms, so its deltas include the rule's error.
 
 CSV outputs are deterministic byte for byte at fixed configuration: fixed
 sampling order, fixed summation order, floats serialized with repr.  The
 first line of every CSV is a '#'-prefixed JSON comment recording the full
-configuration: which route produced the closed forms ("closed_forms":
-"exact" or "quadrature") and the node counts of the rule ("quad").
+configuration, with "closed_forms": "exact" and the node counts of
+DEFAULT_QUAD ("quad"), the rule a state-oracle check of the rows
+integrates on.
 """
 
 from __future__ import annotations
@@ -66,10 +67,14 @@ SWEEP_HEADER = PARAM_COLUMNS + (
 #: Derived sweep axes: coupling ratio at fixed lambda^2, and lambda^2/kappa
 #: gamma at fixed ratio.
 VIRTUAL_FIELD_NAMES = ("lambda_ratio", "cooperativity")
+#: CSV header keys: the route of the closed forms, and the rule that a
+#: state-oracle check of the rows integrates on.
+CSV_ROUTE_META = {"closed_forms": "exact",
+                  "quad": {"n_gauss": DEFAULT_QUAD.n_gauss,
+                           "n_lorentz": DEFAULT_QUAD.n_lorentz}}
 
 
-def fig2_rows(quad: QuadratureConfig | None = None, count: int = 61
-              ) -> list[tuple]:
+def fig2_rows(count: int = 61) -> list[tuple]:
     """Memory and swap fidelity versus cooperativity, Gaussian pulse with
     kappa_p = 0.1 kappa, one row block per detuning case."""
     coops = np.geomspace(1.0, 100.0, count)
@@ -79,13 +84,12 @@ def fig2_rows(quad: QuadratureConfig | None = None, count: int = 61
                           kappa_p=0.1 * FAMILY_KAPPA)
         points = [(family_params(float(coop), delta_e=delta_e), pulse)
                   for coop in coops]
-        for coop, report in zip(coops, metrics.compute_reports(points, quad)):
+        for coop, report in zip(coops, metrics.compute_reports(points)):
             rows.append((float(coop), case, report.F_qm, report.F_swap))
     return rows
 
 
-def fig3_rows(quad: QuadratureConfig | None = None, count: int = 25
-              ) -> list[tuple]:
+def fig3_rows(count: int = 25) -> list[tuple]:
     """Memory fidelity versus pulse bandwidth for both spectral profiles at
     cooperativity 20."""
     ratios = np.geomspace(0.01, 0.5, count)
@@ -96,13 +100,12 @@ def fig3_rows(quad: QuadratureConfig | None = None, count: int = 25
             points = [(params, PulseSpec(profile=profile, delta_p=delta_p,
                                          kappa_p=float(x) * FAMILY_KAPPA))
                       for x in ratios]
-            for x, report in zip(ratios, metrics.compute_reports(points, quad)):
+            for x, report in zip(ratios, metrics.compute_reports(points)):
                 rows.append((float(x), profile.value, case, report.F_qm))
     return rows
 
 
-def fig4_rows(quad: QuadratureConfig | None = None, count: int = 41
-              ) -> list[tuple]:
+def fig4_rows(count: int = 41) -> list[tuple]:
     """Success probability versus coupling ratio at eta = 1 for cooperativity
     1, 10, 100, Gaussian pulse with kappa_p = 0.1 kappa."""
     ratios = np.geomspace(0.1, 10.0, count)
@@ -116,7 +119,7 @@ def fig4_rows(quad: QuadratureConfig | None = None, count: int = 41
         points = [(family_params(coop, ratio=float(ratio), delta_e=delta_e),
                    pulse) for coop, ratio in keys]
         for (coop, ratio), report in zip(keys,
-                                         metrics.compute_reports(points, quad)):
+                                         metrics.compute_reports(points)):
             rows.append((float(ratio), coop, case, report.P_qm))
     return rows
 
@@ -158,7 +161,6 @@ class SweepSpec:
     pulse: PulseSpec
     axes: tuple[SweepAxis, ...]
     eta: float = 1.0
-    quad: QuadratureConfig | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 2:
@@ -224,7 +226,7 @@ def sweep_rows(spec: SweepSpec) -> list[tuple]:
     points = _sweep_points(spec)
     rows = []
     while block := list(itertools.islice(points, metrics.CHUNK_ROWS)):
-        for report in metrics.compute_reports(block, spec.quad, spec.eta):
+        for report in metrics.compute_reports(block, eta=spec.eta):
             echo = report.to_dict()
             rows.append(tuple(echo[c] for c in PARAM_COLUMNS)
                         + (spec.eta, report.F_swap, report.F_swap_leading,
@@ -261,12 +263,12 @@ def _load_point(path: str | None) -> tuple[SystemParams, PulseSpec]:
     return point_from_dict(data)
 
 
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig | None:
-    """The rule `--quad-n` asks for, or None (exact closed forms)."""
-    n = getattr(args, "quad_n", None)
-    if n is None:
-        return None
-    return QuadratureConfig(n_gauss=n, n_lorentz=n)
+def _oracle_rule(args: argparse.Namespace) -> QuadratureConfig:
+    """The state oracle's rule: `--quad-n` nodes for both profiles, else
+    DEFAULT_QUAD."""
+    if args.quad_n is None:
+        return DEFAULT_QUAD
+    return QuadratureConfig(n_gauss=args.quad_n, n_lorentz=args.quad_n)
 
 
 def _photon_qubit(args: argparse.Namespace) -> PhotonQubit:
@@ -293,28 +295,15 @@ def _pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _quad_meta(quad: QuadratureConfig | None) -> dict:
-    """Node counts of the rule in use: `--quad-n`'s, else DEFAULT_QUAD's,
-    which the state oracle integrates on when the closed forms are exact."""
-    rule = quad or DEFAULT_QUAD
-    return {"n_gauss": rule.n_gauss, "n_lorentz": rule.n_lorentz}
-
-
-def _route(quad: QuadratureConfig | None) -> str:
-    """Which route produced the closed forms."""
-    return "exact" if quad is None else "quadrature"
-
-
 def _cmd_point(args: argparse.Namespace) -> int:
     params, pulse = _load_point(args.params)
-    quad = _quad_config(args)
     k = args.k if args.k is not None else params.k_c + pulse.delta_p
     if not math.isfinite(k):
         raise InvalidField("k", "must be finite")
-    report = metrics.compute_report(params, pulse, quad, args.eta,
-                                    _photon_qubit(args))
+    report = metrics.compute_report(params, pulse, eta=args.eta,
+                                    photon=_photon_qubit(args))
     out = report.to_dict()
-    out["closed_forms"] = _route(quad)
+    out["closed_forms"] = "exact"
     matrix = t_matrix(k, params)
     out["scattering"] = {
         "k": k,
@@ -326,16 +315,12 @@ def _cmd_point(args: argparse.Namespace) -> int:
         "T_LR": _pair(matrix.t_lr),
         "T_RL": _pair(matrix.t_rl),
     }
-    if args.quad_check:
-        out["quad_check_delta"] = metrics.convergence_delta(
-            params, pulse, quad or DEFAULT_QUAD)
     _emit_json(out, args.out)
     return 0
 
 
 def _cmd_fig(args: argparse.Namespace) -> int:
     family = args.family
-    quad = _quad_config(args)
     builders = {"fig2": (fig2_rows, ("C", "case", "F_qm", "F_swap"), 61),
                 "fig3": (fig3_rows, ("kappa_p_over_kappa", "profile", "case",
                                      "F_qm"), 25),
@@ -352,8 +337,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         "cases": {name: {"delta_e": de, "delta_p": dp}
                   for name, de, dp in cases},
         "points": count,
-        "closed_forms": _route(quad),
-        "quad": _quad_meta(quad),
+        **CSV_ROUTE_META,
     }
     if family == "fig2":
         meta.update(profile="gaussian", kappa_p_over_kappa=0.1,
@@ -364,23 +348,20 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         meta.update(profile="gaussian", kappa_p_over_kappa=0.1, eta=1.0,
                     cooperativities=[1.0, 10.0, 100.0],
                     lambda_ratio_range=[0.1, 10.0])
-    write_csv(args.out, meta, header, build(quad, count))
+    write_csv(args.out, meta, header, build(count))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     params, pulse = _load_point(args.params)
-    quad = _quad_config(args)
     axes = tuple(parse_axis(text) for text in args.axis)
-    spec = SweepSpec(params=params, pulse=pulse, axes=axes, eta=args.eta,
-                     quad=quad)
+    spec = SweepSpec(params=params, pulse=pulse, axes=axes, eta=args.eta)
     meta = {
         "base": point_to_dict(params, pulse),
         "axes": [{"field": a.field, "scale": a.scale, "min": a.lo,
                   "max": a.hi, "count": a.count} for a in axes],
         "eta": args.eta,
-        "closed_forms": _route(quad),
-        "quad": _quad_meta(quad),
+        **CSV_ROUTE_META,
     }
     write_csv(args.out, meta, SWEEP_HEADER, sweep_rows(spec))
     return 0
@@ -388,15 +369,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     params, pulse = _load_point(args.params)
-    quad = _quad_config(args)
     photon = _photon_qubit(args)
-    record = run_memory_protocol(params, pulse, quad or DEFAULT_QUAD,
+    record = run_memory_protocol(params, pulse, _oracle_rule(args),
                                  photon=photon, detector=args.eta,
                                  readout=args.readout)
-    closed = metrics.cycle_closed_forms(params, pulse, quad, [photon],
-                                        args.eta)[0]
+    closed = metrics.cycle_closed_forms(params, pulse, photons=[photon],
+                                        detector=args.eta)[0]
     out = record.to_dict()
-    out["closed_forms"] = _route(quad)
+    out["closed_forms"] = "exact"
     out["closed_form_deltas"] = {key: abs(out[key] - closed[key])
                                  for key in ORACLE_KEYS}
     _emit_json(out, args.out)
@@ -404,8 +384,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    ok, lines = validate_suite(args.trials, args.seed,
-                               _quad_config(args) or DEFAULT_QUAD)
+    ok, lines = validate_suite(args.trials, args.seed, _oracle_rule(args))
     for line in lines:
         print(line)
     print("all invariant families passed" if ok
@@ -415,17 +394,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_quad_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quad-n", type=int, default=None, metavar="N",
-                        help="compute the closed forms by quadrature on N "
-                             "nodes for both profiles instead of exactly; the "
-                             "state-vector oracle also uses N (default rule: "
-                             "64 Gaussian, 1040 Lorentzian nodes)")
+                        help="integrate the state-vector oracle on N nodes "
+                             "for both profiles (default rule: 64 Gaussian, "
+                             "1040 Lorentzian nodes); the closed forms are "
+                             "exact either way")
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--params", metavar="JSON",
                         help="parameter point as a flat JSON file "
                              "(missing fields take their defaults)")
-    _add_quad_flag(parser)
     parser.add_argument("--eta", type=float, default=1.0,
                         help="constant detector efficiency in (0, 1]")
     parser.add_argument("--c-l", type=float, default=math.sqrt(0.5),
@@ -457,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_point.add_argument("--k", type=float, default=None,
                          help="wavenumber for the scattering amplitudes "
                               "(default: the pulse peak)")
-    p_point.add_argument("--quad-check", action="store_true",
-                         help="also report the node-doubling delta of the "
-                              "averaged scattered amplitude")
     p_point.set_defaults(func=_cmd_point)
 
     for family, blurb in (("fig2", "fidelities versus cooperativity"),
@@ -471,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"output CSV path (default {family}.csv)")
         p_fig.add_argument("--points", type=int, default=None,
                            help="samples per curve")
-        _add_quad_flag(p_fig)
         p_fig.set_defaults(func=_cmd_fig, family=family)
 
     p_sweep = sub.add_parser(
@@ -487,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output CSV path")
     p_sweep.add_argument("--eta", type=float, default=1.0,
                          help="constant detector efficiency in (0, 1]")
-    _add_quad_flag(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser(
@@ -498,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="projective",
                           help="atomic measurement: ideal projection or the "
                                "heralding probe photon")
+    _add_quad_flag(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_validate = sub.add_parser(

@@ -15,15 +15,18 @@ scattered amplitude h(k) over the pulse,
 `spectral_moments` computes all five for a batch of parameter points, by
 one of two routes:
 
-* exact (quad=None, the default of every public function here): h has three
-  poles, so [h]_f and [|h|^2]_f are finite sums of exact pole averages
-  (`scattering.pole_expansion`, `spectral.pole_averages`).  A constant eta
-  factors out of the other three; a tabulated eta(k) takes them from the
-  quadrature pass on DEFAULT_QUAD.
-* quadrature (an explicit QuadratureConfig): every moment is a sum over the
+* exact (quad=None, the default of every public function here, and the only
+  route the command line uses): h has three poles, so [h]_f and [|h|^2]_f
+  are finite sums of exact pole averages (`scattering.pole_expansion`,
+  `spectral.pole_averages`).  A constant eta factors out of the other
+  three; a tabulated eta(k) takes them from the quadrature pass on
+  DEFAULT_QUAD.
+* on a rule (an explicit QuadratureConfig): every moment is a sum over the
   rule's nodes (`spectral.quadrature_rule`), with eta(k) evaluated on them.
   This is the rule the state-vector oracle in `statesim` integrates on, so
-  the two agree to rounding on the same rule.
+  the two agree to rounding on the same rule.  `invariants` passes a rule
+  to check an identity on one rule, and to measure a rule's error against
+  the exact route.
 
 Both routes work in row chunks (at most CHUNK_ROWS points, or CHUNK_NODES
 node evaluations) so that memory stays flat in the batch size.  Each scalar
@@ -396,19 +399,6 @@ def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
     overlap = (np.conjugate(target.a_L) * atom.a_L
                + np.conjugate(target.a_R) * atom.a_R)
     return float(f_swap + (1.0 - f_swap) * abs(overlap) ** 2)
-
-
-def convergence_delta(params: SystemParams, pulse: PulseSpec,
-                      quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """|[h]_f at doubled node count - [h]_f at the configured count|.
-
-    The quadrature health check: below 1e-9 for every bundled curve-family
-    parameter point at the default counts.
-    """
-    point = [(params, pulse)]
-    coarse = spectral_moments(point, quad).h[0]
-    fine = spectral_moments(point, quad.doubled()).h[0]
-    return float(abs(fine - coarse))
 
 
 @dataclass(frozen=True)

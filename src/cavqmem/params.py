@@ -12,6 +12,7 @@ point that exists is physical and nothing downstream re-checks one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -271,8 +272,9 @@ class PhotonQubit:
 
 
 def require_normalized(qubit, tol: float = 1e-9) -> None:
-    """Raise InvalidField unless |amplitudes|^2 sum to 1 within tol."""
-    if abs(qubit.norm_sq - 1.0) > tol:
+    """Raise InvalidField unless |amplitudes|^2 sum to 1 within tol (a
+    non-finite amplitude never does)."""
+    if not abs(qubit.norm_sq - 1.0) <= tol:
         raise InvalidField("qubit", f"not normalized, |a|^2 = {qubit.norm_sq!r}")
 
 
@@ -289,7 +291,7 @@ class DetectorModel:
                  k_table: np.ndarray | None = None,
                  eta_table: np.ndarray | None = None):
         if eta is not None:
-            if not (0.0 < eta <= 1.0):
+            if not isinstance(eta, numbers.Real) or not 0.0 < eta <= 1.0:
                 raise InvalidField(
                     "eta", f"constant efficiency must be in (0, 1], got {eta!r}")
             self._eta = float(eta)
@@ -301,6 +303,9 @@ class DetectorModel:
             if k_arr.ndim != 1 or k_arr.shape != e_arr.shape or k_arr.size < 2:
                 raise InvalidField("eta_table", "tabulated model needs matching "
                                                 "1-d tables, >= 2 points")
+            for name, table in (("k_table", k_arr), ("eta_table", e_arr)):
+                if not np.isfinite(table).all():
+                    raise InvalidField(name, "must be finite")
             if np.any(np.diff(k_arr) <= 0.0):
                 raise InvalidField("k_table", "must be strictly increasing")
             self._eta = None
@@ -341,7 +346,7 @@ def as_detector(detector) -> DetectorModel:
     """Coerce a float or DetectorModel argument into a DetectorModel."""
     if isinstance(detector, DetectorModel):
         return detector
-    return DetectorModel.constant(float(detector))
+    return DetectorModel.constant(detector)
 
 
 def rescaled(params: SystemParams, pulse: PulseSpec, factor: float

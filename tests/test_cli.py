@@ -1,15 +1,18 @@
 """Command-line front end: CSV determinism, JSON reports, exit codes."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqmem import invariants, metrics
+from cavqmem import cli, invariants, metrics
 from cavqmem.cli import (
     SWEEP_HEADER,
     SweepAxis,
@@ -26,9 +29,11 @@ from cavqmem.params import (
     FAMILY_KAPPA,
     PULSE_NUMERIC_FIELDS,
     SYSTEM_FIELDS,
+    PhotonQubit,
     PulseSpec,
     SystemParams,
     family_params,
+    point_from_dict,
 )
 
 
@@ -216,24 +221,22 @@ def test_sweep_rows_match_metric_calls():
 
 
 def test_point_report_structure(tmp_path, capsys):
-    assert main(["point", "--k", "0.5", "--quad-check"]) == 0
+    assert main(["point", "--k", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)
     for key in ("lambda_L", "profile", "F_swap", "F_swap_leading", "F_qm",
                 "P_kL", "P_L", "P_qm", "P_qm_conditional",
-                "f_swap_meaningful", "scattering", "quad_check_delta"):
+                "f_swap_meaningful", "scattering"):
         assert key in out
     assert out["scattering"]["k"] == 0.5
     for key in ("g_L", "g_R", "phase_factor", "T_LL", "T_RR", "T_LR", "T_RL"):
         value = out["scattering"][key]
         assert isinstance(value, list) and len(value) == 2
-    assert out["quad_check_delta"] < 1e-9
 
     path = tmp_path / "point.json"
     assert main(["point", "--out", str(path)]) == 0
     saved = json.loads(path.read_text(encoding="utf-8"))
     # default probe wavenumber is the pulse peak
     assert saved["scattering"]["k"] == 0.0
-    assert "quad_check_delta" not in saved
 
 
 def test_point_accepts_parameter_file(tmp_path, capsys):
@@ -250,27 +253,44 @@ def test_point_accepts_parameter_file(tmp_path, capsys):
 
 def test_quad_override_reaches_the_metadata(tmp_path):
     out = tmp_path / "f.csv"
-    assert main(["fig2", "--out", str(out), "--points", "3",
-                 "--quad-n", "32"]) == 0
-    meta, _, _ = read_csv(out)
-    assert meta["quad"] == {"n_gauss": 32, "n_lorentz": 32}
-    assert meta["closed_forms"] == "quadrature"
-    # without --quad-n the closed forms are exact; "quad" names the rule
-    # that an oracle check of the rows integrates on
+    # only the state oracle integrates on a rule; the closed forms have none
+    for argv in (["point"], ["fig2", "--out", str(out)],
+                 ["sweep", "--axis", "delta_e,linear,0,1,2", "--out",
+                  str(out)]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--quad-n", "32"])
+        assert exit_.value.code == 2
+    # "quad" names the rule that an oracle check of the rows integrates on
     assert main(["fig2", "--out", str(out), "--points", "3"]) == 0
     meta, _, _ = read_csv(out)
     assert meta["closed_forms"] == "exact"
     assert meta["quad"] == {"n_gauss": 64, "n_lorentz": 1040}
-    assert main(["sweep", "--axis", "delta_e,linear,0,1,2", "--out", str(out),
-                 "--quad-n", "32"]) == 0
-    assert read_csv(out)[0]["closed_forms"] == "quadrature"
-    for argv, route in ((["point"], "exact"), (["oracle"], "exact"),
-                        (["point", "--quad-n", "32"], "quadrature"),
-                        (["oracle", "--quad-n", "32"], "quadrature")):
+    assert main(["sweep", "--axis", "delta_e,linear,0,1,2",
+                 "--out", str(out)]) == 0
+    meta, _, _ = read_csv(out)
+    assert meta["closed_forms"] == "exact"
+    assert meta["quad"] == {"n_gauss": 64, "n_lorentz": 1040}
+    for argv in (["point"], ["oracle"], ["oracle", "--quad-n", "32"]):
         path = tmp_path / "out.json"
         assert main([*argv, "--out", str(path)]) == 0
         assert json.loads(path.read_text(encoding="utf-8"))[
-            "closed_forms"] == route
+            "closed_forms"] == "exact"
+
+
+def test_cli_closed_forms_pass_no_rule():
+    # the command line's closed forms are exact: no metrics call in cli.py
+    # passes a quadrature rule, positionally or as quad=
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and getattr(node.func.value, "id", None) == "metrics"]
+    assert len(calls) >= 5
+    for call in calls:
+        names = list(inspect.signature(
+            getattr(metrics, call.func.attr)).parameters)
+        assert "quad" not in [kw.arg for kw in call.keywords], call.lineno
+        if "quad" in names:
+            assert len(call.args) <= names.index("quad"), call.lineno
 
 
 def test_oracle_report_agrees_with_closed_forms(capsys):
@@ -286,6 +306,24 @@ def test_oracle_report_agrees_with_closed_forms(capsys):
     heralded = json.loads(capsys.readouterr().out)
     assert heralded["P_total"] == pytest.approx(
         heralded["P_qm"] * heralded["P_readout"], abs=1e-15)
+
+
+def test_oracle_deltas_measure_the_rule_against_the_exact_forms(tmp_path,
+                                                                capsys):
+    # a coarse rule on a Lorentzian pulse is off the exact values by ~1e-5;
+    # the deltas must show that, not a comparison of the rule with itself
+    src = tmp_path / "point.json"
+    src.write_text('{"profile": "lorentzian", "kappa_p": 0.2}',
+                   encoding="utf-8")
+    assert main(["oracle", "--params", str(src), "--quad-n", "104"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    params, pulse = point_from_dict({"profile": "lorentzian", "kappa_p": 0.2})
+    c_l = math.sqrt(0.5)  # the default --c-l, as the CLI builds the qubit
+    balanced = PhotonQubit(c_l, complex(math.sqrt(1.0 - c_l * c_l)))
+    exact = metrics.cycle_closed_forms(params, pulse, photons=[balanced])[0]
+    deltas = out["closed_form_deltas"]
+    assert deltas == {key: abs(out[key] - exact[key]) for key in deltas}
+    assert max(deltas.values()) > 1e-7
 
 
 def test_error_paths_exit_with_status_two(tmp_path, capsys):
@@ -321,9 +359,8 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
     assert main(["point", "--phase", "inf"]) == 2
     assert main(["point", "--k", "inf"]) == 2
     assert main(["point", "--k", "nan"]) == 2
-    assert main(["point", "--quad-n", "4"]) == 2
-    assert main(["point", "--quad-n", "400"]) == 2
-    assert main(["point", "--quad-n", "350", "--quad-check"]) == 2
+    assert main(["oracle", "--quad-n", "4"]) == 2
+    assert main(["oracle", "--quad-n", "400"]) == 2
     assert main(["validate", "--trials", "0"]) == 2
     assert main(["validate", "--trials", "-3"]) == 2
     assert main(["validate", "--seed", "-1"]) == 2
@@ -334,7 +371,7 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
 def test_invariant_suite_passes_and_reports(capsys):
     ok, lines = validate_suite(trials=2)
     assert ok
-    assert len(lines) == 16
+    assert len(lines) == 15
     assert all(line.startswith("ok  ") for line in lines)
     assert main(["validate", "--trials", "1"]) == 0
     out = capsys.readouterr().out
@@ -391,9 +428,10 @@ def test_sweep_builds_each_point_once(tmp_path):
 
 
 def test_largest_gauss_hermite_rule_still_works(capsys):
-    assert main(["point", "--quad-n", "370"]) == 0
+    assert main(["oracle", "--quad-n", "370"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert 0.0 < out["F_qm"] <= 1.0
+    assert 0.0 < out["fidelity"] <= 1.0
+    assert max(out["closed_form_deltas"].values()) < 1e-9
 
 
 def test_non_finite_json_output_is_a_bug_not_a_result(monkeypatch):

@@ -28,7 +28,6 @@ from cavqmem.metrics import (
     MetricReport,
     compute_report,
     compute_reports,
-    convergence_delta,
     cycle_closed_forms,
     qm_fidelity,
     qm_success,
@@ -288,11 +287,11 @@ def test_transfer_fidelity_requires_balanced_couplings():
 
 
 def test_quadrature_health_margin_on_family_points():
-    for coop in (1.0, 20.0, 100.0):
-        params, pulse = family_point(coop, 0.1)
-        assert convergence_delta(params, pulse) < 1e-9
-    params, pulse = family_point(20.0, 0.01, Profile.LORENTZIAN)
-    assert convergence_delta(params, pulse) < 1e-9
+    # the default rule's error on [h] against the exact route
+    points = [family_point(coop, 0.1) for coop in (1.0, 20.0, 100.0)]
+    points.append(family_point(20.0, 0.01, Profile.LORENTZIAN))
+    ruled = spectral_moments(points, DEFAULT_QUAD).h
+    assert np.max(np.abs(ruled - spectral_moments(points).h)) < 1e-9
 
 
 def test_report_bundles_consistent_values():

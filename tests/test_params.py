@@ -36,6 +36,7 @@ from cavqmem.params import (
 )
 from cavqmem.scattering import coupling_amplitude
 from cavqmem.spectral import QuadratureConfig
+from cavqmem.statesim import PhotonPair
 
 PACKAGE_DIR = Path(cavqmem.__file__).parent
 
@@ -174,6 +175,15 @@ def test_qubit_normalization_helpers():
     assert a.norm_sq == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("qubit", [PhotonQubit, AtomQubit, PhotonPair])
+def test_non_finite_amplitudes_are_not_normalized(qubit, bad):
+    with pytest.raises(InvalidField):
+        require_normalized(qubit(bad, 0.0))
+    with pytest.raises(InvalidField):
+        require_normalized(qubit(0.0, bad))
+
+
 def test_constant_detector_bounds():
     d = DetectorModel.constant(0.8)
     assert d.is_constant
@@ -219,7 +229,11 @@ def test_input_failures_are_typed_and_still_value_errors():
         require_normalized(PhotonQubit(1.0, 1.0))
     assert isinstance(err.value, ValueError)
     for make in (lambda: DetectorModel.constant(1.5),
+                 lambda: DetectorModel.constant("0.5"),
+                 lambda: as_detector("0.5"),
                  lambda: DetectorModel.tabulated([0.0], [0.5]),
+                 lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, math.nan]),
+                 lambda: DetectorModel.tabulated([0.0, math.nan], [0.5, 0.5]),
                  lambda: DetectorModel.tabulated([1.0, 0.0], [0.5, 0.5]),
                  lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, 1.5])(0.9),
                  lambda: QuadratureConfig(n_lorentz=4),
