@@ -17,6 +17,8 @@ quadrature rule.  Only the state-vector oracle of `oracle` and `validate`
 integrates on a rule, `--quad-n`'s, else DEFAULT_QUAD; `oracle` compares it
 with the exact closed forms, so its deltas include the rule's error.
 
+The sweep and curve-family rows take their cells from the columns of
+`metrics.metric_columns`, and `write_csv` formats them column by column.
 CSV outputs are deterministic byte for byte at fixed configuration: fixed
 sampling order, fixed summation order, floats serialized with repr.  The
 first line of every CSV is a '#'-prefixed JSON comment recording the full
@@ -77,31 +79,32 @@ CSV_ROUTE_META = {"closed_forms": "exact",
 def fig2_rows(count: int = 61) -> list[tuple]:
     """Memory and swap fidelity versus cooperativity, Gaussian pulse with
     kappa_p = 0.1 kappa, one row block per detuning case."""
-    coops = np.geomspace(1.0, 100.0, count)
+    coops = np.geomspace(1.0, 100.0, count).tolist()
     rows = []
     for case, delta_e, delta_p in FIG2_CASES:
         pulse = PulseSpec(profile=Profile.GAUSSIAN, delta_p=delta_p,
                           kappa_p=0.1 * FAMILY_KAPPA)
-        points = [(family_params(float(coop), delta_e=delta_e), pulse)
-                  for coop in coops]
-        for coop, report in zip(coops, metrics.compute_reports(points)):
-            rows.append((float(coop), case, report.F_qm, report.F_swap))
+        columns = metrics.metric_columns(
+            [(family_params(coop, delta_e=delta_e), pulse) for coop in coops])
+        rows.extend(zip(coops, itertools.repeat(case), columns.F_qm,
+                        columns.F_swap))
     return rows
 
 
 def fig3_rows(count: int = 25) -> list[tuple]:
     """Memory fidelity versus pulse bandwidth for both spectral profiles at
     cooperativity 20."""
-    ratios = np.geomspace(0.01, 0.5, count)
+    ratios = np.geomspace(0.01, 0.5, count).tolist()
     rows = []
     for profile in (Profile.GAUSSIAN, Profile.LORENTZIAN):
         for case, delta_e, delta_p in FIG3_CASES:
             params = family_params(20.0, delta_e=delta_e)
-            points = [(params, PulseSpec(profile=profile, delta_p=delta_p,
-                                         kappa_p=float(x) * FAMILY_KAPPA))
-                      for x in ratios]
-            for x, report in zip(ratios, metrics.compute_reports(points)):
-                rows.append((float(x), profile.value, case, report.F_qm))
+            columns = metrics.metric_columns(
+                [(params, PulseSpec(profile=profile, delta_p=delta_p,
+                                    kappa_p=x * FAMILY_KAPPA))
+                 for x in ratios])
+            rows.extend(zip(ratios, itertools.repeat(profile.value),
+                            itertools.repeat(case), columns.F_qm))
     return rows
 
 
@@ -111,16 +114,16 @@ def fig4_rows(count: int = 41) -> list[tuple]:
     ratios = np.geomspace(0.1, 10.0, count)
     # Pin the symmetric midpoint so the grid contains ratio 1 exactly.
     ratios[np.abs(ratios - 1.0) < 1e-9] = 1.0
+    keys = list(itertools.product((1.0, 10.0, 100.0), ratios.tolist()))
     rows = []
     for case, delta_e, delta_p in FIG2_CASES:
         pulse = PulseSpec(profile=Profile.GAUSSIAN, delta_p=delta_p,
                           kappa_p=0.1 * FAMILY_KAPPA)
-        keys = list(itertools.product((1.0, 10.0, 100.0), ratios))
-        points = [(family_params(coop, ratio=float(ratio), delta_e=delta_e),
-                   pulse) for coop, ratio in keys]
-        for (coop, ratio), report in zip(keys,
-                                         metrics.compute_reports(points)):
-            rows.append((float(ratio), coop, case, report.P_qm))
+        columns = metrics.metric_columns(
+            [(family_params(coop, ratio=ratio, delta_e=delta_e), pulse)
+             for coop, ratio in keys])
+        rows.extend((ratio, coop, case, p_qm)
+                    for (coop, ratio), p_qm in zip(keys, columns.P_qm))
     return rows
 
 
@@ -209,42 +212,59 @@ def _set_field(fields: dict, field: str, value: float) -> None:
 
 
 def _sweep_points(spec: SweepSpec):
-    """The sweep grid's points, outer axis major; each point is built once,
-    after every axis applies; only it must be valid."""
-    grids = [axis.values() for axis in spec.axes]
-    base = point_to_dict(spec.params, spec.pulse)
+    """(point, echo) for every grid point, outer axis major: each point is
+    built once, after every axis applies, so only it must be valid, and
+    echo holds its PARAM_COLUMNS cells."""
+    grids = [axis.values().tolist() for axis in spec.axes]
+    # the field values as floats, as `point_from_dict` reads them
+    base = {name: value if name == "profile" else float(value)
+            for name, value in point_to_dict(spec.params, spec.pulse).items()}
+    pulse = spec.pulse
+    pulse_swept = any(axis.field in PULSE_NUMERIC_FIELDS
+                      for axis in spec.axes)
     for values in itertools.product(*grids):
         fields = dict(base)
         for axis, value in zip(spec.axes, values):
-            _set_field(fields, axis.field, float(value))
-        yield point_from_dict(fields)
+            _set_field(fields, axis.field, value)
+        params = SystemParams(*[fields[name] for name in SYSTEM_FIELDS])
+        if pulse_swept:
+            pulse = PulseSpec(profile=spec.pulse.profile, **{
+                name: fields[name] for name in PULSE_NUMERIC_FIELDS})
+        yield (params, pulse), tuple(fields.values())
 
 
 def sweep_rows(spec: SweepSpec) -> list[tuple]:
     """Evaluate the metric columns on the sweep grid, CHUNK_ROWS points at a
     time, so that only the output rows grow with the grid."""
-    points = _sweep_points(spec)
+    grid = _sweep_points(spec)
     rows = []
-    while block := list(itertools.islice(points, metrics.CHUNK_ROWS)):
-        for report in metrics.compute_reports(block, eta=spec.eta):
-            echo = report.to_dict()
-            rows.append(tuple(echo[c] for c in PARAM_COLUMNS)
-                        + (spec.eta, report.F_swap, report.F_swap_leading,
-                           report.F_qm, report.P_qm, report.P_qm_conditional))
+    while block := list(itertools.islice(grid, metrics.CHUNK_ROWS)):
+        points, echoes = zip(*block)
+        columns = metrics.metric_columns(points, eta=spec.eta)
+        cells = zip(itertools.repeat(spec.eta), columns.F_swap,
+                    columns.F_swap_leading, columns.F_qm, columns.P_qm,
+                    columns.P_qm_conditional)
+        rows.extend(echo + metric for echo, metric in zip(echoes, cells))
     return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _format_column(column: tuple) -> list[str]:
+    """The cells of one CSV column as text; a column whose cells are all one
+    object is formatted once."""
+    first = column[0]
+    if all(cell is first for cell in column):
+        return [str(first)] * len(column)
+    return list(map(str, column))
 
 
 def write_csv(path: str, meta: dict, header: tuple[str, ...],
               rows: list[tuple]) -> None:
-    """'#'-prefixed JSON metadata line, header row, then the data rows."""
+    """'#'-prefixed JSON metadata line, header row, then the data rows.
+    Cells are formatted column by column with str, which for a float is its
+    repr."""
+    columns = [_format_column(column) for column in zip(*rows)]
     lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(header)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -30,8 +30,10 @@ one of two routes:
 
 Both routes work in row chunks (at most CHUNK_ROWS points, or CHUNK_NODES
 node evaluations) so that memory stays flat in the batch size.  Each scalar
-metric is a batch of one, and `compute_reports` serves a whole sweep.  A
-point's results do not depend on the batch it is evaluated in, bit for bit.
+metric is a batch of one.  `metric_columns` evaluates every MetricReport
+field of a batch as columns, one list per field; the CSV rows of `cli` take
+their cells from it, and `compute_reports` zips it into reports.  A point's
+results do not depend on the batch it is evaluated in, bit for bit.
 SystemParams and PulseSpec check themselves when they are built, so nothing
 here re-checks a point.
 """
@@ -39,7 +41,7 @@ here re-checks a point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -444,36 +446,52 @@ class MetricReport:
 _BALANCED = PhotonQubit(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 
+class MetricColumns(NamedTuple):
+    """The metric fields of MetricReport for a batch, in its field order,
+    one list per field, entry i belonging to point i."""
+
+    F_swap: list[float]
+    F_swap_leading: list[float]
+    F_qm: list[float]
+    P_kL: list[float]
+    P_L: list[float]
+    P_qm: list[float]
+    P_qm_conditional: list[float]
+    f_swap_meaningful: list[bool]
+
+
+def metric_columns(points: Sequence[Point],
+                   quad: QuadratureConfig | None = None,
+                   eta: float | DetectorModel = 1.0,
+                   photon: PhotonQubit = _BALANCED) -> MetricColumns:
+    """Every closed-form metric of every point from one moment pass, as
+    columns.  Raises ZeroScatteringWeight where any of them is undefined."""
+    cl2, cr2 = _input_weights(photon)
+    m = spectral_moments(points, quad, eta)
+    sin2 = _sin2(points)
+    p_qm = _success(m, sin2)
+    return MetricColumns(
+        F_swap=m.h2.tolist(),
+        F_swap_leading=[swap_fidelity_leading(params, pulse)
+                        for params, pulse in points],
+        F_qm=_memory_fidelity(m).tolist(),
+        P_kL=_storage(m, sin2, cl2, cr2).tolist(),
+        P_L=_retrieval(m, sin2, cl2, cr2).tolist(),
+        P_qm=p_qm.tolist(),
+        P_qm_conditional=(p_qm * p_qm).tolist(),
+        f_swap_meaningful=[_balanced(params) for params, _ in points],
+    )
+
+
 def compute_reports(points: Sequence[Point],
                     quad: QuadratureConfig | None = None,
                     eta: float | DetectorModel = 1.0,
                     photon: PhotonQubit = _BALANCED) -> list[MetricReport]:
-    """Evaluate every closed-form metric at each point from one moment pass."""
-    cl2, cr2 = _input_weights(photon)
-    m = spectral_moments(points, quad, eta)
-    sin2 = _sin2(points)
-    f_qm = _memory_fidelity(m)
-    p_qm = _success(m, sin2)
-    p_kl = _storage(m, sin2, cl2, cr2)
-    p_l = _retrieval(m, sin2, cl2, cr2)
-    reports = []
-    for i, (params, pulse) in enumerate(points):
-        p = float(p_qm[i])
-        reports.append(MetricReport(
-            params=params,
-            pulse=pulse,
-            eta=eta,
-            photon=photon,
-            F_swap=float(m.h2[i]),
-            F_swap_leading=swap_fidelity_leading(params, pulse),
-            F_qm=float(f_qm[i]),
-            P_kL=float(p_kl[i]),
-            P_L=float(p_l[i]),
-            P_qm=p,
-            P_qm_conditional=p * p,
-            f_swap_meaningful=_balanced(params),
-        ))
-    return reports
+    """Every closed-form metric at each point, one MetricReport per point,
+    from the columns of `metric_columns`."""
+    columns = metric_columns(points, quad, eta, photon)
+    return [MetricReport(params, pulse, eta, photon, *cells)
+            for (params, pulse), *cells in zip(points, *columns)]
 
 
 def compute_report(params: SystemParams, pulse: PulseSpec,

@@ -298,8 +298,12 @@ class DetectorModel:
             self._k_table = None
             self._eta_table = None
         else:
-            k_arr = np.asarray(k_table, dtype=float)
-            e_arr = np.asarray(eta_table, dtype=float)
+            try:
+                k_arr = np.asarray(k_table, dtype=float)
+                e_arr = np.asarray(eta_table, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidField("eta_table", "tabulated model needs "
+                                                "numeric tables") from None
             if k_arr.ndim != 1 or k_arr.shape != e_arr.shape or k_arr.size < 2:
                 raise InvalidField("eta_table", "tabulated model needs matching "
                                                 "1-d tables, >= 2 points")

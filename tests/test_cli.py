@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from cavqmem import cli, invariants, metrics
 from cavqmem.cli import (
+    PARAM_COLUMNS,
     SWEEP_HEADER,
     SweepAxis,
     SweepSpec,
@@ -27,9 +29,12 @@ from cavqmem.errors import CavqmemError, InvalidField
 from cavqmem.invariants import validate_suite
 from cavqmem.params import (
     FAMILY_KAPPA,
+    FIG2_CASES,
+    FIG3_CASES,
     PULSE_NUMERIC_FIELDS,
     SYSTEM_FIELDS,
     PhotonQubit,
+    Profile,
     PulseSpec,
     SystemParams,
     family_params,
@@ -205,6 +210,11 @@ def test_axis_parsing_rejects_malformed_specs():
         SweepSpec(params=SystemParams(), pulse=PulseSpec(), axes=())
 
 
+def _bits(rows):
+    """Rows as the repr of every cell: equal only for equal bits and types."""
+    return [[repr(cell) for cell in row] for row in rows]
+
+
 def test_sweep_rows_match_metric_calls():
     axis = SweepAxis("delta_e", "linear", -2.0, 2.0, 3)
     spec = SweepSpec(params=SystemParams(), pulse=PulseSpec(kappa_p=0.2),
@@ -218,6 +228,66 @@ def test_sweep_rows_match_metric_calls():
             params, PulseSpec(kappa_p=0.2))
         assert row[SWEEP_HEADER.index("P_qm")] == metrics.qm_success(
             params, PulseSpec(kappa_p=0.2), eta=0.9)
+
+    # a virtual axis crossed with a pulse axis: every cell, bit for bit
+    base = SystemParams(lambda_L=2.0, lambda_R=3.0, delta_e=0.5)
+    pulse = PulseSpec(profile=Profile.LORENTZIAN, delta_p=0.3)
+    coops = SweepAxis("cooperativity", "log", 1.0, 100.0, 4)
+    widths = SweepAxis("kappa_p", "linear", 0.1, 0.5, 3)
+    rows = sweep_rows(SweepSpec(params=base, pulse=pulse,
+                                axes=(coops, widths), eta=0.8))
+    points = []
+    for coop in coops.values().tolist():
+        scale = math.sqrt(coop * base.kappa * base.gamma / base.lambda_sq)
+        params = dataclasses.replace(base, lambda_L=scale * base.lambda_L,
+                                     lambda_R=scale * base.lambda_R)
+        points += [(params, dataclasses.replace(pulse, kappa_p=width))
+                   for width in widths.values().tolist()]
+    expected = []
+    for report in metrics.compute_reports(points, eta=0.8):
+        cells = report.to_dict()
+        assert cells["F_swap_leading"] == metrics.swap_fidelity_leading(
+            report.params, report.pulse)
+        expected.append(tuple(cells[c] for c in SWEEP_HEADER))
+    assert _bits(rows) == _bits(expected)
+    assert {row[PARAM_COLUMNS.index("kappa_p")] for row in rows} == set(
+        widths.values().tolist())
+
+    # the curve families, every row
+    gauss = PulseSpec(kappa_p=0.1 * FAMILY_KAPPA)
+    coops = np.geomspace(1.0, 100.0, 5).tolist()
+    expected = []
+    for case, delta_e, delta_p in FIG2_CASES:
+        pulse = dataclasses.replace(gauss, delta_p=delta_p)
+        reports = metrics.compute_reports(
+            [(family_params(c, delta_e=delta_e), pulse) for c in coops])
+        expected += [(c, case, r.F_qm, r.F_swap)
+                     for c, r in zip(coops, reports)]
+    assert _bits(cli.fig2_rows(5)) == _bits(expected)
+
+    ratios = np.geomspace(0.01, 0.5, 4).tolist()
+    expected = []
+    for profile in Profile:
+        for case, delta_e, delta_p in FIG3_CASES:
+            params = family_params(20.0, delta_e=delta_e)
+            reports = metrics.compute_reports(
+                [(params, PulseSpec(profile=profile, delta_p=delta_p,
+                                    kappa_p=x * FAMILY_KAPPA))
+                 for x in ratios])
+            expected += [(x, profile.value, case, r.F_qm)
+                         for x, r in zip(ratios, reports)]
+    assert _bits(cli.fig3_rows(4)) == _bits(expected)
+
+    ratios = [0.1, 1.0, 10.0]
+    expected = []
+    for case, delta_e, delta_p in FIG2_CASES:
+        pulse = dataclasses.replace(gauss, delta_p=delta_p)
+        keys = [(c, x) for c in (1.0, 10.0, 100.0) for x in ratios]
+        reports = metrics.compute_reports(
+            [(family_params(c, ratio=x, delta_e=delta_e), pulse)
+             for c, x in keys])
+        expected += [(x, c, case, r.P_qm) for (c, x), r in zip(keys, reports)]
+    assert _bits(cli.fig4_rows(3)) == _bits(expected)
 
 
 def test_point_report_structure(tmp_path, capsys):
@@ -337,6 +407,9 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
                  "--out", str(tmp_path / "y.csv")]) == 2
     assert main(["sweep", "--axis", "cooperativity,linear,-1,1,3",
                  "--out", str(tmp_path / "y.csv")]) == 2
+    # P_L's denominator is below TINY_WEIGHT; P_L is no CSV column
+    assert main(["sweep", "--eta", "1e-310", "--axis", "delta_e,linear,-1,1,3",
+                 "--out", str(tmp_path / "y.csv")]) == 2
     for base, message in (('{"lambda_R": 0.0}', "lambda_R**2 must be > 0"),
                           ('{"gamma": 0.0}', "at gamma = 0")):
         (tmp_path / "base.json").write_text(base, encoding="utf-8")
@@ -410,6 +483,38 @@ def test_csv_writer_format(tmp_path):
               [(0.1, "lab"), (2.0, "el")])
     text = path.read_text(encoding="utf-8")
     assert text == '# {"a": 2, "b": 1}\nx,y\n0.1,lab\n2.0,el\n'
+    # column by column: signed zeros as distinct objects, a column that
+    # repeats one object, bools, and numpy scalars printed as their value
+    zero, third = 0.0, 1.0 / 3.0
+    write_csv(str(path), {}, ("z", "r", "b", "n"),
+              [(zero, third, True, np.float64(0.1)),
+               (-zero, third, False, np.float64(1e-310)),
+               (zero, third, True, 2)])
+    assert path.read_text(encoding="utf-8") == (
+        "# {}\nz,r,b,n\n0.0,0.3333333333333333,True,0.1\n"
+        "-0.0,0.3333333333333333,False,1e-310\n"
+        "0.0,0.3333333333333333,True,2\n")
+    write_csv(str(path), {}, ("x",), [])
+    assert path.read_text(encoding="utf-8") == "# {}\nx\n"
+
+
+def test_sweep_request_memory_stays_bounded(tmp_path):
+    # the whole request, the CSV writer's transposition included
+    base = tmp_path / "base.json"
+    base.write_text('{"profile": "lorentzian"}', encoding="utf-8")
+    argv = ["sweep", "--params", str(base),
+            "--axis", "delta_e,linear,-5,5,20",
+            "--axis", "kappa_p,log,0.05,1,20",
+            "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0  # warm the parser and the tables
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert len(read_csv(tmp_path / "s.csv")[2]) == 400
 
 
 def test_sweep_builds_each_point_once(tmp_path):

@@ -29,6 +29,7 @@ from cavqmem.metrics import (
     compute_report,
     compute_reports,
     cycle_closed_forms,
+    metric_columns,
     qm_fidelity,
     qm_success,
     retrieval_success,
@@ -314,6 +315,11 @@ def test_report_bundles_consistent_values():
 
     lopsided = compute_report(SystemParams(lambda_L=1.0, lambda_R=2.0), pulse)
     assert not lopsided.f_swap_meaningful
+
+    # compute_reports zips the columns into the report's fields by position
+    columns = metric_columns([(params, pulse)], eta=0.8)
+    assert {name: column[0] for name, column in columns._asdict().items()} \
+        == {name: getattr(report, name) for name in columns._fields}
 
 
 def _per_point_reference(params, pulse, detector, photon):

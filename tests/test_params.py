@@ -235,6 +235,9 @@ def test_input_failures_are_typed_and_still_value_errors():
                  lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, math.nan]),
                  lambda: DetectorModel.tabulated([0.0, math.nan], [0.5, 0.5]),
                  lambda: DetectorModel.tabulated([1.0, 0.0], [0.5, 0.5]),
+                 lambda: DetectorModel.tabulated(["a", "b"], [0.5, 0.5]),
+                 lambda: DetectorModel.tabulated([0.0, 1.0], [{}, 0.5]),
+                 lambda: DetectorModel.tabulated([0.0, 10**400], [0.5, 0.5]),
                  lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, 1.5])(0.9),
                  lambda: QuadratureConfig(n_lorentz=4),
                  lambda: rescaled(SystemParams(), PulseSpec(), -1.0),
