@@ -251,7 +251,7 @@ class AtomQubit:
         return abs(self.a_L) ** 2 + abs(self.a_R) ** 2
 
     def normalized(self) -> "AtomQubit":
-        n = math.sqrt(self.norm_sq)
+        n = qubit_norm(self)
         return AtomQubit(self.a_L / n, self.a_R / n)
 
 
@@ -267,8 +267,18 @@ class PhotonQubit:
         return abs(self.c_L) ** 2 + abs(self.c_R) ** 2
 
     def normalized(self) -> "PhotonQubit":
-        n = math.sqrt(self.norm_sq)
+        n = qubit_norm(self)
         return PhotonQubit(self.c_L / n, self.c_R / n)
+
+
+def qubit_norm(qubit) -> float:
+    """sqrt(|amplitudes|^2), the divisor of `normalized`.  Raises InvalidField
+    when it is zero or non-finite, as no unit vector is then in reach."""
+    n = math.sqrt(qubit.norm_sq)
+    if not 0.0 < n < math.inf:
+        raise InvalidField("qubit",
+                           f"cannot be normalized, |a|^2 = {qubit.norm_sq!r}")
+    return n
 
 
 def require_normalized(qubit, tol: float = 1e-9) -> None:

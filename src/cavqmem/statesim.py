@@ -41,6 +41,7 @@ from .params import (
     PulseSpec,
     SystemParams,
     as_detector,
+    qubit_norm,
     require_normalized,
 )
 from .scattering import t_elements
@@ -408,7 +409,7 @@ class PhotonPair:
         return abs(self.c_LR) ** 2 + abs(self.c_RL) ** 2
 
     def normalized(self) -> "PhotonPair":
-        n = np.sqrt(self.norm_sq)
+        n = qubit_norm(self)
         return PhotonPair(self.c_LR / n, self.c_RL / n)
 
 
@@ -470,23 +471,28 @@ def prepare_pair(pair: PhotonPair, grid_1: KGrid, grid_2: KGrid
     return TwoCavityState(grid_1=grid_1, grid_2=grid_2, left=left, right=right)
 
 
+def _scatter_pair(state: TwoCavityState, params_1: SystemParams,
+                  params_2: SystemParams) -> TwoCavityState:
+    """`_scatter` on each side's factor stack, with the `t_elements` of its
+    cavity at the nodes of its grid; loss_weight is carried over unchanged."""
+    return replace(
+        state, left=_scatter(state.left, t_elements(state.grid_1.k, params_1)),
+        right=_scatter(state.right, t_elements(state.grid_2.k, params_2)))
+
+
 def scatter_pair(state: TwoCavityState, params_1: SystemParams,
                  params_2: SystemParams) -> TwoCavityState:
     """Scatter photon 1 off cavity 1 and photon 2 off cavity 2.
 
     Each event is the single-node map of `apply_scattering` on its own
-    factor stack, so their order is immaterial; decay mass from both is added
-    to loss_weight.
+    factor stack, so their order is immaterial.  Unless both atoms are
+    lossless, the decay mass of both is added to loss_weight, which costs a
+    norm before and after the pass.
     """
-    before = state.norm
-    out = TwoCavityState(
-        grid_1=state.grid_1, grid_2=state.grid_2,
-        left=_scatter(state.left, t_elements(state.grid_1.k, params_1)),
-        right=_scatter(state.right, t_elements(state.grid_2.k, params_2)),
-        loss_weight=state.loss_weight)
+    out = _scatter_pair(state, params_1, params_2)
     if params_1.gamma == 0.0 and params_2.gamma == 0.0:
         return out
-    return replace(out, loss_weight=out.loss_weight + before - out.norm)
+    return replace(out, loss_weight=out.loss_weight + state.norm - out.norm)
 
 
 @dataclass(frozen=True)
@@ -518,13 +524,18 @@ def entanglement_storage(pair: PhotonPair,
     the two-atom density matrix is projected on the swap image, decay and
     transparent passes counting as failure (probability reports the
     surviving trace).
+
+    Neither mode reads the decay mass, so the photons are scattered without
+    the loss_weight bookkeeping of `scatter_pair`: each call takes one
+    contraction of the factor Gram matrices, the heralded norm or the
+    two-atom density matrix.
     """
     if mode not in ("postselect", "swap"):
         raise InvalidField(mode, "unknown storage mode")
     grid_1 = build_grid(pulse_1, quad, k_c=params_1.k_c)
     grid_2 = build_grid(pulse_2, quad, k_c=params_2.k_c)
-    state = scatter_pair(prepare_pair(pair, grid_1, grid_2), params_1,
-                         params_2)
+    state = _scatter_pair(prepare_pair(pair, grid_1, grid_2), params_1,
+                          params_2)
     target = np.zeros((2, 2), dtype=complex)
     target[ATOM_R, ATOM_L] = pair.c_LR
     target[ATOM_L, ATOM_R] = pair.c_RL

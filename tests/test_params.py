@@ -2,6 +2,7 @@
 
 import ast
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,45 @@ def test_only_params_calls_the_point_checks():
         assert not names & {"validate", "validate_pulse"}, path.name
 
 
+def _package_imports(stem: str) -> set[str]:
+    """Modules of the package that module `stem` imports directly."""
+    tree = ast.parse((PACKAGE_DIR / f"{stem}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != "cavqmem":
+                    continue
+                parts = parts[1:]
+            names |= ({parts[0]} if parts and parts[0]
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            names |= {(alias.name.split(".") + ["__init__"])[1]
+                      for alias in node.names
+                      if alias.name.split(".")[0] == "cavqmem"}
+    return {name for name in names if (PACKAGE_DIR / f"{name}.py").exists()}
+
+
+def _package_closure(stem: str) -> set[str]:
+    """Modules of the package that module `stem` loads, directly or not."""
+    seen, todo = set(), [stem]
+    while todo:
+        fresh = _package_imports(todo.pop()) - seen
+        seen |= fresh
+        todo.extend(fresh)
+    return seen
+
+
+def test_oracle_and_closed_forms_stay_independent():
+    # the state-vector oracle checks the closed forms only while neither
+    # route borrows from the other
+    assert not _package_closure("statesim") & {"metrics", "invariants"}
+    assert "statesim" not in _package_closure("metrics")
+    # the walk does see relative imports, so the checks above are not vacuous
+    assert {"params", "scattering", "spectral"} <= _package_closure("statesim")
+
+
 def test_pulse_accepts_profile_as_string():
     assert PulseSpec(profile="lorentzian").profile is Profile.LORENTZIAN
 
@@ -182,6 +222,18 @@ def test_non_finite_amplitudes_are_not_normalized(qubit, bad):
         require_normalized(qubit(bad, 0.0))
     with pytest.raises(InvalidField):
         require_normalized(qubit(0.0, bad))
+
+
+@pytest.mark.parametrize("qubit", [PhotonQubit, AtomQubit, PhotonPair])
+def test_normalized_refuses_zero_and_non_finite_norms(qubit):
+    # no unit vector lies along a zero or non-finite one: a typed error, not
+    # a ZeroDivisionError or NaN amplitudes
+    for bad in ((0.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(InvalidField):
+            qubit(*bad).normalized()
+    unit = astuple(qubit(3.0, 4.0).normalized())
+    assert unit == (0.6, 0.8)
+    assert all(type(a) is float for a in unit)
 
 
 def test_constant_detector_bounds():

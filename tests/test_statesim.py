@@ -367,6 +367,23 @@ def test_pair_scattering_preserves_trace_including_loss():
     assert lossless.loss_weight == 0.0
 
 
+@pytest.mark.parametrize("mode", ["postselect", "swap"])
+def test_pair_storage_takes_one_contraction(monkeypatch, mode):
+    # neither mode reads the decay mass, so the norms that scatter_pair takes
+    # for loss_weight are not paid; the outcome needs one density contraction
+    calls = []
+    density = statesim._pair_density
+
+    def counting(*args):
+        calls.append(args)
+        return density(*args)
+
+    monkeypatch.setattr(statesim, "_pair_density", counting)
+    entanglement_storage(PhotonPair(0.6, 0.8j), LOSSY, OTHER, GAUSS, GAUSS,
+                         mode=mode)
+    assert len(calls) == 1
+
+
 def test_heralded_pair_storage_matches_single_qubit_fidelity():
     # identical cavities: the heralded two-node fidelity collapses to the
     # single-memory fidelity, for any pair amplitudes
@@ -529,8 +546,9 @@ PULSE_PAIRS = [(GAUSS, GAUSS), (LORENTZ, LORENTZ), (GAUSS, LORENTZ)]
 PULSE_IDS = ["gaussian", "lorentzian", "mixed"]
 
 
-@pytest.mark.parametrize("cavities", [(LOSSY, OTHER), (CLEAN_1, CLEAN_2)],
-                         ids=["lossy", "lossless"])
+@pytest.mark.parametrize("cavities",
+                         [(LOSSY, OTHER), (CLEAN_1, CLEAN_2), (LOSSY, LOSSY)],
+                         ids=["lossy", "lossless", "equal"])
 @pytest.mark.parametrize("pulses", PULSE_PAIRS, ids=PULSE_IDS)
 def test_factored_pair_matches_dense_reference(pulses, cavities):
     (pulse_1, pulse_2), (params_1, params_2) = pulses, cavities
