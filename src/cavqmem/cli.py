@@ -30,6 +30,7 @@ integrates on.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import itertools
 import json
@@ -324,7 +325,10 @@ def _cmd_point(args: argparse.Namespace) -> int:
                                     photon=_photon_qubit(args))
     out = report.to_dict()
     out["closed_forms"] = "exact"
-    matrix = t_matrix(k, params)
+    with np.errstate(all="ignore"):
+        matrix = t_matrix(k, params)
+    if not cmath.isfinite(matrix.phase_factor):
+        raise InvalidField("k", "the scattering map overflows there")
     out["scattering"] = {
         "k": k,
         "g_L": _pair(coupling_amplitude(k, params, "L")),
@@ -390,11 +394,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     params, pulse = _load_point(args.params)
     photon = _photon_qubit(args)
+    closed = metrics.cycle_closed_forms(params, pulse, photons=[photon],
+                                        detector=args.eta)[0]
     record = run_memory_protocol(params, pulse, _oracle_rule(args),
                                  photon=photon, detector=args.eta,
                                  readout=args.readout)
-    closed = metrics.cycle_closed_forms(params, pulse, photons=[photon],
-                                        detector=args.eta)[0]
     out = record.to_dict()
     out["closed_forms"] = "exact"
     out["closed_form_deltas"] = {key: abs(out[key] - closed[key])

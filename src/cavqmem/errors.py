@@ -44,7 +44,8 @@ class GammaZero(CavqmemError):
 
 class InvalidField(CavqmemError, ValueError):
     """An unknown or unusable input field: a serialized key, a sweep axis, a
-    qubit that is not normalized, or a detector efficiency outside (0, 1]."""
+    qubit that is not normalized, a detector efficiency outside (0, 1], or a
+    wavenumber where the scattering map overflows."""
 
     def __init__(self, name: str, reason: str = "unknown field"):
         super().__init__(f"{reason}: {name!r}")
@@ -59,10 +60,12 @@ class DegenerateDenominator(CavqmemError):
 
 
 class NonFiniteIntegrand(CavqmemError):
-    """A spectral average received NaN/inf values at quadrature nodes."""
+    """A spectral average came out NaN or infinite: its integrand at the
+    quadrature nodes, or a moment of h that overflows at a parameter point."""
 
-    def __init__(self):
-        super().__init__("integrand is not finite on the quadrature grid")
+    def __init__(self, what: str = "integrand is not finite on the "
+                                   "quadrature grid"):
+        super().__init__(what)
 
 
 class ZeroScatteringWeight(CavqmemError):

@@ -7,26 +7,28 @@ later retrieval photon |k_R> scatters and a projective measurement finds the
 atom in |L>, releasing the qubit onto the retrieval photon.
 
 The polarization-flip element is T_LR = e^{-i(theta_L - theta_R)} sin(2 xi)
-h(k), so every closed form is arithmetic on five intensity averages of the
-scattered amplitude h(k) over the pulse,
+h(k), and the detector efficiency eta is one number in (0, 1], so every
+closed form is arithmetic on eta and two intensity averages of the scattered
+amplitude h(k) over the pulse,
 
-    [h]_f, [|h|^2]_f, [eta]_f, [eta h]_f, [eta |h|^2]_f.
+    [h]_f and [|h|^2]_f.
 
-`spectral_moments` computes all five for a batch of parameter points, by
-one of two routes:
+`spectral_moments` computes both for a batch of parameter points, by one of
+two routes:
 
 * exact (quad=None, the default of every public function here, and the only
   route the command line uses): h has three poles, so [h]_f and [|h|^2]_f
   are finite sums of exact pole averages (`scattering.pole_expansion`,
-  `spectral.pole_averages`).  A constant eta factors out of the other
-  three; a tabulated eta(k) takes them from the quadrature pass on
-  DEFAULT_QUAD.
-* on a rule (an explicit QuadratureConfig): every moment is a sum over the
-  rule's nodes (`spectral.quadrature_rule`), with eta(k) evaluated on them.
-  This is the rule the state-vector oracle in `statesim` integrates on, so
-  the two agree to rounding on the same rule.  `invariants` passes a rule
-  to check an identity on one rule, and to measure a rule's error against
-  the exact route.
+  `spectral.pole_averages`).
+* on a rule (an explicit QuadratureConfig): each moment is a sum over the
+  rule's nodes (`spectral.quadrature_rule`).  This is the rule the
+  state-vector oracle in `statesim` integrates on, so the two agree to
+  rounding on the same rule.  `invariants` passes a rule to check an
+  identity on one rule, and to measure a rule's error against the exact
+  route.
+
+A moment that overflows to NaN or infinity raises NonFiniteIntegrand on
+either route.
 
 Both routes work in row chunks (at most CHUNK_ROWS points, or CHUNK_NODES
 node evaluations) so that memory stays flat in the batch size.  Each scalar
@@ -45,21 +47,19 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import UnequalCouplings, ZeroScatteringWeight
+from .errors import NonFiniteIntegrand, UnequalCouplings, ZeroScatteringWeight
 from .params import (
     AtomQubit,
-    DetectorModel,
     PhotonQubit,
     Profile,
     PulseSpec,
     SystemParams,
-    as_detector,
+    check_efficiency,
     point_to_dict,
     require_normalized,
 )
 from .scattering import ParamRows, pole_expansion, scattered_amplitude
-from .spectral import (DEFAULT_QUAD, QuadratureConfig, pole_averages,
-                       quadrature_rule)
+from .spectral import QuadratureConfig, pole_averages, quadrature_rule
 
 #: Relative coupling asymmetry below which lambda_L and lambda_R count as equal.
 EQUAL_COUPLING_RTOL = 1e-12
@@ -83,31 +83,24 @@ class SpectralMoments:
 
     h: np.ndarray       # [h]_f, complex
     h2: np.ndarray      # [|h|^2]_f
-    eta: np.ndarray     # [eta]_f
-    eta_h: np.ndarray   # [eta h]_f, complex
-    eta_h2: np.ndarray  # [eta |h|^2]_f
 
 
 def spectral_moments(points: Sequence[Point],
-                     quad: QuadratureConfig | None = None,
-                     detector: DetectorModel | float = 1.0) -> SpectralMoments:
-    """The five moments of every (params, pulse) point: exact for quad=None,
-    else on the given rule (see the module docstring).
+                     quad: QuadratureConfig | None = None) -> SpectralMoments:
+    """[h]_f and [|h|^2]_f of every (params, pulse) point: exact for
+    quad=None, else on the given rule (see the module docstring).
 
-    Raises DegenerateDenominator from the scattering map and InvalidField
-    from the detector model.
+    Raises DegenerateDenominator from the scattering map, and
+    NonFiniteIntegrand where a moment overflows (a rate or detuning too
+    large for double precision).
     """
-    detector = as_detector(detector)
-    if quad is not None:
-        return _quadrature_moments(points, quad, detector)
-    h, h2 = _exact_moments(points)
-    if detector.is_constant:
-        eta = detector(np.zeros(len(points)))
-        return SpectralMoments(h=h, h2=h2, eta=eta, eta_h=eta * h,
-                               eta_h2=eta * h2)
-    weighted = _quadrature_moments(points, DEFAULT_QUAD, detector)
-    return SpectralMoments(h=h, h2=h2, eta=weighted.eta,
-                           eta_h=weighted.eta_h, eta_h2=weighted.eta_h2)
+    with np.errstate(all="ignore"):
+        h, h2 = (_exact_moments(points) if quad is None
+                 else _quadrature_moments(points, quad))
+    if not (np.isfinite(h).all() and np.isfinite(h2).all()):
+        raise NonFiniteIntegrand("the spectral moments [h], [|h|^2] overflow "
+                                 "at this parameter point")
+    return SpectralMoments(h=h, h2=h2)
 
 
 def _profile_batches(points: Sequence[Point]):
@@ -145,23 +138,23 @@ def _chunk_exact(profile: Profile, points: list[Point]
     return h[:, 0], h2[:, 0]
 
 
-def _quadrature_moments(points: Sequence[Point], quad: QuadratureConfig,
-                        detector: DetectorModel) -> SpectralMoments:
-    """All five moments on the rule `quad`, in one chunked pass."""
-    out = np.empty((5, len(points)), dtype=complex)
+def _quadrature_moments(points: Sequence[Point], quad: QuadratureConfig
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """[h]_f and [|h|^2]_f on the rule `quad`, in one chunked pass."""
+    h = np.empty(len(points), dtype=complex)
+    h2 = np.empty(len(points))
     for profile, batch in _profile_batches(points):
         x, omega = quadrature_rule(profile, quad)
         rows = max(1, CHUNK_NODES // x.size)
         for start in range(0, len(batch), rows):
             chunk = batch[start:start + rows]
-            out[:, chunk] = _chunk_moments([points[i] for i in chunk], x,
-                                           omega, detector)
-    return SpectralMoments(h=out[0], h2=out[1].real, eta=out[2].real,
-                           eta_h=out[3], eta_h2=out[4].real)
+            h[chunk], h2[chunk] = _chunk_moments([points[i] for i in chunk],
+                                                 x, omega)
+    return h, h2
 
 
-def _chunk_moments(points: list[Point], x: np.ndarray, omega: np.ndarray,
-                   detector: DetectorModel) -> list[np.ndarray]:
+def _chunk_moments(points: list[Point], x: np.ndarray, omega: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Moments of points sharing one node table: row i of the (B, n) node
     array belongs to point i, and each row is summed on its own."""
     k_p, width = np.array([(params.k_c + pulse.delta_p, pulse.kappa_p)
@@ -169,14 +162,12 @@ def _chunk_moments(points: list[Point], x: np.ndarray, omega: np.ndarray,
     k = k_p + width * x
     h = scattered_amplitude(k, ParamRows.of([params for params, _ in points]))
     h2 = h.real ** 2 + h.imag ** 2
-    weight = omega * detector(k)
-    return [(omega * h).sum(axis=1), (omega * h2).sum(axis=1),
-            weight.sum(axis=1), (weight * h).sum(axis=1),
-            (weight * h2).sum(axis=1)]
+    return (omega * h).sum(axis=1), (omega * h2).sum(axis=1)
 
 
 # Closed forms on the moments, elementwise over a batch.  sin2 is
-# sin^2(2 xi) per point, cl2 and cr2 the input weights |c_L|^2 and |c_R|^2.
+# sin^2(2 xi) per point, eta the detector efficiency, cl2 and cr2 the input
+# weights |c_L|^2 and |c_R|^2.
 
 def _sin2(points: Sequence[Point]) -> np.ndarray:
     return np.array([params.sin_2xi for params, _ in points]) ** 2
@@ -188,40 +179,41 @@ def _memory_fidelity(m: SpectralMoments) -> np.ndarray:
     return (m.h.real ** 2 + m.h.imag ** 2) / m.h2
 
 
-def _success(m: SpectralMoments, sin2: np.ndarray) -> np.ndarray:
-    """P_qm = [eta |T_LR|^2]_f."""
-    return sin2 * m.eta_h2
+def _success(m: SpectralMoments, sin2: np.ndarray, eta: float) -> np.ndarray:
+    """P_qm = eta [|T_LR|^2]_f."""
+    return sin2 * (eta * m.h2)
 
 
-def _storage(m: SpectralMoments, sin2: np.ndarray, cl2: float,
+def _storage(m: SpectralMoments, sin2: np.ndarray, eta: float, cl2: float,
              cr2: float) -> np.ndarray:
-    """P(k_L) = [eta (|c_L|^2 + |c_R|^2 |T_LR|^2)]_f."""
-    return cl2 * m.eta + cr2 * _success(m, sin2)
+    """P(k_L) = eta (|c_L|^2 + |c_R|^2 [|T_LR|^2]_f)."""
+    return cl2 * eta + cr2 * _success(m, sin2, eta)
 
 
-def _retrieved_weight(m: SpectralMoments, sin2: np.ndarray, cl2: float,
-                      cr2: float) -> np.ndarray:
-    """|c_R|^2 [eta |T_LR|^2]_f + |c_L|^2 [|T_LR|^2]_f [eta]_f: the joint
-    probability of storage and retrieval."""
-    return cr2 * _success(m, sin2) + cl2 * sin2 * m.h2 * m.eta
+def _retrieved_weight(m: SpectralMoments, sin2: np.ndarray, eta: float,
+                      cl2: float, cr2: float) -> np.ndarray:
+    """eta (|c_R|^2 + |c_L|^2) [|T_LR|^2]_f: the joint probability of
+    storage and retrieval."""
+    return cr2 * _success(m, sin2, eta) + cl2 * sin2 * m.h2 * eta
 
 
-def _retrieval(m: SpectralMoments, sin2: np.ndarray, cl2: float,
+def _retrieval(m: SpectralMoments, sin2: np.ndarray, eta: float, cl2: float,
                cr2: float) -> np.ndarray:
-    denominator = _storage(m, sin2, cl2, cr2)
+    denominator = _storage(m, sin2, eta, cl2, cr2)
     if (denominator < TINY_WEIGHT).any():
         raise ZeroScatteringWeight()
-    return _retrieved_weight(m, sin2, cl2, cr2) / denominator
+    return _retrieved_weight(m, sin2, eta, cl2, cr2) / denominator
 
 
-def _retrieved_fidelity(m: SpectralMoments, sin2: np.ndarray, cl2: float,
-                        cr2: float) -> np.ndarray:
-    denominator = _retrieved_weight(m, sin2, cl2, cr2)
+def _retrieved_fidelity(m: SpectralMoments, sin2: np.ndarray, eta: float,
+                        cl2: float, cr2: float) -> np.ndarray:
+    denominator = _retrieved_weight(m, sin2, eta, cl2, cr2)
     if (denominator < TINY_WEIGHT).any():
         raise ZeroScatteringWeight()
-    cross = m.h.real * m.eta_h.real + m.h.imag * m.eta_h.imag
-    numerator = sin2 * (cr2 * cr2 * m.eta_h2 + 2.0 * cr2 * cl2 * cross
-                        + cl2 * cl2 * (m.h.real ** 2 + m.h.imag ** 2) * m.eta)
+    eta_h = eta * m.h
+    cross = m.h.real * eta_h.real + m.h.imag * eta_h.imag
+    numerator = sin2 * (cr2 * cr2 * (eta * m.h2) + 2.0 * cr2 * cl2 * cross
+                        + cl2 * cl2 * (m.h.real ** 2 + m.h.imag ** 2) * eta)
     return numerator / denominator
 
 
@@ -275,90 +267,91 @@ def qm_fidelity(params: SystemParams, pulse: PulseSpec,
 
 def qm_success(params: SystemParams, pulse: PulseSpec,
                quad: QuadratureConfig | None = None,
-               eta: DetectorModel | float = 1.0) -> float:
-    """Success probability of the memory cycle, P_qm = [eta |T_LR(k)|^2]_f.
-
-    For constant eta this is eta sin^2(2 xi) [|h|^2]_f, independent of the
-    input qubit; the test suite checks it against a direct average of
-    |T_LR|^2.  Raises InvalidField unless 0 < eta <= 1.
+               eta: float = 1.0) -> float:
+    """Success probability of the memory cycle, P_qm = eta [|T_LR(k)|^2]_f
+    = eta sin^2(2 xi) [|h|^2]_f, independent of the input qubit; the test
+    suite checks it against a direct average of |T_LR|^2.  Raises
+    InvalidField unless 0 < eta <= 1.
     """
+    eta = check_efficiency(eta)
     points = [(params, pulse)]
-    m = spectral_moments(points, quad, eta)
-    return float(_success(m, _sin2(points))[0])
+    m = spectral_moments(points, quad)
+    return float(_success(m, _sin2(points), eta)[0])
 
 
 def storage_success(params: SystemParams, pulse: PulseSpec,
                     quad: QuadratureConfig | None = None,
                     photon: PhotonQubit = PhotonQubit(0.0, 1.0),
-                    detector: DetectorModel | float = 1.0) -> float:
+                    detector: float = 1.0) -> float:
     """P(k_L): probability that the scattered qubit photon is detected in the
-    k_L polarization channel, [eta(k) (|c_L|^2 + |c_R|^2 |T_LR(k)|^2)]_f."""
+    k_L polarization channel, eta (|c_L|^2 + |c_R|^2 [|T_LR(k)|^2]_f)."""
     cl2, cr2 = _input_weights(photon)
+    eta = check_efficiency(detector)
     points = [(params, pulse)]
-    m = spectral_moments(points, quad, detector)
-    return float(_storage(m, _sin2(points), cl2, cr2)[0])
+    m = spectral_moments(points, quad)
+    return float(_storage(m, _sin2(points), eta, cl2, cr2)[0])
 
 
 def retrieval_success(params: SystemParams, pulse: PulseSpec,
                       quad: QuadratureConfig | None = None,
                       photon: PhotonQubit = PhotonQubit(0.0, 1.0),
-                      detector: DetectorModel | float = 1.0) -> float:
+                      detector: float = 1.0) -> float:
     """P(L): probability that the retrieval scattering leaves the atom in |L>,
     given a successful storage detection.  The projective atomic measurement
-    is ideal; eta(k) enters only through the storage-stage mixture weights,
-    so for constant eta the efficiency cancels."""
+    is ideal; eta enters only through the storage-stage mixture weights, so
+    it cancels."""
     cl2, cr2 = _input_weights(photon)
+    eta = check_efficiency(detector)
     points = [(params, pulse)]
-    m = spectral_moments(points, quad, detector)
-    return float(_retrieval(m, _sin2(points), cl2, cr2)[0])
+    m = spectral_moments(points, quad)
+    return float(_retrieval(m, _sin2(points), eta, cl2, cr2)[0])
 
 
 def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
                                quad: QuadratureConfig | None = None,
                                photon: PhotonQubit = PhotonQubit(0.0, 1.0),
-                               detector: DetectorModel | float = 1.0) -> float:
-    """Fidelity of the retrieved photon against the stored qubit.
-
-    For constant detection efficiency this reduces to
+                               detector: float = 1.0) -> float:
+    """Fidelity of the retrieved photon against the stored qubit,
 
         F = F_qm + (1 - F_qm) (1 - |c_L|^2)^2,
 
     so a pure |k_R> input retrieves perfectly (its spectral distortion
     collapses into a branch weight) while a pure |k_L> input bears the full
     retrieval distortion and realizes F_qm; every input does at least as well
-    as F_qm.  For tabulated eta(k) the ratio of spectral averages is
-    evaluated directly.
+    as F_qm.  The detector efficiency cancels from it.
     """
     cl2, cr2 = _input_weights(photon)
+    eta = check_efficiency(detector)
     points = [(params, pulse)]
-    m = spectral_moments(points, quad, detector)
-    return float(_retrieved_fidelity(m, _sin2(points), cl2, cr2)[0])
+    m = spectral_moments(points, quad)
+    return float(_retrieved_fidelity(m, _sin2(points), eta, cl2, cr2)[0])
 
 
 def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
                        quad: QuadratureConfig | None = None,
                        photons: Sequence[PhotonQubit] = (PhotonQubit(0.0, 1.0),),
-                       detector: DetectorModel | float = 1.0
-                       ) -> list[dict[str, float]]:
+                       detector: float = 1.0) -> list[dict[str, float]]:
     """Every closed form of one store-and-retrieve cycle, per input qubit,
     from a single moment pass.
 
     Entry i holds "F_qm", "P_kL", "P_L", "P_qm" and "fidelity" for
     photons[i], bit-identical to `qm_fidelity`, `storage_success`,
     `retrieval_success`, `qm_success` and `storage_retrieval_fidelity` at
-    the same point and detector.
+    the same point and efficiency.
     """
     weights = [_input_weights(photon) for photon in photons]
+    eta = check_efficiency(detector)
     points = [(params, pulse)]
-    m = spectral_moments(points, quad, detector)
+    m = spectral_moments(points, quad)
     sin2 = _sin2(points)
     f_qm = float(_memory_fidelity(m)[0])
-    p_qm = float(_success(m, sin2)[0])
+    p_qm = float(_success(m, sin2, eta)[0])
     return [{"F_qm": f_qm,
-             "P_kL": float(_storage(m, sin2, cl2, cr2)[0]),
-             "P_L": float(_retrieval(m, sin2, cl2, cr2)[0]),
+             "P_kL": float(_storage(m, sin2, eta, cl2, cr2)[0]),
+             "P_L": float(_retrieval(m, sin2, eta, cl2, cr2)[0]),
              "P_qm": p_qm,
-             "fidelity": float(_retrieved_fidelity(m, sin2, cl2, cr2)[0])}
+             "fidelity": float(_retrieved_fidelity(m, sin2, eta, cl2,
+                                                   cr2)[0])}
             for cl2, cr2 in weights]
 
 
@@ -407,14 +400,14 @@ def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
 class MetricReport:
     """Bundle of the closed-form figures of merit at one parameter point.
 
-    P_kL and P_L depend on the input qubit (their product P_qm does not, for
-    constant eta); the qubit used is echoed in the serialized form.  eta is
-    the constant efficiency or the tabulated DetectorModel.
+    P_kL and P_L depend on the input qubit (their product P_qm does not);
+    the qubit used is echoed in the serialized form.  eta is the detector
+    efficiency.
     """
 
     params: SystemParams
     pulse: PulseSpec
-    eta: float | DetectorModel
+    eta: float
     photon: PhotonQubit
     F_swap: float
     F_swap_leading: float
@@ -428,8 +421,7 @@ class MetricReport:
     def to_dict(self) -> dict:
         """One flat JSON-ready dict: parameter echo plus the metrics."""
         out = point_to_dict(self.params, self.pulse)
-        out["eta"] = (self.eta.to_json() if isinstance(self.eta, DetectorModel)
-                      else self.eta)
+        out["eta"] = self.eta
         out["input_c_L"] = [float(np.real(self.photon.c_L)), float(np.imag(self.photon.c_L))]
         out["input_c_R"] = [float(np.real(self.photon.c_R)), float(np.imag(self.photon.c_R))]
         out["F_swap"] = self.F_swap
@@ -462,21 +454,23 @@ class MetricColumns(NamedTuple):
 
 def metric_columns(points: Sequence[Point],
                    quad: QuadratureConfig | None = None,
-                   eta: float | DetectorModel = 1.0,
+                   eta: float = 1.0,
                    photon: PhotonQubit = _BALANCED) -> MetricColumns:
     """Every closed-form metric of every point from one moment pass, as
-    columns.  Raises ZeroScatteringWeight where any of them is undefined."""
+    columns.  Raises InvalidField unless 0 < eta <= 1, and
+    ZeroScatteringWeight where any metric is undefined."""
     cl2, cr2 = _input_weights(photon)
-    m = spectral_moments(points, quad, eta)
+    eta = check_efficiency(eta)
+    m = spectral_moments(points, quad)
     sin2 = _sin2(points)
-    p_qm = _success(m, sin2)
+    p_qm = _success(m, sin2, eta)
     return MetricColumns(
         F_swap=m.h2.tolist(),
         F_swap_leading=[swap_fidelity_leading(params, pulse)
                         for params, pulse in points],
         F_qm=_memory_fidelity(m).tolist(),
-        P_kL=_storage(m, sin2, cl2, cr2).tolist(),
-        P_L=_retrieval(m, sin2, cl2, cr2).tolist(),
+        P_kL=_storage(m, sin2, eta, cl2, cr2).tolist(),
+        P_L=_retrieval(m, sin2, eta, cl2, cr2).tolist(),
         P_qm=p_qm.tolist(),
         P_qm_conditional=(p_qm * p_qm).tolist(),
         f_swap_meaningful=[_balanced(params) for params, _ in points],
@@ -485,18 +479,18 @@ def metric_columns(points: Sequence[Point],
 
 def compute_reports(points: Sequence[Point],
                     quad: QuadratureConfig | None = None,
-                    eta: float | DetectorModel = 1.0,
+                    eta: float = 1.0,
                     photon: PhotonQubit = _BALANCED) -> list[MetricReport]:
     """Every closed-form metric at each point, one MetricReport per point,
     from the columns of `metric_columns`."""
     columns = metric_columns(points, quad, eta, photon)
-    return [MetricReport(params, pulse, eta, photon, *cells)
+    return [MetricReport(params, pulse, float(eta), photon, *cells)
             for (params, pulse), *cells in zip(points, *columns)]
 
 
 def compute_report(params: SystemParams, pulse: PulseSpec,
                    quad: QuadratureConfig | None = None,
-                   eta: float | DetectorModel = 1.0,
+                   eta: float = 1.0,
                    photon: PhotonQubit = _BALANCED) -> MetricReport:
     """Evaluate every closed-form metric at one parameter point."""
     return compute_reports([(params, pulse)], quad, eta, photon)[0]

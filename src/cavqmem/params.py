@@ -1,4 +1,5 @@
-"""System parameters, pulse profiles, detector models and qubit amplitudes.
+"""System parameters, pulse profiles, the detector efficiency and qubit
+amplitudes.
 
 Unit convention: every rate and frequency is a dimensionless multiple of one
 global rate unit (the CLI fixes gamma = 1).  Frequencies enter the formulas
@@ -6,7 +7,9 @@ only relative to the cavity resonance k_c, which is retained purely so that
 displayed wavenumbers can be absolute; all defaults put k_c = 0.
 
 SystemParams and PulseSpec check themselves when they are built, so every
-point that exists is physical and nothing downstream re-checks one.
+point that exists is physical and nothing downstream re-checks one.  The
+detector efficiency eta is one float in (0, 1], checked by
+`check_efficiency` where it enters a public function.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-
-import numpy as np
 
 from .errors import (
     InvalidField,
@@ -288,79 +289,13 @@ def require_normalized(qubit, tol: float = 1e-9) -> None:
         raise InvalidField("qubit", f"not normalized, |a|^2 = {qubit.norm_sq!r}")
 
 
-class DetectorModel:
-    """Quantum efficiency eta(k) of the polarization-resolving photon counter.
-
-    Either a constant efficiency or a tabulated curve interpolated linearly in
-    k (held flat beyond the table ends).  Efficiencies must lie in (0, 1] on
-    every wavenumber where the model is evaluated; every check raises
-    InvalidField.
-    """
-
-    def __init__(self, eta: float | None = None,
-                 k_table: np.ndarray | None = None,
-                 eta_table: np.ndarray | None = None):
-        if eta is not None:
-            if not isinstance(eta, numbers.Real) or not 0.0 < eta <= 1.0:
-                raise InvalidField(
-                    "eta", f"constant efficiency must be in (0, 1], got {eta!r}")
-            self._eta = float(eta)
-            self._k_table = None
-            self._eta_table = None
-        else:
-            try:
-                k_arr = np.asarray(k_table, dtype=float)
-                e_arr = np.asarray(eta_table, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidField("eta_table", "tabulated model needs "
-                                                "numeric tables") from None
-            if k_arr.ndim != 1 or k_arr.shape != e_arr.shape or k_arr.size < 2:
-                raise InvalidField("eta_table", "tabulated model needs matching "
-                                                "1-d tables, >= 2 points")
-            for name, table in (("k_table", k_arr), ("eta_table", e_arr)):
-                if not np.isfinite(table).all():
-                    raise InvalidField(name, "must be finite")
-            if np.any(np.diff(k_arr) <= 0.0):
-                raise InvalidField("k_table", "must be strictly increasing")
-            self._eta = None
-            self._k_table = k_arr
-            self._eta_table = e_arr
-
-    @classmethod
-    def constant(cls, eta: float) -> "DetectorModel":
-        return cls(eta=eta)
-
-    @classmethod
-    def tabulated(cls, k_table, eta_table) -> "DetectorModel":
-        return cls(k_table=k_table, eta_table=eta_table)
-
-    @property
-    def is_constant(self) -> bool:
-        return self._eta is not None
-
-    def __call__(self, k) -> np.ndarray:
-        """Evaluate eta on an array of wavenumbers, checking 0 < eta <= 1."""
-        k_arr = np.asarray(k, dtype=float)
-        if self._eta is not None:
-            return np.full(k_arr.shape, self._eta)
-        out = np.interp(k_arr, self._k_table, self._eta_table)
-        if np.any(out <= 0.0) or np.any(out > 1.0):
-            raise InvalidField("eta", "tabulated efficiency leaves (0, 1] on "
-                                      "the requested support")
-        return out
-
-    def to_json(self) -> float | dict:
-        """The constant efficiency, or the table as {"k": [...], "eta": [...]}."""
-        if self._eta is not None:
-            return self._eta
-        return {"k": self._k_table.tolist(), "eta": self._eta_table.tolist()}
-
-
-def as_detector(detector) -> DetectorModel:
-    """Coerce a float or DetectorModel argument into a DetectorModel."""
-    if isinstance(detector, DetectorModel):
-        return detector
-    return DetectorModel.constant(detector)
+def check_efficiency(eta) -> float:
+    """The detector efficiency eta as a float.  Raises InvalidField unless it
+    is a real number in (0, 1]."""
+    if not isinstance(eta, numbers.Real) or not 0.0 < eta <= 1.0:
+        raise InvalidField(
+            "eta", f"constant efficiency must be in (0, 1], got {eta!r}")
+    return float(eta)
 
 
 def rescaled(params: SystemParams, pulse: PulseSpec, factor: float

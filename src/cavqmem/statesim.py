@@ -2,7 +2,7 @@
 
 Every quantity in `metrics` has a twin here that is obtained the long way:
 amplitudes on an explicit wavenumber grid are propagated through each
-scattering event, the photon counter is applied as a Kraus factor sqrt(eta(k))
+scattering event, the photon counter is applied as a Kraus factor sqrt(eta)
 on the detected channel, and measurements between interactions turn the state
 into a wavenumber-indexed ensemble, exactly as an unresolved detector does.
 Nothing is averaged before the step that physically averages it, which is what
@@ -23,8 +23,9 @@ work and memory; only `RetrievalOutcome.photon_density`, whose output is a
 node-by-node matrix, builds one.  This is an exact re-representation: every
 sum that the full array would take is still taken, node by node.
 
-SystemParams and PulseSpec check themselves when they are built; only the
-qubit amplitudes are checked (for normalization) where they enter.
+SystemParams and PulseSpec check themselves when they are built; the qubit
+amplitudes (for normalization) and the detector efficiency (in (0, 1]) are
+checked where they enter.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ import numpy as np
 from .errors import InvalidField, ZeroProbability
 from .params import (
     AtomQubit,
-    DetectorModel,
     PhotonQubit,
     PulseSpec,
     SystemParams,
-    as_detector,
+    check_efficiency,
     qubit_norm,
     require_normalized,
 )
@@ -147,20 +147,20 @@ class AtomEnsemble:
         return rho / self.probability
 
 
-def detect_photon_L(state: JointState,
-                    detector: DetectorModel | float = 1.0
+def detect_photon_L(state: JointState, detector: float = 1.0
                     ) -> tuple[AtomEnsemble, float]:
-    """Count the photon in the k_L polarization channel.
+    """Count the photon in the k_L polarization channel with efficiency
+    `detector`.
 
     Returns the conditioned atomic ensemble and the detection probability
-    P(k_L).  Raises ZeroProbability when that outcome has no support.
+    P(k_L).  Raises InvalidField unless 0 < detector <= 1, and
+    ZeroProbability when that outcome has no support.
     """
-    return _detect(state, as_detector(detector)(state.grid.k))
+    return _detect(state, check_efficiency(detector))
 
 
-def _detect(state: JointState, eta: np.ndarray
-            ) -> tuple[AtomEnsemble, float]:
-    """`detect_photon_L` given the efficiency at the grid nodes."""
+def _detect(state: JointState, eta: float) -> tuple[AtomEnsemble, float]:
+    """`detect_photon_L` given a checked efficiency."""
     beta = np.sqrt(eta) * state.amps[:, POL_L, :]
     prob = float(np.real(np.einsum("aj,aj,j->", beta, np.conjugate(beta),
                                    state.grid.w)))
@@ -280,24 +280,25 @@ class ReadoutOutcome:
 def atomic_readout_via_third_photon(atom: AtomQubit, params: SystemParams,
                                     pulse: PulseSpec,
                                     quad: QuadratureConfig = DEFAULT_QUAD,
-                                    detector: DetectorModel | float = 1.0
+                                    detector: float = 1.0
                                     ) -> ReadoutOutcome:
     """Interrogate the atom with a k_L-polarized probe photon.
 
     Only the |L> component converts the probe to the k_R channel (T_RL), so a
-    k_R click occurs with probability |a_L|^2 [eta |T_RL|^2]_f and pins the
-    atom to |R>.  A transparent pass (|R> atom) never clicks.
+    k_R click occurs with probability |a_L|^2 eta [|T_RL|^2]_f and pins the
+    atom to |R>.  A transparent pass (|R> atom) never clicks.  Raises
+    InvalidField unless 0 < detector <= 1.
     """
     require_normalized(atom)
+    eta = check_efficiency(detector)
     grid = build_grid(pulse, quad, k_c=params.k_c)
-    return _readout(atom, grid, t_elements(grid.k, params),
-                    as_detector(detector)(grid.k))
+    return _readout(atom, grid, t_elements(grid.k, params), eta)
 
 
 def _readout(atom: AtomQubit, grid: KGrid, elements: tuple,
-             eta: np.ndarray) -> ReadoutOutcome:
+             eta: float) -> ReadoutOutcome:
     """`atomic_readout_via_third_photon` on the probe photon's `grid`, given
-    the `t_elements` and the detector efficiency at its nodes."""
+    the `t_elements` at its nodes and a checked efficiency."""
     click = float(np.real(grid.average(eta * np.abs(elements[3]) ** 2)))
     prob = click * abs(atom.a_L) ** 2
     if prob < TINY_PROB:
@@ -336,7 +337,7 @@ class MemoryRecord:
 def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
                         quad: QuadratureConfig = DEFAULT_QUAD,
                         photon: PhotonQubit = PhotonQubit(0.0, 1.0),
-                        detector: DetectorModel | float = 1.0,
+                        detector: float = 1.0,
                         readout: str = "projective") -> MemoryRecord:
     """Simulate the full cycle: store a polarization qubit, retrieve it.
 
@@ -344,17 +345,17 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     atom.  readout="third_photon" heralds the same outcome with a probe
     photon instead: every retained branch acquires the identical spectral
     factor, so the released state and its fidelity are unchanged and only an
-    extra success factor [eta |T_RL|^2]_f appears in p_total.
+    extra success factor eta [|T_RL|^2]_f appears in p_total.  Raises
+    InvalidField unless 0 < detector <= 1.
     """
     if readout not in ("projective", "third_photon"):
         raise InvalidField(readout, "unknown readout mode")
-    # Storage, retrieval and probe photons share the pulse, so one grid, one
-    # evaluation of the scattering elements and one of the detector serve
-    # the whole cycle.
+    eta = check_efficiency(detector)
+    # Storage, retrieval and probe photons share the pulse, so one grid and
+    # one evaluation of the scattering elements serve the whole cycle.
     grid = build_grid(pulse, quad, k_c=params.k_c)
     state = prepare_input(AtomQubit(0.0, 1.0), photon, grid)
     elements = t_elements(grid.k, params)
-    eta = as_detector(detector)(grid.k)
     lossless = params.gamma == 0.0
     state = _scatter_state(state, elements, lossless)
     stored, p_k_l = _detect(state, eta)
@@ -509,16 +510,17 @@ def entanglement_storage(pair: PhotonPair,
                          params_1: SystemParams, params_2: SystemParams,
                          pulse_1: PulseSpec, pulse_2: PulseSpec,
                          quad: QuadratureConfig = DEFAULT_QUAD,
-                         detector_1: DetectorModel | float = 1.0,
-                         detector_2: DetectorModel | float = 1.0,
+                         detector_1: float = 1.0,
+                         detector_2: float = 1.0,
                          mode: str = "postselect") -> EntanglementOutcome:
     """Store one photon of an entangled pair in each of two cavities.
 
     mode="postselect": both scattered photons are counted in their k_L
-    channels and the fidelity is the heralded overlap with the swap image,
-    the wavenumber-diagonal branches added coherently under the detection
-    measure.  For identical cavities this reproduces the single-qubit memory
-    fidelity for every input pair.
+    channels, with efficiencies detector_1 and detector_2, and the fidelity
+    is the heralded overlap with the swap image, the wavenumber-diagonal
+    branches added coherently under the detection measure.  For identical
+    cavities this reproduces the single-qubit memory fidelity for every
+    input pair.
 
     mode="swap": no photon detection at all; the photons are traced out and
     the two-atom density matrix is projected on the swap image, decay and
@@ -528,10 +530,13 @@ def entanglement_storage(pair: PhotonPair,
     Neither mode reads the decay mass, so the photons are scattered without
     the loss_weight bookkeeping of `scatter_pair`: each call takes one
     contraction of the factor Gram matrices, the heralded norm or the
-    two-atom density matrix.
+    two-atom density matrix.  Both modes raise InvalidField unless both
+    efficiencies lie in (0, 1].
     """
     if mode not in ("postselect", "swap"):
         raise InvalidField(mode, "unknown storage mode")
+    root_eta_1 = np.sqrt(check_efficiency(detector_1))
+    root_eta_2 = np.sqrt(check_efficiency(detector_2))
     grid_1 = build_grid(pulse_1, quad, k_c=params_1.k_c)
     grid_2 = build_grid(pulse_2, quad, k_c=params_2.k_c)
     state = _scatter_pair(prepare_pair(pair, grid_1, grid_2), params_1,
@@ -546,8 +551,6 @@ def entanglement_storage(pair: PhotonPair,
         probability = float(np.real(np.einsum("abab->", rho4)))
         return EntanglementOutcome(probability=probability, fidelity=fidelity,
                                    mode=mode)
-    root_eta_1 = np.sqrt(as_detector(detector_1)(grid_1.k))
-    root_eta_2 = np.sqrt(as_detector(detector_2)(grid_2.k))
     # Both photons counted in k_L: the Kraus factors act on each side's
     # POL_L channel, which keeps the state a sum of the same rank terms.
     sel_1 = state.left[:, :, POL_L, :] * root_eta_1

@@ -432,6 +432,22 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
     assert main(["point", "--phase", "inf"]) == 2
     assert main(["point", "--k", "inf"]) == 2
     assert main(["point", "--k", "nan"]) == 2
+    # finite, but s^2 in the scattering map overflows
+    assert main(["point", "--k", "1e200"]) == 2
+    # the exact moment pass overflows: no NaN cells, no CSV at all
+    for field in ("kappa", "gamma", "delta_e"):
+        (tmp_path / "huge.json").write_text(f'{{"{field}": 1e200}}',
+                                            encoding="utf-8")
+        out = tmp_path / f"{field}.csv"
+        assert main(["sweep", "--params", str(tmp_path / "huge.json"),
+                     "--axis", "kappa_p,log,0.1,1,3", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(["point", "--params", str(tmp_path / "huge.json")]) == 2
+        assert main(["oracle", "--params", str(tmp_path / "huge.json")]) == 2
+    assert main(["sweep", "--eta", "0", "--axis", "kappa_p,log,0.1,1,3",
+                 "--out", str(tmp_path / "eta.csv")]) == 2
+    assert not (tmp_path / "eta.csv").exists()
+    assert main(["oracle", "--eta", "nan"]) == 2
     assert main(["oracle", "--quad-n", "4"]) == 2
     assert main(["oracle", "--quad-n", "400"]) == 2
     assert main(["validate", "--trials", "0"]) == 2

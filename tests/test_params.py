@@ -1,4 +1,4 @@
-"""Parameter containers, validation, serialization and detector models."""
+"""Parameter containers, validation, serialization and the detector efficiency."""
 
 import ast
 import math
@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavqmem
+from cavqmem import metrics, statesim
 from cavqmem.errors import (
     GammaZero,
     InvalidField,
@@ -21,12 +22,11 @@ from cavqmem.errors import (
 )
 from cavqmem.params import (
     AtomQubit,
-    DetectorModel,
     PhotonQubit,
     Profile,
     PulseSpec,
     SystemParams,
-    as_detector,
+    check_efficiency,
     cooperativity,
     point_from_dict,
     point_to_dict,
@@ -36,8 +36,8 @@ from cavqmem.params import (
     validate_pulse,
 )
 from cavqmem.scattering import coupling_amplitude
-from cavqmem.spectral import QuadratureConfig
-from cavqmem.statesim import PhotonPair
+from cavqmem.spectral import QuadratureConfig, build_grid
+from cavqmem.statesim import PhotonPair, prepare_input
 
 PACKAGE_DIR = Path(cavqmem.__file__).parent
 
@@ -237,25 +237,60 @@ def test_normalized_refuses_zero_and_non_finite_norms(qubit):
 
 
 def test_constant_detector_bounds():
-    d = DetectorModel.constant(0.8)
-    assert d.is_constant
-    np.testing.assert_allclose(d(np.array([-1.0, 0.0, 5.0])), 0.8)
-    for bad in (0.0, -0.1, 1.2):
-        with pytest.raises(ValueError):
-            DetectorModel.constant(bad)
-    assert as_detector(0.5)(0.0) == pytest.approx(0.5)
-    assert as_detector(d) is d
+    for good in (0.8, 1.0, 1, np.float64(0.25), 1e-310):
+        assert check_efficiency(good) == good
+        assert type(check_efficiency(good)) is float
+    for bad in (0.0, -0.1, 1.2, math.nan, math.inf, "0.5", None, 0.5j):
+        with pytest.raises(InvalidField, match=r"must be in \(0, 1\]"):
+            check_efficiency(bad)
 
 
-def test_tabulated_detector_interpolates_and_clamps():
-    d = DetectorModel.tabulated([-1.0, 0.0, 1.0], [0.2, 0.6, 0.4])
-    np.testing.assert_allclose(d(np.array([-0.5, 0.5])), [0.4, 0.5])
-    # flat beyond the table
-    np.testing.assert_allclose(d(np.array([-9.0, 9.0])), [0.2, 0.4])
-    with pytest.raises(ValueError):
-        DetectorModel.tabulated([0.0, 0.0], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        DetectorModel.tabulated([0.0], [0.5])
+_POINT = (SystemParams(), PulseSpec())
+_PAIR = (PhotonPair(0.6, 0.8), SystemParams(), SystemParams(), PulseSpec(),
+         PulseSpec())
+
+
+def _stored_state():
+    grid = build_grid(_POINT[1], k_c=_POINT[0].k_c)
+    return prepare_input(AtomQubit(0.0, 1.0), PhotonQubit(0.6, 0.8), grid)
+
+
+#: Every public function that takes the detector efficiency, called with it.
+EFFICIENCY_ENTRIES = {
+    "qm_success": lambda eta: metrics.qm_success(*_POINT, eta=eta),
+    "storage_success": lambda eta: metrics.storage_success(
+        *_POINT, detector=eta),
+    "retrieval_success": lambda eta: metrics.retrieval_success(
+        *_POINT, detector=eta),
+    "storage_retrieval_fidelity": lambda eta:
+        metrics.storage_retrieval_fidelity(*_POINT, detector=eta),
+    "cycle_closed_forms": lambda eta: metrics.cycle_closed_forms(
+        *_POINT, detector=eta),
+    "metric_columns": lambda eta: metrics.metric_columns([_POINT], eta=eta),
+    "compute_report": lambda eta: metrics.compute_report(*_POINT, eta=eta),
+    "compute_reports": lambda eta: metrics.compute_reports([_POINT], eta=eta),
+    "detect_photon_L": lambda eta: statesim.detect_photon_L(_stored_state(),
+                                                            eta),
+    "atomic_readout_via_third_photon": lambda eta:
+        statesim.atomic_readout_via_third_photon(AtomQubit(1.0, 0.0), *_POINT,
+                                                 detector=eta),
+    "run_memory_protocol": lambda eta: statesim.run_memory_protocol(
+        *_POINT, detector=eta),
+    **{f"entanglement_storage-{mode}-{side}": (
+        lambda eta, mode=mode, side=side: statesim.entanglement_storage(
+            *_PAIR, mode=mode, **{side: eta}))
+       for mode in ("postselect", "swap")
+       for side in ("detector_1", "detector_2")},
+}
+
+
+@pytest.mark.parametrize("entry", EFFICIENCY_ENTRIES.values(),
+                         ids=EFFICIENCY_ENTRIES.keys())
+def test_efficiency_is_refused_at_every_public_entry(entry):
+    entry(0.8)  # a valid efficiency passes
+    for bad in (0.0, -0.1, 1.5, math.nan, math.inf, "0.5"):
+        with pytest.raises(InvalidField, match=r"must be in \(0, 1\]"):
+            entry(bad)
 
 
 @settings(deadline=None, max_examples=50)
@@ -280,25 +315,11 @@ def test_input_failures_are_typed_and_still_value_errors():
     with pytest.raises(InvalidField) as err:
         require_normalized(PhotonQubit(1.0, 1.0))
     assert isinstance(err.value, ValueError)
-    for make in (lambda: DetectorModel.constant(1.5),
-                 lambda: DetectorModel.constant("0.5"),
-                 lambda: as_detector("0.5"),
-                 lambda: DetectorModel.tabulated([0.0], [0.5]),
-                 lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, math.nan]),
-                 lambda: DetectorModel.tabulated([0.0, math.nan], [0.5, 0.5]),
-                 lambda: DetectorModel.tabulated([1.0, 0.0], [0.5, 0.5]),
-                 lambda: DetectorModel.tabulated(["a", "b"], [0.5, 0.5]),
-                 lambda: DetectorModel.tabulated([0.0, 1.0], [{}, 0.5]),
-                 lambda: DetectorModel.tabulated([0.0, 10**400], [0.5, 0.5]),
-                 lambda: DetectorModel.tabulated([0.0, 1.0], [0.5, 1.5])(0.9),
-                 lambda: QuadratureConfig(n_lorentz=4),
+    for make in (lambda: QuadratureConfig(n_lorentz=4),
                  lambda: rescaled(SystemParams(), PulseSpec(), -1.0),
                  lambda: coupling_amplitude(0.0, SystemParams(), "H")):
         with pytest.raises(InvalidField):
             make()
-    assert DetectorModel.constant(0.5).to_json() == 0.5
-    assert DetectorModel.tabulated([0.0, 1.0], [0.5, 0.7]).to_json() == {
-        "k": [0.0, 1.0], "eta": [0.5, 0.7]}
     for name in ("NonPositiveKappa", "NegativeGamma", "ZeroCoupling",
                  "GammaZero"):
         assert issubclass(getattr(cavqmem, name), cavqmem.CavqmemError)

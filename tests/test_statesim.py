@@ -21,12 +21,10 @@ from cavqmem.metrics import (
 )
 from cavqmem.params import (
     AtomQubit,
-    DetectorModel,
     PhotonQubit,
     Profile,
     PulseSpec,
     SystemParams,
-    as_detector,
 )
 from cavqmem.scattering import t_elements
 from cavqmem.spectral import DEFAULT_QUAD, QuadratureConfig, build_grid, spectral_average
@@ -278,31 +276,6 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
     assert calls == {"build_grid": 1, "t_elements": 1}
 
 
-class CountingDetector(DetectorModel):
-    """A tabulated detector that counts its evaluations."""
-
-    def __init__(self):
-        super().__init__(k_table=[-50.0, 50.0], eta_table=[0.6, 0.9])
-        self.calls = 0
-
-    def __call__(self, k):
-        self.calls += 1
-        return super().__call__(k)
-
-
-@pytest.mark.parametrize("readout", ["projective", "third_photon"])
-def test_memory_cycle_evaluates_the_detector_once(readout):
-    # the heralding probe shares the storage photon's grid, so the detector
-    # efficiency on it is evaluated once per cycle
-    detector = CountingDetector()
-    record = run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED,
-                                 detector=detector, readout=readout)
-    assert detector.calls == 1
-    tabulated = DetectorModel.tabulated([-50.0, 50.0], [0.6, 0.9])
-    assert record == run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED,
-                                         detector=tabulated, readout=readout)
-
-
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
                                                          "lorentzian"])
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
@@ -492,18 +465,16 @@ def _dense_entanglement_storage(pair, params_1, params_2, pulse_1, pulse_2,
         fidelity = float(np.real(np.einsum("ab,abcd,cd->",
                                            np.conjugate(target), rho4, target)))
         return float(np.real(np.einsum("abab->", rho4))), fidelity
-    root_eta_1 = np.sqrt(as_detector(detector_1)(grid_1.k))
-    root_eta_2 = np.sqrt(as_detector(detector_2)(grid_2.k))
-    root_eta = root_eta_1[:, None] * root_eta_2[None, :]
-    sel = psi[:, :, POL_L, POL_L] * root_eta[None, None]
+    root_eta = math.sqrt(detector_1 * detector_2)
+    sel = psi[:, :, POL_L, POL_L] * root_eta
     prob = float(np.real(np.einsum("abjk,abjk,j,k->", sel, np.conjugate(sel),
                                    w1, w2)))
     overlap = np.einsum("jk,jk,j,k->", np.conjugate(envelope) * root_eta,
                         np.conjugate(pair.c_RL) * sel[ATOM_L, ATOM_R]
                         + np.conjugate(pair.c_LR) * sel[ATOM_R, ATOM_L],
                         w1, w2)
-    weight = (float(np.real(grid_1.average(root_eta_1 ** 2)))
-              * float(np.real(grid_2.average(root_eta_2 ** 2))))
+    weight = (detector_1 * float(np.real(grid_1.average(1.0)))
+              * detector_2 * float(np.real(grid_2.average(1.0))))
     return prob, float(abs(overlap) ** 2 / (weight * prob))
 
 
@@ -541,7 +512,6 @@ OTHER = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_L=-1.1, theta_R=0.6,
 CLEAN_1 = SystemParams(lambda_L=1.2, lambda_R=2.1, theta_L=0.4, gamma=0.0)
 CLEAN_2 = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_R=-0.3, gamma=0.0,
                        delta_e=0.9)
-TABULATED = DetectorModel.tabulated([-3.0, 0.0, 4.0], [0.3, 0.9, 0.6])
 PULSE_PAIRS = [(GAUSS, GAUSS), (LORENTZ, LORENTZ), (GAUSS, LORENTZ)]
 PULSE_IDS = ["gaussian", "lorentzian", "mixed"]
 
@@ -571,7 +541,7 @@ def test_factored_pair_matches_dense_reference(pulses, cavities):
     amps = np.einsum("rapj,rbqk->abpqjk", state.left, state.right)
     np.testing.assert_allclose(amps, dense, rtol=0.0, atol=1e-12)
     for mode in ("postselect", "swap"):
-        for detectors in ((1.0, 1.0), (0.9, TABULATED)):
+        for detectors in ((1.0, 1.0), (0.9, 0.6)):
             out = entanglement_storage(pair, params_1, params_2, pulse_1,
                                        pulse_2, LORENTZ_104, *detectors,
                                        mode=mode)
@@ -589,7 +559,7 @@ def test_factored_retrieval_matches_dense_reference(pulse, params):
     grid = build_grid(pulse, LORENTZ_104, k_c=params.k_c)
     state = apply_scattering(prepare_input(ATOM_START, BALANCED, grid),
                              params)
-    stored, _ = detect_photon_L(state, TABULATED)
+    stored, _ = detect_photon_L(state, 0.6)
     target = PhotonQubit(0.28, 0.96j)
     outcome = retrieve(stored, params, pulse, LORENTZ_104, target=target)
     prob, fid, loss, rho = _dense_retrieve(stored, params, pulse,
