@@ -17,7 +17,11 @@ quadrature rule.  Only the state-vector oracle of `oracle` and `validate`
 integrates on a rule, `--quad-n`'s, else DEFAULT_QUAD; `oracle` compares it
 with the exact closed forms, so its deltas include the rule's error.
 
-The sweep and curve-family rows take their cells from the columns of
+A sweep grid or curve family is one batch, a `params.ParamRows`: one
+float array per field, outer axis major, and no SystemParams or PulseSpec
+per row.  The sweep axes act on those arrays; `params.grid_rows` checks
+every row at once and raises, for the first row that fails, the error of
+that row's own point.  The rows take their cells from the columns of
 `metrics.metric_columns`, and `write_csv` formats them column by column.
 CSV outputs are deterministic byte for byte at fixed configuration: fixed
 sampling order, fixed summation order, floats serialized with repr.  The
@@ -35,6 +39,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -55,9 +60,12 @@ from .params import (
     Profile,
     PulseSpec,
     SystemParams,
-    family_params,
+    coupling_sq,
+    family_rows,
+    grid_rows,
     point_from_dict,
     point_to_dict,
+    split_coupling,
 )
 from .scattering import coupling_amplitude, t_matrix
 from .spectral import DEFAULT_QUAD, QuadratureConfig
@@ -77,36 +85,35 @@ CSV_ROUTE_META = {"closed_forms": "exact",
                            "n_lorentz": DEFAULT_QUAD.n_lorentz}}
 
 
+def _case_cells(cases, count: int) -> list[str]:
+    """The case column of a family: each case's label `count` times."""
+    return [case for case, _, _ in cases for _ in range(count)]
+
+
 def fig2_rows(count: int = 61) -> list[tuple]:
     """Memory and swap fidelity versus cooperativity, Gaussian pulse with
     kappa_p = 0.1 kappa, one row block per detuning case."""
-    coops = np.geomspace(1.0, 100.0, count).tolist()
-    rows = []
-    for case, delta_e, delta_p in FIG2_CASES:
-        pulse = PulseSpec(profile=Profile.GAUSSIAN, delta_p=delta_p,
-                          kappa_p=0.1 * FAMILY_KAPPA)
-        columns = metrics.metric_columns(
-            [(family_params(coop, delta_e=delta_e), pulse) for coop in coops])
-        rows.extend(zip(coops, itertools.repeat(case), columns.F_qm,
-                        columns.F_swap))
-    return rows
+    coops = np.geomspace(1.0, 100.0, count)
+    columns = metrics.metric_columns(family_rows(
+        [(False, delta_e, delta_p) for _, delta_e, delta_p in FIG2_CASES],
+        coops, 1.0, 0.1))
+    return list(zip(coops.tolist() * len(FIG2_CASES),
+                    _case_cells(FIG2_CASES, count), columns.F_qm,
+                    columns.F_swap))
 
 
 def fig3_rows(count: int = 25) -> list[tuple]:
     """Memory fidelity versus pulse bandwidth for both spectral profiles at
     cooperativity 20."""
-    ratios = np.geomspace(0.01, 0.5, count).tolist()
-    rows = []
-    for profile in (Profile.GAUSSIAN, Profile.LORENTZIAN):
-        for case, delta_e, delta_p in FIG3_CASES:
-            params = family_params(20.0, delta_e=delta_e)
-            columns = metrics.metric_columns(
-                [(params, PulseSpec(profile=profile, delta_p=delta_p,
-                                    kappa_p=x * FAMILY_KAPPA))
-                 for x in ratios])
-            rows.extend(zip(ratios, itertools.repeat(profile.value),
-                            itertools.repeat(case), columns.F_qm))
-    return rows
+    ratios = np.geomspace(0.01, 0.5, count)
+    blocks = [(profile is Profile.LORENTZIAN, delta_e, delta_p)
+              for profile in Profile for _, delta_e, delta_p in FIG3_CASES]
+    columns = metrics.metric_columns(family_rows(blocks, 20.0, 1.0, ratios))
+    return list(zip(ratios.tolist() * len(blocks),
+                    [profile.value for profile in Profile
+                     for _ in range(len(FIG3_CASES) * count)],
+                    _case_cells(FIG3_CASES, count) * len(Profile),
+                    columns.F_qm))
 
 
 def fig4_rows(count: int = 41) -> list[tuple]:
@@ -115,17 +122,14 @@ def fig4_rows(count: int = 41) -> list[tuple]:
     ratios = np.geomspace(0.1, 10.0, count)
     # Pin the symmetric midpoint so the grid contains ratio 1 exactly.
     ratios[np.abs(ratios - 1.0) < 1e-9] = 1.0
-    keys = list(itertools.product((1.0, 10.0, 100.0), ratios.tolist()))
-    rows = []
-    for case, delta_e, delta_p in FIG2_CASES:
-        pulse = PulseSpec(profile=Profile.GAUSSIAN, delta_p=delta_p,
-                          kappa_p=0.1 * FAMILY_KAPPA)
-        columns = metrics.metric_columns(
-            [(family_params(coop, ratio=ratio, delta_e=delta_e), pulse)
-             for coop, ratio in keys])
-        rows.extend((ratio, coop, case, p_qm)
-                    for (coop, ratio), p_qm in zip(keys, columns.P_qm))
-    return rows
+    coops = np.repeat([1.0, 10.0, 100.0], count)
+    ratios = np.tile(ratios, 3)
+    columns = metrics.metric_columns(family_rows(
+        [(False, delta_e, delta_p) for _, delta_e, delta_p in FIG2_CASES],
+        coops, ratios, 0.1))
+    blocks = len(FIG2_CASES)
+    return list(zip(ratios.tolist() * blocks, coops.tolist() * blocks,
+                    _case_cells(FIG2_CASES, coops.size), columns.P_qm))
 
 
 @dataclass(frozen=True)
@@ -185,75 +189,63 @@ def parse_axis(text: str) -> SweepAxis:
                      count=count)
 
 
-def _set_field(fields: dict, field: str, value: float) -> None:
-    """Apply one axis value to the flat field dict of a sweep point."""
+def _apply_axis(columns: dict, field: str, values: np.ndarray,
+                failures: list) -> None:
+    """Apply one axis to the field columns of a sweep grid.  A derived axis
+    appends to `failures` the (mask, error) of every check it makes, in the
+    order it makes them."""
     if field not in VIRTUAL_FIELD_NAMES:
-        fields[field] = value
+        columns[field] = values
         return
-    try:
-        lam_sq = fields["lambda_L"] ** 2 + fields["lambda_R"] ** 2
-    except OverflowError:
-        raise NonFiniteField("lambda_sq") from None
+    lam_sq, overflow = coupling_sq(columns["lambda_L"], columns["lambda_R"])
+    failures.append((overflow, NonFiniteField("lambda_sq")))
     if field == "lambda_ratio":
-        lam_r = math.sqrt(lam_sq / (1.0 + value * value))
-        fields.update(lambda_L=value * lam_r, lambda_R=lam_r)
-    else:
-        if value <= 0.0:
-            raise InvalidField(field, "cooperativity must be > 0")
-        if lam_sq == 0.0:
-            raise ZeroCoupling()
-        if fields["gamma"] == 0.0:
-            raise GammaZero()
-        ratio = value * fields["kappa"] * fields["gamma"] / lam_sq
-        # ratio <= 0 means kappa <= 0 or gamma < 0: building the point says so
-        if ratio > 0.0:
-            scale = math.sqrt(ratio)
-            fields.update(lambda_L=scale * fields["lambda_L"],
-                          lambda_R=scale * fields["lambda_R"])
-
-
-def _sweep_points(spec: SweepSpec):
-    """(point, echo) for every grid point, outer axis major: each point is
-    built once, after every axis applies, so only it must be valid, and
-    echo holds its PARAM_COLUMNS cells."""
-    grids = [axis.values().tolist() for axis in spec.axes]
-    # the field values as floats, as `point_from_dict` reads them
-    base = {name: value if name == "profile" else float(value)
-            for name, value in point_to_dict(spec.params, spec.pulse).items()}
-    pulse = spec.pulse
-    pulse_swept = any(axis.field in PULSE_NUMERIC_FIELDS
-                      for axis in spec.axes)
-    for values in itertools.product(*grids):
-        fields = dict(base)
-        for axis, value in zip(spec.axes, values):
-            _set_field(fields, axis.field, value)
-        params = SystemParams(*[fields[name] for name in SYSTEM_FIELDS])
-        if pulse_swept:
-            pulse = PulseSpec(profile=spec.pulse.profile, **{
-                name: fields[name] for name in PULSE_NUMERIC_FIELDS})
-        yield (params, pulse), tuple(fields.values())
+        columns["lambda_L"], columns["lambda_R"] = split_coupling(lam_sq,
+                                                                  values)
+        return
+    gamma = columns["gamma"]
+    failures += [(values <= 0.0,
+                  InvalidField(field, "cooperativity must be > 0")),
+                 (lam_sq == 0.0, ZeroCoupling()),
+                 (gamma == 0.0, GammaZero())]
+    ratio = values * columns["kappa"] * gamma / lam_sq
+    # ratio <= 0 means kappa <= 0 or gamma < 0: the row check says so
+    scale = np.sqrt(np.where(ratio > 0.0, ratio, 1.0))
+    columns["lambda_L"] = scale * columns["lambda_L"]
+    columns["lambda_R"] = scale * columns["lambda_R"]
 
 
 def sweep_rows(spec: SweepSpec) -> list[tuple]:
-    """Evaluate the metric columns on the sweep grid, CHUNK_ROWS points at a
-    time, so that only the output rows grow with the grid."""
-    grid = _sweep_points(spec)
-    rows = []
-    while block := list(itertools.islice(grid, metrics.CHUNK_ROWS)):
-        points, echoes = zip(*block)
-        columns = metrics.metric_columns(points, eta=spec.eta)
-        cells = zip(itertools.repeat(spec.eta), columns.F_swap,
-                    columns.F_swap_leading, columns.F_qm, columns.P_qm,
-                    columns.P_qm_conditional)
-        rows.extend(echo + metric for echo, metric in zip(echoes, cells))
-    return rows
+    """The CSV rows of the sweep grid, outer axis major.  The axes act in
+    turn on one column per field, and `params.grid_rows` checks every row
+    at once: the first row that cannot be built raises the error of its own
+    point, before any metric is evaluated."""
+    grids = np.meshgrid(*(axis.values() for axis in spec.axes),
+                        indexing="ij")
+    base = {name: value if name == "profile" else float(value)
+            for name, value in point_to_dict(spec.params, spec.pulse).items()}
+    columns = dict(base)
+    failures = []
+    with np.errstate(all="ignore"):
+        for axis, values in zip(spec.axes, grids):
+            _apply_axis(columns, axis.field, values.ravel(), failures)
+    rows = grid_rows(columns, spec.pulse.profile is Profile.LORENTZIAN,
+                     [(np.broadcast_to(mask, grids[0].size), error)
+                      for mask, error in failures])
+    metric = metrics.metric_columns(rows, eta=spec.eta)
+    # a field no axis touched repeats the base point's float
+    echo = [getattr(rows, name).tolist() if columns[name] is not base[name]
+            else itertools.repeat(base[name]) for name in PARAM_COLUMNS]
+    return list(zip(*echo, itertools.repeat(spec.eta), metric.F_swap,
+                    metric.F_swap_leading, metric.F_qm, metric.P_qm,
+                    metric.P_qm_conditional))
 
 
 def _format_column(column: tuple) -> list[str]:
     """The cells of one CSV column as text; a column whose cells are all one
     object is formatted once."""
     first = column[0]
-    if all(cell is first for cell in column):
+    if all(map(operator.is_, column, itertools.repeat(first))):
         return [str(first)] * len(column)
     return list(map(str, column))
 

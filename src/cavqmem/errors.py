@@ -61,11 +61,23 @@ class DegenerateDenominator(CavqmemError):
 
 class NonFiniteIntegrand(CavqmemError):
     """A spectral average came out NaN or infinite: its integrand at the
-    quadrature nodes, or a moment of h that overflows at a parameter point."""
+    quadrature nodes, a moment of h that overflows at a parameter point, or
+    a quantity of a simulated cycle."""
 
     def __init__(self, what: str = "integrand is not finite on the "
                                    "quadrature grid"):
         super().__init__(what)
+
+
+class PrecisionLoss(CavqmemError):
+    """A computed [|h|^2]_f left [0, 1], where passivity holds it: double
+    precision ran out at this parameter point (the exact pole sums cancel,
+    e.g. at kappa = 1e16), so no closed form there can be trusted."""
+
+    def __init__(self, h2: float):
+        super().__init__(f"[|h|^2]_f = {h2!r} lies outside [0, 1]; double "
+                         "precision is lost at this parameter point")
+        self.h2 = h2
 
 
 class ZeroScatteringWeight(CavqmemError):

@@ -27,7 +27,8 @@ from . import metrics
 from .errors import InvalidField
 from .metrics import Point
 from .params import (FAMILY_KAPPA, FIG2_CASES, FIG3_CASES, PhotonQubit,
-                     Profile, PulseSpec, SystemParams, family_params)
+                     Profile, PulseSpec, SystemParams, family_params,
+                     point_rows)
 from .scattering import bright_phase_factor, scattered_amplitude, t_elements
 from .spectral import (DEFAULT_QUAD, QuadratureConfig, quadrature_rule,
                        spectral_average)
@@ -103,7 +104,8 @@ def exact_route_agreement(points: Sequence[Point],
                           quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Worst |exact - quadrature on `quad`| of [h]_f, F_qm and F_swap over
     the points: the error of the rule the state oracle integrates on."""
-    exact, ruled = (metrics.spectral_moments(points, rule)
+    rows = point_rows(points)
+    exact, ruled = (metrics.spectral_moments(rows, rule)
                     for rule in (None, quad))
     f_qm = [abs(m.h) ** 2 / m.h2 for m in (exact, ruled)]
     return float(max(np.max(np.abs(exact.h - ruled.h)),

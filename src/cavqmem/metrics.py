@@ -13,8 +13,8 @@ amplitude h(k) over the pulse,
 
     [h]_f and [|h|^2]_f.
 
-`spectral_moments` computes both for a batch of parameter points, by one of
-two routes:
+`spectral_moments` computes both for a batch of parameter points, a
+`params.ParamRows`, by one of two routes:
 
 * exact (quad=None, the default of every public function here, and the only
   route the command line uses): h has three poles, so [h]_f and [|h|^2]_f
@@ -28,16 +28,20 @@ two routes:
   route.
 
 A moment that overflows to NaN or infinity raises NonFiniteIntegrand on
-either route.
+either route, and a [|h|^2]_f outside [0, 1] (passivity bounds |h|^2 by 1
+pointwise) raises PrecisionLoss.
 
 Both routes work in row chunks (at most CHUNK_ROWS points, or CHUNK_NODES
-node evaluations) so that memory stays flat in the batch size.  Each scalar
-metric is a batch of one.  `metric_columns` evaluates every MetricReport
-field of a batch as columns, one list per field; the CSV rows of `cli` take
-their cells from it, and `compute_reports` zips it into reports.  A point's
-results do not depend on the batch it is evaluated in, bit for bit.
-SystemParams and PulseSpec check themselves when they are built, so nothing
-here re-checks a point.
+node evaluations) so that memory stays flat in the batch size.
+`metric_columns` evaluates every MetricReport field of a batch as columns,
+one list per field, the arithmetic on the parameters (lambda^2, sin^2 2xi,
+the leading-order swap fidelity, the balanced flag) included; the CSV rows
+of `cli` take their cells from it.  `compute_reports`, the scalar metrics
+(each a batch of one) and `cycle_closed_forms` turn their points into the
+same batch with `params.point_rows`.  A point's results do not depend on
+the batch it is evaluated in, bit for bit.  Every row was checked when its
+batch was built (`params.grid_rows`, or the points' own constructors), so
+nothing here re-checks one.
 """
 
 from __future__ import annotations
@@ -47,18 +51,21 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand, UnequalCouplings, ZeroScatteringWeight
+from .errors import (NonFiniteIntegrand, PrecisionLoss, UnequalCouplings,
+                     ZeroScatteringWeight)
 from .params import (
     AtomQubit,
+    ParamRows,
     PhotonQubit,
     Profile,
     PulseSpec,
     SystemParams,
     check_efficiency,
+    point_rows,
     point_to_dict,
     require_normalized,
 )
-from .scattering import ParamRows, pole_expansion, scattered_amplitude
+from .scattering import pole_expansion, scattered_amplitude
 from .spectral import QuadratureConfig, pole_averages, quadrature_rule
 
 #: Relative coupling asymmetry below which lambda_L and lambda_R count as equal.
@@ -74,6 +81,9 @@ CHUNK_NODES = 4096
 #: Parameter points per chunk of the exact pass.
 CHUNK_ROWS = 128
 
+#: Rounding slack of the passivity bound [|h|^2]_f <= 1.
+PASSIVITY_SLACK = 1e-12
+
 Point = tuple[SystemParams, PulseSpec]
 
 
@@ -85,82 +95,99 @@ class SpectralMoments:
     h2: np.ndarray      # [|h|^2]_f
 
 
-def spectral_moments(points: Sequence[Point],
+def spectral_moments(rows: ParamRows,
                      quad: QuadratureConfig | None = None) -> SpectralMoments:
-    """[h]_f and [|h|^2]_f of every (params, pulse) point: exact for
-    quad=None, else on the given rule (see the module docstring).
+    """[h]_f and [|h|^2]_f of every row of the batch: exact for quad=None,
+    else on the given rule (see the module docstring).
 
-    Raises DegenerateDenominator from the scattering map, and
+    Raises DegenerateDenominator from the scattering map,
     NonFiniteIntegrand where a moment overflows (a rate or detuning too
-    large for double precision).
+    large for double precision), and PrecisionLoss where [|h|^2]_f leaves
+    [0, 1] (the exact pole sums cancel catastrophically, e.g. at
+    kappa = 1e16).
     """
     with np.errstate(all="ignore"):
-        h, h2 = (_exact_moments(points) if quad is None
-                 else _quadrature_moments(points, quad))
-    if not (np.isfinite(h).all() and np.isfinite(h2).all()):
-        raise NonFiniteIntegrand("the spectral moments [h], [|h|^2] overflow "
-                                 "at this parameter point")
+        h, h2 = (_exact_moments(rows) if quad is None
+                 else _quadrature_moments(rows, quad))
+    # passivity, 0 <= [|h|^2] <= 1 up to rounding; NaN fails it too
+    passive = (h2 >= 0.0) & (h2 <= 1.0 + PASSIVITY_SLACK)
+    if not (passive.all() and np.isfinite(h).all()):
+        if not (np.isfinite(h).all() and np.isfinite(h2).all()):
+            raise NonFiniteIntegrand("the spectral moments [h], [|h|^2] "
+                                     "overflow at this parameter point")
+        raise PrecisionLoss(float(h2[~passive][0]))
     return SpectralMoments(h=h, h2=h2)
 
 
-def _profile_batches(points: Sequence[Point]):
-    """(profile, indices of its points) for every profile in the batch."""
-    for profile in Profile:
-        batch = [i for i, (_, pulse) in enumerate(points)
-                 if pulse.profile is profile]
-        if batch:
-            yield profile, batch
+def _profile_chunks(rows: ParamRows, size):
+    """(profile, index) for chunks of at most size(profile) rows sharing a
+    profile, each profile's rows in order; a batch of one profile is cut
+    into slices."""
+    n = len(rows.lorentzian)
+    lorentzian = int(np.count_nonzero(rows.lorentzian))
+    if lorentzian in (0, n):
+        profile = Profile.LORENTZIAN if lorentzian else Profile.GAUSSIAN
+        step = size(profile)
+        for start in range(0, n, step):
+            yield profile, slice(start, start + step)
+        return
+    for profile, mask in ((Profile.GAUSSIAN, ~rows.lorentzian),
+                          (Profile.LORENTZIAN, rows.lorentzian)):
+        batch, step = np.flatnonzero(mask), size(profile)
+        for start in range(0, batch.size, step):
+            yield profile, batch[start:start + step]
 
 
-def _exact_moments(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-    """[h]_f and [|h|^2]_f of every point from the pole sums of h."""
-    h = np.empty(len(points), dtype=complex)
-    h2 = np.empty(len(points))
-    for profile, batch in _profile_batches(points):
-        for start in range(0, len(batch), CHUNK_ROWS):
-            chunk = batch[start:start + CHUNK_ROWS]
-            h[chunk], h2[chunk] = _chunk_exact(profile,
-                                               [points[i] for i in chunk])
+def _take(rows: ParamRows, index) -> ParamRows:
+    """The rows at `index`; an index (chunk, None) gives (b, 1) columns,
+    which broadcast against (b, n) node arrays."""
+    return ParamRows(*(column[index] for column in rows))
+
+
+def _exact_moments(rows: ParamRows) -> tuple[np.ndarray, np.ndarray]:
+    """[h]_f and [|h|^2]_f of every row from the pole sums of h."""
+    h = np.empty(len(rows.kappa), dtype=complex)
+    h2 = np.empty(len(rows.kappa))
+    for profile, chunk in _profile_chunks(rows, lambda _: CHUNK_ROWS):
+        h[chunk], h2[chunk] = _chunk_exact(profile, _take(rows, chunk))
     return h, h2
 
 
-def _chunk_exact(profile: Profile, points: list[Point]
+def _chunk_exact(profile: Profile, rows: ParamRows
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """[h]_f and [|h|^2]_f of points sharing a profile, from the pole sums
-    of `scattering.pole_expansion` and the averages of each pole."""
-    e = pole_expansion(ParamRows.of([params for params, _ in points]))
-    center, width = np.array([(pulse.delta_p, pulse.kappa_p)
-                              for _, pulse in points]).T[:, :, None]
-    a_0, a_2, a_12 = pole_averages(profile, center, width, e.z0,
-                                   (e.z1, e.z2))
+    """[h]_f and [|h|^2]_f of rows sharing a profile, from the pole sums of
+    `scattering.pole_expansion` and the averages of each pole."""
+    e = pole_expansion(rows)
+    a_0, a_2, a_12 = (a[:, 0] for a in pole_averages(
+        profile, rows.delta_p[:, None], rows.kappa_p[:, None], e.z0[:, None],
+        (e.z1[:, None], e.z2[:, None])))
     h = e.a0 * (a_0 - a_2) + e.a12 * a_12
     h2 = -h.real - 2.0 * (e.l2 * a_2 + e.l12 * a_12).real
-    return h[:, 0], h2[:, 0]
-
-
-def _quadrature_moments(points: Sequence[Point], quad: QuadratureConfig
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """[h]_f and [|h|^2]_f on the rule `quad`, in one chunked pass."""
-    h = np.empty(len(points), dtype=complex)
-    h2 = np.empty(len(points))
-    for profile, batch in _profile_batches(points):
-        x, omega = quadrature_rule(profile, quad)
-        rows = max(1, CHUNK_NODES // x.size)
-        for start in range(0, len(batch), rows):
-            chunk = batch[start:start + rows]
-            h[chunk], h2[chunk] = _chunk_moments([points[i] for i in chunk],
-                                                 x, omega)
     return h, h2
 
 
-def _chunk_moments(points: list[Point], x: np.ndarray, omega: np.ndarray
+def _quadrature_moments(rows: ParamRows, quad: QuadratureConfig
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """[h]_f and [|h|^2]_f on the rule `quad`, in one chunked pass."""
+    h = np.empty(len(rows.kappa), dtype=complex)
+    h2 = np.empty(len(rows.kappa))
+
+    def size(profile: Profile) -> int:
+        return max(1, CHUNK_NODES // quadrature_rule(profile, quad)[0].size)
+
+    for profile, chunk in _profile_chunks(rows, size):
+        x, omega = quadrature_rule(profile, quad)
+        h[chunk], h2[chunk] = _chunk_moments(_take(rows, (chunk, None)), x,
+                                             omega)
+    return h, h2
+
+
+def _chunk_moments(rows: ParamRows, x: np.ndarray, omega: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of points sharing one node table: row i of the (B, n) node
-    array belongs to point i, and each row is summed on its own."""
-    k_p, width = np.array([(params.k_c + pulse.delta_p, pulse.kappa_p)
-                           for params, pulse in points]).T[:, :, None]
-    k = k_p + width * x
-    h = scattered_amplitude(k, ParamRows.of([params for params, _ in points]))
+    """Moments of (b, 1) rows sharing one node table: row i of the (b, n)
+    node array belongs to point i, and each row is summed on its own."""
+    k = (rows.k_c + rows.delta_p) + rows.kappa_p * x
+    h = scattered_amplitude(k, rows)
     h2 = h.real ** 2 + h.imag ** 2
     return (omega * h).sum(axis=1), (omega * h2).sum(axis=1)
 
@@ -169,8 +196,22 @@ def _chunk_moments(points: list[Point], x: np.ndarray, omega: np.ndarray
 # sin^2(2 xi) per point, eta the detector efficiency, cl2 and cr2 the input
 # weights |c_L|^2 and |c_R|^2.
 
-def _sin2(points: Sequence[Point]) -> np.ndarray:
-    return np.array([params.sin_2xi for params, _ in points]) ** 2
+def _sin2(rows: ParamRows) -> np.ndarray:
+    return (2.0 * rows.lambda_L * rows.lambda_R / rows.lambda_sq) ** 2
+
+
+def _leading(kappa, gamma, delta_e, delta_p, lam2):
+    """The leading-order swap fidelity (see `swap_fidelity_leading`),
+    elementwise on floats or columns."""
+    penalty = kappa * delta_e / lam2 + delta_p / kappa
+    return 1.0 - 2.0 * kappa * gamma / lam2 - penalty * penalty
+
+
+def _balanced(lambda_L, lambda_R, lambda_sq):
+    """lambda_L = lambda_R to EQUAL_COUPLING_RTOL, elementwise on floats or
+    columns."""
+    return (abs(lambda_L - lambda_R)
+            <= EQUAL_COUPLING_RTOL * np.sqrt(lambda_sq))
 
 
 def _memory_fidelity(m: SpectralMoments) -> np.ndarray:
@@ -222,11 +263,6 @@ def _input_weights(photon: PhotonQubit) -> tuple[float, float]:
     return abs(photon.c_L) ** 2, abs(photon.c_R) ** 2
 
 
-def _balanced(params: SystemParams) -> bool:
-    return (abs(params.lambda_L - params.lambda_R)
-            <= EQUAL_COUPLING_RTOL * params.lam)
-
-
 def swap_fidelity(params: SystemParams, pulse: PulseSpec,
                   quad: QuadratureConfig | None = None) -> float:
     """One-shot state-swap fidelity, [|h(k)|^2]_f.
@@ -235,7 +271,7 @@ def swap_fidelity(params: SystemParams, pulse: PulseSpec,
     (reports carry a flag); for other mixing angles it still sets the success
     probability through P_qm = eta sin^2(2 xi) [|h|^2]_f.
     """
-    return float(spectral_moments([(params, pulse)], quad).h2[0])
+    return float(spectral_moments(point_rows([(params, pulse)]), quad).h2[0])
 
 
 def swap_fidelity_leading(params: SystemParams, pulse: PulseSpec) -> float:
@@ -247,9 +283,8 @@ def swap_fidelity_leading(params: SystemParams, pulse: PulseSpec) -> float:
     Choosing delta_p = -(kappa/lambda)^2 delta_e cancels the detuning penalty
     identically.
     """
-    lam2 = params.lambda_sq
-    penalty = params.kappa * params.delta_e / lam2 + pulse.delta_p / params.kappa
-    return 1.0 - 2.0 * params.kappa * params.gamma / lam2 - penalty * penalty
+    return _leading(params.kappa, params.gamma, params.delta_e, pulse.delta_p,
+                    params.lambda_sq)
 
 
 def qm_fidelity(params: SystemParams, pulse: PulseSpec,
@@ -262,7 +297,8 @@ def qm_fidelity(params: SystemParams, pulse: PulseSpec,
     h) and of the detection efficiency.  Raises ZeroScatteringWeight when the
     pulse effectively never scatters.
     """
-    return float(_memory_fidelity(spectral_moments([(params, pulse)], quad))[0])
+    m = spectral_moments(point_rows([(params, pulse)]), quad)
+    return float(_memory_fidelity(m)[0])
 
 
 def qm_success(params: SystemParams, pulse: PulseSpec,
@@ -274,9 +310,9 @@ def qm_success(params: SystemParams, pulse: PulseSpec,
     InvalidField unless 0 < eta <= 1.
     """
     eta = check_efficiency(eta)
-    points = [(params, pulse)]
-    m = spectral_moments(points, quad)
-    return float(_success(m, _sin2(points), eta)[0])
+    rows = point_rows([(params, pulse)])
+    m = spectral_moments(rows, quad)
+    return float(_success(m, _sin2(rows), eta)[0])
 
 
 def storage_success(params: SystemParams, pulse: PulseSpec,
@@ -287,9 +323,9 @@ def storage_success(params: SystemParams, pulse: PulseSpec,
     k_L polarization channel, eta (|c_L|^2 + |c_R|^2 [|T_LR(k)|^2]_f)."""
     cl2, cr2 = _input_weights(photon)
     eta = check_efficiency(detector)
-    points = [(params, pulse)]
-    m = spectral_moments(points, quad)
-    return float(_storage(m, _sin2(points), eta, cl2, cr2)[0])
+    rows = point_rows([(params, pulse)])
+    m = spectral_moments(rows, quad)
+    return float(_storage(m, _sin2(rows), eta, cl2, cr2)[0])
 
 
 def retrieval_success(params: SystemParams, pulse: PulseSpec,
@@ -302,9 +338,9 @@ def retrieval_success(params: SystemParams, pulse: PulseSpec,
     it cancels."""
     cl2, cr2 = _input_weights(photon)
     eta = check_efficiency(detector)
-    points = [(params, pulse)]
-    m = spectral_moments(points, quad)
-    return float(_retrieval(m, _sin2(points), eta, cl2, cr2)[0])
+    rows = point_rows([(params, pulse)])
+    m = spectral_moments(rows, quad)
+    return float(_retrieval(m, _sin2(rows), eta, cl2, cr2)[0])
 
 
 def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
@@ -322,9 +358,9 @@ def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
     """
     cl2, cr2 = _input_weights(photon)
     eta = check_efficiency(detector)
-    points = [(params, pulse)]
-    m = spectral_moments(points, quad)
-    return float(_retrieved_fidelity(m, _sin2(points), eta, cl2, cr2)[0])
+    rows = point_rows([(params, pulse)])
+    m = spectral_moments(rows, quad)
+    return float(_retrieved_fidelity(m, _sin2(rows), eta, cl2, cr2)[0])
 
 
 def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
@@ -341,9 +377,9 @@ def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
     """
     weights = [_input_weights(photon) for photon in photons]
     eta = check_efficiency(detector)
-    points = [(params, pulse)]
-    m = spectral_moments(points, quad)
-    sin2 = _sin2(points)
+    rows = point_rows([(params, pulse)])
+    m = spectral_moments(rows, quad)
+    sin2 = _sin2(rows)
     f_qm = float(_memory_fidelity(m)[0])
     p_qm = float(_success(m, sin2, eta)[0])
     return [{"F_qm": f_qm,
@@ -385,7 +421,7 @@ def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
     Summed over the photon inputs |k_L> and |k_R> at any fixed atom this
     yields 1 + [|T_LR|^2]_f.
     """
-    if not _balanced(params):
+    if not _balanced(params.lambda_L, params.lambda_R, params.lambda_sq):
         raise UnequalCouplings(params.lambda_L, params.lambda_R)
     require_normalized(atom)
     require_normalized(photon)
@@ -452,28 +488,33 @@ class MetricColumns(NamedTuple):
     f_swap_meaningful: list[bool]
 
 
-def metric_columns(points: Sequence[Point],
+def metric_columns(rows: ParamRows,
                    quad: QuadratureConfig | None = None,
                    eta: float = 1.0,
                    photon: PhotonQubit = _BALANCED) -> MetricColumns:
-    """Every closed-form metric of every point from one moment pass, as
-    columns.  Raises InvalidField unless 0 < eta <= 1, and
+    """Every closed-form metric of every row of the batch from one moment
+    pass, as columns.  Raises InvalidField unless 0 < eta <= 1, and
     ZeroScatteringWeight where any metric is undefined."""
     cl2, cr2 = _input_weights(photon)
     eta = check_efficiency(eta)
-    m = spectral_moments(points, quad)
-    sin2 = _sin2(points)
+    m = spectral_moments(rows, quad)
+    sin2 = _sin2(rows)
     p_qm = _success(m, sin2, eta)
+    # float semantics, as in the scalar swap_fidelity_leading: an overflow
+    # gives inf (or NaN) without a warning
+    with np.errstate(all="ignore"):
+        leading = _leading(rows.kappa, rows.gamma, rows.delta_e,
+                           rows.delta_p, rows.lambda_sq)
     return MetricColumns(
         F_swap=m.h2.tolist(),
-        F_swap_leading=[swap_fidelity_leading(params, pulse)
-                        for params, pulse in points],
+        F_swap_leading=leading.tolist(),
         F_qm=_memory_fidelity(m).tolist(),
         P_kL=_storage(m, sin2, eta, cl2, cr2).tolist(),
         P_L=_retrieval(m, sin2, eta, cl2, cr2).tolist(),
         P_qm=p_qm.tolist(),
         P_qm_conditional=(p_qm * p_qm).tolist(),
-        f_swap_meaningful=[_balanced(params) for params, _ in points],
+        f_swap_meaningful=_balanced(rows.lambda_L, rows.lambda_R,
+                                    rows.lambda_sq).tolist(),
     )
 
 
@@ -483,7 +524,7 @@ def compute_reports(points: Sequence[Point],
                     photon: PhotonQubit = _BALANCED) -> list[MetricReport]:
     """Every closed-form metric at each point, one MetricReport per point,
     from the columns of `metric_columns`."""
-    columns = metric_columns(points, quad, eta, photon)
+    columns = metric_columns(point_rows(points), quad, eta, photon)
     return [MetricReport(params, pulse, float(eta), photon, *cells)
             for (params, pulse), *cells in zip(points, *columns)]
 

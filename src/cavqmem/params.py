@@ -10,6 +10,13 @@ SystemParams and PulseSpec check themselves when they are built, so every
 point that exists is physical and nothing downstream re-checks one.  The
 detector efficiency eta is one float in (0, 1], checked by
 `check_efficiency` where it enters a public function.
+
+A batch of points is a `ParamRows`: one float array per field, lambda^2
+computed once.  The sweeps and curve families build theirs from field
+columns with `grid_rows`, whose one vectorised row check stands in for the
+per-point checks and raises, for the first failing row, the error that
+row's own SystemParams or PulseSpec would raise.  `point_rows` turns a list
+of points, already checked, into the same batch.
 """
 
 from __future__ import annotations
@@ -18,6 +25,10 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     InvalidField,
@@ -164,6 +175,103 @@ def validate_pulse(pulse: PulseSpec) -> PulseSpec:
     return pulse
 
 
+#: The numeric fields of a parameter row, in ParamRows order.
+ROW_FIELDS = SYSTEM_FIELDS + PULSE_NUMERIC_FIELDS
+
+
+class ParamRows(NamedTuple):
+    """A batch of parameter points as columns: one float array per field of
+    ROW_FIELDS, entry i of each belonging to point i, then the bool column
+    `lorentzian` (the pulse profile) and lambda^2, computed once."""
+
+    lambda_L: np.ndarray
+    lambda_R: np.ndarray
+    theta_L: np.ndarray
+    theta_R: np.ndarray
+    kappa: np.ndarray
+    gamma: np.ndarray
+    k_c: np.ndarray
+    delta_e: np.ndarray
+    delta_p: np.ndarray
+    kappa_p: np.ndarray
+    x_0: np.ndarray
+    lorentzian: np.ndarray
+    lambda_sq: np.ndarray
+
+
+def coupling_sq(lambda_L, lambda_R) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_L^2 + lambda_R^2 of coupling columns, and the rows where a
+    finite coupling's square overflows (where `SystemParams.lambda_sq`
+    raises OverflowError).  Each square is libm's pow, as Python's ** takes
+    it; numpy's x**2 and x*x round differently in the last bit."""
+    with np.errstate(all="ignore"):
+        sq_l, sq_r = np.float_power(lambda_L, 2.0), np.float_power(lambda_R, 2.0)
+        overflow = ((np.isinf(sq_l) & np.isfinite(lambda_L))
+                    | (np.isinf(sq_r) & np.isfinite(lambda_R)))
+        return sq_l + sq_r, overflow
+
+
+def grid_rows(columns: Mapping[str, float | np.ndarray], lorentzian,
+              failures: Sequence[tuple[np.ndarray, Exception]] = ()
+              ) -> ParamRows:
+    """Checked rows from field columns: `columns` maps every name of
+    ROW_FIELDS to a float or a 1-d array, the arrays of one length, and
+    `lorentzian` is a bool or such an array.
+
+    One vectorised check stands in for the checks of SystemParams and
+    PulseSpec.  `failures` are (mask, error) pairs for rows that failed
+    before they were built (a derived sweep axis that cannot apply), in the
+    order they were met.  The first row that fails raises: its first
+    failure if it has one, else the error of its own SystemParams or
+    PulseSpec build, so the typed error and message are the scalar ones.
+    """
+    table = np.array(np.broadcast_arrays(
+        *(np.asarray(columns[name], dtype=float) for name in ROW_FIELDS)))
+    table = table.reshape(len(ROW_FIELDS), -1)
+    lambda_sq, overflow = coupling_sq(table[0], table[1])
+    rows = ParamRows(*table, np.array(np.broadcast_to(lorentzian,
+                                                      table.shape[1:])),
+                     lambda_sq)
+    with np.errstate(invalid="ignore"):
+        ok = (np.isfinite(table).all(axis=0) & (rows.kappa > 0.0)
+              & (rows.gamma >= 0.0) & ~overflow & (lambda_sq > 0.0)
+              & (rows.kappa_p > 0.0))
+    for mask, _ in failures:
+        ok &= ~mask
+    if not ok.all():
+        _raise_row_error(rows, int(np.argmin(ok)), failures)
+    return rows
+
+
+def _raise_row_error(rows: ParamRows, row: int,
+                     failures: Sequence[tuple[np.ndarray, Exception]]):
+    """Raise the error of one row of `grid_rows`: its first failure, else
+    the error of building it as a point."""
+    for mask, error in failures:
+        if mask[row]:
+            raise error
+    SystemParams(*(float(getattr(rows, name)[row]) for name in SYSTEM_FIELDS))
+    PulseSpec(**{name: float(getattr(rows, name)[row])
+                 for name in PULSE_NUMERIC_FIELDS})
+
+
+_SYSTEM_VALUES = attrgetter(*SYSTEM_FIELDS)
+_PULSE_VALUES = attrgetter(*PULSE_NUMERIC_FIELDS)
+
+
+def point_rows(points: Sequence[tuple[SystemParams, PulseSpec]]
+               ) -> ParamRows:
+    """The rows of (params, pulse) points, which checked themselves when
+    they were built, so no row check runs."""
+    table = np.array([_SYSTEM_VALUES(params) + _PULSE_VALUES(pulse)
+                      + (pulse.profile is Profile.LORENTZIAN,
+                         params.lambda_sq)
+                      for params, pulse in points], dtype=float)
+    *columns, lorentzian, lambda_sq = table.reshape(
+        -1, len(ParamRows._fields)).T
+    return ParamRows(*columns, lorentzian != 0.0, lambda_sq)
+
+
 #: kappa of every bundled curve family, in units of gamma = 1.
 FAMILY_KAPPA = 2.0
 
@@ -183,14 +291,40 @@ FIG3_CASES: tuple[tuple[str, float, float], ...] = (
 )
 
 
+def split_coupling(lambda_sq, ratio):
+    """(lambda_L, lambda_R) with lambda_L^2 + lambda_R^2 = lambda_sq and
+    lambda_L / lambda_R = ratio, elementwise on floats or arrays; NaN where
+    lambda_sq < 0, which the point or row check then names."""
+    with np.errstate(invalid="ignore"):
+        lam_r = np.sqrt(lambda_sq / (1.0 + ratio * ratio))
+    return ratio * lam_r, lam_r
+
+
 def family_params(coop: float, ratio: float = 1.0,
                   delta_e: float = 0.0) -> SystemParams:
     """Curve-family parameter point: lambda^2 = coop * kappa * gamma with the
     given coupling ratio lambda_L/lambda_R, kappa = 2, gamma = 1."""
-    lam_sq = coop * FAMILY_KAPPA
-    lam_r = math.sqrt(lam_sq / (1.0 + ratio * ratio))
-    return SystemParams(lambda_L=ratio * lam_r, lambda_R=lam_r,
+    lam_l, lam_r = split_coupling(coop * FAMILY_KAPPA, ratio)
+    return SystemParams(lambda_L=float(lam_l), lambda_R=float(lam_r),
                         kappa=FAMILY_KAPPA, gamma=1.0, delta_e=delta_e)
+
+
+def family_rows(blocks: Sequence[tuple[bool, float, float]], coop, ratio,
+                width) -> ParamRows:
+    """Checked rows of a curve family: the samples (coop, ratio, width),
+    each a float or an array of one length, once per (lorentzian, delta_e,
+    delta_p) block, block major.  coop and ratio set the couplings as in
+    `family_params`, and width is kappa_p / kappa."""
+    coop, ratio, width = np.broadcast_arrays(coop, ratio, width)
+    lorentzian, delta_e, delta_p = (np.repeat(column, coop.size)
+                                    for column in zip(*blocks))
+    lam_l, lam_r = split_coupling(np.tile(coop, len(blocks)) * FAMILY_KAPPA,
+                                  np.tile(ratio, len(blocks)))
+    return grid_rows({"lambda_L": lam_l, "lambda_R": lam_r, "theta_L": 0.0,
+                      "theta_R": 0.0, "kappa": FAMILY_KAPPA, "gamma": 1.0,
+                      "k_c": 0.0, "delta_e": delta_e, "delta_p": delta_p,
+                      "kappa_p": np.tile(width, len(blocks)) * FAMILY_KAPPA,
+                      "x_0": 0.0}, lorentzian)
 
 
 def cooperativity(params: SystemParams) -> float:

@@ -19,9 +19,11 @@ polarization map below is a contraction; the missing weight is the photon
 lost to free-space emission.
 
 All wavenumber arguments accept scalars or numpy arrays and broadcast.  The
-phase factor and h(k) also take a `ParamRows` in place of SystemParams: a
-batch of parameter points as column arrays, so that row i of a (B, n)
-wavenumber array is evaluated at point i in one call.
+phase factor and h(k) also take a `params.ParamRows` in place of
+SystemParams: a batch of parameter points as column arrays, so that with
+(B, 1) columns row i of a (B, n) wavenumber array is evaluated at point i
+in one call.  `pole_expansion` takes the same batch.  Nothing here checks a
+row: `params` checked each one when the batch was built.
 
 In s = k - k_c, h(s) = -i kappa lambda^2 / ((s - i kappa) w_-(s)) is a
 rational function with three simple poles: i kappa above the real axis and
@@ -33,12 +35,12 @@ sum of exact pole averages (`spectral.pole_averages`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidField
-from .params import SystemParams
+from .params import ParamRows, SystemParams
 
 
 def coupling_amplitude(k, params: SystemParams, pol: str):
@@ -52,24 +54,6 @@ def coupling_amplitude(k, params: SystemParams, pol: str):
     s = np.asarray(k, dtype=float) - params.k_c
     out = strength * np.sqrt(params.kappa / np.pi) * np.exp(1j * phase) / (s + 1j * params.kappa)
     return out if out.ndim else complex(out)
-
-
-class ParamRows(NamedTuple):
-    """The fields that the phase factor reads, for a batch of parameter
-    points: each is a (B, 1) column that broadcasts against (B, n)
-    wavenumbers."""
-
-    k_c: np.ndarray
-    delta_e: np.ndarray
-    gamma: np.ndarray
-    kappa: np.ndarray
-    lambda_sq: np.ndarray
-
-    @classmethod
-    def of(cls, points: Sequence[SystemParams]) -> "ParamRows":
-        table = np.array([[getattr(p, name) for name in cls._fields]
-                          for p in points])
-        return cls(*table.T[:, :, None])
 
 
 def bright_phase_factor(k, params: SystemParams | ParamRows):

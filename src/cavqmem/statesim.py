@@ -30,11 +30,12 @@ checked where they enter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidField, ZeroProbability
+from .errors import InvalidField, NonFiniteIntegrand, ZeroProbability
 from .params import (
     AtomQubit,
     PhotonQubit,
@@ -346,11 +347,26 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     photon instead: every retained branch acquires the identical spectral
     factor, so the released state and its fidelity are unchanged and only an
     extra success factor eta [|T_RL|^2]_f appears in p_total.  Raises
-    InvalidField unless 0 < detector <= 1.
+    InvalidField unless 0 < detector <= 1, and NonFiniteIntegrand where a
+    probability or fidelity of the cycle overflows (a rate too large for
+    double precision).
     """
     if readout not in ("projective", "third_photon"):
         raise InvalidField(readout, "unknown readout mode")
     eta = check_efficiency(detector)
+    with np.errstate(all="ignore"):
+        record = _memory_cycle(params, pulse, quad, photon, eta, readout)
+    if not all(math.isfinite(value) for value in vars(record).values()
+               if isinstance(value, float)):
+        raise NonFiniteIntegrand("the simulated cycle overflows at this "
+                                 "parameter point")
+    return record
+
+
+def _memory_cycle(params: SystemParams, pulse: PulseSpec,
+                  quad: QuadratureConfig, photon: PhotonQubit, eta: float,
+                  readout: str) -> MemoryRecord:
+    """The cycle of `run_memory_protocol`, for a checked efficiency."""
     # Storage, retrieval and probe photons share the pulse, so one grid and
     # one evaluation of the scattering elements serve the whole cycle.
     grid = build_grid(pulse, quad, k_c=params.k_c)

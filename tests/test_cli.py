@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import tracemalloc
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavqmem import cli, invariants, metrics
+from cavqmem import cli, invariants, metrics, params
 from cavqmem.cli import (
     PARAM_COLUMNS,
     SWEEP_HEADER,
+    VIRTUAL_FIELD_NAMES,
     SweepAxis,
     SweepSpec,
     build_parser,
@@ -25,7 +27,9 @@ from cavqmem.cli import (
     sweep_rows,
     write_csv,
 )
-from cavqmem.errors import CavqmemError, InvalidField
+from cavqmem.errors import (CavqmemError, GammaZero, InvalidField,
+                            NegativeGamma, NonFiniteField, NonPositiveKappa,
+                            ZeroCoupling)
 from cavqmem.invariants import validate_suite
 from cavqmem.params import (
     FAMILY_KAPPA,
@@ -39,6 +43,7 @@ from cavqmem.params import (
     SystemParams,
     family_params,
     point_from_dict,
+    point_to_dict,
 )
 
 
@@ -444,6 +449,19 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
         assert not out.exists()
         assert main(["point", "--params", str(tmp_path / "huge.json")]) == 2
         assert main(["oracle", "--params", str(tmp_path / "huge.json")]) == 2
+    # the closed forms stay finite, the simulated cycle overflows: a typed
+    # error, not a NaN in the JSON (nor a RuntimeWarning, an error here)
+    for profile in ("gaussian", "lorentzian"):
+        (tmp_path / "wide.json").write_text(
+            f'{{"kappa_p": 1e200, "profile": "{profile}"}}', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["oracle", "--params", str(tmp_path / "wide.json")]) == 2
+        assert "simulated cycle overflows" in capsys.readouterr().err
+    # the exact pass cancels to [|h|^2] = -8.86: lost precision, not a
+    # pulse that never scatters
+    (tmp_path / "stiff.json").write_text('{"kappa": 1e16}', encoding="utf-8")
+    assert main(["point", "--params", str(tmp_path / "stiff.json")]) == 2
+    assert "double precision is lost" in capsys.readouterr().err
     assert main(["sweep", "--eta", "0", "--axis", "kappa_p,log,0.1,1,3",
                  "--out", str(tmp_path / "eta.csv")]) == 2
     assert not (tmp_path / "eta.csv").exists()
@@ -546,6 +564,157 @@ def test_sweep_builds_each_point_once(tmp_path):
     couplings = [(float(r[header.index("lambda_L")]),
                   float(r[header.index("lambda_R")])) for r in rows]
     assert couplings == [(0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.0, 1.0)]
+
+
+def _reference_set_field(fields: dict, field: str, value: float) -> None:
+    """One axis value applied to the flat field dict of one sweep point,
+    the scalar way, checks and all."""
+    if field not in VIRTUAL_FIELD_NAMES:
+        fields[field] = value
+        return
+    try:
+        lam_sq = fields["lambda_L"] ** 2 + fields["lambda_R"] ** 2
+    except OverflowError:
+        raise NonFiniteField("lambda_sq") from None
+    if field == "lambda_ratio":
+        lam_r = math.sqrt(lam_sq / (1.0 + value * value))
+        fields.update(lambda_L=value * lam_r, lambda_R=lam_r)
+        return
+    if value <= 0.0:
+        raise InvalidField(field, "cooperativity must be > 0")
+    if lam_sq == 0.0:
+        raise ZeroCoupling()
+    if fields["gamma"] == 0.0:
+        raise GammaZero()
+    ratio = value * fields["kappa"] * fields["gamma"] / lam_sq
+    if ratio > 0.0:
+        scale = math.sqrt(ratio)
+        fields.update(lambda_L=scale * fields["lambda_L"],
+                      lambda_R=scale * fields["lambda_R"])
+
+
+def _reference_rows(spec: SweepSpec) -> list[tuple]:
+    """The rows of `sweep_rows` built point by point: every axis applied to
+    a field dict, then one SystemParams and PulseSpec per point, then
+    `metrics.compute_reports` over the points."""
+    base = {name: value if name == "profile" else float(value)
+            for name, value in point_to_dict(spec.params, spec.pulse).items()}
+    points, echoes = [], []
+    for values in itertools.product(*(a.values().tolist() for a in spec.axes)):
+        fields = dict(base)
+        for axis, value in zip(spec.axes, values):
+            _reference_set_field(fields, axis.field, value)
+        points.append((
+            SystemParams(*(fields[name] for name in SYSTEM_FIELDS)),
+            PulseSpec(profile=spec.pulse.profile,
+                      **{name: fields[name] for name in PULSE_NUMERIC_FIELDS})))
+        echoes.append(tuple(fields.values()))
+    rows = []
+    for echo, report in zip(echoes, metrics.compute_reports(points,
+                                                            eta=spec.eta)):
+        assert report.F_swap_leading == metrics.swap_fidelity_leading(
+            report.params, report.pulse)
+        rows.append(echo + (spec.eta, report.F_swap, report.F_swap_leading,
+                            report.F_qm, report.P_qm,
+                            report.P_qm_conditional))
+    return rows
+
+
+def _outcome(build, spec):
+    """The rows as the repr of every cell, or the class and message of the
+    typed error that building them raises."""
+    try:
+        return _bits(build(spec))
+    except CavqmemError as exc:
+        return type(exc), str(exc)
+
+
+SWEEPABLE = SYSTEM_FIELDS + PULSE_NUMERIC_FIELDS + VIRTUAL_FIELD_NAMES
+
+
+@st.composite
+def sweep_specs(draw):
+    floats = lambda lo, hi: st.floats(lo, hi, allow_subnormal=False)
+    params = SystemParams(
+        lambda_L=draw(floats(0.0, 8.0)), lambda_R=draw(floats(0.1, 8.0)),
+        theta_L=draw(floats(-math.pi, math.pi)),
+        theta_R=draw(floats(-math.pi, math.pi)),
+        kappa=draw(floats(0.2, 8.0)), gamma=draw(floats(0.0, 3.0)),
+        k_c=draw(floats(-2.0, 2.0)), delta_e=draw(floats(-10.0, 10.0)))
+    pulse = PulseSpec(profile=draw(st.sampled_from(Profile)),
+                      delta_p=draw(floats(-2.0, 2.0)),
+                      kappa_p=draw(floats(0.02, 1.0)),
+                      x_0=draw(floats(-5.0, 5.0)))
+    axes = []
+    for _ in range(draw(st.integers(1, 2))):
+        scale = draw(st.sampled_from(("linear", "log")))
+        bounds = floats(1e-2, 1e2) if scale == "log" else floats(-1.0, 10.0)
+        axes.append(SweepAxis(draw(st.sampled_from(SWEEPABLE)), scale,
+                              draw(bounds), draw(bounds),
+                              draw(st.integers(2, 6))))
+    return SweepSpec(params=params, pulse=pulse, axes=tuple(axes),
+                     eta=draw(floats(0.01, 1.0)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(sweep_specs())
+def test_sweep_rows_equal_a_point_by_point_reference(spec):
+    # the columns, the derived axes and the row check reproduce the scalar
+    # build of every point, cell by cell, and so does a failure
+    assert _outcome(sweep_rows, spec) == _outcome(_reference_rows, spec)
+
+
+@pytest.mark.parametrize("base, axes, error", [
+    # a derived axis that cannot apply to the first bad row
+    ({}, ["cooperativity,linear,-1,1,3"], InvalidField),
+    ({"lambda_R": 0.0}, ["lambda_L,linear,0,1,2",
+                         "cooperativity,log,1,10,2"], ZeroCoupling),
+    ({"gamma": 0.0}, ["cooperativity,log,1,10,2"], GammaZero),
+    ({}, ["lambda_L,linear,1,1e200,2", "cooperativity,log,1,10,2"],
+     NonFiniteField),
+    ({}, ["lambda_R,linear,1,1e200,2", "lambda_ratio,log,1,10,2"],
+     NonFiniteField),
+    # a row that fails its own point checks
+    ({}, ["kappa,linear,-1,1,3"], NonPositiveKappa),
+    ({}, ["gamma,linear,-1,1,3"], NegativeGamma),
+    ({}, ["kappa_p,linear,-1,1,3"], NonPositiveKappa),
+    ({"lambda_R": 0.0}, ["lambda_L,linear,0,1,2"], ZeroCoupling),
+    ({}, ["kappa,log,1e200,1e300,2", "cooperativity,log,1e100,1e200,2"],
+     NonFiniteField),
+    # the first bad row decides, whichever stage it fails in
+    ({}, ["kappa,linear,1,-1,2", "cooperativity,linear,1,-1,2"],
+     InvalidField),
+    ({}, ["cooperativity,linear,1,-1,2", "kappa,linear,1,-1,2"],
+     NonPositiveKappa),
+])
+def test_sweep_errors_are_those_of_the_first_bad_point(base, axes, error):
+    spec = SweepSpec(*point_from_dict(base), tuple(map(parse_axis, axes)))
+    outcome = _outcome(sweep_rows, spec)
+    assert outcome == _outcome(_reference_rows, spec)
+    assert outcome[0] is error
+
+
+def test_sweeps_and_families_build_no_point_per_row(tmp_path, monkeypatch):
+    # the grid is checked as columns; only the base point runs the checks
+    calls = []
+    for name in ("validate", "validate_pulse"):
+        real = getattr(params, name)
+        monkeypatch.setattr(params, name, lambda point, real=real, name=name:
+                            calls.append(name) or real(point))
+    counts = []
+    for count in (2, 20):
+        calls.clear()
+        axis = f"delta_e,linear,-5,5,{count}"
+        assert main(["sweep", "--axis", axis, "--axis",
+                     f"cooperativity,log,1,100,{count}",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        counts.append(len(calls))
+        calls.clear()
+        assert main(["fig4", "--points", str(count),
+                     "--out", str(tmp_path / "f.csv")]) == 0
+        counts.append(len(calls))
+    assert counts[:2] == counts[2:]
+    assert counts[0] <= 2 and counts[1] == 0
 
 
 def test_largest_gauss_hermite_rule_still_works(capsys):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from cavqmem import cli, metrics
 from cavqmem.cli import SweepAxis, SweepSpec, sweep_rows
 from cavqmem.invariants import (
     coupling_ratio_invariance,
@@ -21,8 +22,8 @@ from cavqmem.invariants import (
     success_dual_route,
 )
 from cavqmem.errors import (DegenerateDenominator, InvalidField,
-                            NonFiniteIntegrand, UnequalCouplings,
-                            ZeroScatteringWeight)
+                            NonFiniteIntegrand, PrecisionLoss,
+                            UnequalCouplings, ZeroScatteringWeight)
 from cavqmem.metrics import (
     CHUNK_NODES,
     CHUNK_ROWS,
@@ -49,9 +50,10 @@ from cavqmem.params import (
     Profile,
     PulseSpec,
     SystemParams,
+    point_rows,
 )
-from cavqmem.scattering import (ParamRows, pole_expansion,
-                                scattered_amplitude, t_elements)
+from cavqmem.scattering import (pole_expansion, scattered_amplitude,
+                                t_elements)
 from cavqmem.spectral import DEFAULT_QUAD, build_grid, spectral_average
 
 
@@ -270,8 +272,9 @@ def test_quadrature_health_margin_on_family_points():
     # the default rule's error on [h] against the exact route
     points = [family_point(coop, 0.1) for coop in (1.0, 20.0, 100.0)]
     points.append(family_point(20.0, 0.01, Profile.LORENTZIAN))
-    ruled = spectral_moments(points, DEFAULT_QUAD).h
-    assert np.max(np.abs(ruled - spectral_moments(points).h)) < 1e-9
+    rows = point_rows(points)
+    ruled = spectral_moments(rows, DEFAULT_QUAD).h
+    assert np.max(np.abs(ruled - spectral_moments(rows).h)) < 1e-9
 
 
 def test_report_bundles_consistent_values():
@@ -296,7 +299,7 @@ def test_report_bundles_consistent_values():
     assert not lopsided.f_swap_meaningful
 
     # compute_reports zips the columns into the report's fields by position
-    columns = metric_columns([(params, pulse)], eta=0.8)
+    columns = metric_columns(point_rows([(params, pulse)]), eta=0.8)
     assert {name: column[0] for name, column in columns._asdict().items()} \
         == {name: getattr(report, name) for name in columns._fields}
 
@@ -471,7 +474,7 @@ def test_exact_moments_match_adaptive_integration(params, kappa_p, delta_p,
     pulse = PulseSpec(profile=profile, delta_p=delta_p, kappa_p=kappa_p)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        m = spectral_moments([(params, pulse)])
+        m = spectral_moments(point_rows([(params, pulse)]))
     mean, power = _moments_by_adaptive_integration(params, pulse)
     assert abs(m.h[0] - mean) <= 1e-12
     assert abs(m.h2[0] - power) <= 1e-12
@@ -486,16 +489,16 @@ def test_exact_route_is_batch_independent():
         params, pulse, _ = draw_equivalence_point(rng)
         points.append((params, pulse))
     points.append((_balanced(2.0, kappa=5.0, gamma=1.0), PulseSpec()))
-    batch = spectral_moments(points)
+    batch = spectral_moments(point_rows(points))
     for i, point in enumerate(points):
-        alone = spectral_moments([point])
+        alone = spectral_moments(point_rows([point]))
         assert (alone.h[0], alone.h2[0]) == (batch.h[i], batch.h2[i])
 
 
 def test_constant_efficiency_factors_out_of_the_exact_moments():
     # the moments are [h] and [|h|^2] alone; eta multiplies them afterwards
     params, pulse = family_point(10.0, 0.3, Profile.LORENTZIAN, delta_e=1.0)
-    m = spectral_moments([(params, pulse)])
+    m = spectral_moments(point_rows([(params, pulse)]))
     assert list(vars(m)) == ["h", "h2"]
     assert qm_success(params, pulse, eta=0.7) == params.sin_2xi ** 2 * (
         0.7 * m.h2[0])
@@ -511,14 +514,48 @@ def test_overflowing_moments_raise_a_typed_error(profile, quad):
     # errors in this suite) nor hands NaN on to the closed forms
     point = (SystemParams(kappa=1e200), PulseSpec(profile=profile))
     with pytest.raises(NonFiniteIntegrand, match="overflow"):
-        spectral_moments([point], quad)
+        spectral_moments(point_rows([point]), quad)
     with pytest.raises(NonFiniteIntegrand):
-        metric_columns([(SystemParams(), PulseSpec(profile=profile)), point],
+        metric_columns(point_rows([(SystemParams(),
+                                    PulseSpec(profile=profile)), point]),
                        quad)
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+def test_lost_precision_raises_a_typed_error(profile, monkeypatch):
+    # at kappa = 1e16 the exact pole sums cancel to [|h|^2] far below 0,
+    # which passivity (0 <= |h|^2 <= 1) rules out
+    stiff = (SystemParams(kappa=1e16), PulseSpec(profile=profile))
+    with pytest.raises(PrecisionLoss, match="double precision is lost"):
+        spectral_moments(point_rows([stiff]))
+    with pytest.raises(PrecisionLoss):
+        qm_fidelity(*stiff)
+    # the rule route meets the same bound
+    rows = point_rows([(SystemParams(), PulseSpec(profile=profile))])
+    for h2 in (-1e-300, 1.0 + 2e-12):
+        monkeypatch.setattr(metrics, "_quadrature_moments", lambda rows, quad:
+                            (np.zeros(1, complex), np.array([h2])))
+        with pytest.raises(PrecisionLoss):
+            spectral_moments(rows, DEFAULT_QUAD)
+
+
+def test_passivity_bound_holds_on_the_validated_ranges():
+    # the defaults, the curve families and the equivalence ranges (those of
+    # the benchmark plans) stay clear of the lost-precision check
+    rng = np.random.default_rng(12)
+    points = [(SystemParams(), PulseSpec(profile=profile))
+              for profile in Profile]
+    points += [draw_equivalence_point(rng)[:2] for _ in range(400)]
+    for quad in (None, DEFAULT_QUAD):
+        h2 = spectral_moments(point_rows(points), quad).h2
+        assert ((h2 >= 0.0) & (h2 <= 1.0)).all()
+    for rows in (cli.fig2_rows(), cli.fig3_rows(), cli.fig4_rows()):
+        assert len(rows) > 100
 
 
 def test_pole_outside_the_lower_half_plane_is_reported():
     # only a non-physical kappa < 0 puts a root of w_- above the axis
-    rows = ParamRows(*(np.array([[v]]) for v in (0.0, 0.0, 0.5, -2.0, 10.0)))
+    rows = point_rows([(SystemParams(), PulseSpec())])._replace(
+        gamma=np.array([0.5]), kappa=np.array([-2.0]))
     with pytest.raises(DegenerateDenominator):
         pole_expansion(rows)

@@ -21,14 +21,18 @@ from cavqmem.errors import (
     ZeroCoupling,
 )
 from cavqmem.params import (
+    ROW_FIELDS,
     AtomQubit,
+    ParamRows,
     PhotonQubit,
     Profile,
     PulseSpec,
     SystemParams,
     check_efficiency,
     cooperativity,
+    family_params,
     point_from_dict,
+    point_rows,
     point_to_dict,
     require_normalized,
     rescaled,
@@ -134,6 +138,16 @@ def test_only_params_calls_the_point_checks():
                  if isinstance(node, ast.Call)]
         names = {getattr(f, "id", getattr(f, "attr", None)) for f in calls}
         assert not names & {"validate", "validate_pulse"}, path.name
+
+
+def test_param_rows_hold_every_numeric_field():
+    # a new SystemParams or PulseSpec field has to reach the batch type too
+    assert ParamRows._fields == ROW_FIELDS + ("lorentzian", "lambda_sq")
+    rows = point_rows([(SystemParams(lambda_L=3.0, lambda_R=4.0),
+                        PulseSpec(profile="lorentzian", kappa_p=0.3))])
+    assert rows.lambda_sq.tolist() == [25.0]
+    assert rows.kappa_p.tolist() == [0.3]
+    assert rows.lorentzian.tolist() == [True]
 
 
 def _package_imports(stem: str) -> set[str]:
@@ -266,7 +280,8 @@ EFFICIENCY_ENTRIES = {
         metrics.storage_retrieval_fidelity(*_POINT, detector=eta),
     "cycle_closed_forms": lambda eta: metrics.cycle_closed_forms(
         *_POINT, detector=eta),
-    "metric_columns": lambda eta: metrics.metric_columns([_POINT], eta=eta),
+    "metric_columns": lambda eta: metrics.metric_columns(
+        point_rows([_POINT]), eta=eta),
     "compute_report": lambda eta: metrics.compute_report(*_POINT, eta=eta),
     "compute_reports": lambda eta: metrics.compute_reports([_POINT], eta=eta),
     "detect_photon_L": lambda eta: statesim.detect_photon_L(_stored_state(),
@@ -320,8 +335,12 @@ def test_input_failures_are_typed_and_still_value_errors():
                  lambda: coupling_amplitude(0.0, SystemParams(), "H")):
         with pytest.raises(InvalidField):
             make()
+    # a negative cooperativity splits into NaN couplings, which the point
+    # check names (no RuntimeWarning: warnings are errors in this suite)
+    with pytest.raises(NonFiniteField):
+        family_params(-1.0)
     for name in ("NonPositiveKappa", "NegativeGamma", "ZeroCoupling",
-                 "GammaZero"):
+                 "GammaZero", "PrecisionLoss"):
         assert issubclass(getattr(cavqmem, name), cavqmem.CavqmemError)
         assert name in cavqmem.__all__
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cavqmem.errors import DegenerateDenominator
-from cavqmem.params import SystemParams
+from cavqmem.params import PulseSpec, SystemParams, point_rows
 from cavqmem.scattering import (
-    ParamRows,
     bright_phase_factor,
     coupling_amplitude,
     scattered_amplitude,
@@ -90,8 +89,8 @@ def test_phase_factor_broadcasts_over_arrays():
 def test_degenerate_denominator_is_reported():
     # no cavity, no coupling: no SystemParams can hold this corner, so it
     # enters as a raw batch row
-    hollow = ParamRows(k_c=0.0, delta_e=0.0, gamma=0.0, kappa=0.0,
-                       lambda_sq=0.0)
+    hollow = point_rows([(SystemParams(), PulseSpec())])._replace(
+        gamma=0.0, kappa=0.0, lambda_sq=0.0)
     with pytest.raises(DegenerateDenominator):
         bright_phase_factor(0.0, hollow)
 
