@@ -98,7 +98,8 @@ class SpectralMoments:
 def spectral_moments(rows: ParamRows,
                      quad: QuadratureConfig | None = None) -> SpectralMoments:
     """[h]_f and [|h|^2]_f of every row of the batch: exact for quad=None,
-    else on the given rule (see the module docstring).
+    else on the given rule (see the module docstring).  `rows` comes from
+    `params.point_rows` (or `params.grid_rows`), which checked every row.
 
     Raises DegenerateDenominator from the scattering map,
     NonFiniteIntegrand where a moment overflows (a rate or detuning too
@@ -119,23 +120,19 @@ def spectral_moments(rows: ParamRows,
     return SpectralMoments(h=h, h2=h2)
 
 
-def _profile_chunks(rows: ParamRows, size):
-    """(profile, index) for chunks of at most size(profile) rows sharing a
-    profile, each profile's rows in order; a batch of one profile is cut
-    into slices."""
-    n = len(rows.lorentzian)
-    lorentzian = int(np.count_nonzero(rows.lorentzian))
-    if lorentzian in (0, n):
-        profile = Profile.LORENTZIAN if lorentzian else Profile.GAUSSIAN
-        step = size(profile)
-        for start in range(0, n, step):
-            yield profile, slice(start, start + step)
-        return
+def _profile_index(rows: ParamRows):
+    """(profile, index) for each profile in the batch: the positions of its
+    rows, in order."""
     for profile, mask in ((Profile.GAUSSIAN, ~rows.lorentzian),
                           (Profile.LORENTZIAN, rows.lorentzian)):
-        batch, step = np.flatnonzero(mask), size(profile)
-        for start in range(0, batch.size, step):
-            yield profile, batch[start:start + step]
+        index = mask.nonzero()[0]
+        if index.size:
+            yield profile, index
+
+
+def _chunks(index: np.ndarray, step: int):
+    """`index` cut into pieces of at most `step` entries."""
+    return (index[start:start + step] for start in range(0, index.size, step))
 
 
 def _take(rows: ParamRows, index) -> ParamRows:
@@ -148,8 +145,9 @@ def _exact_moments(rows: ParamRows) -> tuple[np.ndarray, np.ndarray]:
     """[h]_f and [|h|^2]_f of every row from the pole sums of h."""
     h = np.empty(len(rows.kappa), dtype=complex)
     h2 = np.empty(len(rows.kappa))
-    for profile, chunk in _profile_chunks(rows, lambda _: CHUNK_ROWS):
-        h[chunk], h2[chunk] = _chunk_exact(profile, _take(rows, chunk))
+    for profile, index in _profile_index(rows):
+        for chunk in _chunks(index, CHUNK_ROWS):
+            h[chunk], h2[chunk] = _chunk_exact(profile, _take(rows, chunk))
     return h, h2
 
 
@@ -157,7 +155,7 @@ def _chunk_exact(profile: Profile, rows: ParamRows
                  ) -> tuple[np.ndarray, np.ndarray]:
     """[h]_f and [|h|^2]_f of rows sharing a profile, from the pole sums of
     `scattering.pole_expansion` and the averages of each pole."""
-    e = pole_expansion(rows)
+    e = pole_expansion(rows.kappa, rows.gamma, rows.delta_e, rows.lambda_sq)
     a_0, a_2, a_12 = (a[:, 0] for a in pole_averages(
         profile, rows.delta_p[:, None], rows.kappa_p[:, None], e.z0[:, None],
         (e.z1[:, None], e.z2[:, None])))
@@ -171,14 +169,11 @@ def _quadrature_moments(rows: ParamRows, quad: QuadratureConfig
     """[h]_f and [|h|^2]_f on the rule `quad`, in one chunked pass."""
     h = np.empty(len(rows.kappa), dtype=complex)
     h2 = np.empty(len(rows.kappa))
-
-    def size(profile: Profile) -> int:
-        return max(1, CHUNK_NODES // quadrature_rule(profile, quad)[0].size)
-
-    for profile, chunk in _profile_chunks(rows, size):
+    for profile, index in _profile_index(rows):
         x, omega = quadrature_rule(profile, quad)
-        h[chunk], h2[chunk] = _chunk_moments(_take(rows, (chunk, None)), x,
-                                             omega)
+        for chunk in _chunks(index, max(1, CHUNK_NODES // x.size)):
+            h[chunk], h2[chunk] = _chunk_moments(_take(rows, (chunk, None)),
+                                                 x, omega)
     return h, h2
 
 
@@ -492,8 +487,9 @@ def metric_columns(rows: ParamRows,
                    quad: QuadratureConfig | None = None,
                    eta: float = 1.0,
                    photon: PhotonQubit = _BALANCED) -> MetricColumns:
-    """Every closed-form metric of every row of the batch from one moment
-    pass, as columns.  Raises InvalidField unless 0 < eta <= 1, and
+    """Every closed-form metric of every row of the batch (from
+    `params.grid_rows` or `params.point_rows`) from one moment pass, as
+    columns.  Raises InvalidField unless 0 < eta <= 1, and
     ZeroScatteringWeight where any metric is undefined."""
     cl2, cr2 = _input_weights(photon)
     eta = check_efficiency(eta)

@@ -30,7 +30,6 @@ checked where they enter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -347,31 +346,26 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     photon instead: every retained branch acquires the identical spectral
     factor, so the released state and its fidelity are unchanged and only an
     extra success factor eta [|T_RL|^2]_f appears in p_total.  Raises
-    InvalidField unless 0 < detector <= 1, and NonFiniteIntegrand where a
-    probability or fidelity of the cycle overflows (a rate too large for
+    InvalidField unless 0 < detector <= 1, and NonFiniteIntegrand where the
+    pulse grid or the scattering elements overflow (a rate too large for
     double precision).
     """
     if readout not in ("projective", "third_photon"):
         raise InvalidField(readout, "unknown readout mode")
     eta = check_efficiency(detector)
-    with np.errstate(all="ignore"):
-        record = _memory_cycle(params, pulse, quad, photon, eta, readout)
-    if not all(math.isfinite(value) for value in vars(record).values()
-               if isinstance(value, float)):
+    # Storage, retrieval and probe photons share the pulse, so one grid and
+    # one evaluation of the scattering elements serve the whole cycle.  A
+    # rate too large for double precision overflows there, and is refused
+    # before any state is built on it.  A NaN in the amplitudes f shows in
+    # w = omega/|f|^2, and a NaN or infinity in the phase factor behind every
+    # element shows in t_LL = e^{i phi_s} sin^2 xi + cos^2 xi.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = build_grid(pulse, quad, k_c=params.k_c)
+        elements = t_elements(grid.k, params)
+    if not (np.isfinite(grid.w).all() and np.isfinite(elements[0]).all()):
         raise NonFiniteIntegrand("the simulated cycle overflows at this "
                                  "parameter point")
-    return record
-
-
-def _memory_cycle(params: SystemParams, pulse: PulseSpec,
-                  quad: QuadratureConfig, photon: PhotonQubit, eta: float,
-                  readout: str) -> MemoryRecord:
-    """The cycle of `run_memory_protocol`, for a checked efficiency."""
-    # Storage, retrieval and probe photons share the pulse, so one grid and
-    # one evaluation of the scattering elements serve the whole cycle.
-    grid = build_grid(pulse, quad, k_c=params.k_c)
     state = prepare_input(AtomQubit(0.0, 1.0), photon, grid)
-    elements = t_elements(grid.k, params)
     lossless = params.gamma == 0.0
     state = _scatter_state(state, elements, lossless)
     stored, p_k_l = _detect(state, eta)

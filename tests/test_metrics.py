@@ -555,7 +555,6 @@ def test_passivity_bound_holds_on_the_validated_ranges():
 
 def test_pole_outside_the_lower_half_plane_is_reported():
     # only a non-physical kappa < 0 puts a root of w_- above the axis
-    rows = point_rows([(SystemParams(), PulseSpec())])._replace(
-        gamma=np.array([0.5]), kappa=np.array([-2.0]))
     with pytest.raises(DegenerateDenominator):
-        pole_expansion(rows)
+        pole_expansion(kappa=np.array([-2.0]), gamma=np.array([0.5]),
+                       delta_e=np.array([0.0]), lambda_sq=np.array([10.0]))
