@@ -410,10 +410,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_quad_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quad-n", type=int, default=None, metavar="N",
-                        help="integrate the state-vector oracle on N nodes "
-                             "for both profiles (default rule: 64 Gaussian, "
-                             "1040 Lorentzian nodes); the closed forms are "
-                             "exact either way")
+                        help="integrate the state-vector oracle on N "
+                             "Gaussian nodes, or 26*max(2, N//26) Lorentzian "
+                             "nodes (default rule: 64 Gaussian, 1040 "
+                             "Lorentzian nodes); the closed forms are exact "
+                             "either way")
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:

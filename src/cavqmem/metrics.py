@@ -20,19 +20,19 @@ amplitude h(k) over the pulse,
   route the command line uses): h has three poles, so [h]_f and [|h|^2]_f
   are finite sums of exact pole averages (`scattering.pole_expansion`,
   `spectral.pole_averages`).
-* on a rule (an explicit QuadratureConfig): each moment is a sum over the
-  rule's nodes (`spectral.quadrature_rule`).  This is the rule the
-  state-vector oracle in `statesim` integrates on, so the two agree to
-  rounding on the same rule.  `invariants` passes a rule to check an
-  identity on one rule, and to measure a rule's error against the exact
-  route.
+* on a rule (an explicit QuadratureConfig): each moment is an average over
+  the pulse's grid (`spectral.build_grid`, `KGrid.average`), one point at
+  a time.  This is the grid the state-vector oracle in `statesim`
+  integrates on, so the two agree to rounding on the same rule.
+  `invariants` passes a rule to check an identity on one rule, and to
+  measure a rule's error against the exact route.
 
 A moment that overflows to NaN or infinity raises NonFiniteIntegrand on
 either route, and a [|h|^2]_f outside [0, 1] (passivity bounds |h|^2 by 1
 pointwise) raises PrecisionLoss.
 
-Both routes work in row chunks (at most CHUNK_ROWS points, or CHUNK_NODES
-node evaluations) so that memory stays flat in the batch size.
+The exact route works in row chunks of at most CHUNK_ROWS points, so
+memory stays flat in the batch size.
 `metric_columns` evaluates every MetricReport field of a batch as columns,
 one list per field, the arithmetic on the parameters (lambda^2, sin^2 2xi,
 the leading-order swap fidelity, the balanced flag) included; the CSV rows
@@ -66,17 +66,13 @@ from .params import (
     require_normalized,
 )
 from .scattering import pole_expansion, scattered_amplitude
-from .spectral import QuadratureConfig, pole_averages, quadrature_rule
+from .spectral import QuadratureConfig, build_grid, pole_averages
 
 #: Relative coupling asymmetry below which lambda_L and lambda_R count as equal.
 EQUAL_COUPLING_RTOL = 1e-12
 
 #: Probability mass below which conditioning and fidelity ratios are refused.
 TINY_WEIGHT = 1e-300
-
-#: Node evaluations per chunk of the quadrature pass.  A point with more
-#: nodes than this forms a chunk of its own.
-CHUNK_NODES = 4096
 
 #: Parameter points per chunk of the exact pass.
 CHUNK_ROWS = 128
@@ -136,8 +132,8 @@ def _chunks(index: np.ndarray, step: int):
 
 
 def _take(rows: ParamRows, index) -> ParamRows:
-    """The rows at `index`; an index (chunk, None) gives (b, 1) columns,
-    which broadcast against (b, n) node arrays."""
+    """The rows at `index`: columns for an index array, scalars for an
+    integer."""
     return ParamRows(*(column[index] for column in rows))
 
 
@@ -166,25 +162,19 @@ def _chunk_exact(profile: Profile, rows: ParamRows
 
 def _quadrature_moments(rows: ParamRows, quad: QuadratureConfig
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """[h]_f and [|h|^2]_f on the rule `quad`, in one chunked pass."""
+    """[h]_f and [|h|^2]_f on the rule `quad`, row by row on the pulse's
+    grid (`spectral.build_grid`)."""
     h = np.empty(len(rows.kappa), dtype=complex)
     h2 = np.empty(len(rows.kappa))
-    for profile, index in _profile_index(rows):
-        x, omega = quadrature_rule(profile, quad)
-        for chunk in _chunks(index, max(1, CHUNK_NODES // x.size)):
-            h[chunk], h2[chunk] = _chunk_moments(_take(rows, (chunk, None)),
-                                                 x, omega)
+    for i in range(len(rows.kappa)):
+        row = _take(rows, i)
+        pulse = PulseSpec(Profile.LORENTZIAN if row.lorentzian
+                          else Profile.GAUSSIAN, row.delta_p, row.kappa_p)
+        grid = build_grid(pulse, quad, k_c=row.k_c)
+        amp = scattered_amplitude(grid.k, row)
+        h[i] = grid.average(amp)
+        h2[i] = grid.average(amp.real ** 2 + amp.imag ** 2).real
     return h, h2
-
-
-def _chunk_moments(rows: ParamRows, x: np.ndarray, omega: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of (b, 1) rows sharing one node table: row i of the (b, n)
-    node array belongs to point i, and each row is summed on its own."""
-    k = (rows.k_c + rows.delta_p) + rows.kappa_p * x
-    h = scattered_amplitude(k, rows)
-    h2 = h.real ** 2 + h.imag ** 2
-    return (omega * h).sum(axis=1), (omega * h2).sum(axis=1)
 
 
 # Closed forms on the moments, elementwise over a batch.  sin2 is

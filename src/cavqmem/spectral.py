@@ -54,9 +54,9 @@ class QuadratureConfig:
     convergence check; at the defaults the doubling residual is far below
     1e-9 for the parameter ranges exercised here.
 
-    The Lorentzian budget is spread over the 26 graded panels (at least two
-    nodes per panel), so the realized grid size is the largest multiple of 26
-    not exceeding n_lorentz."""
+    The Lorentzian budget is spread over the 26 graded panels, at least two
+    nodes each, so the realized grid size is 26 max(2, n_lorentz // 26):
+    52 nodes for n_lorentz up to 77, 988 for 1000."""
 
     n_gauss: int = 64
     n_lorentz: int = 1040

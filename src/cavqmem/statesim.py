@@ -23,6 +23,11 @@ work and memory; only `RetrievalOutcome.photon_density`, whose output is a
 node-by-node matrix, builds one.  This is an exact re-representation: every
 sum that the full array would take is still taken, node by node.
 
+A step that sends a photon through a cavity takes a `Cavity`: a pulse's
+grid with one node's scattering elements at its nodes, which `Cavity.of`
+builds and refuses if it overflows.  The entry points build their cavities
+once and call the public steps, so each step has one implementation.
+
 SystemParams and PulseSpec check themselves when they are built; the qubit
 amplitudes (for normalization) and the detector efficiency (in (0, 1]) are
 checked where they enter.
@@ -52,6 +57,38 @@ POL_L, POL_R = 0, 1
 
 #: Probability mass below which conditioning on an outcome is refused.
 TINY_PROB = 1e-300
+
+
+@dataclass(frozen=True, eq=False)
+class Cavity:
+    """One atom-cavity node as a pulse's photon meets it: the pulse's grid,
+    the `t_elements` (t_LL, t_RR, t_LR, t_RL) at its nodes, and whether the
+    atom is lossless (gamma = 0).  Build it with `Cavity.of`."""
+
+    grid: KGrid
+    elements: tuple
+    lossless: bool
+
+    @classmethod
+    def of(cls, params: SystemParams, pulse: PulseSpec,
+           quad: QuadratureConfig = DEFAULT_QUAD) -> "Cavity":
+        """The cavity of `params` on the grid of `pulse` under rule `quad`.
+        Raises NonFiniteIntegrand where the grid or the elements overflow (a
+        rate too large for double precision): a NaN in f shows in
+        w = omega/|f|^2, and one in the phase factor in t_LL."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = build_grid(pulse, quad, k_c=params.k_c)
+            elements = t_elements(grid.k, params)
+        if not (np.isfinite(grid.w).all() and np.isfinite(elements[0]).all()):
+            raise NonFiniteIntegrand("the simulated cycle overflows at this "
+                                     "parameter point")
+        return cls(grid=grid, elements=elements, lossless=params.gamma == 0.0)
+
+
+def _require_grid(grid: KGrid, cav: Cavity) -> None:
+    """Refuse a state that lives on another grid than the cavity's map."""
+    if grid is not cav.grid:
+        raise InvalidField("grid", "the state lives on another grid")
 
 
 @dataclass(frozen=True)
@@ -107,23 +144,17 @@ def _scatter(amps: np.ndarray, elements: tuple) -> np.ndarray:
     return out
 
 
-def _scatter_state(state: JointState, elements: tuple,
-                   lossless: bool) -> JointState:
-    """`_scatter` on a joint state, given the `t_elements` at its grid nodes;
-    unless the atom is lossless, the norm it sheds is added to loss_weight."""
-    out = JointState(grid=state.grid, amps=_scatter(state.amps, elements),
+def apply_scattering(state: JointState, cav: Cavity) -> JointState:
+    """One pass of the photon through the cavity (see `_scatter`).  Norm lost
+    to spontaneous decay (gamma > 0) is added to loss_weight.  Raises
+    InvalidField unless the state lives on the cavity's grid."""
+    _require_grid(state.grid, cav)
+    out = JointState(grid=state.grid, amps=_scatter(state.amps, cav.elements),
                      loss_weight=state.loss_weight)
-    if lossless:
+    if cav.lossless:
         # unitary pass: keep the loss weight free of rounding residue
         return out
     return replace(out, loss_weight=out.loss_weight + state.norm - out.norm)
-
-
-def apply_scattering(state: JointState, params: SystemParams) -> JointState:
-    """One pass of the photon through the cavity (see `_scatter`).  Norm lost
-    to spontaneous decay (gamma > 0) is added to loss_weight."""
-    return _scatter_state(state, t_elements(state.grid.k, params),
-                          params.gamma == 0.0)
 
 
 @dataclass(frozen=True)
@@ -156,12 +187,7 @@ def detect_photon_L(state: JointState, detector: float = 1.0
     P(k_L).  Raises InvalidField unless 0 < detector <= 1, and
     ZeroProbability when that outcome has no support.
     """
-    return _detect(state, check_efficiency(detector))
-
-
-def _detect(state: JointState, eta: float) -> tuple[AtomEnsemble, float]:
-    """`detect_photon_L` given a checked efficiency."""
-    beta = np.sqrt(eta) * state.amps[:, POL_L, :]
+    beta = np.sqrt(check_efficiency(detector)) * state.amps[:, POL_L, :]
     prob = float(np.real(np.einsum("aj,aj,j->", beta, np.conjugate(beta),
                                    state.grid.w)))
     if prob < TINY_PROB:
@@ -215,10 +241,10 @@ def _released_mass(gram: np.ndarray, release: np.ndarray,
     return float(np.real(np.diagonal(gram) @ per_channel))
 
 
-def retrieve(stored: AtomEnsemble, params: SystemParams, pulse: PulseSpec,
-             quad: QuadratureConfig = DEFAULT_QUAD,
+def retrieve(stored: AtomEnsemble, cav: Cavity,
              target: PhotonQubit = PhotonQubit(0.0, 1.0)) -> RetrievalOutcome:
-    """Send a k_R-polarized retrieval photon and measure the atom.
+    """Send a k_R-polarized retrieval photon, on the cavity's grid, and
+    measure the atom.
 
     Each stored branch j sees the fresh photon envelope f'(k'): the |R>
     component scatters (T_RR keeps k_R, T_LR converts to k_L), the |L>
@@ -227,16 +253,8 @@ def retrieve(stored: AtomEnsemble, params: SystemParams, pulse: PulseSpec,
     by the same envelope.
     """
     require_normalized(target)
-    grid = build_grid(pulse, quad, k_c=params.k_c)
-    return _retrieve(stored, grid, t_elements(grid.k, params),
-                     params.gamma == 0.0, target)
-
-
-def _retrieve(stored: AtomEnsemble, grid: KGrid, elements: tuple,
-              lossless: bool, target: PhotonQubit) -> RetrievalOutcome:
-    """`retrieve` on the retrieval photon's `grid`, given the `t_elements`
-    at its nodes and whether the atom is lossless."""
-    _, t_rr, t_lr, _ = elements
+    grid = cav.grid
+    _, t_rr, t_lr, _ = cav.elements
     # Atom found in |L>: the transparent |L> branch keeps polarization k_R,
     # the scattered |R> branch arrives on k_L via T_LR.
     storage_amps = stored.beta[[ATOM_R, ATOM_L]]
@@ -254,7 +272,7 @@ def _retrieve(stored: AtomEnsemble, grid: KGrid, elements: tuple,
     fidelity = float(np.real(np.sum(w1 * np.abs(ovl) ** 2)) / mass)
     survive = float(np.real(np.sum(
         w2 * np.abs(grid.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
-    decay = (0.0 if lossless else
+    decay = (0.0 if cav.lossless else
              float(np.sum(w1 * np.abs(stored.beta[ATOM_R]) ** 2) * (1.0 - survive)))
     return RetrievalOutcome(
         storage_grid=stored.grid,
@@ -277,12 +295,11 @@ class ReadoutOutcome:
     conditioned: AtomQubit | None
 
 
-def atomic_readout_via_third_photon(atom: AtomQubit, params: SystemParams,
-                                    pulse: PulseSpec,
-                                    quad: QuadratureConfig = DEFAULT_QUAD,
+def atomic_readout_via_third_photon(atom: AtomQubit, cav: Cavity,
                                     detector: float = 1.0
                                     ) -> ReadoutOutcome:
-    """Interrogate the atom with a k_L-polarized probe photon.
+    """Interrogate the atom with a k_L-polarized probe photon on the
+    cavity's grid.
 
     Only the |L> component converts the probe to the k_R channel (T_RL), so a
     k_R click occurs with probability |a_L|^2 eta [|T_RL|^2]_f and pins the
@@ -291,15 +308,7 @@ def atomic_readout_via_third_photon(atom: AtomQubit, params: SystemParams,
     """
     require_normalized(atom)
     eta = check_efficiency(detector)
-    grid = build_grid(pulse, quad, k_c=params.k_c)
-    return _readout(atom, grid, t_elements(grid.k, params), eta)
-
-
-def _readout(atom: AtomQubit, grid: KGrid, elements: tuple,
-             eta: float) -> ReadoutOutcome:
-    """`atomic_readout_via_third_photon` on the probe photon's `grid`, given
-    the `t_elements` at its nodes and a checked efficiency."""
-    click = float(np.real(grid.average(eta * np.abs(elements[3]) ** 2)))
+    click = float(np.real(cav.grid.average(eta * np.abs(cav.elements[3]) ** 2)))
     prob = click * abs(atom.a_L) ** 2
     if prob < TINY_PROB:
         return ReadoutOutcome(probability=prob, conditioned=None)
@@ -347,47 +356,29 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     factor, so the released state and its fidelity are unchanged and only an
     extra success factor eta [|T_RL|^2]_f appears in p_total.  Raises
     InvalidField unless 0 < detector <= 1, and NonFiniteIntegrand where the
-    pulse grid or the scattering elements overflow (a rate too large for
-    double precision).
+    cavity overflows (see `Cavity.of`).
     """
     if readout not in ("projective", "third_photon"):
         raise InvalidField(readout, "unknown readout mode")
     eta = check_efficiency(detector)
-    # Storage, retrieval and probe photons share the pulse, so one grid and
-    # one evaluation of the scattering elements serve the whole cycle.  A
-    # rate too large for double precision overflows there, and is refused
-    # before any state is built on it.  A NaN in the amplitudes f shows in
-    # w = omega/|f|^2, and a NaN or infinity in the phase factor behind every
-    # element shows in t_LL = e^{i phi_s} sin^2 xi + cos^2 xi.
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = build_grid(pulse, quad, k_c=params.k_c)
-        elements = t_elements(grid.k, params)
-    if not (np.isfinite(grid.w).all() and np.isfinite(elements[0]).all()):
-        raise NonFiniteIntegrand("the simulated cycle overflows at this "
-                                 "parameter point")
-    state = prepare_input(AtomQubit(0.0, 1.0), photon, grid)
-    lossless = params.gamma == 0.0
-    state = _scatter_state(state, elements, lossless)
-    stored, p_k_l = _detect(state, eta)
-    outcome = _retrieve(stored, grid, elements, lossless, photon)
+    # Storage, retrieval and probe photons share the pulse, so one cavity
+    # serves the whole cycle.
+    cav = Cavity.of(params, pulse, quad)
+    state = apply_scattering(
+        prepare_input(AtomQubit(0.0, 1.0), photon, cav.grid), cav)
+    stored, p_k_l = detect_photon_L(state, eta)
+    outcome = retrieve(stored, cav, photon)
     p_qm = p_k_l * outcome.probability
-    if readout == "projective":
-        p_readout = None
-        p_total = p_qm
-    else:
-        probe = _readout(AtomQubit(1.0, 0.0), grid, elements, eta)
-        p_readout = probe.probability
-        p_total = p_qm * p_readout
+    p_readout = None
+    if readout == "third_photon":
+        p_readout = atomic_readout_via_third_photon(
+            AtomQubit(1.0, 0.0), cav, eta).probability
     return MemoryRecord(
-        p_k_l=p_k_l,
-        p_l=outcome.probability,
-        p_qm=p_qm,
+        p_k_l=p_k_l, p_l=outcome.probability, p_qm=p_qm,
         fidelity=outcome.fidelity,
-        loss_weight=state.loss_weight + outcome.loss,
-        readout=readout,
+        loss_weight=state.loss_weight + outcome.loss, readout=readout,
         p_readout=p_readout,
-        p_total=p_total,
-    )
+        p_total=p_qm if p_readout is None else p_qm * p_readout)
 
 
 def swap_transfer_fidelity(atom: AtomQubit, photon: PhotonQubit,
@@ -399,9 +390,10 @@ def swap_transfer_fidelity(atom: AtomQubit, photon: PhotonQubit,
     photon without any detection, and projects the atomic density matrix on
     the ideal swap image of the photonic qubit.  Decay mass counts as
     failure, matching the closed form in `metrics.transfer_fidelity`.
+    Raises NonFiniteIntegrand where the cavity overflows.
     """
-    grid = build_grid(pulse, quad, k_c=params.k_c)
-    state = apply_scattering(prepare_input(atom, photon, grid), params)
+    cav = Cavity.of(params, pulse, quad)
+    state = apply_scattering(prepare_input(atom, photon, cav.grid), cav)
     rho = state.atom_density()
     psi = np.array([photon.c_R * np.exp(1j * params.theta_R),
                     -photon.c_L * np.exp(1j * params.theta_L)])
@@ -434,14 +426,14 @@ class TwoCavityState:
     atom 2 in level b with photon 2 in channel q at node k'_j' of grid_2.
     The amplitude of (a, b, p, q, j, j') is sum_r left[r, a, p, j]
     right[r, b, q, j'].  Each cavity acts on its own factor stack, so the
-    rank never grows.  `loss_weight` pools the decay mass of both cavities.
+    rank never grows.  The decay mass of both cavities is the drop in
+    `norm`.
     """
 
     grid_1: KGrid
     grid_2: KGrid
     left: np.ndarray
     right: np.ndarray
-    loss_weight: float = 0.0
 
     @property
     def norm(self) -> float:
@@ -482,28 +474,18 @@ def prepare_pair(pair: PhotonPair, grid_1: KGrid, grid_2: KGrid
     return TwoCavityState(grid_1=grid_1, grid_2=grid_2, left=left, right=right)
 
 
-def _scatter_pair(state: TwoCavityState, params_1: SystemParams,
-                  params_2: SystemParams) -> TwoCavityState:
-    """`_scatter` on each side's factor stack, with the `t_elements` of its
-    cavity at the nodes of its grid; loss_weight is carried over unchanged."""
-    return replace(
-        state, left=_scatter(state.left, t_elements(state.grid_1.k, params_1)),
-        right=_scatter(state.right, t_elements(state.grid_2.k, params_2)))
-
-
-def scatter_pair(state: TwoCavityState, params_1: SystemParams,
-                 params_2: SystemParams) -> TwoCavityState:
+def scatter_pair(state: TwoCavityState, cav_1: Cavity,
+                 cav_2: Cavity) -> TwoCavityState:
     """Scatter photon 1 off cavity 1 and photon 2 off cavity 2.
 
     Each event is the single-node map of `apply_scattering` on its own
-    factor stack, so their order is immaterial.  Unless both atoms are
-    lossless, the decay mass of both is added to loss_weight, which costs a
-    norm before and after the pass.
+    factor stack, so their order is immaterial.  Raises InvalidField unless
+    each side lives on its cavity's grid.
     """
-    out = _scatter_pair(state, params_1, params_2)
-    if params_1.gamma == 0.0 and params_2.gamma == 0.0:
-        return out
-    return replace(out, loss_weight=out.loss_weight + state.norm - out.norm)
+    _require_grid(state.grid_1, cav_1)
+    _require_grid(state.grid_2, cav_2)
+    return replace(state, left=_scatter(state.left, cav_1.elements),
+                   right=_scatter(state.right, cav_2.elements))
 
 
 @dataclass(frozen=True)
@@ -537,20 +519,19 @@ def entanglement_storage(pair: PhotonPair,
     transparent passes counting as failure (probability reports the
     surviving trace).
 
-    Neither mode reads the decay mass, so the photons are scattered without
-    the loss_weight bookkeeping of `scatter_pair`: each call takes one
-    contraction of the factor Gram matrices, the heralded norm or the
-    two-atom density matrix.  Both modes raise InvalidField unless both
-    efficiencies lie in (0, 1].
+    Each call takes one contraction of the factor Gram matrices, the
+    heralded norm or the two-atom density matrix.  Both modes raise
+    InvalidField unless both efficiencies lie in (0, 1], and
+    NonFiniteIntegrand where a cavity overflows.
     """
     if mode not in ("postselect", "swap"):
         raise InvalidField(mode, "unknown storage mode")
     root_eta_1 = np.sqrt(check_efficiency(detector_1))
     root_eta_2 = np.sqrt(check_efficiency(detector_2))
-    grid_1 = build_grid(pulse_1, quad, k_c=params_1.k_c)
-    grid_2 = build_grid(pulse_2, quad, k_c=params_2.k_c)
-    state = _scatter_pair(prepare_pair(pair, grid_1, grid_2), params_1,
-                          params_2)
+    cav_1 = Cavity.of(params_1, pulse_1, quad)
+    cav_2 = Cavity.of(params_2, pulse_2, quad)
+    grid_1, grid_2 = cav_1.grid, cav_2.grid
+    state = scatter_pair(prepare_pair(pair, grid_1, grid_2), cav_1, cav_2)
     target = np.zeros((2, 2), dtype=complex)
     target[ATOM_R, ATOM_L] = pair.c_LR
     target[ATOM_L, ATOM_R] = pair.c_RL

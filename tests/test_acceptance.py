@@ -23,6 +23,7 @@ from cavqmem.params import (
 from cavqmem.scattering import t_elements
 from cavqmem.spectral import spectral_average
 from cavqmem.statesim import (
+    Cavity,
     PhotonPair,
     atomic_readout_via_third_photon,
     entanglement_storage,
@@ -183,8 +184,8 @@ def test_a8_ideal_limit_probabilities_and_heralded_composition():
     assert record.fidelity >= 0.999
 
     p_qm = metrics.qm_success(params, pulse)
-    probe = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0), params,
-                                            pulse)
+    probe = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0),
+                                            Cavity.of(params, pulse))
     assert abs(probe.probability - p_qm) <= 1e-8
     heralded = run_memory_protocol(params, pulse, photon=photon,
                                    readout="third_photon")

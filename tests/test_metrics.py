@@ -25,7 +25,6 @@ from cavqmem.errors import (DegenerateDenominator, InvalidField,
                             NonFiniteIntegrand, PrecisionLoss,
                             UnequalCouplings, ZeroScatteringWeight)
 from cavqmem.metrics import (
-    CHUNK_NODES,
     CHUNK_ROWS,
     MetricReport,
     compute_report,
@@ -334,19 +333,20 @@ def _per_point_reference(params, pulse, eta, photon):
 @pytest.mark.parametrize("profile", list(Profile))
 def test_batching_does_not_change_results(profile, detector):
     rng = np.random.default_rng(31)
-    nodes = DEFAULT_QUAD.node_count(profile)
-    count = 3 * max(1, CHUNK_NODES // nodes) + 1  # spans at least 3 chunks
+    count = 2 * CHUNK_ROWS + 1  # the exact pass spans 3 chunks
     points = []
     for _ in range(count):
         params, pulse, _ = draw_equivalence_point(rng)
         points.append((params, PulseSpec(profile, pulse.delta_p, pulse.kappa_p,
                                          pulse.x_0)))
     photon = PhotonQubit(0.6, 0.8 * np.exp(0.7j))
+    exact = compute_reports(points, None, detector, photon)
     reports = compute_reports(points, DEFAULT_QUAD, detector, photon)
-    assert len(reports) == count
-    for (params, pulse), report in zip(points, reports):
+    assert len(reports) == len(exact) == count
+    for (params, pulse), report, closed in zip(points, reports, exact):
         alone = compute_report(params, pulse, DEFAULT_QUAD, detector, photon)
         assert report == alone  # every field, floats bit for bit
+        assert closed == compute_report(params, pulse, None, detector, photon)
         ref = _per_point_reference(params, pulse, detector, photon)
         for name, value in ref.items():
             got = (storage_retrieval_fidelity(params, pulse, DEFAULT_QUAD,

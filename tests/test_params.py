@@ -287,8 +287,8 @@ EFFICIENCY_ENTRIES = {
     "detect_photon_L": lambda eta: statesim.detect_photon_L(_stored_state(),
                                                             eta),
     "atomic_readout_via_third_photon": lambda eta:
-        statesim.atomic_readout_via_third_photon(AtomQubit(1.0, 0.0), *_POINT,
-                                                 detector=eta),
+        statesim.atomic_readout_via_third_photon(
+            AtomQubit(1.0, 0.0), statesim.Cavity.of(*_POINT), detector=eta),
     "run_memory_protocol": lambda eta: statesim.run_memory_protocol(
         *_POINT, detector=eta),
     **{f"entanglement_storage-{mode}-{side}": (

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cavqmem import statesim
-from cavqmem.errors import InvalidField, ZeroProbability
+from cavqmem.errors import InvalidField, NonFiniteIntegrand, ZeroProbability
 from cavqmem.metrics import (
     qm_fidelity,
     qm_success,
@@ -33,6 +33,7 @@ from cavqmem.statesim import (
     ATOM_R,
     POL_L,
     POL_R,
+    Cavity,
     JointState,
     MemoryRecord,
     PhotonPair,
@@ -89,19 +90,19 @@ def test_prepare_input_requires_normalized_qubits():
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ])
 def test_scattering_preserves_trace_including_loss(pulse):
-    grid = build_grid(pulse, k_c=LOSSY.k_c)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, grid), LOSSY)
+    cav = Cavity.of(LOSSY, pulse)
+    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid), cav)
     assert state.loss_weight > 0.0
     assert state.norm + state.loss_weight == pytest.approx(1.0, abs=1e-10)
     # a second pass keeps pooling decay mass
-    again = apply_scattering(state, LOSSY)
+    again = apply_scattering(state, cav)
     assert again.norm + again.loss_weight == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lossless_scattering_leaves_loss_weight_bitwise_zero():
     clean = SystemParams(lambda_L=1.2, lambda_R=2.1, gamma=0.0, delta_e=1.0)
-    grid = build_grid(GAUSS)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, grid), clean)
+    cav = Cavity.of(clean, GAUSS)
+    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid), cav)
     assert state.loss_weight == 0.0
     assert state.norm == pytest.approx(1.0, abs=1e-12)
     record = run_memory_protocol(clean, GAUSS, photon=BALANCED)
@@ -109,9 +110,9 @@ def test_lossless_scattering_leaves_loss_weight_bitwise_zero():
 
 
 def test_cross_channels_are_transparent():
-    grid = build_grid(GAUSS)
-    state = prepare_input(AtomQubit(0.6, 0.8), PhotonQubit(0.6, 0.8), grid)
-    out = apply_scattering(state, LOSSY)
+    cav = Cavity.of(LOSSY, GAUSS)
+    state = prepare_input(AtomQubit(0.6, 0.8), PhotonQubit(0.6, 0.8), cav.grid)
+    out = apply_scattering(state, cav)
     np.testing.assert_array_equal(out.amps[ATOM_L, POL_R],
                                   state.amps[ATOM_L, POL_R])
     np.testing.assert_array_equal(out.amps[ATOM_R, POL_L],
@@ -122,8 +123,9 @@ def test_ideal_swap_produces_the_product_state():
     params, pulse = ideal_point()
     atom = AtomQubit(0.6, 0.8j)
     photon = PhotonQubit(0.28, -0.96)
-    grid = build_grid(pulse, k_c=params.k_c)
-    state = apply_scattering(prepare_input(atom, photon, grid), params)
+    cav = Cavity.of(params, pulse)
+    grid = cav.grid
+    state = apply_scattering(prepare_input(atom, photon, grid), cav)
 
     psi = swap_target_atom(photon, params)      # atomic image of the photon
     phi = swap_target_photon(atom, params)      # photonic image of the atom
@@ -140,8 +142,8 @@ def test_ideal_swap_produces_the_product_state():
 
 def test_detection_at_ideal_point_is_certain():
     params, pulse = ideal_point()
-    grid = build_grid(pulse, k_c=params.k_c)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, grid), params)
+    cav = Cavity.of(params, pulse)
+    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid), cav)
     ensemble, prob = detect_photon_L(state)
     assert prob == pytest.approx(1.0, abs=1e-5)
     rho = ensemble.density()
@@ -151,9 +153,9 @@ def test_detection_at_ideal_point_is_certain():
 def test_detection_with_no_support_is_refused():
     # lambda_L = 0 never converts a |k_R> photon into the k_L channel
     params = SystemParams(lambda_L=0.0, lambda_R=2.0)
-    grid = build_grid(GAUSS)
+    cav = Cavity.of(params, GAUSS)
     state = apply_scattering(
-        prepare_input(ATOM_START, PhotonQubit(0.0, 1.0), grid), params)
+        prepare_input(ATOM_START, PhotonQubit(0.0, 1.0), cav.grid), cav)
     with pytest.raises(ZeroProbability):
         detect_photon_L(state)
 
@@ -216,10 +218,10 @@ def test_protocol_ignores_global_qubit_phase():
 
 def test_retrieval_outcome_reports_released_photon_density():
     params = SystemParams(lambda_L=1.5, lambda_R=1.5, gamma=0.7)
-    grid = build_grid(GAUSS)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, grid), params)
+    cav = Cavity.of(params, GAUSS)
+    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid), cav)
     stored, _ = detect_photon_L(state)
-    outcome = retrieve(stored, params, GAUSS, target=BALANCED)
+    outcome = retrieve(stored, cav, target=BALANCED)
     rho = outcome.photon_density()
     trace = sum(np.real(np.sum(outcome.grid.w * np.diagonal(rho[p, :, p, :])))
                 for p in (POL_L, POL_R))
@@ -229,7 +231,8 @@ def test_retrieval_outcome_reports_released_photon_density():
 
 def test_third_photon_click_never_fires_on_the_transparent_atom():
     params = SystemParams(lambda_L=1.5, lambda_R=1.5)
-    out = atomic_readout_via_third_photon(AtomQubit(0.0, 1.0), params, GAUSS)
+    out = atomic_readout_via_third_photon(AtomQubit(0.0, 1.0),
+                                          Cavity.of(params, GAUSS))
     assert out.probability == 0.0
     assert out.conditioned is None
 
@@ -237,7 +240,8 @@ def test_third_photon_click_never_fires_on_the_transparent_atom():
 def test_third_photon_click_rate_and_conditioning():
     params = SystemParams(lambda_L=1.5, lambda_R=1.5, gamma=0.8)
     atom = AtomQubit(0.6, 0.8j)
-    out = atomic_readout_via_third_photon(atom, params, GAUSS, detector=0.9)
+    out = atomic_readout_via_third_photon(atom, Cavity.of(params, GAUSS),
+                                          detector=0.9)
     expected = 0.36 * qm_success(params, GAUSS, eta=0.9)
     assert out.probability == pytest.approx(expected, abs=1e-12)
     assert out.conditioned == AtomQubit(0.0, 1.0)
@@ -257,9 +261,14 @@ def test_heralded_readout_multiplies_success_probabilities():
         run_memory_protocol(params, GAUSS, readout="homodyne")
 
 
+ONE_PATH = ("build_grid", "t_elements", "apply_scattering", "detect_photon_L",
+            "retrieve", "atomic_readout_via_third_photon", "scatter_pair")
+
+
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
 def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
-    calls = {"build_grid": 0, "t_elements": 0}
+    # every entry point builds its cavities once and runs the public steps
+    calls = dict.fromkeys(ONE_PATH + ("Cavity",), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -267,13 +276,36 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(statesim, "build_grid",
-                        counting("build_grid", statesim.build_grid))
-    monkeypatch.setattr(statesim, "t_elements",
-                        counting("t_elements", statesim.t_elements))
+    for name in ONE_PATH:
+        monkeypatch.setattr(statesim, name,
+                            counting(name, getattr(statesim, name)))
+    monkeypatch.setattr(Cavity, "of", counting("Cavity", Cavity.of))
     run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED, detector=0.7,
                         readout=readout)
-    assert calls == {"build_grid": 1, "t_elements": 1}
+    assert calls == {"build_grid": 1, "t_elements": 1, "Cavity": 1,
+                     "apply_scattering": 1, "detect_photon_L": 1,
+                     "retrieve": 1, "scatter_pair": 0,
+                     "atomic_readout_via_third_photon":
+                         int(readout == "third_photon")}
+    calls.update(dict.fromkeys(calls, 0))
+    entanglement_storage(PhotonPair(0.6, 0.8j), LOSSY, OTHER, LORENTZ, GAUSS,
+                         mode="swap" if readout == "projective" else
+                         "postselect")
+    assert calls == {**dict.fromkeys(calls, 0), "build_grid": 2,
+                     "t_elements": 2, "Cavity": 2, "scatter_pair": 1}
+
+
+def test_a_state_on_another_grid_is_refused():
+    cav = Cavity.of(LOSSY, GAUSS)
+    twin = Cavity.of(LOSSY, GAUSS)  # the same nodes, another grid
+    with pytest.raises(InvalidField, match="another grid"):
+        apply_scattering(prepare_input(ATOM_START, BALANCED, twin.grid), cav)
+    pair = prepare_pair(PhotonPair(0.6, 0.8j), cav.grid, twin.grid)
+    with pytest.raises(InvalidField, match="another grid"):
+        scatter_pair(pair, twin, cav)
+    with pytest.raises(InvalidField, match="another grid"):
+        scatter_pair(pair, cav, cav)
+    assert scatter_pair(pair, cav, twin).norm < 1.0
 
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
@@ -281,15 +313,15 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
 def test_memory_cycle_equals_the_public_steps(pulse, readout):
     photon, eta = PhotonQubit(0.6, 0.8j), 0.7
-    grid = build_grid(pulse, DEFAULT_QUAD, k_c=LOSSY.k_c)
-    state = apply_scattering(prepare_input(ATOM_START, photon, grid), LOSSY)
+    cav = Cavity.of(LOSSY, pulse, DEFAULT_QUAD)
+    state = apply_scattering(prepare_input(ATOM_START, photon, cav.grid), cav)
     stored, p_k_l = detect_photon_L(state, eta)
-    outcome = retrieve(stored, LOSSY, pulse, DEFAULT_QUAD, target=photon)
+    outcome = retrieve(stored, cav, target=photon)
     p_qm = p_k_l * outcome.probability
     p_readout = p_total = None
     if readout == "third_photon":
         p_readout = atomic_readout_via_third_photon(
-            AtomQubit(1.0, 0.0), LOSSY, pulse, DEFAULT_QUAD, eta).probability
+            AtomQubit(1.0, 0.0), cav, eta).probability
         p_total = p_qm * p_readout
     by_hand = MemoryRecord(
         p_k_l=p_k_l, p_l=outcome.probability, p_qm=p_qm,
@@ -321,29 +353,30 @@ def test_pair_state_bookkeeping():
     state = prepare_pair(pair, grid, grid)
     assert isinstance(state, TwoCavityState)
     assert state.norm == pytest.approx(1.0, abs=1e-12)
-    assert state.loss_weight == 0.0
     with pytest.raises(ValueError):
         prepare_pair(PhotonPair(1.0, 1.0), grid, grid)
 
 
 def test_pair_scattering_preserves_trace_including_loss():
-    grid = build_grid(GAUSS)
+    # a pair's decay mass is its drop in norm: none without decay
     other = SystemParams(lambda_L=2.0, lambda_R=1.0, gamma=0.4, delta_e=-0.7)
-    state = scatter_pair(prepare_pair(PhotonPair(0.6, 0.8j), grid, grid),
-                         LOSSY, other)
-    assert state.loss_weight > 0.0
-    assert state.norm + state.loss_weight == pytest.approx(1.0, abs=1e-10)
     clean_1 = SystemParams(lambda_L=1.2, lambda_R=2.1, gamma=0.0)
     clean_2 = SystemParams(lambda_L=2.0, lambda_R=1.0, gamma=0.0)
-    lossless = scatter_pair(prepare_pair(PhotonPair(0.6, 0.8j), grid, grid),
-                            clean_1, clean_2)
-    assert lossless.loss_weight == 0.0
+    for params_1, params_2, lossy in ((LOSSY, other, True),
+                                      (clean_1, clean_2, False)):
+        cav_1, cav_2 = Cavity.of(params_1, GAUSS), Cavity.of(params_2, GAUSS)
+        prepared = prepare_pair(PhotonPair(0.6, 0.8j), cav_1.grid, cav_2.grid)
+        state = scatter_pair(prepared, cav_1, cav_2)
+        decay = prepared.norm - state.norm
+        if lossy:
+            assert 1e-3 < decay < 1.0
+        else:
+            assert decay == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["postselect", "swap"])
 def test_pair_storage_takes_one_contraction(monkeypatch, mode):
-    # neither mode reads the decay mass, so the norms that scatter_pair takes
-    # for loss_weight are not paid; the outcome needs one density contraction
+    # no decay bookkeeping: the outcome needs one density contraction
     calls = []
     density = statesim._pair_density
 
@@ -406,6 +439,19 @@ def test_unknown_mode_strings_raise_typed_errors():
     with pytest.raises(InvalidField):
         entanglement_storage(PhotonPair(1.0, 0.0), params, params, pulse,
                              pulse, mode="teleport")
+    # a pulse too wide for double precision: every entry point refuses it
+    # (no NaN, and no RuntimeWarning, an error in this suite)
+    for profile in Profile:
+        wide = PulseSpec(profile=profile, kappa_p=1e200)
+        entries = [
+            lambda: run_memory_protocol(params, wide),
+            lambda: swap_transfer_fidelity(ATOM_START, BALANCED, params, wide),
+            *(lambda mode=mode: entanglement_storage(
+                PhotonPair(1.0, 0.0), params, params, pulse, wide, mode=mode)
+              for mode in ("postselect", "swap"))]
+        for entry in entries:
+            with pytest.raises(NonFiniteIntegrand, match="overflows"):
+                entry()
 
 
 # Dense reference: the two-grid code as it stood before the states were kept
@@ -442,8 +488,6 @@ def _dense_scatter_pair(amps, grid_1, grid_2, params_1, params_2):
                                 + t_lr[None, None, None, :] * bright_r)
     psi[:, ATOM_R, :, POL_R] = (t_rl[None, None, None, :] * bright_l
                                 + t_rr[None, None, None, :] * bright_r)
-    if params_1.gamma == 0.0 and params_2.gamma == 0.0:
-        return psi, 0.0
     return psi, before - _dense_norm(psi, grid_1, grid_2)
 
 
@@ -523,21 +567,20 @@ PULSE_IDS = ["gaussian", "lorentzian", "mixed"]
 def test_factored_pair_matches_dense_reference(pulses, cavities):
     (pulse_1, pulse_2), (params_1, params_2) = pulses, cavities
     pair = PhotonPair(0.6, 0.8j)
-    grid_1 = build_grid(pulse_1, LORENTZ_104, k_c=params_1.k_c)
-    grid_2 = build_grid(pulse_2, LORENTZ_104, k_c=params_2.k_c)
+    cav_1 = Cavity.of(params_1, pulse_1, LORENTZ_104)
+    cav_2 = Cavity.of(params_2, pulse_2, LORENTZ_104)
+    grid_1, grid_2 = cav_1.grid, cav_2.grid
     assert {grid_1.n, grid_2.n} <= {64, 104}
     dense = _dense_prepare_pair(pair, grid_1, grid_2)
-    state = prepare_pair(pair, grid_1, grid_2)
-    assert state.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
-                                       abs=1e-12)
+    prepared = prepare_pair(pair, grid_1, grid_2)
+    assert prepared.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
+                                          abs=1e-12)
     dense, loss = _dense_scatter_pair(dense, grid_1, grid_2, params_1,
                                       params_2)
-    state = scatter_pair(state, params_1, params_2)
+    state = scatter_pair(prepared, cav_1, cav_2)
     assert state.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
                                        abs=1e-12)
-    assert state.loss_weight == pytest.approx(loss, abs=1e-12)
-    if loss == 0.0:
-        assert state.loss_weight == 0.0
+    assert prepared.norm - state.norm == pytest.approx(loss, abs=1e-12)
     amps = np.einsum("rapj,rbqk->abpqjk", state.left, state.right)
     np.testing.assert_allclose(amps, dense, rtol=0.0, atol=1e-12)
     for mode in ("postselect", "swap"):
@@ -556,12 +599,12 @@ def test_factored_pair_matches_dense_reference(pulses, cavities):
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
                                                          "lorentzian"])
 def test_factored_retrieval_matches_dense_reference(pulse, params):
-    grid = build_grid(pulse, LORENTZ_104, k_c=params.k_c)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, grid),
-                             params)
+    cav = Cavity.of(params, pulse, LORENTZ_104)
+    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid),
+                             cav)
     stored, _ = detect_photon_L(state, 0.6)
     target = PhotonQubit(0.28, 0.96j)
-    outcome = retrieve(stored, params, pulse, LORENTZ_104, target=target)
+    outcome = retrieve(stored, cav, target=target)
     prob, fid, loss, rho = _dense_retrieve(stored, params, pulse,
                                            LORENTZ_104, target)
     assert outcome.probability == pytest.approx(prob, abs=1e-12)
