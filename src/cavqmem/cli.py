@@ -21,10 +21,13 @@ A sweep grid or curve family is one batch, a `params.ParamRows`: one
 float array per field, outer axis major, and no SystemParams or PulseSpec
 per row.  The sweep axes act on those arrays; `params.grid_rows` checks
 every row at once and raises, for the first row that fails, the error of
-that row's own point.  The rows take their cells from the columns of
-`metrics.metric_columns`, and `write_csv` formats them column by column.
-CSV outputs are deterministic byte for byte at fixed configuration: fixed
-sampling order, fixed summation order, floats serialized with repr.  The
+that row's own point.  `sweep_rows` and `fig2_rows`-`fig4_rows` return
+their CSV columns, not rows: float64 arrays straight from the grid, the
+axes and `metrics.metric_columns`, and lists of text for the labels.
+`write_csv` formats each distinct float of a column once and places the
+cells in the file's rows without building a row.  CSV outputs are
+deterministic byte for byte at fixed configuration: fixed sampling order,
+fixed summation order, floats serialized with repr.  The
 first line of every CSV is a '#'-prefixed JSON comment recording the full
 configuration, with "closed_forms": "exact" and the node counts of
 DEFAULT_QUAD ("quad"), the rule a state-oracle check of the rows
@@ -36,10 +39,8 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -90,35 +91,36 @@ def _case_cells(cases, count: int) -> list[str]:
     return [case for case, _, _ in cases for _ in range(count)]
 
 
-def fig2_rows(count: int = 61) -> list[tuple]:
+def fig2_rows(count: int = 61) -> list:
     """Memory and swap fidelity versus cooperativity, Gaussian pulse with
-    kappa_p = 0.1 kappa, one row block per detuning case."""
+    kappa_p = 0.1 kappa, one row block per detuning case: the columns of
+    ("C", "case", "F_qm", "F_swap")."""
     coops = np.geomspace(1.0, 100.0, count)
     columns = metrics.metric_columns(family_rows(
         [(False, delta_e, delta_p) for _, delta_e, delta_p in FIG2_CASES],
         coops, 1.0, 0.1))
-    return list(zip(coops.tolist() * len(FIG2_CASES),
-                    _case_cells(FIG2_CASES, count), columns.F_qm,
-                    columns.F_swap))
+    return [np.tile(coops, len(FIG2_CASES)), _case_cells(FIG2_CASES, count),
+            columns.F_qm, columns.F_swap]
 
 
-def fig3_rows(count: int = 25) -> list[tuple]:
+def fig3_rows(count: int = 25) -> list:
     """Memory fidelity versus pulse bandwidth for both spectral profiles at
-    cooperativity 20."""
+    cooperativity 20: the columns of ("kappa_p_over_kappa", "profile",
+    "case", "F_qm")."""
     ratios = np.geomspace(0.01, 0.5, count)
     blocks = [(profile is Profile.LORENTZIAN, delta_e, delta_p)
               for profile in Profile for _, delta_e, delta_p in FIG3_CASES]
     columns = metrics.metric_columns(family_rows(blocks, 20.0, 1.0, ratios))
-    return list(zip(ratios.tolist() * len(blocks),
-                    [profile.value for profile in Profile
-                     for _ in range(len(FIG3_CASES) * count)],
-                    _case_cells(FIG3_CASES, count) * len(Profile),
-                    columns.F_qm))
+    return [np.tile(ratios, len(blocks)),
+            [profile.value for profile in Profile
+             for _ in range(len(FIG3_CASES) * count)],
+            _case_cells(FIG3_CASES, count) * len(Profile), columns.F_qm]
 
 
-def fig4_rows(count: int = 41) -> list[tuple]:
+def fig4_rows(count: int = 41) -> list:
     """Success probability versus coupling ratio at eta = 1 for cooperativity
-    1, 10, 100, Gaussian pulse with kappa_p = 0.1 kappa."""
+    1, 10, 100, Gaussian pulse with kappa_p = 0.1 kappa: the columns of
+    ("lambda_ratio", "C", "case", "P_qm")."""
     ratios = np.geomspace(0.1, 10.0, count)
     # Pin the symmetric midpoint so the grid contains ratio 1 exactly.
     ratios[np.abs(ratios - 1.0) < 1e-9] = 1.0
@@ -128,8 +130,8 @@ def fig4_rows(count: int = 41) -> list[tuple]:
         [(False, delta_e, delta_p) for _, delta_e, delta_p in FIG2_CASES],
         coops, ratios, 0.1))
     blocks = len(FIG2_CASES)
-    return list(zip(ratios.tolist() * blocks, coops.tolist() * blocks,
-                    _case_cells(FIG2_CASES, coops.size), columns.P_qm))
+    return [np.tile(ratios, blocks), np.tile(coops, blocks),
+            _case_cells(FIG2_CASES, coops.size), columns.P_qm]
 
 
 @dataclass(frozen=True)
@@ -215,11 +217,12 @@ def _apply_axis(columns: dict, field: str, values: np.ndarray,
     columns["lambda_R"] = scale * columns["lambda_R"]
 
 
-def sweep_rows(spec: SweepSpec) -> list[tuple]:
-    """The CSV rows of the sweep grid, outer axis major.  The axes act in
-    turn on one column per field, and `params.grid_rows` checks every row
-    at once: the first row that cannot be built raises the error of its own
-    point, before any metric is evaluated."""
+def sweep_rows(spec: SweepSpec) -> list:
+    """The CSV columns of the sweep grid, in SWEEP_HEADER order, outer axis
+    major.  The axes act in turn on one column per field, and
+    `params.grid_rows` checks every row at once: the first row that cannot
+    be built raises the error of its own point, before any metric is
+    evaluated."""
     grids = np.meshgrid(*(axis.values() for axis in spec.axes),
                         indexing="ij")
     base = {name: value if name == "profile" else float(value)
@@ -229,37 +232,46 @@ def sweep_rows(spec: SweepSpec) -> list[tuple]:
     with np.errstate(all="ignore"):
         for axis, values in zip(spec.axes, grids):
             _apply_axis(columns, axis.field, values.ravel(), failures)
+    size = grids[0].size
     rows = grid_rows(columns, spec.pulse.profile is Profile.LORENTZIAN,
-                     [(np.broadcast_to(mask, grids[0].size), error)
+                     [(np.broadcast_to(mask, size), error)
                       for mask, error in failures])
     metric = metrics.metric_columns(rows, eta=spec.eta)
     # a field no axis touched repeats the base point's float
-    echo = [getattr(rows, name).tolist() if columns[name] is not base[name]
-            else itertools.repeat(base[name]) for name in PARAM_COLUMNS]
-    return list(zip(*echo, itertools.repeat(spec.eta), metric.F_swap,
-                    metric.F_swap_leading, metric.F_qm, metric.P_qm,
-                    metric.P_qm_conditional))
+    echo = [[base[name]] * size if name == "profile" else getattr(rows, name)
+            for name in PARAM_COLUMNS]
+    return echo + [np.full(size, spec.eta, dtype=float), metric.F_swap,
+                   metric.F_swap_leading, metric.F_qm, metric.P_qm,
+                   metric.P_qm_conditional]
 
 
-def _format_column(column: tuple) -> list[str]:
-    """The cells of one CSV column as text; a column whose cells are all one
-    object is formatted once."""
-    first = column[0]
-    if all(map(operator.is_, column, itertools.repeat(first))):
-        return [str(first)] * len(column)
-    return list(map(str, column))
+def _format_column(column) -> list[str]:
+    """The cells of one CSV column as text.  A float64 array is formatted
+    once per distinct bit pattern (so 0.0 and -0.0 stay apart) with str,
+    which for a float is its repr; any other column is its text cells."""
+    if not isinstance(column, np.ndarray):
+        return column
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array(list(map(str, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[index].tolist()
 
 
 def write_csv(path: str, meta: dict, header: tuple[str, ...],
-              rows: list[tuple]) -> None:
-    """'#'-prefixed JSON metadata line, header row, then the data rows.
-    Cells are formatted column by column with str, which for a float is its
-    repr."""
-    columns = [_format_column(column) for column in zip(*rows)]
-    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(header)]
-    lines.extend(map(",".join, zip(*columns)))
+              columns: list) -> None:
+    """'#'-prefixed JSON metadata line, header row, then the data rows,
+    from `columns` in header order: float64 arrays, or lists of text.  Each
+    column's cells go straight to their places in one list of the file's
+    cells and separators, which is joined once."""
+    rows = len(columns[0])
+    width = 2 * len(columns)
+    cells = [","] * (rows * width)
+    for place, column in enumerate(columns):
+        cells[2 * place::width] = _format_column(column)
+    cells[width - 1::width] = ["\n"] * rows
+    text = "# " + json.dumps(meta, sort_keys=True) + "\n" + ",".join(header)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(text + "\n" + "".join(cells))
 
 
 # ---------------------------------------------------------------------------

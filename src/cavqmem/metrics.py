@@ -34,9 +34,9 @@ pointwise) raises PrecisionLoss.
 The exact route works in row chunks of at most CHUNK_ROWS points, so
 memory stays flat in the batch size.
 `metric_columns` evaluates every MetricReport field of a batch as columns,
-one list per field, the arithmetic on the parameters (lambda^2, sin^2 2xi,
-the leading-order swap fidelity, the balanced flag) included; the CSV rows
-of `cli` take their cells from it.  `compute_reports`, the scalar metrics
+one array per field, the arithmetic on the parameters (lambda^2, sin^2 2xi,
+the leading-order swap fidelity, the balanced flag) included; the CSV
+columns of `cli` are its arrays.  `compute_reports`, the scalar metrics
 (each a batch of one) and `cycle_closed_forms` turn their points into the
 same batch with `params.point_rows`.  A point's results do not depend on
 the batch it is evaluated in, bit for bit.  Every row was checked when its
@@ -461,16 +461,17 @@ _BALANCED = PhotonQubit(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 class MetricColumns(NamedTuple):
     """The metric fields of MetricReport for a batch, in its field order,
-    one list per field, entry i belonging to point i."""
+    one array per field (float64, bool for f_swap_meaningful), entry i
+    belonging to point i."""
 
-    F_swap: list[float]
-    F_swap_leading: list[float]
-    F_qm: list[float]
-    P_kL: list[float]
-    P_L: list[float]
-    P_qm: list[float]
-    P_qm_conditional: list[float]
-    f_swap_meaningful: list[bool]
+    F_swap: np.ndarray
+    F_swap_leading: np.ndarray
+    F_qm: np.ndarray
+    P_kL: np.ndarray
+    P_L: np.ndarray
+    P_qm: np.ndarray
+    P_qm_conditional: np.ndarray
+    f_swap_meaningful: np.ndarray
 
 
 def metric_columns(rows: ParamRows,
@@ -492,15 +493,15 @@ def metric_columns(rows: ParamRows,
         leading = _leading(rows.kappa, rows.gamma, rows.delta_e,
                            rows.delta_p, rows.lambda_sq)
     return MetricColumns(
-        F_swap=m.h2.tolist(),
-        F_swap_leading=leading.tolist(),
-        F_qm=_memory_fidelity(m).tolist(),
-        P_kL=_storage(m, sin2, eta, cl2, cr2).tolist(),
-        P_L=_retrieval(m, sin2, eta, cl2, cr2).tolist(),
-        P_qm=p_qm.tolist(),
-        P_qm_conditional=(p_qm * p_qm).tolist(),
+        F_swap=m.h2,
+        F_swap_leading=leading,
+        F_qm=_memory_fidelity(m),
+        P_kL=_storage(m, sin2, eta, cl2, cr2),
+        P_L=_retrieval(m, sin2, eta, cl2, cr2),
+        P_qm=p_qm,
+        P_qm_conditional=p_qm * p_qm,
         f_swap_meaningful=_balanced(rows.lambda_L, rows.lambda_R,
-                                    rows.lambda_sq).tolist(),
+                                    rows.lambda_sq),
     )
 
 
@@ -512,7 +513,8 @@ def compute_reports(points: Sequence[Point],
     from the columns of `metric_columns`."""
     columns = metric_columns(point_rows(points), quad, eta, photon)
     return [MetricReport(params, pulse, float(eta), photon, *cells)
-            for (params, pulse), *cells in zip(points, *columns)]
+            for (params, pulse), *cells in zip(
+                points, *(column.tolist() for column in columns))]
 
 
 def compute_report(params: SystemParams, pulse: PulseSpec,

@@ -63,7 +63,12 @@ TINY_PROB = 1e-300
 class Cavity:
     """One atom-cavity node as a pulse's photon meets it: the pulse's grid,
     the `t_elements` (t_LL, t_RR, t_LR, t_RL) at its nodes, and whether the
-    atom is lossless (gamma = 0).  Build it with `Cavity.of`."""
+    atom is lossless (gamma = 0).  Build it with `Cavity.of`.
+
+    The grid is in detuning coordinates, its nodes at k - k_c: the physics
+    is translation invariant and no output reads an absolute wavenumber,
+    while absolute nodes at a large k_c would round the pulse's width
+    away."""
 
     grid: KGrid
     elements: tuple
@@ -77,8 +82,8 @@ class Cavity:
         rate too large for double precision): a NaN in f shows in
         w = omega/|f|^2, and one in the phase factor in t_LL."""
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = build_grid(pulse, quad, k_c=params.k_c)
-            elements = t_elements(grid.k, params)
+            grid = build_grid(pulse, quad)
+            elements = t_elements(grid.k, replace(params, k_c=0.0))
         if not (np.isfinite(grid.w).all() and np.isfinite(elements[0]).all()):
             raise NonFiniteIntegrand("the simulated cycle overflows at this "
                                      "parameter point")

@@ -123,11 +123,11 @@ def test_a5_exact_scattering_and_average_identities():
 
 def test_a6_curve_family_orderings():
     # memory fidelity never drops below the swap fidelity
-    for _, _, f_qm, f_swap in fig2_rows():
+    for _, _, f_qm, f_swap in zip(*fig2_rows()):
         assert f_qm >= f_swap
     # the Gaussian envelope is never the worse profile at equal bandwidth
     by_profile = {}
-    for x, profile, case, f_qm in fig3_rows():
+    for x, profile, case, f_qm in zip(*fig3_rows()):
         by_profile[(profile, case, x)] = f_qm
     for (profile, case, x), value in by_profile.items():
         if profile == "lorentzian":
@@ -135,12 +135,12 @@ def test_a6_curve_family_orderings():
     # success probability peaks at balanced couplings, and grows with the
     # cooperativity at every coupling ratio
     curves = {}
-    for ratio, coop, case, p_qm in fig4_rows():
+    for ratio, coop, case, p_qm in zip(*fig4_rows()):
         curves.setdefault((case, coop), []).append((ratio, p_qm))
     for (case, coop), points in curves.items():
         peak_ratio, _ = max(points, key=lambda rp: rp[1])
         assert peak_ratio == 1.0
-    for ratio, coop, case, p_qm in fig4_rows():
+    for ratio, coop, case, p_qm in zip(*fig4_rows()):
         if coop > 1.0:
             weaker = curves[(case, coop / 10.0)]
             match = [p for r, p in weaker if r == ratio]

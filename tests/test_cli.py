@@ -220,11 +220,23 @@ def _bits(rows):
     return [[repr(cell) for cell in row] for row in rows]
 
 
+def _rows(columns):
+    """The rows of CSV columns, each cell a Python float or str.  Every
+    column is a float64 array or a list of str."""
+    for column in columns:
+        assert (isinstance(column, np.ndarray) and column.dtype == np.float64
+                or all(isinstance(cell, str) for cell in column))
+    return list(zip(*(column.tolist() if isinstance(column, np.ndarray)
+                      else column for column in columns)))
+
+
 def test_sweep_rows_match_metric_calls():
     axis = SweepAxis("delta_e", "linear", -2.0, 2.0, 3)
     spec = SweepSpec(params=SystemParams(), pulse=PulseSpec(kappa_p=0.2),
                      axes=(axis,), eta=0.9)
-    rows = sweep_rows(spec)
+    columns = sweep_rows(spec)
+    assert len(columns) == len(SWEEP_HEADER)
+    rows = _rows(columns)
     assert len(rows) == 3
     for value, row in zip(axis.values(), rows):
         params = SystemParams(delta_e=float(value))
@@ -239,8 +251,8 @@ def test_sweep_rows_match_metric_calls():
     pulse = PulseSpec(profile=Profile.LORENTZIAN, delta_p=0.3)
     coops = SweepAxis("cooperativity", "log", 1.0, 100.0, 4)
     widths = SweepAxis("kappa_p", "linear", 0.1, 0.5, 3)
-    rows = sweep_rows(SweepSpec(params=base, pulse=pulse,
-                                axes=(coops, widths), eta=0.8))
+    rows = _rows(sweep_rows(SweepSpec(params=base, pulse=pulse,
+                                      axes=(coops, widths), eta=0.8)))
     points = []
     for coop in coops.values().tolist():
         scale = math.sqrt(coop * base.kappa * base.gamma / base.lambda_sq)
@@ -268,7 +280,7 @@ def test_sweep_rows_match_metric_calls():
             [(family_params(c, delta_e=delta_e), pulse) for c in coops])
         expected += [(c, case, r.F_qm, r.F_swap)
                      for c, r in zip(coops, reports)]
-    assert _bits(cli.fig2_rows(5)) == _bits(expected)
+    assert _bits(_rows(cli.fig2_rows(5))) == _bits(expected)
 
     ratios = np.geomspace(0.01, 0.5, 4).tolist()
     expected = []
@@ -281,7 +293,7 @@ def test_sweep_rows_match_metric_calls():
                  for x in ratios])
             expected += [(x, profile.value, case, r.F_qm)
                          for x, r in zip(ratios, reports)]
-    assert _bits(cli.fig3_rows(4)) == _bits(expected)
+    assert _bits(_rows(cli.fig3_rows(4))) == _bits(expected)
 
     ratios = [0.1, 1.0, 10.0]
     expected = []
@@ -292,7 +304,7 @@ def test_sweep_rows_match_metric_calls():
             [(family_params(c, ratio=x, delta_e=delta_e), pulse)
              for c, x in keys])
         expected += [(x, c, case, r.P_qm) for (c, x), r in zip(keys, reports)]
-    assert _bits(cli.fig4_rows(3)) == _bits(expected)
+    assert _bits(_rows(cli.fig4_rows(3))) == _bits(expected)
 
 
 def test_point_report_structure(tmp_path, capsys):
@@ -399,6 +411,18 @@ def test_oracle_deltas_measure_the_rule_against_the_exact_forms(tmp_path,
     deltas = out["closed_form_deltas"]
     assert deltas == {key: abs(out[key] - exact[key]) for key in deltas}
     assert max(deltas.values()) > 1e-7
+
+
+@pytest.mark.parametrize("k_c", [1e12, 1e17])
+def test_oracle_keeps_its_grid_at_a_large_carrier(tmp_path, capsys, k_c):
+    # the cavity works in detuning coordinates, so a carrier far above the
+    # pulse width leaves the simulated cycle on the exact forms
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps({"k_c": k_c, "kappa_p": 0.5}),
+                   encoding="utf-8")
+    assert main(["oracle", "--params", str(src)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert max(out["closed_form_deltas"].values()) <= 1e-12
 
 
 def test_error_paths_exit_with_status_two(tmp_path, capsys):
@@ -514,26 +538,78 @@ def test_axis_parsing_raises_only_typed_errors(text):
 def test_csv_writer_format(tmp_path):
     path = tmp_path / "w.csv"
     write_csv(str(path), {"b": 1, "a": 2}, ("x", "y"),
-              [(0.1, "lab"), (2.0, "el")])
+              [np.array([0.1, 2.0]), ["lab", "el"]])
     text = path.read_text(encoding="utf-8")
     assert text == '# {"a": 2, "b": 1}\nx,y\n0.1,lab\n2.0,el\n'
-    # column by column: signed zeros as distinct objects, a column that
-    # repeats one object, bools, and numpy scalars printed as their value
-    zero, third = 0.0, 1.0 / 3.0
+    # column by column: signed zeros kept apart, a column of one value,
+    # bools as text, and numpy scalars printed as their value
+    third = 1.0 / 3.0
     write_csv(str(path), {}, ("z", "r", "b", "n"),
-              [(zero, third, True, np.float64(0.1)),
-               (-zero, third, False, np.float64(1e-310)),
-               (zero, third, True, 2)])
+              [np.array([0.0, -0.0, 0.0]), np.full(3, third),
+               [str(flag) for flag in (True, False, True)],
+               np.array([np.float64(0.1), np.float64(1e-310), 2])])
     assert path.read_text(encoding="utf-8") == (
         "# {}\nz,r,b,n\n0.0,0.3333333333333333,True,0.1\n"
         "-0.0,0.3333333333333333,False,1e-310\n"
-        "0.0,0.3333333333333333,True,2\n")
-    write_csv(str(path), {}, ("x",), [])
+        "0.0,0.3333333333333333,True,2.0\n")
+    write_csv(str(path), {}, ("x",), [np.array([])])
     assert path.read_text(encoding="utf-8") == "# {}\nx\n"
 
 
+#: Floats a CSV column repeats: both zeros, subnormals, the largest
+#: magnitudes, integral floats, and the non-finite values.
+CELL_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308,
+               1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16, 0.1,
+               1.0 / 3.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def csv_columns(draw):
+    rows = draw(st.integers(0, 30))
+    pool = st.sampled_from(CELL_FLOATS) | st.floats()
+    columns = [np.array(draw(st.lists(pool, min_size=rows, max_size=rows)),
+                        dtype=np.float64)
+               for _ in range(draw(st.integers(1, 4)))]
+    text = st.text(st.characters(blacklist_categories=("Cs",)))
+    columns.insert(draw(st.integers(0, len(columns))),
+                   draw(st.lists(text, min_size=rows, max_size=rows)))
+    return columns
+
+
+@settings(deadline=None, max_examples=200)
+@given(csv_columns())
+def test_csv_writer_equals_a_row_by_row_reference(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    write_csv(str(path), {"k": 1}, header, columns)
+    expected = "".join(",".join(map(str, row)) + "\n"
+                       for row in _rows(columns))
+    assert path.read_bytes().decode("utf-8") == (
+        '# {"k": 1}\n' + ",".join(header) + "\n" + expected)
+
+
+def test_csv_writer_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_str(value):
+        calls.append(value)
+        return str(value)
+
+    monkeypatch.setattr(cli, "str", counting_str, raising=False)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--axis", "delta_e,linear,-5,5,20",
+                 "--axis", "x_0,linear,0,5,20", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    _, header, rows = read_csv(out)
+    assert len(rows) == 400 and len(header) == 18
+    distinct = sum(len(set(column)) for column in zip(*rows))
+    # x_0 moves no metric, so each metric column holds 20 distinct values
+    assert distinct < 200
+    assert 0 < len(calls) <= distinct + len(header)
+
+
 def test_sweep_request_memory_stays_bounded(tmp_path):
-    # the whole request, the CSV writer's transposition included
+    # the whole request, the CSV writer included
     base = tmp_path / "base.json"
     base.write_text('{"profile": "lorentzian"}', encoding="utf-8")
     argv = ["sweep", "--params", str(base),
@@ -629,6 +705,11 @@ def _outcome(build, spec):
         return type(exc), str(exc)
 
 
+def _sweep_cells(spec: SweepSpec) -> list[tuple]:
+    """The rows of `sweep_rows`' columns."""
+    return _rows(sweep_rows(spec))
+
+
 SWEEPABLE = SYSTEM_FIELDS + PULSE_NUMERIC_FIELDS + VIRTUAL_FIELD_NAMES
 
 
@@ -661,7 +742,7 @@ def sweep_specs(draw):
 def test_sweep_rows_equal_a_point_by_point_reference(spec):
     # the columns, the derived axes and the row check reproduce the scalar
     # build of every point, cell by cell, and so does a failure
-    assert _outcome(sweep_rows, spec) == _outcome(_reference_rows, spec)
+    assert _outcome(_sweep_cells, spec) == _outcome(_reference_rows, spec)
 
 
 @pytest.mark.parametrize("base, axes, error", [
@@ -689,7 +770,7 @@ def test_sweep_rows_equal_a_point_by_point_reference(spec):
 ])
 def test_sweep_errors_are_those_of_the_first_bad_point(base, axes, error):
     spec = SweepSpec(*point_from_dict(base), tuple(map(parse_axis, axes)))
-    outcome = _outcome(sweep_rows, spec)
+    outcome = _outcome(_sweep_cells, spec)
     assert outcome == _outcome(_reference_rows, spec)
     assert outcome[0] is error
 

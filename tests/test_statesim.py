@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -523,9 +524,10 @@ def _dense_entanglement_storage(pair, params_1, params_2, pulse_1, pulse_2,
 
 
 def _dense_retrieve(stored, params, pulse, quad, target):
-    """Returns (probability, fidelity, loss, photon density)."""
-    grid2 = build_grid(pulse, quad, k_c=params.k_c)
-    _, t_rr, t_lr, _ = t_elements(grid2.k, params)
+    """Returns (probability, fidelity, loss, photon density), in the
+    detuning coordinates of `Cavity` (nodes at k - k_c)."""
+    grid2 = build_grid(pulse, quad)
+    _, t_rr, t_lr, _ = t_elements(grid2.k, replace(params, k_c=0.0))
     gam_l = stored.beta[ATOM_R][:, None] * (t_lr * grid2.f)[None, :]
     gam_r = stored.beta[ATOM_L][:, None] * grid2.f[None, :]
     w1 = stored.grid.w
@@ -575,8 +577,10 @@ def test_factored_pair_matches_dense_reference(pulses, cavities):
     prepared = prepare_pair(pair, grid_1, grid_2)
     assert prepared.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
                                           abs=1e-12)
-    dense, loss = _dense_scatter_pair(dense, grid_1, grid_2, params_1,
-                                      params_2)
+    # the cavities' grids are in detuning coordinates (nodes at k - k_c)
+    dense, loss = _dense_scatter_pair(dense, grid_1, grid_2,
+                                      replace(params_1, k_c=0.0),
+                                      replace(params_2, k_c=0.0))
     state = scatter_pair(prepared, cav_1, cav_2)
     assert state.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
                                        abs=1e-12)
