@@ -163,14 +163,16 @@ def _chunk_exact(profile: Profile, rows: ParamRows
 def _quadrature_moments(rows: ParamRows, quad: QuadratureConfig
                         ) -> tuple[np.ndarray, np.ndarray]:
     """[h]_f and [|h|^2]_f on the rule `quad`, row by row on the pulse's
-    grid (`spectral.build_grid`)."""
+    grid (`spectral.build_grid`).  The grid is in detuning coordinates, its
+    nodes at k - k_c, as the state oracle's: absolute nodes at a large k_c
+    would round the pulse's width away."""
     h = np.empty(len(rows.kappa), dtype=complex)
     h2 = np.empty(len(rows.kappa))
     for i in range(len(rows.kappa)):
-        row = _take(rows, i)
+        row = _take(rows, i)._replace(k_c=0.0)
         pulse = PulseSpec(Profile.LORENTZIAN if row.lorentzian
                           else Profile.GAUSSIAN, row.delta_p, row.kappa_p)
-        grid = build_grid(pulse, quad, k_c=row.k_c)
+        grid = build_grid(pulse, quad)
         amp = scattered_amplitude(grid.k, row)
         h[i] = grid.average(amp)
         h2[i] = grid.average(amp.real ** 2 + amp.imag ** 2).real

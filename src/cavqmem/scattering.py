@@ -35,6 +35,7 @@ sum of exact pole averages (`spectral.pole_averages`).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,8 +64,10 @@ def bright_phase_factor(k, params: SystemParams | ParamRows):
     a = params.delta_e - 1j * params.gamma
     ik = 1j * params.kappa
     lam2 = params.lambda_sq
-    w_plus = s * s - (a + ik) * s - lam2 + ik * a
-    w_minus = s * s - (a - ik) * s - lam2 - ik * a
+    # w_pm = (s - (a pm i kappa)) s - (lambda^2 -+ i kappa a): the constants
+    # are formed on the parameters, so each is three passes over s
+    w_plus = (s - (a + ik)) * s - (lam2 - ik * a)
+    w_minus = (s - (a - ik)) * s - (lam2 + ik * a)
     den = (s - ik) * w_minus
     if (np.abs(den) < 1e-300).any():
         raise DegenerateDenominator()
@@ -90,14 +93,15 @@ def t_elements(k, params: SystemParams):
     |L, k_R> and |R, k_L> are invariant and carry no element here.
     """
     phase = bright_phase_factor(k, params)
-    sin2 = params.sin_xi**2
-    cos2 = params.cos_xi**2
-    sc = params.sin_xi * params.cos_xi
-    cross = np.exp(-1j * (params.theta_L - params.theta_R))
+    sin_xi, cos_xi = params.sin_xi, params.cos_xi
+    sin2, cos2 = sin_xi**2, cos_xi**2
+    # e^{-i(theta_L - theta_R)} sin(xi) cos(xi), one Python complex
+    cross = cmath.exp(-1j * (params.theta_L - params.theta_R)) * (sin_xi * cos_xi)
+    flip = phase - 1.0
     t_ll = phase * sin2 + cos2
     t_rr = sin2 + phase * cos2
-    t_lr = cross * sc * (phase - 1.0)
-    t_rl = np.conjugate(cross) * sc * (phase - 1.0)
+    t_lr = cross * flip
+    t_rl = cross.conjugate() * flip
     return t_ll, t_rr, t_lr, t_rl
 
 

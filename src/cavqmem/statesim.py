@@ -524,17 +524,21 @@ def entanglement_storage(pair: PhotonPair,
     transparent passes counting as failure (probability reports the
     surviving trace).
 
-    Each call takes one contraction of the factor Gram matrices, the
-    heralded norm or the two-atom density matrix.  Both modes raise
-    InvalidField unless both efficiencies lie in (0, 1], and
-    NonFiniteIntegrand where a cavity overflows.
+    Identical nodes (equal params and equal pulses) share one `Cavity`, so
+    both photons live on one grid.  Each call takes one contraction of the
+    factor Gram matrices, the heralded norm or the two-atom density matrix.
+    Both modes raise InvalidField unless both efficiencies lie in (0, 1],
+    and NonFiniteIntegrand where a cavity overflows.
     """
     if mode not in ("postselect", "swap"):
         raise InvalidField(mode, "unknown storage mode")
     root_eta_1 = np.sqrt(check_efficiency(detector_1))
     root_eta_2 = np.sqrt(check_efficiency(detector_2))
     cav_1 = Cavity.of(params_1, pulse_1, quad)
-    cav_2 = Cavity.of(params_2, pulse_2, quad)
+    # identical nodes meet their photons alike: one cavity, and one grid,
+    # serves both
+    cav_2 = (cav_1 if (params_2, pulse_2) == (params_1, pulse_1)
+             else Cavity.of(params_2, pulse_2, quad))
     grid_1, grid_2 = cav_1.grid, cav_2.grid
     state = scatter_pair(prepare_pair(pair, grid_1, grid_2), cav_1, cav_2)
     target = np.zeros((2, 2), dtype=complex)

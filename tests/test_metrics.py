@@ -506,6 +506,17 @@ def test_constant_efficiency_factors_out_of_the_exact_moments():
                            detector=0.7) == 0.7
 
 
+@pytest.mark.parametrize("profile", list(Profile))
+def test_on_rule_moments_ignore_the_carrier(profile):
+    # the rule's grid is in detuning coordinates (nodes at k - k_c), so a
+    # large carrier cannot round the pulse's width away
+    pulse = PulseSpec(profile=profile, kappa_p=0.5)
+    base = qm_fidelity(SystemParams(k_c=0.0), pulse, DEFAULT_QUAD)
+    for k_c in (1e8, 1e12, 1e17):
+        assert qm_fidelity(SystemParams(k_c=k_c), pulse, DEFAULT_QUAD) \
+            == pytest.approx(base, rel=0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("quad", [None, DEFAULT_QUAD],
                          ids=["exact", "quadrature"])
 @pytest.mark.parametrize("profile", list(Profile))

@@ -196,3 +196,49 @@ def test_matrix_container_layout():
     # column j is the image of unit input in channel j
     t_ll, t_rr, t_lr, t_rl = t_elements(1.3, p)
     np.testing.assert_allclose(arr @ np.array([1.0, 0.0]), [t_ll, t_rl])
+
+
+def _docstring_map(k, p):
+    """The phase factor and the four elements from the module docstring's
+    w_pm, term by term, with no algebra applied."""
+    s = np.asarray(k, dtype=float) - p.k_c
+    a = p.delta_e - 1j * p.gamma
+    w_plus = s**2 - (a + 1j * p.kappa) * s - p.lambda_sq + 1j * p.kappa * a
+    w_minus = s**2 - (a - 1j * p.kappa) * s - p.lambda_sq - 1j * p.kappa * a
+    phase = (s + 1j * p.kappa) * w_plus / ((s - 1j * p.kappa) * w_minus)
+    sin_xi, cos_xi = p.lambda_L / p.lam, p.lambda_R / p.lam
+    cross = np.exp(-1j * (p.theta_L - p.theta_R))
+    return phase, (phase * sin_xi**2 + cos_xi**2,
+                   sin_xi**2 + phase * cos_xi**2,
+                   cross * sin_xi * cos_xi * (phase - 1.0),
+                   np.conjugate(cross) * sin_xi * cos_xi * (phase - 1.0))
+
+
+def test_phase_factor_and_elements_match_the_docstring_form():
+    rng = np.random.default_rng(41)
+    draws = [SystemParams(lambda_L=rng.uniform(0.05, 4.0),
+                          lambda_R=rng.uniform(0.05, 4.0),
+                          theta_L=rng.uniform(-math.pi, math.pi),
+                          theta_R=rng.uniform(-math.pi, math.pi),
+                          kappa=rng.uniform(0.1, 5.0),
+                          gamma=rng.uniform(0.0, 3.0) * (i % 3 != 0),
+                          k_c=rng.uniform(-3.0, 3.0),
+                          delta_e=rng.uniform(-8.0, 8.0)) for i in range(60)]
+    # the exceptional point, where the roots of w_- merge: delta_e = 0,
+    # kappa - gamma = 2 lambda
+    draws.append(SystemParams(lambda_L=0.6, lambda_R=0.8, theta_L=0.3,
+                              kappa=2.5, gamma=0.5, delta_e=0.0))
+    assert abs(draws[-1].kappa - draws[-1].gamma - 2.0 * draws[-1].lam) < 1e-15
+    for p in draws:
+        s = rng.choice([-1.0, 1.0], 48) * 10.0 ** rng.uniform(-3.0, 3.0, 48)
+        k = s + p.k_c
+        phase, elements = _docstring_map(k, p)
+        got = bright_phase_factor(k, p)
+        assert (np.abs(got - phase) <= 1e-13 * np.abs(phase)).all()
+        if p.gamma == 0.0:
+            assert (np.abs(np.abs(got) - 1.0) <= 1e-14).all()
+        # t_LR and t_RL carry phase - 1, which cancels to ~|s|^-3 far from
+        # resonance in either form, so the elements are compared on the
+        # scale of the map: passivity bounds every entry by 1
+        for value, ref in zip(t_elements(k, p), elements):
+            assert (np.abs(value - ref) <= 1e-13).all()

@@ -1,8 +1,10 @@
 """Propagated-amplitude oracle: conservation laws and closed-form twins."""
 
+import ast
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,12 +290,91 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
                      "retrieve": 1, "scatter_pair": 0,
                      "atomic_readout_via_third_photon":
                          int(readout == "third_photon")}
-    calls.update(dict.fromkeys(calls, 0))
-    entanglement_storage(PhotonPair(0.6, 0.8j), LOSSY, OTHER, LORENTZ, GAUSS,
-                         mode="swap" if readout == "projective" else
-                         "postselect")
-    assert calls == {**dict.fromkeys(calls, 0), "build_grid": 2,
-                     "t_elements": 2, "Cavity": 2, "scatter_pair": 1}
+    mode = "swap" if readout == "projective" else "postselect"
+    # identical nodes share one cavity; nodes that differ in any one field
+    # of the params or of the pulse build one each
+    nodes = [((LOSSY, LORENTZ), (LOSSY, LORENTZ), 1),
+             ((LOSSY, LORENTZ), (OTHER, GAUSS), 2)]
+    nodes += [((LOSSY, LORENTZ), (_one_field_off(LOSSY, field), LORENTZ), 2)
+              for field in fields(SystemParams)]
+    nodes += [((LOSSY, LORENTZ), (LOSSY, _one_field_off(LORENTZ, field)), 2)
+              for field in fields(PulseSpec)]
+    for (params_1, pulse_1), (params_2, pulse_2), builds in nodes:
+        calls.update(dict.fromkeys(calls, 0))
+        entanglement_storage(PhotonPair(0.6, 0.8j), params_1, params_2,
+                             pulse_1, pulse_2, mode=mode)
+        assert calls == {**dict.fromkeys(calls, 0), "build_grid": builds,
+                         "t_elements": builds, "Cavity": builds,
+                         "scatter_pair": 1}
+
+
+def _one_field_off(point, field):
+    """`point` with one field moved: the other profile, or the value plus a
+    quarter (valid for every field)."""
+    value = getattr(point, field.name)
+    if isinstance(value, Profile):
+        return replace(point, **{field.name: next(
+            profile for profile in Profile if profile is not value)})
+    return replace(point, **{field.name: value + 0.25})
+
+
+def test_only_cavity_of_builds_grids_and_elements():
+    # the one path: every step takes its grid and elements from a Cavity,
+    # so a second build_grid or t_elements call in statesim would be a
+    # second implementation of a step
+    def callers(node, scope=()):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from callers(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("build_grid", "t_elements"):
+                    yield ".".join(scope), name
+            yield from callers(child, scope)
+
+    tree = ast.parse(Path(statesim.__file__).read_text(encoding="utf-8"))
+    assert sorted(callers(tree)) == [("Cavity.of", "build_grid"),
+                                     ("Cavity.of", "t_elements")]
+
+
+@pytest.mark.parametrize("mode", ["postselect", "swap"])
+def test_shared_cavity_equals_two_built_cavities(mode):
+    # identical nodes take one cavity; the same cycle through the public
+    # steps on two separately built cavities gives the same outcome
+    pair, (eta_1, eta_2) = PhotonPair(0.6, 0.8j), (0.9, 0.6)
+    for pulse in (GAUSS, LORENTZ):
+        out = entanglement_storage(pair, LOSSY, LOSSY, pulse, pulse,
+                                   detector_1=eta_1, detector_2=eta_2,
+                                   mode=mode)
+        cav_1, cav_2 = Cavity.of(LOSSY, pulse), Cavity.of(LOSSY, pulse)
+        assert cav_1.grid is not cav_2.grid
+        state = scatter_pair(prepare_pair(pair, cav_1.grid, cav_2.grid),
+                             cav_1, cav_2)
+        target = np.zeros((2, 2), dtype=complex)
+        target[ATOM_R, ATOM_L], target[ATOM_L, ATOM_R] = pair.c_LR, pair.c_RL
+        if mode == "swap":
+            rho4 = state.atom_density()
+            prob = state.norm
+            fid = np.real(np.einsum("ab,abcd,cd->", np.conjugate(target),
+                                    rho4, target))
+        else:
+            # both photons counted in k_L, each with its Kraus factor, and
+            # the overlap with the swap image on the detected envelopes
+            sel, ovl, weight = [], [], 1.0
+            for stack, grid, eta in ((state.left, cav_1.grid, eta_1),
+                                     (state.right, cav_2.grid, eta_2)):
+                sel.append(stack[:, :, POL_L] * np.sqrt(eta))
+                ovl.append(sel[-1] @ (grid.w * np.sqrt(eta)
+                                      * np.conjugate(grid.f)))
+                weight *= np.real(grid.average(np.sqrt(eta) ** 2))
+            prob = replace(state, left=sel[0][:, :, None],
+                           right=sel[1][:, :, None]).norm
+            overlap = np.einsum("ab,ra,rb->", np.conjugate(target), *ovl)
+            fid = abs(overlap) ** 2 / (weight * prob)
+        assert out.probability == pytest.approx(prob, rel=0.0, abs=1e-15)
+        assert out.fidelity == pytest.approx(fid, rel=0.0, abs=1e-15)
 
 
 def test_a_state_on_another_grid_is_refused():
