@@ -68,7 +68,7 @@ from .params import (
     point_to_dict,
     split_coupling,
 )
-from .scattering import coupling_amplitude, t_matrix
+from .scattering import bright_phase_factor, coupling_amplitude, t_elements
 from .spectral import DEFAULT_QUAD, QuadratureConfig
 from .statesim import run_memory_protocol
 
@@ -330,18 +330,19 @@ def _cmd_point(args: argparse.Namespace) -> int:
     out = report.to_dict()
     out["closed_forms"] = "exact"
     with np.errstate(all="ignore"):
-        matrix = t_matrix(k, params)
-    if not cmath.isfinite(matrix.phase_factor):
+        phase = bright_phase_factor(k, params)
+        t_ll, t_rr, t_lr, t_rl = t_elements(k, params)
+    if not cmath.isfinite(phase):
         raise InvalidField("k", "the scattering map overflows there")
     out["scattering"] = {
         "k": k,
         "g_L": _pair(coupling_amplitude(k, params, "L")),
         "g_R": _pair(coupling_amplitude(k, params, "R")),
-        "phase_factor": _pair(matrix.phase_factor),
-        "T_LL": _pair(matrix.t_ll),
-        "T_RR": _pair(matrix.t_rr),
-        "T_LR": _pair(matrix.t_lr),
-        "T_RL": _pair(matrix.t_rl),
+        "phase_factor": _pair(phase),
+        "T_LL": _pair(t_ll),
+        "T_RR": _pair(t_rr),
+        "T_LR": _pair(t_lr),
+        "T_RL": _pair(t_rl),
     }
     _emit_json(out, args.out)
     return 0

@@ -18,6 +18,16 @@ sub-unimodular (|w_+|^2 - |w_-|^2 = -4 kappa gamma lambda^2), so the 2x2
 polarization map below is a contraction; the missing weight is the photon
 lost to free-space emission.
 
+The code evaluates none of this ratio.  With s = k - k_c the phase factor is
+1 + 2 h(s), where
+
+    h(s) = -i kappa lambda^2 / ((s - i kappa) w_-(s)),
+
+and every pointwise element of the map (the phase factor and the four
+t_xy) is linear in h.  So h is the only rational function evaluated at a
+point, and w_+ stays here as documentation: the tests check the code
+against the ratio above.
+
 All wavenumber arguments accept scalars or numpy arrays and broadcast.  The
 phase factor and h(k) also take a `params.ParamRows` in place of
 SystemParams: a batch of parameter points as column arrays, so that with
@@ -26,17 +36,15 @@ in one call.  `pole_expansion` takes the four (B,) columns that h depends
 on.  Nothing here checks a row: `params` checked each one when the batch
 was built.
 
-In s = k - k_c, h(s) = -i kappa lambda^2 / ((s - i kappa) w_-(s)) is a
-rational function with three simple poles: i kappa above the real axis and
-the two roots of w_- below it.  `pole_expansion` writes h and |h|^2 as sums
-over those poles, which turns every spectral average of them into a finite
-sum of exact pole averages (`spectral.pole_averages`).
+h is a rational function with three simple poles: i kappa above the real
+axis and the two roots of w_- below it.  `pole_expansion` writes h and
+|h|^2 as sums over those poles, which turns every spectral average of them
+into a finite sum of exact pole averages (`spectral.pole_averages`).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,31 +66,31 @@ def coupling_amplitude(k, params: SystemParams, pol: str):
     return out if out.ndim else complex(out)
 
 
-def bright_phase_factor(k, params: SystemParams | ParamRows):
-    """Phase factor e^{i phi_s(k)} of the bright ground-state superposition."""
+def scattered_amplitude(k, params: SystemParams | ParamRows):
+    """h(k) = (e^{i phi_s} - 1)/2, the amplitude with which the bright
+    component is rephased, taken from its denominator (s - i kappa) w_-(s)
+    and never from the phase factor: it keeps full relative precision at
+    weak coupling and far from resonance, where it falls like |s|^-3.
+    Where the denominator overflows h reads 0, until (kappa + gamma) s^2
+    overflows (|s| ~ 1e154) and h reads NaN.
+    """
     s = np.asarray(k, dtype=float) - params.k_c
-    a = params.delta_e - 1j * params.gamma
     ik = 1j * params.kappa
-    lam2 = params.lambda_sq
-    # w_pm = (s - (a pm i kappa)) s - (lambda^2 -+ i kappa a): the constants
-    # are formed on the parameters, so each is three passes over s
-    w_plus = (s - (a + ik)) * s - (lam2 - ik * a)
-    w_minus = (s - (a - ik)) * s - (lam2 + ik * a)
-    den = (s - ik) * w_minus
+    # w_- = (s - delta_e + i gamma)(s + i kappa) - lambda^2, factored:
+    # expanded, its terms cancel near s = delta_e at weak coupling and
+    # gamma = 0, where one root nears the real axis
+    den = (s - ik) * ((s - (params.delta_e - 1j * params.gamma)) * (s + ik)
+                      - params.lambda_sq)
     if (np.abs(den) < 1e-300).any():
         raise DegenerateDenominator()
-    out = (s + ik) * w_plus / den
+    out = -ik * params.lambda_sq / den
     return out if out.ndim else complex(out)
 
 
-def scattered_amplitude(k, params: SystemParams | ParamRows):
-    """Half the deviation of the phase factor from unity, h(k) = (e^{i phi_s} - 1)/2.
-
-    This is the amplitude with which the bright component is rephased; the
-    polarization-flip element is T_LR = e^{-i(theta_L - theta_R)} sin(2 xi) h(k),
-    and every averaged fidelity is built from h.
-    """
-    return (bright_phase_factor(k, params) - 1.0) / 2.0
+def bright_phase_factor(k, params: SystemParams | ParamRows):
+    """Phase factor e^{i phi_s(k)} = 1 + 2 h(k) of the bright ground-state
+    superposition."""
+    return 1.0 + 2.0 * scattered_amplitude(k, params)
 
 
 def t_elements(k, params: SystemParams):
@@ -90,48 +98,17 @@ def t_elements(k, params: SystemParams):
 
     Returns (t_ll, t_rr, t_lr, t_rl) with the convention t_xy = amplitude for
     the incoming channel |y, k_y> to leave in |x, k_x>.  The cross channels
-    |L, k_R> and |R, k_L> are invariant and carry no element here.
+    |L, k_R> and |R, k_L> are invariant and carry no element here.  Each is
+    linear in h: t_ll = 1 + 2 sin^2(xi) h, t_rr = 1 + 2 cos^2(xi) h, and
+    t_lr and t_rl are e^{-+i(theta_L - theta_R)} sin(2 xi) h.
     """
-    phase = bright_phase_factor(k, params)
+    h = scattered_amplitude(k, params)
     sin_xi, cos_xi = params.sin_xi, params.cos_xi
-    sin2, cos2 = sin_xi**2, cos_xi**2
-    # e^{-i(theta_L - theta_R)} sin(xi) cos(xi), one Python complex
-    cross = cmath.exp(-1j * (params.theta_L - params.theta_R)) * (sin_xi * cos_xi)
-    flip = phase - 1.0
-    t_ll = phase * sin2 + cos2
-    t_rr = sin2 + phase * cos2
-    t_lr = cross * flip
-    t_rl = cross.conjugate() * flip
-    return t_ll, t_rr, t_lr, t_rl
-
-
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """Polarization map at a single wavenumber."""
-
-    k: float
-    phase_factor: complex
-    t_ll: complex
-    t_rr: complex
-    t_lr: complex
-    t_rl: complex
-
-    def as_array(self) -> np.ndarray:
-        """2x2 array on the (L, R) basis, rows = out, columns = in."""
-        return np.array([[self.t_ll, self.t_lr], [self.t_rl, self.t_rr]])
-
-
-def t_matrix(k: float, params: SystemParams) -> ScatteringMatrix:
-    """Scattering matrix at one wavenumber."""
-    t_ll, t_rr, t_lr, t_rl = t_elements(float(k), params)
-    return ScatteringMatrix(
-        k=float(k),
-        phase_factor=complex(bright_phase_factor(float(k), params)),
-        t_ll=complex(t_ll),
-        t_rr=complex(t_rr),
-        t_lr=complex(t_lr),
-        t_rl=complex(t_rl),
-    )
+    # e^{-i(theta_L - theta_R)} sin(2 xi), one Python complex
+    cross = (cmath.exp(-1j * (params.theta_L - params.theta_R))
+             * (2.0 * sin_xi * cos_xi))
+    return (1.0 + (2.0 * sin_xi**2) * h, 1.0 + (2.0 * cos_xi**2) * h,
+            cross * h, cross.conjugate() * h)
 
 
 class PoleExpansion(NamedTuple):

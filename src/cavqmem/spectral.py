@@ -66,9 +66,6 @@ class QuadratureConfig:
             if getattr(self, name) < 8:
                 raise InvalidField(name, "quadrature needs at least 8 nodes")
 
-    def node_count(self, profile: Profile) -> int:
-        return self.n_gauss if profile is Profile.GAUSSIAN else self.n_lorentz
-
     def doubled(self) -> "QuadratureConfig":
         return QuadratureConfig(2 * self.n_gauss, 2 * self.n_lorentz)
 

@@ -80,7 +80,7 @@ class Cavity:
         """The cavity of `params` on the grid of `pulse` under rule `quad`.
         Raises NonFiniteIntegrand where the grid or the elements overflow (a
         rate too large for double precision): a NaN in f shows in
-        w = omega/|f|^2, and one in the phase factor in t_LL."""
+        w = omega/|f|^2, and one in h in t_LL = 1 + 2 sin^2(xi) h."""
         with np.errstate(over="ignore", invalid="ignore"):
             grid = build_grid(pulse, quad)
             elements = t_elements(grid.k, replace(params, k_c=0.0))

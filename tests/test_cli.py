@@ -326,6 +326,17 @@ def test_point_report_structure(tmp_path, capsys):
     assert saved["scattering"]["k"] == 0.0
 
 
+def test_point_far_off_resonance_reads_the_limit(capsys):
+    # the denominator of h overflows to inf (its s^3 term), so h reads 0
+    # and the map is the identity, as it is in the limit
+    assert main(["point", "--k", "1e120"]) == 0
+    scattering = json.loads(capsys.readouterr().out)["scattering"]
+    for key in ("phase_factor", "T_LL", "T_RR"):
+        assert scattering[key] == [1.0, 0.0]
+    for key in ("T_LR", "T_RL"):
+        assert scattering[key] == [0.0, 0.0]
+
+
 def test_point_accepts_parameter_file(tmp_path, capsys):
     src = tmp_path / "point.json"
     src.write_text(json.dumps({"kappa": 2.5, "delta_e": 1.0,

@@ -1,6 +1,7 @@
 """Single-wavenumber scattering map: frozen values and algebraic identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from cavqmem.scattering import (
     coupling_amplitude,
     scattered_amplitude,
     t_elements,
-    t_matrix,
 )
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -45,11 +45,11 @@ wavenumbers = st.floats(min_value=-12.0, max_value=12.0)
 def test_resonant_phase_factor_at_cooperativity_ten():
     p = SystemParams()  # lambda^2 = 20, kappa = 2, gamma = 1, so C = 10
     assert bright_phase_factor(0.0, p) == pytest.approx(-9.0 / 11.0, abs=1e-15)
-    m = t_matrix(0.0, p)
-    assert m.t_ll == pytest.approx(1.0 / 11.0, abs=1e-15)
-    assert m.t_rr == pytest.approx(1.0 / 11.0, abs=1e-15)
-    assert m.t_lr == pytest.approx(-10.0 / 11.0, abs=1e-14)
-    assert m.t_rl == pytest.approx(-10.0 / 11.0, abs=1e-14)
+    t_ll, t_rr, t_lr, t_rl = t_elements(0.0, p)
+    assert t_ll == pytest.approx(1.0 / 11.0, abs=1e-15)
+    assert t_rr == pytest.approx(1.0 / 11.0, abs=1e-15)
+    assert t_lr == pytest.approx(-10.0 / 11.0, abs=1e-14)
+    assert t_rl == pytest.approx(-10.0 / 11.0, abs=1e-14)
 
 
 # Frozen: g_L(k_c) = lambda_L sqrt(kappa/pi) / (i kappa).
@@ -142,7 +142,8 @@ def test_lossless_map_is_unitary(tup, k):
         "lambda_L", "lambda_R", "theta_L", "theta_R", "kappa", "k_c",
         "delta_e")}, "gamma": 0.0})
     assert abs(bright_phase_factor(k, p)) == pytest.approx(1.0, abs=1e-12)
-    arr = t_matrix(k, p).as_array()
+    t_ll, t_rr, t_lr, t_rl = t_elements(k, p)
+    arr = np.array([[t_ll, t_lr], [t_rl, t_rr]])
     np.testing.assert_allclose(arr.conj().T @ arr, np.eye(2), atol=1e-12)
 
 
@@ -185,19 +186,6 @@ def test_single_sided_coupling_leaves_other_channel_untouched():
     assert t_rr == pytest.approx(bright_phase_factor(0.7, p), abs=1e-15)
 
 
-def test_matrix_container_layout():
-    p = SystemParams(lambda_L=1.0, lambda_R=2.0, theta_L=0.4)
-    m = t_matrix(1.3, p)
-    arr = m.as_array()
-    assert arr.shape == (2, 2)
-    assert arr[0, 0] == m.t_ll and arr[0, 1] == m.t_lr
-    assert arr[1, 0] == m.t_rl and arr[1, 1] == m.t_rr
-    assert m.k == 1.3
-    # column j is the image of unit input in channel j
-    t_ll, t_rr, t_lr, t_rl = t_elements(1.3, p)
-    np.testing.assert_allclose(arr @ np.array([1.0, 0.0]), [t_ll, t_rl])
-
-
 def _docstring_map(k, p):
     """The phase factor and the four elements from the module docstring's
     w_pm, term by term, with no algebra applied."""
@@ -237,8 +225,55 @@ def test_phase_factor_and_elements_match_the_docstring_form():
         assert (np.abs(got - phase) <= 1e-13 * np.abs(phase)).all()
         if p.gamma == 0.0:
             assert (np.abs(np.abs(got) - 1.0) <= 1e-14).all()
-        # t_LR and t_RL carry phase - 1, which cancels to ~|s|^-3 far from
-        # resonance in either form, so the elements are compared on the
-        # scale of the map: passivity bounds every entry by 1
+        # the reference's t_LR and t_RL carry phase - 1, which cancels to
+        # ~|s|^-3 far from resonance (the code's h does not), so the
+        # elements are compared on the scale of the map: passivity bounds
+        # every entry by 1
         for value, ref in zip(t_elements(k, p), elements):
             assert (np.abs(value - ref) <= 1e-13).all()
+
+
+def _exact_h(s, p):
+    """h(s) = -i kappa lambda^2 / ((s - i kappa) w_-(s)) in exact rationals,
+    from the float inputs and p.lambda_sq, w_- term by term as the module
+    docstring writes it.  Returns (Re h, Im h)."""
+    s, kappa, gamma, delta_e, lam2 = map(Fraction, (
+        s, p.kappa, p.gamma, p.delta_e, p.lambda_sq))
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    # w_- = s^2 - (a - i kappa) s - lambda^2 - i kappa a, a = delta_e - i gamma
+    b = mul((delta_e, -gamma - kappa), (s, 0))
+    c = mul((0, kappa), (delta_e, -gamma))
+    w_minus = (s * s - b[0] - lam2 - c[0], -b[1] - c[1])
+    den = mul((s, -kappa), w_minus)
+    num = mul((0, -kappa * lam2), (den[0], -den[1]))
+    norm = den[0] ** 2 + den[1] ** 2
+    return num[0] / norm, num[1] / norm
+
+
+def test_scattered_amplitude_keeps_full_precision_against_exact_rationals():
+    # weak coupling and far detuning, where h is small and the phase factor
+    # is near 1: h taken as (phase - 1)/2 loses these digits
+    rng = np.random.default_rng(73)
+    draws = []
+    for i in range(60):
+        lam2, share = 10.0 ** rng.uniform(-12.0, 3.0), rng.uniform(0.05, 0.95)
+        draws.append(SystemParams(lambda_L=math.sqrt(share * lam2),
+                                  lambda_R=math.sqrt((1.0 - share) * lam2),
+                                  kappa=rng.uniform(0.1, 5.0),
+                                  gamma=rng.uniform(0.0, 3.0) * (i % 3 != 0),
+                                  delta_e=rng.uniform(-8.0, 8.0)))
+    # the exceptional point: delta_e = 0, kappa - gamma = 2 lambda
+    draws.append(SystemParams(lambda_L=0.6, lambda_R=0.8, kappa=2.5,
+                              gamma=0.5, delta_e=0.0))
+    worst = 0.0
+    for p in draws:
+        s = rng.choice([-1.0, 1.0], 48) * 10.0 ** rng.uniform(-3.0, 3.0, 48)
+        for sj, hj in zip(s.tolist(), scattered_amplitude(s, p).tolist()):
+            re, im = _exact_h(sj, p)
+            err = ((Fraction(hj.real) - re) ** 2 + (Fraction(hj.imag) - im) ** 2
+                   ) / (re * re + im * im)
+            worst = max(worst, math.sqrt(err))
+    assert worst <= 1e-14

@@ -147,8 +147,6 @@ def test_quadrature_config_guards_and_doubling():
         QuadratureConfig(n_lorentz=0)
     d = QuadratureConfig(16, 260).doubled()
     assert (d.n_gauss, d.n_lorentz) == (32, 520)
-    assert d.node_count(Profile.GAUSSIAN) == 32
-    assert d.node_count(Profile.LORENTZIAN) == 520
 
 
 def test_grid_average_returns_complex_scalar():
