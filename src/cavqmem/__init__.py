@@ -30,18 +30,10 @@ from .errors import (
     ZeroScatteringWeight,
 )
 from .metrics import (
-    MetricReport,
     SpectralMoments,
-    compute_report,
-    compute_reports,
     cycle_closed_forms,
     qm_fidelity,
-    qm_success,
-    retrieval_success,
     spectral_moments,
-    storage_retrieval_fidelity,
-    storage_success,
-    swap_fidelity,
     swap_fidelity_leading,
     swap_target_atom,
     swap_target_photon,
@@ -113,7 +105,6 @@ __all__ = [
     "JointState",
     "KGrid",
     "MemoryRecord",
-    "MetricReport",
     "NegativeGamma",
     "NonFiniteField",
     "NonFiniteIntegrand",
@@ -137,8 +128,6 @@ __all__ = [
     "bright_phase_factor",
     "build_grid",
     "check_efficiency",
-    "compute_report",
-    "compute_reports",
     "cycle_closed_forms",
     "cooperativity",
     "coupling_amplitude",
@@ -151,19 +140,14 @@ __all__ = [
     "prepare_pair",
     "profile_amplitude",
     "qm_fidelity",
-    "qm_success",
     "quadrature_rule",
     "rescaled",
-    "retrieval_success",
     "retrieve",
     "run_memory_protocol",
     "scatter_pair",
     "scattered_amplitude",
     "spectral_average",
     "spectral_moments",
-    "storage_retrieval_fidelity",
-    "storage_success",
-    "swap_fidelity",
     "swap_fidelity_leading",
     "swap_target_atom",
     "swap_target_photon",

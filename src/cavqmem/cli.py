@@ -65,6 +65,7 @@ from .params import (
     family_rows,
     grid_rows,
     point_from_dict,
+    point_rows,
     point_to_dict,
     split_coupling,
 )
@@ -325,10 +326,15 @@ def _cmd_point(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else params.k_c + pulse.delta_p
     if not math.isfinite(k):
         raise InvalidField("k", "must be finite")
-    report = metrics.compute_report(params, pulse, eta=args.eta,
-                                    photon=_photon_qubit(args))
-    out = report.to_dict()
-    out["closed_forms"] = "exact"
+    photon = _photon_qubit(args)
+    columns = metrics.metric_columns(point_rows([(params, pulse)]),
+                                     eta=args.eta, photon=photon)
+    # one flat dict: the point, the input qubit and every metric of its row
+    out = point_to_dict(params, pulse)
+    out.update(eta=args.eta, input_c_L=_pair(photon.c_L),
+               input_c_R=_pair(photon.c_R), closed_forms="exact")
+    out.update((name, column.item())
+               for name, column in columns._asdict().items())
     with np.errstate(all="ignore"):
         phase = bright_phase_factor(k, params)
         t_ll, t_rr, t_lr, t_rl = t_elements(k, params)

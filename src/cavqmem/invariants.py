@@ -114,7 +114,7 @@ def exact_route_agreement(points: Sequence[Point],
 
 
 def _f_qm(points: Sequence[Point]) -> np.ndarray:
-    return np.array([r.F_qm for r in metrics.compute_reports(points)])
+    return metrics.metric_columns(point_rows(points)).F_qm
 
 
 def position_invariance(points: Sequence[Point], x_0: float) -> float:
@@ -128,14 +128,14 @@ def success_dual_route(points: Sequence[tuple[SystemParams, PulseSpec, float]],
                        quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Worst |eta [|T_LR|^2]_f - eta sin^2(2 xi) F_swap| over (params, pulse,
     eta) points; the direct side averages the map element outside `metrics`."""
-    reports = metrics.compute_reports([point[:2] for point in points], quad)
+    f_swap = metrics.metric_columns(point_rows(
+        [point[:2] for point in points]), quad).F_swap
     worst = 0.0
-    for (params, pulse, eta), report in zip(points, reports):
+    for (params, pulse, eta), swap in zip(points, f_swap.tolist()):
         direct = eta * spectral_average(
             lambda k: np.abs(t_elements(k, params)[2]) ** 2, pulse, quad,
             params.k_c).real
-        worst = max(worst, abs(direct - eta * params.sin_2xi ** 2
-                               * report.F_swap))
+        worst = max(worst, abs(direct - eta * params.sin_2xi ** 2 * swap))
     return worst
 
 
@@ -149,7 +149,8 @@ def coupling_ratio_invariance(groups: Sequence[Sequence[Point]]) -> float:
 
 def memory_swap_margin(points: Sequence[Point]) -> float:
     """Smallest F_qm - F_swap over the points."""
-    return min(r.F_qm - r.F_swap for r in metrics.compute_reports(points))
+    columns = metrics.metric_columns(point_rows(points))
+    return float(np.min(columns.F_qm - columns.F_swap))
 
 
 def oracle_equivalence(cases: Sequence[tuple[SystemParams, PulseSpec, float,

@@ -33,15 +33,17 @@ pointwise) raises PrecisionLoss.
 
 The exact route works in row chunks of at most CHUNK_ROWS points, so
 memory stays flat in the batch size.
-`metric_columns` evaluates every MetricReport field of a batch as columns,
-one array per field, the arithmetic on the parameters (lambda^2, sin^2 2xi,
-the leading-order swap fidelity, the balanced flag) included; the CSV
-columns of `cli` are its arrays.  `compute_reports`, the scalar metrics
-(each a batch of one) and `cycle_closed_forms` turn their points into the
-same batch with `params.point_rows`.  A point's results do not depend on
-the batch it is evaluated in, bit for bit.  Every row was checked when its
-batch was built (`params.grid_rows`, or the points' own constructors), so
-nothing here re-checks one.
+Two entries hand out the closed forms.  `metric_columns` evaluates every
+figure of merit of a batch as columns, one array per figure, the arithmetic
+on the parameters (lambda^2, sin^2 2xi, the leading-order swap fidelity,
+the balanced flag) included; the CSV columns and the `point` JSON of `cli`
+are its arrays.  `cycle_closed_forms` evaluates one store-and-retrieve
+cycle, one dict per input qubit, for the state oracle to be compared with.
+It, `qm_fidelity` and `transfer_fidelity` turn their point into a batch of
+one with `params.point_rows`.  A point's results do not depend on the batch
+it is evaluated in, bit for bit.  Every row was checked when its batch was
+built (`params.grid_rows`, or the points' own constructors), so nothing
+here re-checks one.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .params import (
     SystemParams,
     check_efficiency,
     point_rows,
-    point_to_dict,
     require_normalized,
 )
 from .scattering import pole_expansion, scattered_amplitude
@@ -250,17 +251,6 @@ def _input_weights(photon: PhotonQubit) -> tuple[float, float]:
     return abs(photon.c_L) ** 2, abs(photon.c_R) ** 2
 
 
-def swap_fidelity(params: SystemParams, pulse: PulseSpec,
-                  quad: QuadratureConfig | None = None) -> float:
-    """One-shot state-swap fidelity, [|h(k)|^2]_f.
-
-    Physically meaningful as a swap fidelity only for lambda_L = lambda_R
-    (reports carry a flag); for other mixing angles it still sets the success
-    probability through P_qm = eta sin^2(2 xi) [|h|^2]_f.
-    """
-    return float(spectral_moments(point_rows([(params, pulse)]), quad).h2[0])
-
-
 def swap_fidelity_leading(params: SystemParams, pulse: PulseSpec) -> float:
     """Narrow-pulse, strong-coupling expansion of the swap fidelity:
 
@@ -288,68 +278,6 @@ def qm_fidelity(params: SystemParams, pulse: PulseSpec,
     return float(_memory_fidelity(m)[0])
 
 
-def qm_success(params: SystemParams, pulse: PulseSpec,
-               quad: QuadratureConfig | None = None,
-               eta: float = 1.0) -> float:
-    """Success probability of the memory cycle, P_qm = eta [|T_LR(k)|^2]_f
-    = eta sin^2(2 xi) [|h|^2]_f, independent of the input qubit; the test
-    suite checks it against a direct average of |T_LR|^2.  Raises
-    InvalidField unless 0 < eta <= 1.
-    """
-    eta = check_efficiency(eta)
-    rows = point_rows([(params, pulse)])
-    m = spectral_moments(rows, quad)
-    return float(_success(m, _sin2(rows), eta)[0])
-
-
-def storage_success(params: SystemParams, pulse: PulseSpec,
-                    quad: QuadratureConfig | None = None,
-                    photon: PhotonQubit = PhotonQubit(0.0, 1.0),
-                    detector: float = 1.0) -> float:
-    """P(k_L): probability that the scattered qubit photon is detected in the
-    k_L polarization channel, eta (|c_L|^2 + |c_R|^2 [|T_LR(k)|^2]_f)."""
-    cl2, cr2 = _input_weights(photon)
-    eta = check_efficiency(detector)
-    rows = point_rows([(params, pulse)])
-    m = spectral_moments(rows, quad)
-    return float(_storage(m, _sin2(rows), eta, cl2, cr2)[0])
-
-
-def retrieval_success(params: SystemParams, pulse: PulseSpec,
-                      quad: QuadratureConfig | None = None,
-                      photon: PhotonQubit = PhotonQubit(0.0, 1.0),
-                      detector: float = 1.0) -> float:
-    """P(L): probability that the retrieval scattering leaves the atom in |L>,
-    given a successful storage detection.  The projective atomic measurement
-    is ideal; eta enters only through the storage-stage mixture weights, so
-    it cancels."""
-    cl2, cr2 = _input_weights(photon)
-    eta = check_efficiency(detector)
-    rows = point_rows([(params, pulse)])
-    m = spectral_moments(rows, quad)
-    return float(_retrieval(m, _sin2(rows), eta, cl2, cr2)[0])
-
-
-def storage_retrieval_fidelity(params: SystemParams, pulse: PulseSpec,
-                               quad: QuadratureConfig | None = None,
-                               photon: PhotonQubit = PhotonQubit(0.0, 1.0),
-                               detector: float = 1.0) -> float:
-    """Fidelity of the retrieved photon against the stored qubit,
-
-        F = F_qm + (1 - F_qm) (1 - |c_L|^2)^2,
-
-    so a pure |k_R> input retrieves perfectly (its spectral distortion
-    collapses into a branch weight) while a pure |k_L> input bears the full
-    retrieval distortion and realizes F_qm; every input does at least as well
-    as F_qm.  The detector efficiency cancels from it.
-    """
-    cl2, cr2 = _input_weights(photon)
-    eta = check_efficiency(detector)
-    rows = point_rows([(params, pulse)])
-    m = spectral_moments(rows, quad)
-    return float(_retrieved_fidelity(m, _sin2(rows), eta, cl2, cr2)[0])
-
-
 def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
                        quad: QuadratureConfig | None = None,
                        photons: Sequence[PhotonQubit] = (PhotonQubit(0.0, 1.0),),
@@ -357,10 +285,11 @@ def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
     """Every closed form of one store-and-retrieve cycle, per input qubit,
     from a single moment pass.
 
-    Entry i holds "F_qm", "P_kL", "P_L", "P_qm" and "fidelity" for
-    photons[i], bit-identical to `qm_fidelity`, `storage_success`,
-    `retrieval_success`, `qm_success` and `storage_retrieval_fidelity` at
-    the same point and efficiency.
+    Entry i holds, for photons[i] and eta = detector: "F_qm"; "P_kL" =
+    eta (|c_L|^2 + |c_R|^2 [|T_LR|^2]_f); "P_L", retrieval's chance to find
+    the atom in |L> given storage; "P_qm" = P_kL P_L; and "fidelity" = F_qm
+    + (1 - F_qm)(1 - |c_L|^2)^2, the retrieved photon's.  The first four
+    equal the point's `metric_columns` row for that qubit, bit for bit.
     """
     weights = [_input_weights(photon) for photon in photons]
     eta = check_efficiency(detector)
@@ -412,59 +341,21 @@ def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
         raise UnequalCouplings(params.lambda_L, params.lambda_R)
     require_normalized(atom)
     require_normalized(photon)
-    f_swap = swap_fidelity(params, pulse, quad)
+    f_swap = float(spectral_moments(point_rows([(params, pulse)]), quad).h2[0])
     target = swap_target_atom(photon, params)
     overlap = (np.conjugate(target.a_L) * atom.a_L
                + np.conjugate(target.a_R) * atom.a_R)
     return float(f_swap + (1.0 - f_swap) * abs(overlap) ** 2)
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Bundle of the closed-form figures of merit at one parameter point.
-
-    P_kL and P_L depend on the input qubit (their product P_qm does not);
-    the qubit used is echoed in the serialized form.  eta is the detector
-    efficiency.
-    """
-
-    params: SystemParams
-    pulse: PulseSpec
-    eta: float
-    photon: PhotonQubit
-    F_swap: float
-    F_swap_leading: float
-    F_qm: float
-    P_kL: float
-    P_L: float
-    P_qm: float
-    P_qm_conditional: float
-    f_swap_meaningful: bool
-
-    def to_dict(self) -> dict:
-        """One flat JSON-ready dict: parameter echo plus the metrics."""
-        out = point_to_dict(self.params, self.pulse)
-        out["eta"] = self.eta
-        out["input_c_L"] = [float(np.real(self.photon.c_L)), float(np.imag(self.photon.c_L))]
-        out["input_c_R"] = [float(np.real(self.photon.c_R)), float(np.imag(self.photon.c_R))]
-        out["F_swap"] = self.F_swap
-        out["F_swap_leading"] = self.F_swap_leading
-        out["F_qm"] = self.F_qm
-        out["P_kL"] = self.P_kL
-        out["P_L"] = self.P_L
-        out["P_qm"] = self.P_qm
-        out["P_qm_conditional"] = self.P_qm_conditional
-        out["f_swap_meaningful"] = self.f_swap_meaningful
-        return out
-
-
 _BALANCED = PhotonQubit(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 
 class MetricColumns(NamedTuple):
-    """The metric fields of MetricReport for a batch, in its field order,
-    one array per field (float64, bool for f_swap_meaningful), entry i
-    belonging to point i."""
+    """The closed-form figures of merit of a batch, one array per figure
+    (float64, bool for f_swap_meaningful), entry i belonging to point i.
+    F_swap = [|h|^2]_f is a swap fidelity only where f_swap_meaningful; F_qm
+    to P_qm are those of `cycle_closed_forms` for the batch's input qubit."""
 
     F_swap: np.ndarray
     F_swap_leading: np.ndarray
@@ -505,23 +396,3 @@ def metric_columns(rows: ParamRows,
         f_swap_meaningful=_balanced(rows.lambda_L, rows.lambda_R,
                                     rows.lambda_sq),
     )
-
-
-def compute_reports(points: Sequence[Point],
-                    quad: QuadratureConfig | None = None,
-                    eta: float = 1.0,
-                    photon: PhotonQubit = _BALANCED) -> list[MetricReport]:
-    """Every closed-form metric at each point, one MetricReport per point,
-    from the columns of `metric_columns`."""
-    columns = metric_columns(point_rows(points), quad, eta, photon)
-    return [MetricReport(params, pulse, float(eta), photon, *cells)
-            for (params, pulse), *cells in zip(
-                points, *(column.tolist() for column in columns))]
-
-
-def compute_report(params: SystemParams, pulse: PulseSpec,
-                   quad: QuadratureConfig | None = None,
-                   eta: float = 1.0,
-                   photon: PhotonQubit = _BALANCED) -> MetricReport:
-    """Evaluate every closed-form metric at one parameter point."""
-    return compute_reports([(params, pulse)], quad, eta, photon)[0]

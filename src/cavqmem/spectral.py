@@ -26,6 +26,7 @@ the upper half plane, where w is the Faddeeva function, computed here
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,15 +57,21 @@ class QuadratureConfig:
 
     The Lorentzian budget is spread over the 26 graded panels, at least two
     nodes each, so the realized grid size is 26 max(2, n_lorentz // 26):
-    52 nodes for n_lorentz up to 77, 988 for 1000."""
+    52 nodes for n_lorentz up to 77, 988 for 1000.  Each count is an
+    integer from 8 to its cap, checked before any node table is built."""
 
     n_gauss: int = 64
     n_lorentz: int = 1040
 
     def __post_init__(self):
-        for name in ("n_gauss", "n_lorentz"):
-            if getattr(self, name) < 8:
-                raise InvalidField(name, "quadrature needs at least 8 nodes")
+        # the caps: Hermite weights underflow past 370 nodes, and 26
+        # Lorentzian panels of order 1024 already take an 8 MB table
+        for name, cap in (("n_gauss", 370), ("n_lorentz", 26 * 1024)):
+            n = getattr(self, name)
+            if not isinstance(n, numbers.Integral):
+                raise InvalidField(name, f"node count {n!r} is not an integer")
+            if not 8 <= n <= cap:
+                raise InvalidField(name, f"quadrature needs 8 to {cap} nodes")
 
     def doubled(self) -> "QuadratureConfig":
         return QuadratureConfig(2 * self.n_gauss, 2 * self.n_lorentz)

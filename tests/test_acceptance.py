@@ -19,6 +19,7 @@ from cavqmem.params import (
     Profile,
     PulseSpec,
     SystemParams,
+    point_rows,
 )
 from cavqmem.scattering import t_elements
 from cavqmem.spectral import spectral_average
@@ -54,7 +55,7 @@ def test_a2_bandwidth_limited_memory_fidelity_plateau():
 
 def test_a3_leading_order_swap_fidelity_and_exact_detuning_tuning():
     params, pulse = balanced_point(200.0, 1e-3)
-    f_swap = metrics.swap_fidelity(params, pulse)
+    f_swap = metrics.metric_columns(point_rows([(params, pulse)])).F_swap[0]
     assert abs(f_swap - 0.99) <= 1e-3
     assert abs(f_swap - metrics.swap_fidelity_leading(params, pulse)) <= 1e-3
     # retuning the carrier to delta_p = -(kappa/lambda)^2 delta_e removes the
@@ -183,7 +184,7 @@ def test_a8_ideal_limit_probabilities_and_heralded_composition():
     assert record.p_qm >= 0.999
     assert record.fidelity >= 0.999
 
-    p_qm = metrics.qm_success(params, pulse)
+    p_qm = metrics.cycle_closed_forms(params, pulse)[0]["P_qm"]
     probe = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0),
                                             Cavity.of(params, pulse))
     assert abs(probe.probability - p_qm) <= 1e-8

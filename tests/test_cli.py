@@ -43,6 +43,7 @@ from cavqmem.params import (
     SystemParams,
     family_params,
     point_from_dict,
+    point_rows,
     point_to_dict,
 )
 
@@ -111,9 +112,10 @@ def test_ratio_family_pins_symmetric_point(tmp_path):
     pulse = PulseSpec(kappa_p=0.1 * FAMILY_KAPPA)
     mid = [r for r in rows if r[0] == "1.0" and r[2] == "solid"]
     assert len(mid) == 3  # one per cooperativity: the log grid hits 1 exactly
-    for _, cell_c, _, cell_p in mid:
-        f_swap = metrics.swap_fidelity(family_params(float(cell_c)), pulse)
-        assert float(cell_p) == pytest.approx(f_swap, abs=1e-12)
+    f_swap = metrics.metric_columns(point_rows(
+        [(family_params(float(cell_c)), pulse) for _, cell_c, _, _ in mid]))
+    for (_, _, _, cell_p), swap in zip(mid, f_swap.F_swap):
+        assert float(cell_p) == pytest.approx(swap, abs=1e-12)
 
 
 def test_sweep_single_axis(tmp_path):
@@ -230,6 +232,14 @@ def _rows(columns):
                       else column for column in columns)))
 
 
+def _metric_rows(points, **kwargs) -> list[dict]:
+    """The `metric_columns` rows of the points, as dicts of Python
+    scalars."""
+    columns = metrics.metric_columns(point_rows(points), **kwargs)
+    return [dict(zip(columns._fields, cells))
+            for cells in zip(*(column.tolist() for column in columns))]
+
+
 def test_sweep_rows_match_metric_calls():
     axis = SweepAxis("delta_e", "linear", -2.0, 2.0, 3)
     spec = SweepSpec(params=SystemParams(), pulse=PulseSpec(kappa_p=0.2),
@@ -243,8 +253,8 @@ def test_sweep_rows_match_metric_calls():
         assert row[SWEEP_HEADER.index("delta_e")] == float(value)
         assert row[SWEEP_HEADER.index("F_qm")] == metrics.qm_fidelity(
             params, PulseSpec(kappa_p=0.2))
-        assert row[SWEEP_HEADER.index("P_qm")] == metrics.qm_success(
-            params, PulseSpec(kappa_p=0.2), eta=0.9)
+        assert row[SWEEP_HEADER.index("P_qm")] == metrics.cycle_closed_forms(
+            params, PulseSpec(kappa_p=0.2), detector=0.9)[0]["P_qm"]
 
     # a virtual axis crossed with a pulse axis: every cell, bit for bit
     base = SystemParams(lambda_L=2.0, lambda_R=3.0, delta_e=0.5)
@@ -261,10 +271,10 @@ def test_sweep_rows_match_metric_calls():
         points += [(params, dataclasses.replace(pulse, kappa_p=width))
                    for width in widths.values().tolist()]
     expected = []
-    for report in metrics.compute_reports(points, eta=0.8):
-        cells = report.to_dict()
+    for point, cells in zip(points, _metric_rows(points, eta=0.8)):
+        cells.update(point_to_dict(*point), eta=0.8)
         assert cells["F_swap_leading"] == metrics.swap_fidelity_leading(
-            report.params, report.pulse)
+            *point)
         expected.append(tuple(cells[c] for c in SWEEP_HEADER))
     assert _bits(rows) == _bits(expected)
     assert {row[PARAM_COLUMNS.index("kappa_p")] for row in rows} == set(
@@ -276,9 +286,9 @@ def test_sweep_rows_match_metric_calls():
     expected = []
     for case, delta_e, delta_p in FIG2_CASES:
         pulse = dataclasses.replace(gauss, delta_p=delta_p)
-        reports = metrics.compute_reports(
+        reports = _metric_rows(
             [(family_params(c, delta_e=delta_e), pulse) for c in coops])
-        expected += [(c, case, r.F_qm, r.F_swap)
+        expected += [(c, case, r["F_qm"], r["F_swap"])
                      for c, r in zip(coops, reports)]
     assert _bits(_rows(cli.fig2_rows(5))) == _bits(expected)
 
@@ -287,11 +297,11 @@ def test_sweep_rows_match_metric_calls():
     for profile in Profile:
         for case, delta_e, delta_p in FIG3_CASES:
             params = family_params(20.0, delta_e=delta_e)
-            reports = metrics.compute_reports(
+            reports = _metric_rows(
                 [(params, PulseSpec(profile=profile, delta_p=delta_p,
                                     kappa_p=x * FAMILY_KAPPA))
                  for x in ratios])
-            expected += [(x, profile.value, case, r.F_qm)
+            expected += [(x, profile.value, case, r["F_qm"])
                          for x, r in zip(ratios, reports)]
     assert _bits(_rows(cli.fig3_rows(4))) == _bits(expected)
 
@@ -300,20 +310,25 @@ def test_sweep_rows_match_metric_calls():
     for case, delta_e, delta_p in FIG2_CASES:
         pulse = dataclasses.replace(gauss, delta_p=delta_p)
         keys = [(c, x) for c in (1.0, 10.0, 100.0) for x in ratios]
-        reports = metrics.compute_reports(
+        reports = _metric_rows(
             [(family_params(c, ratio=x, delta_e=delta_e), pulse)
              for c, x in keys])
-        expected += [(x, c, case, r.P_qm) for (c, x), r in zip(keys, reports)]
+        expected += [(x, c, case, r["P_qm"])
+                     for (c, x), r in zip(keys, reports)]
     assert _bits(_rows(cli.fig4_rows(3))) == _bits(expected)
 
 
 def test_point_report_structure(tmp_path, capsys):
     assert main(["point", "--k", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)
-    for key in ("lambda_L", "profile", "F_swap", "F_swap_leading", "F_qm",
-                "P_kL", "P_L", "P_qm", "P_qm_conditional",
-                "f_swap_meaningful", "scattering"):
-        assert key in out
+    assert set(out) == {
+        "lambda_L", "lambda_R", "theta_L", "theta_R", "kappa", "gamma",
+        "k_c", "delta_e", "profile", "delta_p", "kappa_p", "x_0", "eta",
+        "input_c_L", "input_c_R", "F_swap", "F_swap_leading", "F_qm", "P_kL",
+        "P_L", "P_qm", "P_qm_conditional", "f_swap_meaningful",
+        "closed_forms", "scattering"}
+    assert out["profile"] == "gaussian"
+    assert out["closed_forms"] == "exact"
     assert out["scattering"]["k"] == 0.5
     for key in ("g_L", "g_R", "phase_factor", "T_LL", "T_RR", "T_LR", "T_RL"):
         value = out["scattering"][key]
@@ -324,6 +339,21 @@ def test_point_report_structure(tmp_path, capsys):
     saved = json.loads(path.read_text(encoding="utf-8"))
     # default probe wavenumber is the pulse peak
     assert saved["scattering"]["k"] == 0.0
+
+    # the input echoes, and every metric is the point's row of the batch
+    # entry, bit for bit
+    assert main(["point", "--eta", "0.7", "--c-l", "0.3",
+                 "--phase", "2.2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    c_r = math.sqrt(1.0 - 0.3 * 0.3) * complex(math.cos(2.2), math.sin(2.2))
+    assert out["eta"] == 0.7
+    assert out["input_c_L"] == [0.3, 0.0]
+    assert out["input_c_R"] == [c_r.real, c_r.imag]
+    row, = _metric_rows([(SystemParams(), PulseSpec())], eta=0.7,
+                        photon=PhotonQubit(0.3, c_r))
+    for name, value in row.items():
+        assert type(out[name]) is type(value), name
+        assert out[name] == value, name
 
 
 def test_point_far_off_resonance_reads_the_limit(capsys):
@@ -436,7 +466,7 @@ def test_oracle_keeps_its_grid_at_a_large_carrier(tmp_path, capsys, k_c):
     assert max(out["closed_form_deltas"].values()) <= 1e-12
 
 
-def test_error_paths_exit_with_status_two(tmp_path, capsys):
+def test_error_paths_exit_with_status_two(tmp_path, capsys, monkeypatch):
     assert main(["point", "--eta", "1.5"]) == 2
     assert main(["point", "--c-l", "1.5"]) == 2
     assert main(["fig2", "--out", str(tmp_path / "x.csv"),
@@ -503,6 +533,14 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys):
     assert main(["oracle", "--eta", "nan"]) == 2
     assert main(["oracle", "--quad-n", "4"]) == 2
     assert main(["oracle", "--quad-n", "400"]) == 2
+    # a count past the cap is refused before any node table is built
+    with monkeypatch.context() as patch:
+        def refuse(n):
+            raise AssertionError(f"a {n}-node table was built")
+        patch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+        patch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        assert main(["oracle", "--quad-n", "100000"]) == 2
+        assert main(["validate", "--quad-n", "100000"]) == 2
     assert main(["validate", "--trials", "0"]) == 2
     assert main(["validate", "--trials", "-3"]) == 2
     assert main(["validate", "--seed", "-1"]) == 2
@@ -683,7 +721,7 @@ def _reference_set_field(fields: dict, field: str, value: float) -> None:
 def _reference_rows(spec: SweepSpec) -> list[tuple]:
     """The rows of `sweep_rows` built point by point: every axis applied to
     a field dict, then one SystemParams and PulseSpec per point, then
-    `metrics.compute_reports` over the points."""
+    `metrics.metric_columns` over the points."""
     base = {name: value if name == "profile" else float(value)
             for name, value in point_to_dict(spec.params, spec.pulse).items()}
     points, echoes = [], []
@@ -697,13 +735,13 @@ def _reference_rows(spec: SweepSpec) -> list[tuple]:
                       **{name: fields[name] for name in PULSE_NUMERIC_FIELDS})))
         echoes.append(tuple(fields.values()))
     rows = []
-    for echo, report in zip(echoes, metrics.compute_reports(points,
-                                                            eta=spec.eta)):
-        assert report.F_swap_leading == metrics.swap_fidelity_leading(
-            report.params, report.pulse)
-        rows.append(echo + (spec.eta, report.F_swap, report.F_swap_leading,
-                            report.F_qm, report.P_qm,
-                            report.P_qm_conditional))
+    for echo, point, report in zip(echoes, points,
+                                   _metric_rows(points, eta=spec.eta)):
+        assert report["F_swap_leading"] == metrics.swap_fidelity_leading(
+            *point)
+        rows.append(echo + (spec.eta, report["F_swap"],
+                            report["F_swap_leading"], report["F_qm"],
+                            report["P_qm"], report["P_qm_conditional"]))
     return rows
 
 
@@ -817,11 +855,11 @@ def test_largest_gauss_hermite_rule_still_works(capsys):
 
 
 def test_non_finite_json_output_is_a_bug_not_a_result(monkeypatch):
-    real = metrics.compute_report
+    real = metrics.metric_columns
 
-    def nan_report(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), F_qm=math.nan)
+    def nan_columns(*args, **kwargs):
+        return real(*args, **kwargs)._replace(F_qm=np.array([math.nan]))
 
-    monkeypatch.setattr(metrics, "compute_report", nan_report)
+    monkeypatch.setattr(metrics, "metric_columns", nan_columns)
     with pytest.raises(ValueError, match="JSON compliant"):
         main(["point"])

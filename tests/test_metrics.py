@@ -26,18 +26,10 @@ from cavqmem.errors import (DegenerateDenominator, InvalidField,
                             UnequalCouplings, ZeroScatteringWeight)
 from cavqmem.metrics import (
     CHUNK_ROWS,
-    MetricReport,
-    compute_report,
-    compute_reports,
     cycle_closed_forms,
     metric_columns,
     qm_fidelity,
-    qm_success,
-    retrieval_success,
     spectral_moments,
-    storage_retrieval_fidelity,
-    storage_success,
-    swap_fidelity,
     swap_fidelity_leading,
     swap_target_atom,
     swap_target_photon,
@@ -66,6 +58,19 @@ def family_point(coop, width_ratio, profile=Profile.GAUSSIAN, delta_e=0.0,
     return params, pulse
 
 
+def row_of(params, pulse, **kwargs):
+    """The `metric_columns` row of one point, as Python scalars."""
+    columns = metric_columns(point_rows([(params, pulse)]), **kwargs)
+    return {name: column[0].item()
+            for name, column in columns._asdict().items()}
+
+
+def cycle_of(params, pulse, photon=PhotonQubit(0.0, 1.0), detector=1.0):
+    """The `cycle_closed_forms` of one point and one input qubit."""
+    return cycle_closed_forms(params, pulse, photons=[photon],
+                              detector=detector)[0]
+
+
 class TestFrozenOracles:
     # ORACLE F_qm, Gaussian pulse, C = 20, kappa_p/kappa = 0.05
     def test_memory_fidelity_gaussian_narrow(self):
@@ -85,7 +90,7 @@ class TestFrozenOracles:
     # ORACLE F_swap, Gaussian pulse, C = 200, kappa_p/kappa = 1e-3
     def test_swap_fidelity_near_narrow_limit(self):
         params, pulse = family_point(200.0, 1e-3)
-        assert swap_fidelity(params, pulse) == pytest.approx(
+        assert row_of(params, pulse)["F_swap"] == pytest.approx(
             0.9900740178110451, abs=1e-12)
         assert swap_fidelity_leading(params, pulse) == pytest.approx(
             0.99, abs=1e-15)
@@ -136,15 +141,15 @@ def test_success_probability_dual_route():
     params = SystemParams(lambda_L=1.0, lambda_R=2.0, delta_e=1.5)
     pulse = PulseSpec(profile=Profile.LORENTZIAN, kappa_p=0.4, delta_p=0.2)
     assert success_dual_route([(params, pulse, 0.7)]) < 1e-12
-    assert qm_success(params, pulse, eta=0.7) == pytest.approx(
-        0.7 * params.sin_2xi**2 * swap_fidelity(params, pulse), abs=1e-12)
+    assert cycle_of(params, pulse, detector=0.7)["P_qm"] == pytest.approx(
+        0.7 * params.sin_2xi**2 * row_of(params, pulse)["F_swap"], abs=1e-12)
 
 
 def test_success_probability_validates_efficiency():
     params, pulse = family_point(10.0, 0.1)
     for eta in (0.0, -0.2, 1.0001):
         with pytest.raises(InvalidField):
-            qm_success(params, pulse, eta=eta)
+            metric_columns(point_rows([(params, pulse)]), eta=eta)
 
 
 def test_vanishing_scattering_weight_is_reported():
@@ -154,9 +159,15 @@ def test_vanishing_scattering_weight_is_reported():
     pulse = PulseSpec(kappa_p=0.1)
     photon = PhotonQubit(0.0, 1.0)
     with pytest.raises(ZeroScatteringWeight):
-        retrieval_success(params, pulse, photon=photon)
+        row_of(params, pulse, photon=photon)
     with pytest.raises(ZeroScatteringWeight):
-        storage_retrieval_fidelity(params, pulse, photon=photon)
+        cycle_of(params, pulse, photon=photon)
+    # a |k_L> input is stored with certainty and never retrieved, so only
+    # the retrieved photon's fidelity is undefined
+    photon = PhotonQubit(1.0, 0.0)
+    assert row_of(params, pulse, photon=photon)["P_L"] == 0.0
+    with pytest.raises(ZeroScatteringWeight):
+        cycle_of(params, pulse, photon=photon)
 
 
 qubit_angles = st.tuples(st.floats(min_value=0.0, max_value=math.pi / 2),
@@ -175,7 +186,7 @@ def test_retrieved_fidelity_reduces_to_memory_fidelity_form(angles, coop, x):
     params, pulse = family_point(coop, x)
     photon = qubit_from(angles)
     f_qm = qm_fidelity(params, pulse)
-    full = storage_retrieval_fidelity(params, pulse, photon=photon)
+    full = cycle_of(params, pulse, photon)["fidelity"]
     cl2 = abs(photon.c_L) ** 2
     assert full == pytest.approx(f_qm + (1.0 - f_qm) * (1.0 - cl2) ** 2,
                                  abs=1e-12)
@@ -187,23 +198,20 @@ def test_retrieved_fidelity_endpoints():
     f_qm = qm_fidelity(params, pulse)
     # pure |k_R> input: the stored excitation sits in |L> and the retrieval
     # pulse passes through it untouched
-    assert storage_retrieval_fidelity(
-        params, pulse, photon=PhotonQubit(0.0, 1.0)) == pytest.approx(
-            1.0, abs=1e-12)
+    assert cycle_of(params, pulse, PhotonQubit(0.0, 1.0))["fidelity"] == \
+        pytest.approx(1.0, abs=1e-12)
     # pure |k_L> input rides the scattering channel twice
-    assert storage_retrieval_fidelity(
-        params, pulse, photon=PhotonQubit(1.0, 0.0)) == pytest.approx(
-            f_qm, abs=1e-12)
+    assert cycle_of(params, pulse, PhotonQubit(1.0, 0.0))["fidelity"] == \
+        pytest.approx(f_qm, abs=1e-12)
     balanced = PhotonQubit(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    assert storage_retrieval_fidelity(
-        params, pulse, photon=balanced) == pytest.approx(
-            f_qm + (1.0 - f_qm) / 4.0, abs=1e-12)
+    assert cycle_of(params, pulse, balanced)["fidelity"] == pytest.approx(
+        f_qm + (1.0 - f_qm) / 4.0, abs=1e-12)
 
 
 def test_qubit_must_be_normalized():
     params, pulse = family_point(10.0, 0.2)
     with pytest.raises(ValueError):
-        storage_retrieval_fidelity(params, pulse, photon=PhotonQubit(1.0, 1.0))
+        cycle_of(params, pulse, PhotonQubit(1.0, 1.0))
 
 
 @settings(deadline=None, max_examples=40)
@@ -212,17 +220,16 @@ def test_storage_times_retrieval_is_total_success(angles, eta):
     # P(k_L) P(L) = P_qm for constant efficiency, whatever the input qubit
     params, pulse = family_point(15.0, 0.25)
     photon = qubit_from(angles)
-    p_kl = storage_success(params, pulse, photon=photon, detector=eta)
-    p_l = retrieval_success(params, pulse, photon=photon, detector=eta)
-    assert p_kl * p_l == pytest.approx(qm_success(params, pulse, eta=eta),
-                                       abs=1e-12)
+    forms = cycle_of(params, pulse, photon, eta)
+    assert forms["P_kL"] * forms["P_L"] == pytest.approx(forms["P_qm"],
+                                                         abs=1e-12)
 
 
 def test_constant_efficiency_cancels_in_conditional_probability():
     params, pulse = family_point(8.0, 0.3)
     photon = PhotonQubit(0.6, 0.8j)
-    lo = retrieval_success(params, pulse, photon=photon, detector=0.25)
-    hi = retrieval_success(params, pulse, photon=photon, detector=1.0)
+    lo = cycle_of(params, pulse, photon, 0.25)["P_L"]
+    hi = cycle_of(params, pulse, photon, 1.0)["P_L"]
     assert lo == pytest.approx(hi, abs=1e-14)
 
 
@@ -242,7 +249,7 @@ def test_transfer_fidelity_is_anchored_by_the_swap_target():
     params, pulse = family_point(30.0, 0.1)
     photon = PhotonQubit(0.6, 0.8j).normalized()
     target = swap_target_atom(photon, params)
-    f_swap = swap_fidelity(params, pulse)
+    f_swap = row_of(params, pulse)["F_swap"]
     assert transfer_fidelity(params, pulse, atom=target, photon=photon) == \
         pytest.approx(1.0, abs=1e-12)
     # orthogonal pre-state realizes the bare swap fidelity
@@ -258,7 +265,8 @@ def test_transfer_fidelity_sum_rule():
                                photon=PhotonQubit(1.0, 0.0))
              + transfer_fidelity(params, pulse, atom=atom,
                                  photon=PhotonQubit(0.0, 1.0)))
-    assert total == pytest.approx(1.0 + qm_success(params, pulse), abs=1e-12)
+    assert total == pytest.approx(1.0 + row_of(params, pulse)["P_qm"],
+                                  abs=1e-12)
 
 
 def test_transfer_fidelity_requires_balanced_couplings():
@@ -278,29 +286,20 @@ def test_quadrature_health_margin_on_family_points():
 
 def test_report_bundles_consistent_values():
     params, pulse = family_point(10.0, 0.1)
-    report = compute_report(params, pulse, eta=0.8)
-    assert isinstance(report, MetricReport)
-    assert report.F_qm == qm_fidelity(params, pulse)
-    assert report.P_qm == pytest.approx(
-        report.P_kL * report.P_L, abs=1e-12)
-    assert report.P_qm_conditional == report.P_qm**2
-    assert report.f_swap_meaningful
+    report = row_of(params, pulse, eta=0.8)
+    assert report["F_qm"] == qm_fidelity(params, pulse)
+    assert report["P_qm"] == pytest.approx(
+        report["P_kL"] * report["P_L"], abs=1e-12)
+    assert report["P_qm_conditional"] == report["P_qm"]**2
+    assert report["f_swap_meaningful"] is True
 
-    data = report.to_dict()
-    for key in ("lambda_L", "profile", "eta", "input_c_L", "F_swap",
-                "F_swap_leading", "F_qm", "P_kL", "P_L", "P_qm",
-                "P_qm_conditional", "f_swap_meaningful"):
-        assert key in data
-    assert data["profile"] == "gaussian"
-    assert data["eta"] == 0.8
+    lopsided = row_of(SystemParams(lambda_L=1.0, lambda_R=2.0), pulse)
+    assert lopsided["f_swap_meaningful"] is False
 
-    lopsided = compute_report(SystemParams(lambda_L=1.0, lambda_R=2.0), pulse)
-    assert not lopsided.f_swap_meaningful
-
-    # compute_reports zips the columns into the report's fields by position
-    columns = metric_columns(point_rows([(params, pulse)]), eta=0.8)
-    assert {name: column[0] for name, column in columns._asdict().items()} \
-        == {name: getattr(report, name) for name in columns._fields}
+    # one array per figure, one entry per point
+    columns = metric_columns(point_rows([(params, pulse)] * 3), eta=0.8)
+    assert [column.dtype for column in columns] == [np.float64] * 7 + [bool]
+    assert all(column.shape == (3,) for column in columns)
 
 
 def _per_point_reference(params, pulse, eta, photon):
@@ -340,26 +339,29 @@ def test_batching_does_not_change_results(profile, detector):
         points.append((params, PulseSpec(profile, pulse.delta_p, pulse.kappa_p,
                                          pulse.x_0)))
     photon = PhotonQubit(0.6, 0.8 * np.exp(0.7j))
-    exact = compute_reports(points, None, detector, photon)
-    reports = compute_reports(points, DEFAULT_QUAD, detector, photon)
-    assert len(reports) == len(exact) == count
-    for (params, pulse), report, closed in zip(points, reports, exact):
-        alone = compute_report(params, pulse, DEFAULT_QUAD, detector, photon)
-        assert report == alone  # every field, floats bit for bit
-        assert closed == compute_report(params, pulse, None, detector, photon)
+    batches = {quad: metric_columns(point_rows(points), quad, detector, photon)
+               for quad in (None, DEFAULT_QUAD)}
+    for i, (params, pulse) in enumerate(points):
+        for quad, batch in batches.items():
+            alone = metric_columns(point_rows([(params, pulse)]), quad,
+                                   detector, photon)
+            # every column, floats bit for bit
+            assert [column[i] for column in batch] \
+                == [column[0] for column in alone]
+        forms, = cycle_closed_forms(params, pulse, DEFAULT_QUAD, [photon],
+                                    detector)
         ref = _per_point_reference(params, pulse, detector, photon)
         for name, value in ref.items():
-            got = (storage_retrieval_fidelity(params, pulse, DEFAULT_QUAD,
-                                              photon, detector)
-                   if name == "fidelity" else getattr(report, name))
+            got = (forms[name] if name == "fidelity"
+                   else getattr(batches[DEFAULT_QUAD], name)[i])
             assert got == pytest.approx(value, abs=1e-12), name
 
     # a point that never flips the polarization poisons the conditioning of
     # a |k_R> input wherever it sits in the batch
     dark = (SystemParams(lambda_L=0.0, lambda_R=2.0), points[1][1])
     with pytest.raises(ZeroScatteringWeight):
-        compute_reports(points[:-1] + [dark] + points[-1:], DEFAULT_QUAD,
-                        detector, PhotonQubit(0.0, 1.0))
+        metric_columns(point_rows(points[:-1] + [dark] + points[-1:]),
+                       DEFAULT_QUAD, detector, PhotonQubit(0.0, 1.0))
 
 
 @pytest.mark.parametrize("quad", [None, DEFAULT_QUAD],
@@ -374,16 +376,15 @@ def test_cycle_closed_forms_equal_the_scalar_calls(profile, detector, quad):
                PhotonQubit(0.6, 0.8 * np.exp(0.7j))]
     forms = cycle_closed_forms(params, pulse, quad, photons, detector)
     assert len(forms) == len(photons)
+    f_qm = qm_fidelity(params, pulse, quad)
     for photon, got in zip(photons, forms):
-        # bit for bit: one moment pass serves all five scalar closed forms
-        assert got == {
-            "F_qm": qm_fidelity(params, pulse, quad),
-            "P_kL": storage_success(params, pulse, quad, photon, detector),
-            "P_L": retrieval_success(params, pulse, quad, photon, detector),
-            "P_qm": qm_success(params, pulse, quad, detector),
-            "fidelity": storage_retrieval_fidelity(params, pulse, quad,
-                                                   photon, detector),
-        }
+        # bit for bit: the cycle's forms, the qubit's row of the batch entry
+        # and the scalar F_qm come from one arithmetic on one moment pass
+        row = metric_columns(point_rows([(params, pulse)]), quad, detector,
+                             photon)
+        assert got["F_qm"] == f_qm
+        for key in ("F_qm", "P_kL", "P_L", "P_qm"):
+            assert got[key] == getattr(row, key)[0].item(), key
 
 
 def test_sweep_memory_stays_bounded():
@@ -500,10 +501,9 @@ def test_constant_efficiency_factors_out_of_the_exact_moments():
     params, pulse = family_point(10.0, 0.3, Profile.LORENTZIAN, delta_e=1.0)
     m = spectral_moments(point_rows([(params, pulse)]))
     assert list(vars(m)) == ["h", "h2"]
-    assert qm_success(params, pulse, eta=0.7) == params.sin_2xi ** 2 * (
-        0.7 * m.h2[0])
-    assert storage_success(params, pulse, photon=PhotonQubit(1.0, 0.0),
-                           detector=0.7) == 0.7
+    assert cycle_of(params, pulse, detector=0.7)["P_qm"] \
+        == params.sin_2xi ** 2 * (0.7 * m.h2[0])
+    assert cycle_of(params, pulse, PhotonQubit(1.0, 0.0), 0.7)["P_kL"] == 0.7
 
 
 @pytest.mark.parametrize("profile", list(Profile))

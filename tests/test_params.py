@@ -271,19 +271,10 @@ def _stored_state():
 
 #: Every public function that takes the detector efficiency, called with it.
 EFFICIENCY_ENTRIES = {
-    "qm_success": lambda eta: metrics.qm_success(*_POINT, eta=eta),
-    "storage_success": lambda eta: metrics.storage_success(
-        *_POINT, detector=eta),
-    "retrieval_success": lambda eta: metrics.retrieval_success(
-        *_POINT, detector=eta),
-    "storage_retrieval_fidelity": lambda eta:
-        metrics.storage_retrieval_fidelity(*_POINT, detector=eta),
     "cycle_closed_forms": lambda eta: metrics.cycle_closed_forms(
         *_POINT, detector=eta),
     "metric_columns": lambda eta: metrics.metric_columns(
         point_rows([_POINT]), eta=eta),
-    "compute_report": lambda eta: metrics.compute_report(*_POINT, eta=eta),
-    "compute_reports": lambda eta: metrics.compute_reports([_POINT], eta=eta),
     "detect_photon_L": lambda eta: statesim.detect_photon_L(_stored_state(),
                                                             eta),
     "atomic_readout_via_third_photon": lambda eta:
@@ -331,6 +322,12 @@ def test_input_failures_are_typed_and_still_value_errors():
         require_normalized(PhotonQubit(1.0, 1.0))
     assert isinstance(err.value, ValueError)
     for make in (lambda: QuadratureConfig(n_lorentz=4),
+                 # counts past the caps, refused before a table is built
+                 lambda: QuadratureConfig(n_gauss=10**6),
+                 lambda: QuadratureConfig(n_lorentz=10**8),
+                 # counts that are not integers
+                 lambda: QuadratureConfig(n_gauss=64.5),
+                 lambda: QuadratureConfig(n_gauss="64"),
                  lambda: rescaled(SystemParams(), PulseSpec(), -1.0),
                  lambda: coupling_amplitude(0.0, SystemParams(), "H")):
         with pytest.raises(InvalidField):

@@ -12,12 +12,9 @@ import pytest
 from cavqmem import statesim
 from cavqmem.errors import InvalidField, NonFiniteIntegrand, ZeroProbability
 from cavqmem.metrics import (
+    cycle_closed_forms,
+    metric_columns,
     qm_fidelity,
-    qm_success,
-    retrieval_success,
-    storage_retrieval_fidelity,
-    storage_success,
-    swap_fidelity,
     swap_target_atom,
     swap_target_photon,
     transfer_fidelity,
@@ -28,6 +25,7 @@ from cavqmem.params import (
     Profile,
     PulseSpec,
     SystemParams,
+    point_rows,
 )
 from cavqmem.scattering import t_elements
 from cavqmem.spectral import DEFAULT_QUAD, QuadratureConfig, build_grid, spectral_average
@@ -171,16 +169,11 @@ def test_simulated_cycle_matches_closed_forms(pulse):
     eta = 0.7
     record = run_memory_protocol(params, pulse, photon=photon, detector=eta)
     assert isinstance(record, MemoryRecord)
-    assert record.p_k_l == pytest.approx(
-        storage_success(params, pulse, photon=photon, detector=eta), abs=1e-9)
-    assert record.p_l == pytest.approx(
-        retrieval_success(params, pulse, photon=photon, detector=eta),
-        abs=1e-9)
-    assert record.p_qm == pytest.approx(
-        qm_success(params, pulse, eta=eta), abs=1e-9)
-    assert record.fidelity == pytest.approx(
-        storage_retrieval_fidelity(params, pulse, photon=photon, detector=eta),
-        abs=1e-9)
+    closed, = cycle_closed_forms(params, pulse, photons=[photon], detector=eta)
+    assert record.p_k_l == pytest.approx(closed["P_kL"], abs=1e-9)
+    assert record.p_l == pytest.approx(closed["P_L"], abs=1e-9)
+    assert record.p_qm == pytest.approx(closed["P_qm"], abs=1e-9)
+    assert record.fidelity == pytest.approx(closed["fidelity"], abs=1e-9)
     assert record.p_total == record.p_qm
     assert record.p_readout is None
     data = record.to_dict()
@@ -245,7 +238,8 @@ def test_third_photon_click_rate_and_conditioning():
     atom = AtomQubit(0.6, 0.8j)
     out = atomic_readout_via_third_photon(atom, Cavity.of(params, GAUSS),
                                           detector=0.9)
-    expected = 0.36 * qm_success(params, GAUSS, eta=0.9)
+    p_qm = cycle_closed_forms(params, GAUSS, detector=0.9)[0]["P_qm"]
+    expected = 0.36 * p_qm
     assert out.probability == pytest.approx(expected, abs=1e-12)
     assert out.conditioned == AtomQubit(0.0, 1.0)
 
@@ -255,8 +249,8 @@ def test_heralded_readout_multiplies_success_probabilities():
     record = run_memory_protocol(params, GAUSS, photon=BALANCED,
                                  readout="third_photon")
     assert record.readout == "third_photon"
-    assert record.p_readout == pytest.approx(qm_success(params, GAUSS),
-                                             abs=1e-12)
+    assert record.p_readout == pytest.approx(
+        cycle_closed_forms(params, GAUSS)[0]["P_qm"], abs=1e-12)
     assert record.p_total == pytest.approx(record.p_qm * record.p_readout,
                                            abs=1e-15)
     assert "P_readout" in record.to_dict()
@@ -500,7 +494,8 @@ def test_unheralded_pair_storage_lies_between_the_spectral_bounds():
     hi = float(np.real(t2_mean))
     assert lo - 1e-12 <= out.fidelity <= hi + 1e-12
     # balanced couplings: the incoherent bound is the swap fidelity itself
-    assert hi == pytest.approx(swap_fidelity(params, GAUSS), abs=1e-12)
+    f_swap = metric_columns(point_rows([(params, GAUSS)])).F_swap[0]
+    assert hi == pytest.approx(f_swap, abs=1e-12)
 
 
 def test_ideal_pair_storage_is_nearly_perfect():
