@@ -289,11 +289,17 @@ def _load_point(path: str | None) -> tuple[SystemParams, PulseSpec]:
     return point_from_dict(data)
 
 
-def _oracle_rule(args: argparse.Namespace) -> QuadratureConfig:
-    """The state oracle's rule: `--quad-n` nodes for both profiles, else
-    DEFAULT_QUAD."""
+def _oracle_rule(args: argparse.Namespace,
+                 profile: Profile | None = None) -> QuadratureConfig:
+    """The state oracle's rule, else DEFAULT_QUAD: `--quad-n` nodes for
+    `profile`, whose count alone is checked against its cap, or for both
+    profiles when no profile is given."""
     if args.quad_n is None:
         return DEFAULT_QUAD
+    if profile is Profile.GAUSSIAN:
+        return QuadratureConfig(n_gauss=args.quad_n)
+    if profile is Profile.LORENTZIAN:
+        return QuadratureConfig(n_lorentz=args.quad_n)
     return QuadratureConfig(n_gauss=args.quad_n, n_lorentz=args.quad_n)
 
 
@@ -407,7 +413,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     photon = _photon_qubit(args)
     closed = metrics.cycle_closed_forms(params, pulse, photons=[photon],
                                         detector=args.eta)[0]
-    record = run_memory_protocol(params, pulse, _oracle_rule(args),
+    record = run_memory_protocol(params, pulse,
+                                 _oracle_rule(args, pulse.profile),
                                  photon=photon, detector=args.eta,
                                  readout=args.readout)
     out = record.to_dict()

@@ -454,6 +454,20 @@ def test_oracle_deltas_measure_the_rule_against_the_exact_forms(tmp_path,
     assert max(deltas.values()) > 1e-7
 
 
+def test_lorentzian_oracle_takes_counts_past_the_gaussian_cap(tmp_path,
+                                                              capsys):
+    # a Lorentzian pulse reads only n_lorentz, so --quad-n is held to the
+    # Lorentzian cap (26624), not to the Gaussian one (370)
+    src = tmp_path / "point.json"
+    src.write_text('{"profile": "lorentzian"}', encoding="utf-8")
+    assert main(["oracle", "--params", str(src), "--quad-n", "1000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert max(out["closed_form_deltas"].values()) < 1e-9
+    assert main(["oracle", "--params", str(src), "--quad-n", "26625"]) == 2
+    assert main(["oracle", "--quad-n", "1000"]) == 2
+    assert main(["validate", "--quad-n", "1000"]) == 2
+
+
 @pytest.mark.parametrize("k_c", [1e12, 1e17])
 def test_oracle_keeps_its_grid_at_a_large_carrier(tmp_path, capsys, k_c):
     # the cavity works in detuning coordinates, so a carrier far above the
