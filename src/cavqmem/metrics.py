@@ -16,9 +16,9 @@ amplitude h(k) over the pulse,
 `spectral_moments` computes both for a batch of parameter points, a
 `params.ParamRows`, by one of two routes:
 
-* exact (quad=None, the default of every public function here, and the only
-  route the command line uses): h has three poles, so [h]_f and [|h|^2]_f
-  are finite sums of exact pole averages (`scattering.pole_expansion`,
+* exact (quad=None, the default, and the only route the command line
+  uses): h has three poles, so [h]_f and [|h|^2]_f are finite sums of
+  exact pole averages (`scattering.pole_expansion`,
   `spectral.pole_averages`).
 * on a rule (an explicit QuadratureConfig): each moment is an average over
   the pulse's grid (`spectral.build_grid`, `KGrid.average`), one point at
@@ -26,6 +26,9 @@ amplitude h(k) over the pulse,
   integrates on, so the two agree to rounding on the same rule.
   `invariants` passes a rule to check an identity on one rule, and to
   measure a rule's error against the exact route.
+
+Four public functions take `quad`: `spectral_moments`, `metric_columns`,
+`cycle_closed_forms` and `qm_fidelity`; `transfer_fidelity` is exact only.
 
 A moment that overflows to NaN or infinity raises NonFiniteIntegrand on
 either route, and a [|h|^2]_f outside [0, 1] (passivity bounds |h|^2 by 1
@@ -326,7 +329,6 @@ def swap_target_photon(atom: AtomQubit, params: SystemParams) -> PhotonQubit:
 
 
 def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
-                      quad: QuadratureConfig | None = None,
                       atom: AtomQubit = AtomQubit(0.0, 1.0),
                       photon: PhotonQubit = PhotonQubit(0.0, 1.0)) -> float:
     """One-shot swap fidelity for an arbitrary atomic pre-state,
@@ -341,7 +343,7 @@ def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
         raise UnequalCouplings(params.lambda_L, params.lambda_R)
     require_normalized(atom)
     require_normalized(photon)
-    f_swap = float(spectral_moments(point_rows([(params, pulse)]), quad).h2[0])
+    f_swap = float(spectral_moments(point_rows([(params, pulse)])).h2[0])
     target = swap_target_atom(photon, params)
     overlap = (np.conjugate(target.a_L) * atom.a_L
                + np.conjugate(target.a_R) * atom.a_R)

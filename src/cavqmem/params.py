@@ -103,8 +103,9 @@ class PulseSpec:
 
     delta_p is the pulse-carrier detuning from the cavity resonance
     (k_p = k_c + delta_p), kappa_p the spectral width, x_0 the initial
-    wavepacket center (a pure linear phase; it drops out of every
-    probability and fidelity).
+    wavepacket center.  x_0 is checked and echoed, but no computation reads
+    it: it would be a pure linear phase on f, and every output pairs f with
+    its own conjugate at the same wavenumber.
     """
 
     profile: Profile = Profile.GAUSSIAN

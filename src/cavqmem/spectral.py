@@ -37,15 +37,19 @@ from .params import Profile, PulseSpec
 
 
 def profile_amplitude(k, pulse: PulseSpec, k_c: float = 0.0):
-    """Spectral amplitude f(k), unit-normalized: integral |f|^2 dk = 1."""
+    """Spectral amplitude f(k), unit-normalized: integral |f|^2 dk = 1.
+
+    The pulse position x_0 would multiply f by e^{i(k - k_p) x_0}.  Every
+    sum in the package pairs f(k_j) with conj f(k_j) at the same node, so
+    no output reads that phase, and f leaves it out."""
     k_p = k_c + pulse.delta_p
     d = np.asarray(k, dtype=float) - k_p
     kp = pulse.kappa_p
     if pulse.profile is Profile.GAUSSIAN:
-        envelope = np.exp(-(d * d) / (2.0 * kp * kp)) / np.sqrt(np.sqrt(np.pi) * kp)
+        out = (np.exp(-(d * d) / (2.0 * kp * kp))
+               / math.sqrt(math.sqrt(math.pi) * kp))
     else:
-        envelope = np.sqrt(kp / np.pi) / (d + 1j * kp)
-    out = envelope * np.exp(1j * d * pulse.x_0)
+        out = math.sqrt(kp / math.pi) / (d + 1j * kp)
     return out if out.ndim else complex(out)
 
 

@@ -15,13 +15,13 @@ weights `w`, so the norm of a single-photon state is sum_j w_j |f(k_j)|^2 = 1.
 States that live on two grids are kept as the factors of their outer
 products, never as node-by-node arrays.  Each scattering event acts on one
 grid only, so a state that starts as a sum of r products stays one: the two
-cavities of `TwoCavityState` hold rank-r factor stacks, one per grid, and the
-released photon of `RetrievalOutcome` is a storage-branch factor times a
+cavities of `TwoCavityState` hold rank-r factor stacks, one per grid, and
+the photon that `retrieve` releases is a storage-branch factor times a
 retrieval-envelope factor per polarization.  Norms, probabilities and
 overlaps are contractions of r x r Gram matrices of the factors, O(r^2 n)
-work and memory; only `RetrievalOutcome.photon_density`, whose output is a
-node-by-node matrix, builds one.  This is an exact re-representation: every
-sum that the full array would take is still taken, node by node.
+work and memory, and no path builds a node-by-node array.  This is an exact
+re-representation: every sum that the full array would take is still taken,
+node by node.
 
 A step that sends a photon through a cavity takes a `Cavity`: a pulse's
 grid with one node's scattering elements at its nodes, which `Cavity.of`
@@ -202,48 +202,14 @@ def detect_photon_L(state: JointState, detector: float = 1.0
 
 @dataclass(frozen=True)
 class RetrievalOutcome:
-    """Result of scattering a retrieval photon and finding the atom in |L>.
+    """Result of scattering a retrieval photon and finding the atom in |L>:
+    `probability` is P(L) conditioned on the earlier detection, `fidelity`
+    the overlap of the released photon with the target qubit, and `loss` the
+    decay mass shed during retrieval (same conditioning)."""
 
-    The released photon is kept as factors: on polarization channel p, for
-    storage branch j, its amplitude at retrieval node k'_j' is
-    storage_amps[p, j] * release_amps[p, j'].  Row POL_L pairs the stored
-    |R> amplitudes beta[ATOM_R] with t_LR f' (the scattered branch), row
-    POL_R pairs beta[ATOM_L] with f' (the transparent branch); the rows keep
-    the raw scale of the stored ensemble.  `probability` is P(L)
-    conditioned on the earlier detection, `fidelity` the overlap of the
-    released photon with the target qubit, and `loss` the decay mass shed
-    during retrieval (same conditioning).
-    """
-
-    storage_grid: KGrid
-    grid: KGrid
-    storage_amps: np.ndarray
-    release_amps: np.ndarray
     probability: float
     fidelity: float
     loss: float
-
-    def photon_density(self) -> np.ndarray:
-        """Released photon's density matrix rho[p, j', q, j''], normalized so
-        that contracting the diagonal with the grid weights gives 1.  The
-        storage branches are summed incoherently with their grid weights."""
-        gram = _branch_gram(self.storage_amps, self.storage_grid.w)
-        release = self.release_amps
-        rho = np.einsum("pq,pa,qb->paqb", gram, release,
-                        np.conjugate(release))
-        return rho / _released_mass(gram, release, self.grid.w)
-
-
-def _branch_gram(amps: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """G[p, q] = sum_j w_j amps[p, j] conj(amps[q, j])."""
-    return np.einsum("pj,qj,j->pq", amps, np.conjugate(amps), w)
-
-
-def _released_mass(gram: np.ndarray, release: np.ndarray,
-                   w: np.ndarray) -> float:
-    """Norm of the released photon: sum_p G[p, p] sum_j' w_j' |release[p, j']|^2."""
-    per_channel = np.einsum("pa,pa,a->p", release, np.conjugate(release), w)
-    return float(np.real(np.diagonal(gram) @ per_channel))
 
 
 def retrieve(stored: AtomEnsemble, cav: Cavity,
@@ -260,13 +226,16 @@ def retrieve(stored: AtomEnsemble, cav: Cavity,
     require_normalized(target)
     grid = cav.grid
     _, t_rr, t_lr, _ = cav.elements
-    # Atom found in |L>: the transparent |L> branch keeps polarization k_R,
-    # the scattered |R> branch arrives on k_L via T_LR.
+    # Atom found in |L>: on polarization channel p the released photon of
+    # storage branch j has amplitude storage_amps[p, j] * release_amps[p, j']
+    # at retrieval node k'_j'.  The scattered |R> branch arrives on k_L via
+    # T_LR, the transparent |L> branch keeps polarization k_R.
     storage_amps = stored.beta[[ATOM_R, ATOM_L]]
     release_amps = np.stack([t_lr * grid.f, grid.f])
     w1 = stored.grid.w
     w2 = grid.w
-    mass = _released_mass(_branch_gram(storage_amps, w1), release_amps, w2)
+    stored_mass = np.abs(storage_amps) ** 2 @ w1
+    mass = float(stored_mass @ (np.abs(release_amps) ** 2 @ w2))
     if mass < TINY_PROB:
         raise ZeroProbability("atom found in the retrieval level")
     # Overlap with the target qubit on the retrieval envelope, branch by
@@ -277,34 +246,18 @@ def retrieve(stored: AtomEnsemble, cav: Cavity,
     fidelity = float(np.real(np.sum(w1 * np.abs(ovl) ** 2)) / mass)
     survive = float(np.real(np.sum(
         w2 * np.abs(grid.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
-    decay = (0.0 if cav.lossless else
-             float(np.sum(w1 * np.abs(stored.beta[ATOM_R]) ** 2) * (1.0 - survive)))
+    decay = 0.0 if cav.lossless else float(stored_mass[0] * (1.0 - survive))
     return RetrievalOutcome(
-        storage_grid=stored.grid,
-        grid=grid,
-        storage_amps=storage_amps,
-        release_amps=release_amps,
         probability=mass / stored.probability,
         fidelity=fidelity,
         loss=decay / stored.probability,
     )
 
 
-@dataclass(frozen=True)
-class ReadoutOutcome:
-    """Third-photon readout result: detection probability of the converted
-    k_R photon and the atomic state conditioned on that click (None when the
-    click has no support)."""
-
-    probability: float
-    conditioned: AtomQubit | None
-
-
 def atomic_readout_via_third_photon(atom: AtomQubit, cav: Cavity,
-                                    detector: float = 1.0
-                                    ) -> ReadoutOutcome:
+                                    detector: float = 1.0) -> float:
     """Interrogate the atom with a k_L-polarized probe photon on the
-    cavity's grid.
+    cavity's grid; returns the probability of a k_R click.
 
     Only the |L> component converts the probe to the k_R channel (T_RL), so a
     k_R click occurs with probability |a_L|^2 eta [|T_RL|^2]_f and pins the
@@ -314,10 +267,7 @@ def atomic_readout_via_third_photon(atom: AtomQubit, cav: Cavity,
     require_normalized(atom)
     eta = check_efficiency(detector)
     click = float(np.real(cav.grid.average(eta * np.abs(cav.elements[3]) ** 2)))
-    prob = click * abs(atom.a_L) ** 2
-    if prob < TINY_PROB:
-        return ReadoutOutcome(probability=prob, conditioned=None)
-    return ReadoutOutcome(probability=prob, conditioned=AtomQubit(0.0, 1.0))
+    return click * abs(atom.a_L) ** 2
 
 
 @dataclass(frozen=True)
@@ -377,7 +327,7 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     p_readout = None
     if readout == "third_photon":
         p_readout = atomic_readout_via_third_photon(
-            AtomQubit(1.0, 0.0), cav, eta).probability
+            AtomQubit(1.0, 0.0), cav, eta)
     return MemoryRecord(
         p_k_l=p_k_l, p_l=outcome.probability, p_qm=p_qm,
         fidelity=outcome.fidelity,

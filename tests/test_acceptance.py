@@ -187,7 +187,7 @@ def test_a8_ideal_limit_probabilities_and_heralded_composition():
     p_qm = metrics.cycle_closed_forms(params, pulse)[0]["P_qm"]
     probe = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0),
                                             Cavity.of(params, pulse))
-    assert abs(probe.probability - p_qm) <= 1e-8
+    assert abs(probe - p_qm) <= 1e-8
     heralded = run_memory_protocol(params, pulse, photon=photon,
                                    readout="third_photon")
     assert abs(heralded.p_total - p_qm**2) <= 1e-8

@@ -1,8 +1,8 @@
-"""The benchmark's contract with the package: each workload's first
-operations run through the benchmark's own worker and pass its output
-checks, and a corrupted output fails them.  A change that removes a name
-the benchmark uses (a function, an argument, a parameter field) fails here.
-The test only reads `bench/`."""
+"""The benchmark's contract with the package: every operation of each
+workload's first block runs through the benchmark's own worker and passes
+its output checks, and a corrupted output fails them.  A change that
+removes a name the benchmark uses (a function, an argument, a parameter
+field) fails here.  The test only reads `bench/`."""
 
 import sys
 from pathlib import Path
@@ -18,7 +18,7 @@ import plan  # noqa: E402
 
 @pytest.mark.parametrize("workload", plan.WORKLOADS)
 def test_benchmark_operations_run_and_pass_their_checks(workload, tmp_path):
-    ops = list(enumerate(plan.make_plan(workload, seed=1, blocks=1)[0][:3]))
+    ops = list(enumerate(plan.make_plan(workload, seed=1, blocks=1)[0]))
     runner = worker.Runner(str(tmp_path))
     records = worker.run_ops(runner, ops)
     rng = np.random.default_rng(0)

@@ -565,7 +565,7 @@ def test_error_paths_exit_with_status_two(tmp_path, capsys, monkeypatch):
 def test_invariant_suite_passes_and_reports(capsys):
     ok, lines = validate_suite(trials=2)
     assert ok
-    assert len(lines) == 15
+    assert len(lines) == 14
     assert all(line.startswith("ok  ") for line in lines)
     assert main(["validate", "--trials", "1"]) == 0
     out = capsys.readouterr().out

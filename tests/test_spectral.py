@@ -1,5 +1,6 @@
 """Pulse envelopes and the fixed quadrature rules behind spectral averages."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import wofz
 
 from cavqmem.errors import NonFiniteIntegrand
-from cavqmem.params import Profile, PulseSpec, SystemParams
+from cavqmem.params import PhotonQubit, Profile, PulseSpec, SystemParams
 from cavqmem.scattering import scattered_amplitude
 from cavqmem.spectral import (
     DEFAULT_QUAD,
@@ -21,6 +22,8 @@ from cavqmem.spectral import (
     profile_amplitude,
     spectral_average,
 )
+from cavqmem.statesim import (PhotonPair, entanglement_storage,
+                              run_memory_protocol)
 
 GAUSS = PulseSpec(profile=Profile.GAUSSIAN, kappa_p=0.2)
 LORENTZ = PulseSpec(profile=Profile.LORENTZIAN, kappa_p=0.2)
@@ -87,13 +90,22 @@ def test_average_is_linear(pulse):
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ])
 def test_initial_position_never_reaches_averages(pulse):
-    # the wavepacket center is a pure linear phase; node positions and
-    # weights do not involve it, so averages agree bitwise
-    import dataclasses
+    # the wavepacket center would be a pure linear phase on f, which every
+    # output pairs with its own conjugate: no grid array and no simulated
+    # figure reads it, bit for bit
+    params = SystemParams(lambda_L=1.2, lambda_R=2.1, theta_L=0.4,
+                          gamma=0.8, delta_e=0.7)
     moved = dataclasses.replace(pulse, x_0=17.5)
-    a = spectral_average(lambda k: np.exp(1j * k) / (1.0 + k * k), pulse)
-    b = spectral_average(lambda k: np.exp(1j * k) / (1.0 + k * k), moved)
-    assert a == b
+    for a, b in zip(dataclasses.astuple(build_grid(pulse)),
+                    dataclasses.astuple(build_grid(moved))):
+        np.testing.assert_array_equal(a, b)
+    photon, pair = PhotonQubit(0.6, 0.8j), PhotonPair(0.6, 0.8j)
+    assert run_memory_protocol(params, moved, photon=photon) == \
+        run_memory_protocol(params, pulse, photon=photon)
+    for mode in ("postselect", "swap"):
+        assert entanglement_storage(pair, params, params, moved, moved,
+                                    mode=mode) == \
+            entanglement_storage(pair, params, params, pulse, pulse, mode=mode)
 
 
 @pytest.mark.parametrize("pulse", [
