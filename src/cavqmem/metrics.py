@@ -35,7 +35,9 @@ either route, and a [|h|^2]_f outside [0, 1] (passivity bounds |h|^2 by 1
 pointwise) raises PrecisionLoss.
 
 The exact route works in row chunks of at most CHUNK_ROWS points, so
-memory stays flat in the batch size.
+memory stays flat in the batch size.  A batch of one profile that fits in
+one chunk, a single point above all, is passed to the chunk's kernel as it
+is: no row is selected and no output gathered.
 Two entries hand out the closed forms.  `metric_columns` evaluates every
 figure of merit of a batch as columns, one array per figure, the arithmetic
 on the parameters (lambda^2, sin^2 2xi, the leading-order swap fidelity,
@@ -43,10 +45,14 @@ the balanced flag) included; the CSV columns and the `point` JSON of `cli`
 are its arrays.  `cycle_closed_forms` evaluates one store-and-retrieve
 cycle, one dict per input qubit, for the state oracle to be compared with.
 It, `qm_fidelity` and `transfer_fidelity` turn their point into a batch of
-one with `params.point_rows`.  A point's results do not depend on the batch
-it is evaluated in, bit for bit.  Every row was checked when its batch was
-built (`params.grid_rows`, or the points' own constructors), so nothing
-here re-checks one.
+one with `params.point_rows` and take its moments from the one kernel every
+batch size runs; the first two then do their arithmetic on the row's two
+moments as Python numbers.  The closed-form helpers are written once and
+serve both: they run elementwise on a batch's columns and on one row's
+numbers, which round alike, so a point's figures do not depend on the
+batch it is evaluated in, bit for bit.  Every row was checked when its
+batch was built (`params.grid_rows`, or the points' own constructors), so
+nothing here re-checks one.
 """
 
 from __future__ import annotations
@@ -84,6 +90,11 @@ CHUNK_ROWS = 128
 #: Rounding slack of the passivity bound [|h|^2]_f <= 1.
 PASSIVITY_SLACK = 1e-12
 
+# the passivity bounds as 0-d arrays, which short columns compare with at
+# the cost of a column, where a Python float costs more
+_ZERO = np.array(0.0)
+_PASSIVE_MAX = np.array(1.0 + PASSIVITY_SLACK)
+
 Point = tuple[SystemParams, PulseSpec]
 
 
@@ -111,8 +122,8 @@ def spectral_moments(rows: ParamRows,
         h, h2 = (_exact_moments(rows) if quad is None
                  else _quadrature_moments(rows, quad))
     # passivity, 0 <= [|h|^2] <= 1 up to rounding; NaN fails it too
-    passive = (h2 >= 0.0) & (h2 <= 1.0 + PASSIVITY_SLACK)
-    if not (passive.all() and np.isfinite(h).all()):
+    passive = (h2 >= _ZERO) & (h2 <= _PASSIVE_MAX)
+    if np.count_nonzero(passive & np.isfinite(h)) < passive.size:
         if not (np.isfinite(h).all() and np.isfinite(h2).all()):
             raise NonFiniteIntegrand("the spectral moments [h], [|h|^2] "
                                      "overflow at this parameter point")
@@ -142,9 +153,16 @@ def _take(rows: ParamRows, index) -> ParamRows:
 
 
 def _exact_moments(rows: ParamRows) -> tuple[np.ndarray, np.ndarray]:
-    """[h]_f and [|h|^2]_f of every row from the pole sums of h."""
-    h = np.empty(len(rows.kappa), dtype=complex)
-    h2 = np.empty(len(rows.kappa))
+    """[h]_f and [|h|^2]_f of every row from the pole sums of h.  A batch of
+    one profile that fits in a chunk (a single point among them) is that
+    chunk: no row is selected and no output is gathered."""
+    count = len(rows.kappa)
+    lorentzian = np.count_nonzero(rows.lorentzian)
+    if count <= CHUNK_ROWS and lorentzian in (0, count):
+        return _chunk_exact(Profile.LORENTZIAN if lorentzian
+                            else Profile.GAUSSIAN, rows)
+    h = np.empty(count, dtype=complex)
+    h2 = np.empty(count)
     for profile, index in _profile_index(rows):
         for chunk in _chunks(index, CHUNK_ROWS):
             h[chunk], h2[chunk] = _chunk_exact(profile, _take(rows, chunk))
@@ -156,11 +174,11 @@ def _chunk_exact(profile: Profile, rows: ParamRows
     """[h]_f and [|h|^2]_f of rows sharing a profile, from the pole sums of
     `scattering.pole_expansion` and the averages of each pole."""
     e = pole_expansion(rows.kappa, rows.gamma, rows.delta_e, rows.lambda_sq)
-    a_0, a_2, a_12 = (a[:, 0] for a in pole_averages(
-        profile, rows.delta_p[:, None], rows.kappa_p[:, None], e.z0[:, None],
-        (e.z1[:, None], e.z2[:, None])))
+    center, width = np.array((rows.delta_p, rows.kappa_p), dtype=complex)
+    a_0, a_2, a_12 = pole_averages(profile, center, width, e.z0,
+                                   (e.z1, e.z2))
     h = e.a0 * (a_0 - a_2) + e.a12 * a_12
-    h2 = -h.real - 2.0 * (e.l2 * a_2 + e.l12 * a_12).real
+    h2 = (e.l2 * a_2 + e.l12 * a_12).real - h.real
     return h, h2
 
 
@@ -183,69 +201,74 @@ def _quadrature_moments(rows: ParamRows, quad: QuadratureConfig
     return h, h2
 
 
-# Closed forms on the moments, elementwise over a batch.  sin2 is
-# sin^2(2 xi) per point, eta the detector efficiency, cl2 and cr2 the input
-# weights |c_L|^2 and |c_R|^2.
+# Closed forms on the moments, written once: elementwise on a batch's
+# columns for `metric_columns`, and on one row's Python numbers for
+# `cycle_closed_forms` and `qm_fidelity`, where a step on a one-entry array
+# costs ~0.5-1 us and one on numbers ~0.03 us.  Both round alike (IEEE
+# steps, and numpy promotes a real to x + 0i as Python does), so a row's
+# figures equal its column entries bit for bit.  h is [h]_f, h2 [|h|^2]_f,
+# sin2 sin^2(2 xi), eta the detector efficiency, cl2 and cr2 the input
+# weights |c_L|^2 and |c_R|^2.  Squares are x * x, the rounding numpy's
+# x ** 2 has on arrays (Python's ** takes libm's pow, which may differ).
 
-def _sin2(rows: ParamRows) -> np.ndarray:
-    return (2.0 * rows.lambda_L * rows.lambda_R / rows.lambda_sq) ** 2
+def _sin2(lambda_L, lambda_R, lambda_sq):
+    ratio = 2.0 * lambda_L * lambda_R / lambda_sq
+    return ratio * ratio
 
 
 def _leading(kappa, gamma, delta_e, delta_p, lam2):
-    """The leading-order swap fidelity (see `swap_fidelity_leading`),
-    elementwise on floats or columns."""
+    """The leading-order swap fidelity (see `swap_fidelity_leading`)."""
     penalty = kappa * delta_e / lam2 + delta_p / kappa
     return 1.0 - 2.0 * kappa * gamma / lam2 - penalty * penalty
 
 
 def _balanced(lambda_L, lambda_R, lambda_sq):
-    """lambda_L = lambda_R to EQUAL_COUPLING_RTOL, elementwise on floats or
-    columns."""
+    """lambda_L = lambda_R to EQUAL_COUPLING_RTOL."""
     return (abs(lambda_L - lambda_R)
             <= EQUAL_COUPLING_RTOL * np.sqrt(lambda_sq))
 
 
-def _memory_fidelity(m: SpectralMoments) -> np.ndarray:
-    if (m.h2 < TINY_WEIGHT).any():
+def _weight(value):
+    """`value`, refusing it (ZeroScatteringWeight) where it is below
+    TINY_WEIGHT: a figure conditioned on it is undefined."""
+    below = value < TINY_WEIGHT   # a bool for a number, a bool column else
+    if below is not False and np.count_nonzero(below):
         raise ZeroScatteringWeight()
-    return (m.h.real ** 2 + m.h.imag ** 2) / m.h2
+    return value
 
 
-def _success(m: SpectralMoments, sin2: np.ndarray, eta: float) -> np.ndarray:
+def _memory_fidelity(h, h2):
+    return (h.real * h.real + h.imag * h.imag) / _weight(h2)
+
+
+def _success(h2, sin2, eta):
     """P_qm = eta [|T_LR|^2]_f."""
-    return sin2 * (eta * m.h2)
+    return sin2 * (eta * h2)
 
 
-def _storage(m: SpectralMoments, sin2: np.ndarray, eta: float, cl2: float,
-             cr2: float) -> np.ndarray:
+def _storage(h2, sin2, eta, cl2, cr2):
     """P(k_L) = eta (|c_L|^2 + |c_R|^2 [|T_LR|^2]_f)."""
-    return cl2 * eta + cr2 * _success(m, sin2, eta)
+    return cl2 * eta + cr2 * _success(h2, sin2, eta)
 
 
-def _retrieved_weight(m: SpectralMoments, sin2: np.ndarray, eta: float,
-                      cl2: float, cr2: float) -> np.ndarray:
+def _retrieved_weight(h2, sin2, eta, cl2, cr2):
     """eta (|c_R|^2 + |c_L|^2) [|T_LR|^2]_f: the joint probability of
     storage and retrieval."""
-    return cr2 * _success(m, sin2, eta) + cl2 * sin2 * m.h2 * eta
+    return cr2 * _success(h2, sin2, eta) + cl2 * sin2 * h2 * eta
 
 
-def _retrieval(m: SpectralMoments, sin2: np.ndarray, eta: float, cl2: float,
-               cr2: float) -> np.ndarray:
-    denominator = _storage(m, sin2, eta, cl2, cr2)
-    if (denominator < TINY_WEIGHT).any():
-        raise ZeroScatteringWeight()
-    return _retrieved_weight(m, sin2, eta, cl2, cr2) / denominator
+def _retrieval(h2, sin2, eta, cl2, cr2):
+    return (_retrieved_weight(h2, sin2, eta, cl2, cr2)
+            / _weight(_storage(h2, sin2, eta, cl2, cr2)))
 
 
-def _retrieved_fidelity(m: SpectralMoments, sin2: np.ndarray, eta: float,
-                        cl2: float, cr2: float) -> np.ndarray:
-    denominator = _retrieved_weight(m, sin2, eta, cl2, cr2)
-    if (denominator < TINY_WEIGHT).any():
-        raise ZeroScatteringWeight()
-    eta_h = eta * m.h
-    cross = m.h.real * eta_h.real + m.h.imag * eta_h.imag
-    numerator = sin2 * (cr2 * cr2 * (eta * m.h2) + 2.0 * cr2 * cl2 * cross
-                        + cl2 * cl2 * (m.h.real ** 2 + m.h.imag ** 2) * eta)
+def _retrieved_fidelity(h, h2, sin2, eta, cl2, cr2):
+    denominator = _weight(_retrieved_weight(h2, sin2, eta, cl2, cr2))
+    eta_h = eta * h
+    cross = h.real * eta_h.real + h.imag * eta_h.imag
+    numerator = sin2 * (cr2 * cr2 * (eta * h2) + 2.0 * cr2 * cl2 * cross
+                        + cl2 * cl2 * (h.real * h.real + h.imag * h.imag)
+                        * eta)
     return numerator / denominator
 
 
@@ -278,7 +301,7 @@ def qm_fidelity(params: SystemParams, pulse: PulseSpec,
     pulse effectively never scatters.
     """
     m = spectral_moments(point_rows([(params, pulse)]), quad)
-    return float(_memory_fidelity(m)[0])
+    return _memory_fidelity(m.h.item(), m.h2.item())
 
 
 def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
@@ -296,17 +319,17 @@ def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
     """
     weights = [_input_weights(photon) for photon in photons]
     eta = check_efficiency(detector)
-    rows = point_rows([(params, pulse)])
-    m = spectral_moments(rows, quad)
-    sin2 = _sin2(rows)
-    f_qm = float(_memory_fidelity(m)[0])
-    p_qm = float(_success(m, sin2, eta)[0])
+    m = spectral_moments(point_rows([(params, pulse)]), quad)
+    h, h2 = m.h.item(), m.h2.item()
+    sin2 = _sin2(params.lambda_L, params.lambda_R, params.lambda_sq)
+    f_qm = float(_memory_fidelity(h, h2))
+    p_qm = float(_success(h2, sin2, eta))
     return [{"F_qm": f_qm,
-             "P_kL": float(_storage(m, sin2, eta, cl2, cr2)[0]),
-             "P_L": float(_retrieval(m, sin2, eta, cl2, cr2)[0]),
+             "P_kL": float(_storage(h2, sin2, eta, cl2, cr2)),
+             "P_L": float(_retrieval(h2, sin2, eta, cl2, cr2)),
              "P_qm": p_qm,
-             "fidelity": float(_retrieved_fidelity(m, sin2, eta, cl2,
-                                                   cr2)[0])}
+             "fidelity": float(_retrieved_fidelity(h, h2, sin2, eta, cl2,
+                                                   cr2))}
             for cl2, cr2 in weights]
 
 
@@ -380,19 +403,20 @@ def metric_columns(rows: ParamRows,
     cl2, cr2 = _input_weights(photon)
     eta = check_efficiency(eta)
     m = spectral_moments(rows, quad)
-    sin2 = _sin2(rows)
-    p_qm = _success(m, sin2, eta)
+    h, h2 = m.h, m.h2
+    sin2 = _sin2(rows.lambda_L, rows.lambda_R, rows.lambda_sq)
+    p_qm = _success(h2, sin2, eta)
     # float semantics, as in the scalar swap_fidelity_leading: an overflow
     # gives inf (or NaN) without a warning
     with np.errstate(all="ignore"):
         leading = _leading(rows.kappa, rows.gamma, rows.delta_e,
                            rows.delta_p, rows.lambda_sq)
     return MetricColumns(
-        F_swap=m.h2,
+        F_swap=h2,
         F_swap_leading=leading,
-        F_qm=_memory_fidelity(m),
-        P_kL=_storage(m, sin2, eta, cl2, cr2),
-        P_L=_retrieval(m, sin2, eta, cl2, cr2),
+        F_qm=_memory_fidelity(h, h2),
+        P_kL=_storage(h2, sin2, eta, cl2, cr2),
+        P_L=_retrieval(h2, sin2, eta, cl2, cr2),
         P_qm=p_qm,
         P_qm_conditional=p_qm * p_qm,
         f_swap_meaningful=_balanced(rows.lambda_L, rows.lambda_R,

@@ -268,9 +268,8 @@ def point_rows(points: Sequence[tuple[SystemParams, PulseSpec]]
                       + (pulse.profile is Profile.LORENTZIAN,
                          params.lambda_sq)
                       for params, pulse in points], dtype=float)
-    *columns, lorentzian, lambda_sq = table.reshape(
-        -1, len(ParamRows._fields)).T
-    return ParamRows(*columns, lorentzian != 0.0, lambda_sq)
+    table = table.reshape(-1, len(ParamRows._fields)).T
+    return ParamRows(*table[:-2], table[-2].astype(bool), table[-1])
 
 
 #: kappa of every bundled curve family, in units of gamma = 1.

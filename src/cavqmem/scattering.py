@@ -117,7 +117,7 @@ class PoleExpansion(NamedTuple):
     z1, z2 the roots of w_-,
 
         h(s)     = a0 [1/(s - z0) - 1/(s - z2)] + a12/((s - z1)(s - z2)),
-        |h(s)|^2 = -Re h(s) - 2 Re[l2/(s - z2) + l12/((s - z1)(s - z2))].
+        |h(s)|^2 = -Re h(s) + Re[l2/(s - z2) + l12/((s - z1)(s - z2))].
 
     The second line is passivity, |1 + 2h|^2 = 1 - 4 kappa gamma lambda^2 /
     |w_-|^2, with the loss term split between w_- and its mirror image.  The
@@ -142,26 +142,44 @@ def pole_expansion(kappa, gamma, delta_e, lambda_sq) -> PoleExpansion:
     real axis (never for a valid point: the roots have Im < 0 when
     kappa > 0 and gamma >= 0).
     """
-    z0 = 1j * kappa
+    # numpy fuses a complex product with FMA, so a product's bits depend on
+    # its operand order (and on which operand numpy reuses in place): the
+    # order of every product below is part of the result
+    z0 = _I * kappa
+    rate = gamma + kappa
     # w_-(s) = s^2 - b s + c = (s - z1)(s - z2); the sign of the root keeps
     # b + root clear of cancellation, and z2 follows from z1 z2 = c
-    b = delta_e - 1j * gamma - z0
-    root = np.sqrt((b + 2.0 * z0) ** 2 + 4.0 * lambda_sq)
-    root *= np.copysign(1.0, b.real * root.real + b.imag * root.imag)
-    z1 = 0.5 * (b + root)
+    b = delta_e - _I * rate
+    root = np.sqrt((b + (z0 + z0)) ** 2 + _FOUR * lambda_sq)
+    root = root * np.copysign(_ONE, (b * root.conj()).real)
+    z1 = _HALF * (b + root)
     z2 = (-lambda_sq - z0 * (b + z0)) / z1
-    if (np.maximum(z1.imag, z2.imag) >= 0.0).any():
+    if np.count_nonzero(np.maximum(z1.imag, z2.imag) >= _ZERO):
         raise DegenerateDenominator()
-    # h = g / ((s - z0) w_-(s)); its w_- part is P(s)/w_-(s), P the line
-    # through g/(s - z0) at z1 and z2
-    g = -z0 * lambda_sq
-    a0 = g / ((z0 - z1) * (z0 - z2))
+    # h = g / ((s - z0) w_-(s)), g = -z0 lambda^2; its w_- part is
+    # P(s)/w_-(s), P the line through g/(s - z0) at z1 and z2
+    minus_g = z0 * lambda_sq
+    z01, z02 = z0 - z1, z0 - z2
+    a0 = -minus_g / (z01 * z02)
     # 1/|w_-|^2 = 1/(w_-(s) w~(s)), w~(s) = (s - conj z1)(s - conj z2): its
     # w_- part is the line through 1/w~ at z1 and z2, where w~(z1) = u1,
-    # w~(z2) = u2 and w~[z1, z2] = z1 + z2 - conj(z1 + z2) = -2i(gamma + kappa)
-    d = z1 - np.conj(z2)
-    u1 = 2j * z1.imag * d
-    u2 = -2j * z2.imag * np.conj(d)
-    loss = kappa * gamma * lambda_sq / u1
-    return PoleExpansion(z0=z0, z1=z1, z2=z2, a0=a0, a12=g / (z1 - z0),
-                         l2=2j * (gamma + kappa) * loss / u2, l12=loss)
+    # w~(z2) = u2 and w~[z1, z2] = z1 + z2 - conj(z1 + z2) = -2i(gamma + kappa).
+    # l12 and l2 carry the -2 of the loss term: -2 kappa gamma lambda^2 / u1
+    # is kappa gamma lambda^2 over -u1/2 = -i Im(z1) d, exactly.
+    conj_z2 = z2.conj()
+    d = z1 - conj_z2
+    loss = kappa * gamma * lambda_sq / (_MINUS_I * z1.imag * d)
+    u2 = (conj_z2 - z2) * d.conj()                  # -2i Im(z2) conj(d)
+    return PoleExpansion(z0, z1, z2, a0, minus_g / z01,
+                         _2I * rate * loss / u2, loss)
+
+
+# Constants as 0-d arrays: on short columns a step with a 0-d operand costs
+# what a step between two columns does, one with a Python number more.
+_I = np.array(1j)
+_MINUS_I = np.array(-1j)
+_2I = np.array(2j)
+_HALF = np.array(0.5 + 0j)
+_FOUR = np.array(4.0)
+_ONE = np.array(1.0)
+_ZERO = np.array(0.0)

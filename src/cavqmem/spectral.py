@@ -229,6 +229,11 @@ def _weideman_coefficients() -> np.ndarray:
 
 
 _W_COEF = _weideman_coefficients()
+#: 2 a_n as complex numbers: the sum multiplies complex by complex, which
+#: rounds as promoting the real a_n on every call would, and the factor 2
+#: of w is exact in every term.
+_W_COEF_2 = (2.0 * _W_COEF).astype(complex)
+_W_COEF_2.flags.writeable = False
 #: Hankel table H[j, k] = c_{j+k+1}, with c_i the coefficient of Z^i in p:
 #: the divided difference (p(X) - p(Y))/(X - Y) is sum_{j,k} H[j, k] X^j Y^k,
 #: which stays exact at X = Y.
@@ -236,19 +241,27 @@ _W_HANKEL = np.array([[_W_COEF[::-1][j + k + 1] if j + k + 1 < FADDEEVA_TERMS
                        else 0.0 for k in range(FADDEEVA_TERMS - 1)]
                       for j in range(FADDEEVA_TERMS - 1)])
 _W_HANKEL.flags.writeable = False
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-_I_SQRT_PI = 1j * math.sqrt(math.pi)
+# Constants as 0-d arrays: on short columns a step with a 0-d operand costs
+# what a step between two columns does, one with a Python number more.  A
+# real constant is complex here, as numpy would promote it.
+_I = np.array(1j)
+_ONE = np.array(1.0 + 0j)
+_W_L_C = np.array(_W_L + 0j)
+_INV_SQRT_PI = np.array(1.0 / math.sqrt(math.pi) + 0j)
+_I_SQRT_PI = np.array(1j * math.sqrt(math.pi))
 
 #: Separation, relative to max(1, |z|), below which `faddeeva_difference`
 #: takes the confluent form: beyond it the plain quotient of two values
 #: loses at most ~1e-14 to rounding.
-_CONFLUENT_GAP = 1e-2
+_CONFLUENT_GAP = np.array(1e-2)
+_UNIT = np.array(1.0)
 
 
 def _weideman_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, Z) = (1/(L - iz), (L + iz)/(L - iz)); |Z| <= 1 for Im z >= 0."""
-    u = 1.0 / (_W_L - 1j * z)
-    return u, (_W_L + 1j * z) * u
+    iz = _I * z
+    u = _ONE / (_W_L_C - iz)
+    return u, (_W_L_C + iz) * u
 
 
 def faddeeva(z) -> np.ndarray:
@@ -259,8 +272,16 @@ def faddeeva(z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     u, big_z = _weideman_parts(z)
-    p = (np.vander(big_z.ravel(), FADDEEVA_TERMS) * _W_COEF).sum(axis=1)
-    return (2.0 * p.reshape(z.shape) * u + _INV_SQRT_PI) * u
+    # np.vander(Z, N) without its argument handling, which costs more than
+    # the products for a few arguments: Z^(N-1), ..., Z, 1 as running
+    # products, highest power first
+    table = np.empty((big_z.size, FADDEEVA_TERMS), dtype=complex)
+    table[:, -1] = 1.0
+    powers = table[:, -2::-1]
+    powers[...] = big_z.reshape(-1, 1)
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    p2 = (table * _W_COEF_2).sum(axis=1)
+    return (p2.reshape(z.shape) * u + _INV_SQRT_PI) * u
 
 
 def faddeeva_difference(z1, z2, w1, w2) -> np.ndarray:
@@ -271,8 +292,8 @@ def faddeeva_difference(z1, z2, w1, w2) -> np.ndarray:
     itself, term by term, which stays exact in the confluent limit.
     """
     gap = z1 - z2
-    close = np.abs(gap) < _CONFLUENT_GAP * np.maximum(1.0, np.abs(z1))
-    if not close.any():
+    close = np.abs(gap) < _CONFLUENT_GAP * np.maximum(_UNIT, np.abs(z1))
+    if not np.count_nonzero(close):
         return (w1 - w2) / gap
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (w1 - w2) / gap
@@ -304,22 +325,22 @@ def pole_averages(profile: Profile, center, width, upper, pair
 
     center and width are the pulse centres s_p and widths kappa_p in the
     variable s of the poles, upper a pole z0 with Im z0 > 0 and pair = (z1,
-    z2) two poles with Im < 0, equal or not; all are (B, 1) columns.
+    z2) two poles with Im < 0, equal or not; all are columns of one shape,
+    best complex (a real column is promoted at every step that reads it).
     Returns [1/(s - z0)]_f, [1/(s - z2)]_f and [1/((s - z1)(s - z2))]_f,
-    each row from its own pulse.
+    each entry from its own pulse.
     """
     z1, z2 = pair
     if profile is Profile.LORENTZIAN:
         # the pulse intensity has its poles at s_p +- i kappa_p
-        pulse_pole = 1j * width
+        pulse_pole = _I * width
         below, above = center - pulse_pole, center + pulse_pole
-        return (1.0 / (below - upper), 1.0 / (above - z2),
-                1.0 / ((above - z1) * (above - z2)))
+        return (_ONE / (below - upper), _ONE / (above - z2),
+                _ONE / ((above - z1) * (above - z2)))
     # Gaussian: [1/(s - z)]_f = +-i sqrt(pi) w(+-(z - s_p)/kappa_p)/kappa_p,
     # the sign taking the argument into the upper half plane
-    tau = np.concatenate([upper - center, center - z1, center - z2],
-                         axis=-1) / width
+    tau = np.array((upper - center, center - z1, center - z2)) / width
     w = faddeeva(tau)
     scale = _I_SQRT_PI / width
-    diff = faddeeva_difference(tau[:, 1:2], tau[:, 2:], w[:, 1:2], w[:, 2:])
-    return scale * w[:, :1], -scale * w[:, 2:], scale * diff / width
+    diff = faddeeva_difference(tau[1], tau[2], w[1], w[2])
+    return scale * w[0], -scale * w[2], scale * diff / width

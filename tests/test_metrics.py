@@ -387,6 +387,109 @@ def test_cycle_closed_forms_equal_the_scalar_calls(profile, detector, quad):
             assert got[key] == getattr(row, key)[0].item(), key
 
 
+def _mixed_points(count, rng, lorentzian):
+    """`count` equivalence-range points, the i-th Lorentzian where
+    lorentzian(i), else Gaussian."""
+    points = []
+    for i in range(count):
+        params, pulse, _ = draw_equivalence_point(rng)
+        profile = Profile.LORENTZIAN if lorentzian(i) else Profile.GAUSSIAN
+        points.append((params, PulseSpec(profile, pulse.delta_p,
+                                         pulse.kappa_p, pulse.x_0)))
+    return points
+
+
+def test_mixed_profile_batches_equal_each_row_alone():
+    # the profiles interleave, so the exact pass selects each profile's rows
+    # and gathers its chunks back (2 Gaussian chunks, 1 Lorentzian); every
+    # row still equals the batch of one that cycle_closed_forms and a
+    # one-row metric_columns pass straight to the kernel, bit for bit
+    points = _mixed_points(2 * CHUNK_ROWS + 1, np.random.default_rng(37),
+                           lambda i: i % 2)
+    photon = PhotonQubit(0.6, 0.8 * np.exp(0.7j))
+    batch = metric_columns(point_rows(points), eta=0.8, photon=photon)
+    for i, (params, pulse) in enumerate(points):
+        alone = metric_columns(point_rows([(params, pulse)]), eta=0.8,
+                               photon=photon)
+        assert [column[i] for column in batch] \
+            == [column[0] for column in alone]
+        forms, = cycle_closed_forms(params, pulse, photons=[photon],
+                                    detector=0.8)
+        for key in ("F_qm", "P_kL", "P_L", "P_qm"):
+            assert forms[key] == getattr(batch, key)[i].item(), key
+
+
+#: Every entry that evaluates one point, called on (params, pulse, photon).
+ONE_POINT_ENTRIES = {
+    "cycle_closed_forms": lambda params, pulse, photon: cycle_closed_forms(
+        params, pulse, photons=[photon], detector=0.8),
+    "qm_fidelity": lambda params, pulse, photon: qm_fidelity(params, pulse),
+    "transfer_fidelity": lambda params, pulse, photon: transfer_fidelity(
+        params, pulse, photon=photon),
+    "metric_columns": lambda params, pulse, photon: metric_columns(
+        point_rows([(params, pulse)]), eta=0.8, photon=photon),
+}
+
+
+@pytest.mark.parametrize("name", ONE_POINT_ENTRIES)
+@pytest.mark.parametrize("profile", list(Profile))
+def test_one_point_entries_raise_typed_errors(name, profile):
+    # the batch-of-one path keeps every typed error of the batch path, and
+    # warns of nothing on the way (warnings are errors in this suite)
+    entry = ONE_POINT_ENTRIES[name]
+    pulse = PulseSpec(profile=profile)
+    k_r = PhotonQubit(0.0, 1.0)
+    with pytest.raises(NonFiniteIntegrand):
+        entry(SystemParams(kappa=1e200), pulse, k_r)
+    with pytest.raises(PrecisionLoss):
+        entry(SystemParams(kappa=1e16), pulse, k_r)
+    # a |k_R> photon never flips at lambda_L = 0, so nothing is stored and
+    # retrieval is undefined; F_qm does not depend on the coupling ratio,
+    # and the swap fidelity needs balanced couplings
+    dark = SystemParams(lambda_L=0.0, lambda_R=2.0)
+    if name == "qm_fidelity":
+        assert 0.0 < entry(dark, pulse, k_r) <= 1.0
+    elif name == "transfer_fidelity":
+        with pytest.raises(UnequalCouplings):
+            entry(dark, pulse, k_r)
+    else:
+        with pytest.raises(ZeroScatteringWeight):
+            entry(dark, pulse, k_r)
+
+
+def test_one_point_takes_one_kernel_call(monkeypatch):
+    # a batch of one goes straight to the chunk kernel: one pole expansion,
+    # one set of pole averages and no row selected; a mixed batch makes one
+    # call per profile per chunk
+    calls = dict.fromkeys(("pole_expansion", "pole_averages", "_take"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(metrics, name, counting(name,
+                                                    getattr(metrics, name)))
+    photon = PhotonQubit(0.6, 0.8)
+    for profile in Profile:
+        point = (SystemParams(), PulseSpec(profile=profile))
+        for entry in (lambda: cycle_closed_forms(*point, photons=[photon]),
+                      lambda: qm_fidelity(*point),
+                      lambda: metric_columns(point_rows([point]))):
+            calls.update(dict.fromkeys(calls, 0))
+            entry()
+            assert calls == {"pole_expansion": 1, "pole_averages": 1,
+                             "_take": 0}
+    # 100 Lorentzian rows (one chunk) among 200 Gaussian ones (two chunks)
+    points = _mixed_points(300, np.random.default_rng(41),
+                           lambda i: i % 3 == 0)
+    calls.update(dict.fromkeys(calls, 0))
+    metric_columns(point_rows(points))
+    assert calls == {"pole_expansion": 3, "pole_averages": 3, "_take": 3}
+
+
 def test_sweep_memory_stays_bounded():
     # chunking keeps the moment pass's arrays independent of the batch size:
     # one Lorentzian sweep point alone holds 1040 complex nodes (17 kB)
