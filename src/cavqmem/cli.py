@@ -249,10 +249,15 @@ def sweep_rows(spec: SweepSpec) -> list:
 def _format_column(column) -> list[str]:
     """The cells of one CSV column as text.  A float64 array is formatted
     once per distinct bit pattern (so 0.0 and -0.0 stay apart) with str,
-    which for a float is its repr; any other column is its text cells."""
+    which for a float is its repr; any other column is its text cells.  A
+    column of one bit pattern (a field no sweep axis touches, eta) is
+    formatted once and repeated, without the sort the dedupe takes."""
     if not isinstance(column, np.ndarray):
         return column
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    bits = column.view(np.int64)
+    if bits.size and not np.count_nonzero(bits != bits[0]):
+        return [str(column[0].item())] * bits.size
+    bits, index = np.unique(bits, return_inverse=True)
     text = np.array(list(map(str, bits.view(np.float64).tolist())),
                     dtype=object)
     return text[index].tolist()

@@ -306,8 +306,9 @@ def validate_suite(trials: int = 20, seed: int = 20112,
         (margin >= 0.0, "memory >= swap ordering on the family grid",
          f"min margin {margin:.2e}"),
         (eq[worst] <= 1e-6, "state-oracle equivalence",
-         f"{trials} parameter sets, worst |delta| = {eq[worst]:.2e} "
-         f"({worst})"),
+         f"{trials} parameter sets, worst |delta| "
+         + (f"= {eq[worst]:.2e} ({worst})" if eq[worst] >= 1e-12
+            else "< 1e-12")),
         (mutant > 1e-6, "mutation sensitivity of the determinant identity",
          f"corrupted element shifts the residual to {mutant:.2e}"),
     ]

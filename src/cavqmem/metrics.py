@@ -34,10 +34,13 @@ A moment that overflows to NaN or infinity raises NonFiniteIntegrand on
 either route, and a [|h|^2]_f outside [0, 1] (passivity bounds |h|^2 by 1
 pointwise) raises PrecisionLoss.
 
-The exact route works in row chunks of at most CHUNK_ROWS points, so
-memory stays flat in the batch size.  A batch of one profile that fits in
-one chunk, a single point above all, is passed to the chunk's kernel as it
-is: no row is selected and no output gathered.
+The exact route works in row chunks of at most CHUNK_ROWS (512) points, so
+memory stays flat in the batch size: it is bounded by one Gaussian chunk's
+Faddeeva table.  With cold caches a chunk's fixed cost outweighs its
+per-row work, so a chunk is large enough to take a curve family, or a
+sweep of up to 512 points, in one pass.  A batch of one profile that fits
+in one chunk, a single point above all, is passed to the chunk's kernel as
+it is: no row is selected and no output gathered.
 Two entries hand out the closed forms.  `metric_columns` evaluates every
 figure of merit of a batch as columns, one array per figure, the arithmetic
 on the parameters (lambda^2, sin^2 2xi, the leading-order swap fidelity,
@@ -84,8 +87,12 @@ EQUAL_COUPLING_RTOL = 1e-12
 #: Probability mass below which conditioning and fidelity ratios are refused.
 TINY_WEIGHT = 1e-300
 
-#: Parameter points per chunk of the exact pass.
-CHUNK_ROWS = 128
+#: Parameter points per chunk of the exact pass.  A chunk pays a fixed cost
+#: (~150-250 us with cold caches) whatever its size, so one chunk holds a
+#: whole curve family (fig4 has 369 rows) or a sweep of up to 512 points;
+#: its largest array, the Faddeeva table of a Gaussian chunk (3 x 512 x 36
+#: complex, 0.88 MB), bounds the pass's memory.
+CHUNK_ROWS = 512
 
 #: Rounding slack of the passivity bound [|h|^2]_f <= 1.
 PASSIVITY_SLACK = 1e-12

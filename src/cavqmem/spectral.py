@@ -229,8 +229,8 @@ def _weideman_coefficients() -> np.ndarray:
 
 
 _W_COEF = _weideman_coefficients()
-#: 2 a_n as complex numbers: the sum multiplies complex by complex, which
-#: rounds as promoting the real a_n on every call would, and the factor 2
+#: 2 a_n as complex numbers, so `faddeeva` multiplies its complex table of
+#: powers with them in one BLAS product, converting nothing; the factor 2
 #: of w is exact in every term.
 _W_COEF_2 = (2.0 * _W_COEF).astype(complex)
 _W_COEF_2.flags.writeable = False
@@ -268,19 +268,25 @@ def faddeeva(z) -> np.ndarray:
     """The Faddeeva function w(z) = exp(-z^2) erfc(-iz), for Im z >= 0.
 
     Weideman's N = 36 rational approximation, numpy only.  The polynomial is
-    summed row by row, so each value is independent of the others in z.
+    the product of the table of powers, one row per argument, with the
+    coefficient vector: a matrix-vector product, which forms each row's sum
+    on its own, so each value is independent of the others in z.  The
+    product needs no temporary the size of the table.
     """
     z = np.asarray(z, dtype=complex)
     u, big_z = _weideman_parts(z)
+    count = big_z.size
     # np.vander(Z, N) without its argument handling, which costs more than
     # the products for a few arguments: Z^(N-1), ..., Z, 1 as running
-    # products, highest power first
-    table = np.empty((big_z.size, FADDEEVA_TERMS), dtype=complex)
+    # products, highest power first.  A lone argument gets a second, equal
+    # row: BLAS takes a one-row product through its dot kernel, which
+    # rounds unlike the matrix-vector kernel of every longer table.
+    table = np.empty((count + (count == 1), FADDEEVA_TERMS), dtype=complex)
     table[:, -1] = 1.0
     powers = table[:, -2::-1]
     powers[...] = big_z.reshape(-1, 1)
     np.multiply.accumulate(powers, axis=1, out=powers)
-    p2 = (table * _W_COEF_2).sum(axis=1)
+    p2 = (table @ _W_COEF_2)[:count]
     return (p2.reshape(z.shape) * u + _INV_SQRT_PI) * u
 
 

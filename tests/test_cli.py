@@ -572,6 +572,24 @@ def test_invariant_suite_passes_and_reports(capsys):
     assert "all invariant families passed" in out
 
 
+def test_validate_prints_no_rounding_noise_for_the_oracle(monkeypatch,
+                                                           capsys):
+    # at the default seed the state oracle agrees with the closed forms to
+    # rounding, which the report states as a bound, so an ulp-level change
+    # in either route leaves validate's output alone
+    assert main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15
+    assert ("ok   state-oracle equivalence: 20 parameter sets, worst |delta| "
+            "< 1e-12") in lines
+    # a delta past rounding still prints with its figure
+    monkeypatch.setattr(invariants, "oracle_equivalence",
+                        lambda cases, quad: {"F_qm": 1e-15, "P_L": 3e-9})
+    assert main(["validate", "--trials", "1"]) == 0
+    assert ("ok   state-oracle equivalence: 1 parameter sets, worst |delta| "
+            "= 3.00e-09 (P_L)") in capsys.readouterr().out.splitlines()
+
+
 def test_validate_exits_one_when_a_family_fails(monkeypatch, capsys):
     monkeypatch.setattr(invariants, "quadrature_normalization",
                         lambda quad: 1.0)

@@ -482,35 +482,53 @@ def test_one_point_takes_one_kernel_call(monkeypatch):
             entry()
             assert calls == {"pole_expansion": 1, "pole_averages": 1,
                              "_take": 0}
-    # 100 Lorentzian rows (one chunk) among 200 Gaussian ones (two chunks)
-    points = _mixed_points(300, np.random.default_rng(41),
+    # every third row Lorentzian, the batch sized so the Gaussian rows fill
+    # one chunk and spill into a second; the Lorentzian ones fit in one
+    count = 3 * (CHUNK_ROWS // 2 + 1)
+    points = _mixed_points(count, np.random.default_rng(41),
                            lambda i: i % 3 == 0)
+    lorentzian = count // 3
+    chunks = (math.ceil(lorentzian / CHUNK_ROWS)
+              + math.ceil((count - lorentzian) / CHUNK_ROWS))
+    assert chunks == 3
     calls.update(dict.fromkeys(calls, 0))
     metric_columns(point_rows(points))
-    assert calls == {"pole_expansion": 3, "pole_averages": 3, "_take": 3}
+    assert calls == dict.fromkeys(calls, chunks)
+
+
+def _sweep_peak(pulse, count):
+    """Peak traced allocation of a `count`-point delta_e sweep."""
+    spec = SweepSpec(params=SystemParams(), pulse=pulse,
+                     axes=(SweepAxis("delta_e", "linear", -5.0, 5.0, count),))
+    tracemalloc.start()
+    try:
+        sweep_rows(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sweep_memory_stays_bounded():
     # chunking keeps the moment pass's arrays independent of the batch size:
     # one Lorentzian sweep point alone holds 1040 complex nodes (17 kB)
-    def peak(count):
-        spec = SweepSpec(params=SystemParams(),
-                         pulse=PulseSpec(profile=Profile.LORENTZIAN,
-                                         kappa_p=0.2),
-                         axes=(SweepAxis("delta_e", "linear", -5.0, 5.0,
-                                         count),))
-        tracemalloc.start()
-        try:
-            sweep_rows(spec)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(10)  # warm the node tables
-    small, large = peak(100), peak(400)
+    pulse = PulseSpec(profile=Profile.LORENTZIAN, kappa_p=0.2)
+    _sweep_peak(pulse, 10)  # warm the node tables
+    small, large = _sweep_peak(pulse, 100), _sweep_peak(pulse, 400)
     assert large < 2e6
     # the 300 extra result rows take ~0.1 MB; their nodes would take 5 MB
     assert large - small < 0.25e6
+
+
+def test_gaussian_sweep_memory_stays_bounded():
+    # a Gaussian chunk allocates its Faddeeva table, 3 x CHUNK_ROWS x 36
+    # complex values; further chunks reuse that room, so past one chunk a
+    # row adds only its output cells
+    pulse = PulseSpec(kappa_p=0.2)
+    _sweep_peak(pulse, 10)
+    one = _sweep_peak(pulse, CHUNK_ROWS)
+    four = _sweep_peak(pulse, 4 * CHUNK_ROWS)
+    assert one < 1.5e6
+    assert four - one < 0.2e3 * 3 * CHUNK_ROWS
 
 
 def _moments_by_adaptive_integration(params, pulse):

@@ -182,6 +182,19 @@ def test_faddeeva_matches_scipy_in_the_upper_half_plane():
         assert np.max(np.abs(faddeeva(z) - ref) / np.abs(ref)) <= 5e-14
 
 
+@pytest.mark.parametrize("count", [1, 7, 128, 1537])
+def test_faddeeva_value_does_not_depend_on_its_batch(count):
+    # the polynomial is a matrix-vector product, and BLAS kernels treat a
+    # table's tail rows, and a one-row table, apart: each value must still
+    # equal the argument's value alone, bit for bit
+    rng = np.random.default_rng(13)
+    z = (rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.uniform(-3, 3, count)
+         + 1j * 10.0 ** rng.uniform(-4, 2, count))
+    batch = faddeeva(z)
+    for i in range(count):
+        assert faddeeva(z[i:i + 1])[0] == batch[i]
+
+
 def test_faddeeva_difference_is_smooth_through_the_confluent_limit():
     rng = np.random.default_rng(12)
     z = rng.uniform(-6.0, 6.0, 200) + 1j * 10.0 ** rng.uniform(-3, 0.7, 200)
