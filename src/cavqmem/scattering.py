@@ -28,13 +28,14 @@ t_xy) is linear in h.  So h is the only rational function evaluated at a
 point, and w_+ stays here as documentation: the tests check the code
 against the ratio above.
 
-All wavenumber arguments accept scalars or numpy arrays and broadcast.  The
-phase factor and h(k) also take a `params.ParamRows` in place of
-SystemParams: a batch of parameter points as column arrays, so that with
-(B, 1) columns row i of a (B, n) wavenumber array is evaluated at point i
-in one call.  `pole_expansion` takes the four (B,) columns that h depends
-on.  Nothing here checks a row: `params` checked each one when the batch
-was built.
+All wavenumber arguments accept scalars or numpy arrays and broadcast;
+`detuned_elements` takes detunings s in their place, as a grid built around
+the resonance holds them.  The phase factor and h(k) also take a
+`params.ParamRows` in place of SystemParams: a batch of parameter points as
+column arrays, so that with (B, 1) columns row i of a (B, n) wavenumber
+array is evaluated at point i in one call.  `pole_expansion` takes the four
+(B,) columns that h depends on.  Nothing here checks a row: `params`
+checked each one when the batch was built.
 
 h is a rational function with three simple poles: i kappa above the real
 axis and the two roots of w_- below it.  `pole_expansion` writes h and
@@ -74,7 +75,11 @@ def scattered_amplitude(k, params: SystemParams | ParamRows):
     Where the denominator overflows h reads 0, until (kappa + gamma) s^2
     overflows (|s| ~ 1e154) and h reads NaN.
     """
-    s = np.asarray(k, dtype=float) - params.k_c
+    return _detuned_amplitude(np.asarray(k, dtype=float) - params.k_c, params)
+
+
+def _detuned_amplitude(s, params: SystemParams | ParamRows):
+    """h at the detunings s = k - k_c (see `scattered_amplitude`)."""
     ik = 1j * params.kappa
     # w_- = (s - delta_e + i gamma)(s + i kappa) - lambda^2, factored:
     # expanded, its terms cancel near s = delta_e at weak coupling and
@@ -102,7 +107,13 @@ def t_elements(k, params: SystemParams):
     linear in h: t_ll = 1 + 2 sin^2(xi) h, t_rr = 1 + 2 cos^2(xi) h, and
     t_lr and t_rl are e^{-+i(theta_L - theta_R)} sin(2 xi) h.
     """
-    h = scattered_amplitude(k, params)
+    return detuned_elements(np.asarray(k, dtype=float) - params.k_c, params)
+
+
+def detuned_elements(s, params: SystemParams):
+    """`t_elements` at the detunings s = k - k_c, the coordinates of a grid
+    built around the cavity resonance: no wavenumber is shifted."""
+    h = _detuned_amplitude(np.asarray(s, dtype=float), params)
     sin_xi, cos_xi = params.sin_xi, params.cos_xi
     # e^{-i(theta_L - theta_R)} sin(2 xi), one Python complex
     cross = (cmath.exp(-1j * (params.theta_L - params.theta_R))

@@ -19,14 +19,17 @@ cavities of `TwoCavityState` hold rank-r factor stacks, one per grid, and
 the photon that `retrieve` releases is a storage-branch factor times a
 retrieval-envelope factor per polarization.  Norms, probabilities and
 overlaps are contractions of r x r Gram matrices of the factors, O(r^2 n)
-work and memory, and no path builds a node-by-node array.  This is an exact
-re-representation: every sum that the full array would take is still taken,
-node by node.
+work and memory, and no path builds a node-by-node array.  A side's Gram
+matrix is one matrix product (X w) X^H of its stack X, reshaped to
+(rank x atom, polarization x node).  This is an exact re-representation:
+every sum that the full array would take is still taken, node by node.
 
 A step that sends a photon through a cavity takes a `Cavity`: a pulse's
 grid with one node's scattering elements at its nodes, which `Cavity.of`
-builds and refuses if it overflows.  The entry points build their cavities
-once and call the public steps, so each step has one implementation.
+builds, in the grid's detuning coordinates and from the caller's
+parameters, and refuses if it overflows.  The entry points build their
+cavities once and call the public steps, so each step has one
+implementation.
 
 SystemParams and PulseSpec check themselves when they are built; the qubit
 amplitudes (for normalization) and the detector efficiency (in (0, 1]) are
@@ -49,7 +52,7 @@ from .params import (
     qubit_norm,
     require_normalized,
 )
-from .scattering import t_elements
+from .scattering import detuned_elements
 from .spectral import DEFAULT_QUAD, KGrid, QuadratureConfig, build_grid
 
 ATOM_L, ATOM_R = 0, 1
@@ -65,10 +68,11 @@ class Cavity:
     the `t_elements` (t_LL, t_RR, t_LR, t_RL) at its nodes, and whether the
     atom is lossless (gamma = 0).  Build it with `Cavity.of`.
 
-    The grid is in detuning coordinates, its nodes at k - k_c: the physics
-    is translation invariant and no output reads an absolute wavenumber,
-    while absolute nodes at a large k_c would round the pulse's width
-    away."""
+    The grid is in detuning coordinates, its nodes at k - k_c, and the
+    elements are evaluated there (`scattering.detuned_elements`): the
+    physics is translation invariant and no output reads an absolute
+    wavenumber, while absolute nodes at a large k_c would round the pulse's
+    width away."""
 
     grid: KGrid
     elements: tuple
@@ -79,11 +83,11 @@ class Cavity:
            quad: QuadratureConfig = DEFAULT_QUAD) -> "Cavity":
         """The cavity of `params` on the grid of `pulse` under rule `quad`.
         Raises NonFiniteIntegrand where the grid or the elements overflow (a
-        rate too large for double precision): a NaN in f shows in
-        w = omega/|f|^2, and one in h in t_LL = 1 + 2 sin^2(xi) h."""
+        rate too large for double precision): an overflow of the grid shows
+        in w = kappa_p w1, and a NaN in h in t_LL = 1 + 2 sin^2(xi) h."""
         with np.errstate(over="ignore", invalid="ignore"):
             grid = build_grid(pulse, quad)
-            elements = t_elements(grid.k, replace(params, k_c=0.0))
+            elements = detuned_elements(grid.k, params)
         if not (np.isfinite(grid.w).all() and np.isfinite(elements[0]).all()):
             raise NonFiniteIntegrand("the simulated cycle overflows at this "
                                      "parameter point")
@@ -392,7 +396,7 @@ class TwoCavityState:
 
     @property
     def norm(self) -> float:
-        return float(np.real(np.einsum("abab->", self.atom_density())))
+        return _trace(self.atom_density())
 
     def atom_density(self) -> np.ndarray:
         """Two-atom density matrix rho[a, b, c, d], both photons traced out.
@@ -401,18 +405,37 @@ class TwoCavityState:
                              self.grid_2.w)
 
 
+def _gram(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gram matrix g[(r, a), (s, c)] = sum_{p, j} w_j stack[r, a, p, j]
+    conj(stack[s, c, p, j]) of a factor stack: one matrix product (X w) X^H
+    of its (r a, p n) reshape X."""
+    rows = stack.shape[0] * stack.shape[1]
+    return ((stack * w).reshape(rows, -1)
+            @ np.conjugate(stack).reshape(rows, -1).T)
+
+
 def _pair_density(left: np.ndarray, right: np.ndarray, w_1: np.ndarray,
                   w_2: np.ndarray) -> np.ndarray:
     """rho[a, b, c, d] of sum_r left[r] x right[r] with the photon channels
     and nodes traced against the weights w_1 and w_2.
 
     Each side contributes its r x r Gram matrix with the atom index left
-    open, g[r, s, a, c] = sum_{p, j} w_j left[r, a, p, j] conj(left[s, c, p, j]);
-    the trace over both photons is the product of the two, summed over r, s.
+    open, g[r, a, s, c] (`_gram`); the trace over both photons is the
+    product of the two summed over r and s, rho[a, b, c, d] =
+    sum_{r, s} g_1[r, a, s, c] g_2[r, b, s, d]: a (4, r^2) by (r^2, 4)
+    product.
     """
-    gram_1 = np.einsum("rapj,scpj,j->rsac", left, np.conjugate(left), w_1)
-    gram_2 = np.einsum("rbqj,sdqj,j->rsbd", right, np.conjugate(right), w_2)
-    return np.einsum("rsac,rsbd->abcd", gram_1, gram_2)
+    r, atoms = left.shape[:2]
+    g_1 = _gram(left, w_1).reshape(r, atoms, r, atoms).transpose(1, 3, 0, 2)
+    g_2 = _gram(right, w_2).reshape(r, atoms, r, atoms).transpose(0, 2, 1, 3)
+    rho = (g_1.reshape(atoms * atoms, r * r)
+           @ g_2.reshape(r * r, atoms * atoms))       # [(a, c), (b, d)]
+    return rho.reshape((atoms,) * 4).transpose(0, 2, 1, 3)
+
+
+def _trace(rho: np.ndarray) -> float:
+    """Trace sum_{a, b} rho[a, b, a, b] of a two-atom density matrix."""
+    return float(rho.reshape(4, 4).trace().real)
 
 
 def prepare_pair(pair: PhotonPair, grid_1: KGrid, grid_2: KGrid
@@ -439,8 +462,9 @@ def scatter_pair(state: TwoCavityState, cav_1: Cavity,
     """
     _require_grid(state.grid_1, cav_1)
     _require_grid(state.grid_2, cav_2)
-    return replace(state, left=_scatter(state.left, cav_1.elements),
-                   right=_scatter(state.right, cav_2.elements))
+    return TwoCavityState(grid_1=state.grid_1, grid_2=state.grid_2,
+                          left=_scatter(state.left, cav_1.elements),
+                          right=_scatter(state.right, cav_2.elements))
 
 
 @dataclass(frozen=True)
@@ -482,8 +506,7 @@ def entanglement_storage(pair: PhotonPair,
     """
     if mode not in ("postselect", "swap"):
         raise InvalidField(mode, "unknown storage mode")
-    root_eta_1 = np.sqrt(check_efficiency(detector_1))
-    root_eta_2 = np.sqrt(check_efficiency(detector_2))
+    eta = check_efficiency(detector_1) * check_efficiency(detector_2)
     cav_1 = Cavity.of(params_1, pulse_1, quad)
     # identical nodes meet their photons alike: one cavity, and one grid,
     # serves both
@@ -491,29 +514,32 @@ def entanglement_storage(pair: PhotonPair,
              else Cavity.of(params_2, pulse_2, quad))
     grid_1, grid_2 = cav_1.grid, cav_2.grid
     state = scatter_pair(prepare_pair(pair, grid_1, grid_2), cav_1, cav_2)
-    target = np.zeros((2, 2), dtype=complex)
-    target[ATOM_R, ATOM_L] = pair.c_LR
-    target[ATOM_L, ATOM_R] = pair.c_RL
+    # the swap image c_LR |RL> + c_RL |LR> as a vector over (a, b)
+    target = np.zeros(4, dtype=complex)
+    target[2 * ATOM_R + ATOM_L] = pair.c_LR
+    target[2 * ATOM_L + ATOM_R] = pair.c_RL
     if mode == "swap":
-        rho4 = state.atom_density()
-        fidelity = float(np.real(np.einsum("ab,abcd,cd->",
-                                           np.conjugate(target), rho4, target)))
-        probability = float(np.real(np.einsum("abab->", rho4)))
-        return EntanglementOutcome(probability=probability, fidelity=fidelity,
-                                   mode=mode)
-    # Both photons counted in k_L: the Kraus factors act on each side's
-    # POL_L channel, which keeps the state a sum of the same rank terms.
-    sel_1 = state.left[:, :, POL_L, :] * root_eta_1
-    sel_2 = state.right[:, :, POL_L, :] * root_eta_2
-    prob = replace(state, left=sel_1[:, :, None], right=sel_2[:, :, None]).norm
+        rho = state.atom_density().reshape(4, 4)      # [(a, b), (c, d)]
+        return EntanglementOutcome(
+            probability=float(rho.trace().real),
+            fidelity=float(np.vdot(target, rho @ target).real), mode=mode)
+    # Both photons counted in k_L: the Kraus factors sqrt(eta) act on each
+    # side's POL_L channel, which keeps the state a sum of the same rank
+    # terms and scales the heralded norm by eta_1 eta_2.
+    sel_1 = state.left[:, :, POL_L]
+    sel_2 = state.right[:, :, POL_L]
+    heralded = _trace(_pair_density(sel_1[:, :, None], sel_2[:, :, None],
+                                    grid_1.w, grid_2.w))
+    prob = eta * heralded
     if prob < TINY_PROB:
         raise ZeroProbability("two-photon k_L detection")
     # Overlap with the swap image carried by the detected envelopes: each
-    # rank term factors into one node sum per grid.
-    ovl_1 = sel_1 @ (grid_1.w * root_eta_1 * np.conjugate(grid_1.f))
-    ovl_2 = sel_2 @ (grid_2.w * root_eta_2 * np.conjugate(grid_2.f))
-    overlap = np.einsum("ab,ra,rb->", np.conjugate(target), ovl_1, ovl_2)
-    weight = (float(np.real(grid_1.average(root_eta_1 ** 2)))
-              * float(np.real(grid_2.average(root_eta_2 ** 2))))
-    fidelity = float(abs(overlap) ** 2 / (weight * prob))
+    # rank term factors into one node sum per grid.  The Kraus factors
+    # scale the overlap, the heralded norm and the image's norm alike, so
+    # eta cancels from the fidelity.
+    ovl_1 = sel_1 @ (grid_1.w * np.conjugate(grid_1.f))
+    ovl_2 = sel_2 @ (grid_2.w * np.conjugate(grid_2.f))
+    overlap = np.vdot(target, (ovl_1.T @ ovl_2).ravel())
+    weight = float(grid_1.omega.sum()) * float(grid_2.omega.sum())
+    fidelity = float(abs(overlap) ** 2 / (weight * heralded))
     return EntanglementOutcome(probability=prob, fidelity=fidelity, mode=mode)

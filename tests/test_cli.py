@@ -582,12 +582,34 @@ def test_validate_prints_no_rounding_noise_for_the_oracle(monkeypatch,
     assert len(lines) == 15
     assert ("ok   state-oracle equivalence: 20 parameter sets, worst |delta| "
             "< 1e-12") in lines
+    # so do the nine identities that hold to rounding
+    floored = [
+        "determinant identity: max residual < 1e-13 over 10000 samples",
+        "trace identity: max residual < 1e-13 over 10000 samples",
+        "cross-element magnitude: max residual < 1e-13 over 10000 samples",
+        "left-unit relation at equal couplings: max residual < 1e-13",
+        "lossless-limit unitarity: max residual < 1e-13",
+        "phase depends on couplings via their sum of squares: max spread "
+        "< 1e-13",
+        "quadrature normalization: max |sum(omega) - 1| < 1e-13",
+        "success-probability dual path: max |direct - factored| < 1e-13",
+        "memory-fidelity ratio invariance: max spread < 1e-13",
+    ]
+    assert all(f"ok   {line}" in lines for line in floored)
+    assert sum("< 1e-13" in line for line in lines) == len(floored)
     # a delta past rounding still prints with its figure
     monkeypatch.setattr(invariants, "oracle_equivalence",
                         lambda cases, quad: {"F_qm": 1e-15, "P_L": 3e-9})
     assert main(["validate", "--trials", "1"]) == 0
     assert ("ok   state-oracle equivalence: 1 parameter sets, worst |delta| "
             "= 3.00e-09 (P_L)") in capsys.readouterr().out.splitlines()
+    # and so does a residual above the floor, passing or failing
+    for residual, verdict in ((2.5e-13, "ok  "), (3e-12, "FAIL")):
+        monkeypatch.setattr(invariants, "quadrature_normalization",
+                            lambda quad, residual=residual: residual)
+        main(["validate", "--trials", "1"])
+        assert (f"{verdict} quadrature normalization: max |sum(omega) - 1| "
+                f"= {residual:.2e}") in capsys.readouterr().out.splitlines()
 
 
 def test_validate_exits_one_when_a_family_fails(monkeypatch, capsys):

@@ -20,6 +20,7 @@ from cavqmem.spectral import (
     faddeeva_difference,
     pole_averages,
     profile_amplitude,
+    quadrature_rule,
     spectral_average,
 )
 from cavqmem.statesim import (PhotonPair, entanglement_storage,
@@ -144,6 +145,36 @@ def test_plain_weights_invert_intensity(pulse):
     values = np.cos(grid.k)
     assert np.sum(grid.w * np.abs(grid.f) ** 2 * values) == pytest.approx(
         complex(grid.average(values)).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+def test_grid_scales_the_unit_width_pulse(profile):
+    # build_grid scales the cached unit-width pulse to kappa_p; the envelope
+    # and plain weights must be the profile's at the nodes.  The direct
+    # evaluation reads f at the rounded node k, the grid at the exact
+    # delta_p + kappa_p x, so beyond 1e-12 the two may part by the slope of
+    # log f times that rounding: |x|/kappa_p (Gaussian) or
+    # 1/(kappa_p |x + i|) (Lorentzian) times a unit in the last place
+    eps = np.finfo(float).eps
+    for quad in (DEFAULT_QUAD, QuadratureConfig(n_gauss=370, n_lorentz=260)):
+        x, _ = quadrature_rule(profile, quad)
+        for kappa_p in (1e-3, 0.05, 1.0, 30.0):
+            slope = (np.abs(x) / kappa_p if profile is Profile.GAUSSIAN
+                     else 1.0 / (kappa_p * np.abs(x + 1j)))
+            for delta_p in (-20.0, -0.3, 0.0, 7.5, 20.0):
+                pulse = PulseSpec(profile=profile, delta_p=delta_p,
+                                  kappa_p=kappa_p)
+                grid = build_grid(pulse, quad)
+                f = profile_amplitude(grid.k, pulse)
+                w = grid.omega / np.abs(f) ** 2
+                shift = slope * (np.spacing(np.abs(grid.k))
+                                 + np.spacing(np.abs(kappa_p * x)))
+                assert np.all(np.abs(grid.f - f)
+                              <= (1e-12 + shift) * np.abs(f))
+                assert np.all(np.abs(grid.w - w) <= (1e-12 + 2 * shift) * w)
+                # the plain weights invert the intensity to a few ulp
+                assert np.all(np.abs(grid.w * np.abs(grid.f) ** 2
+                                     - grid.omega) <= 6 * eps * grid.omega)
 
 
 def test_non_finite_integrand_is_reported():

@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavqmem import params as params_module
 from cavqmem import statesim
 from cavqmem.errors import InvalidField, NonFiniteIntegrand, ZeroProbability
 from cavqmem.metrics import (
@@ -159,6 +163,12 @@ def test_detection_with_no_support_is_refused():
         prepare_input(ATOM_START, PhotonQubit(0.0, 1.0), cav.grid), cav)
     with pytest.raises(ZeroProbability):
         detect_photon_L(state)
+    # nor, in a pair, photon 1 of the c_RL term, the only one sent on k_R
+    with pytest.raises(ZeroProbability, match="two-photon"):
+        entanglement_storage(PhotonPair(0.0, 1.0), params, LOSSY, GAUSS,
+                             GAUSS)
+    assert entanglement_storage(PhotonPair(0.0, 1.0), params, LOSSY, GAUSS,
+                                GAUSS, mode="swap").fidelity == 0.0
 
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ])
@@ -241,8 +251,9 @@ def test_heralded_readout_multiplies_success_probabilities():
         run_memory_protocol(params, GAUSS, readout="homodyne")
 
 
-ONE_PATH = ("build_grid", "t_elements", "apply_scattering", "detect_photon_L",
-            "retrieve", "atomic_readout_via_third_photon", "scatter_pair")
+ONE_PATH = ("build_grid", "detuned_elements", "apply_scattering",
+            "detect_photon_L", "retrieve", "atomic_readout_via_third_photon",
+            "scatter_pair")
 
 
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
@@ -262,7 +273,7 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
     monkeypatch.setattr(Cavity, "of", counting("Cavity", Cavity.of))
     run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED, detector=0.7,
                         readout=readout)
-    assert calls == {"build_grid": 1, "t_elements": 1, "Cavity": 1,
+    assert calls == {"build_grid": 1, "detuned_elements": 1, "Cavity": 1,
                      "apply_scattering": 1, "detect_photon_L": 1,
                      "retrieve": 1, "scatter_pair": 0,
                      "atomic_readout_via_third_photon":
@@ -281,7 +292,7 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
         entanglement_storage(PhotonPair(0.6, 0.8j), params_1, params_2,
                              pulse_1, pulse_2, mode=mode)
         assert calls == {**dict.fromkeys(calls, 0), "build_grid": builds,
-                         "t_elements": builds, "Cavity": builds,
+                         "detuned_elements": builds, "Cavity": builds,
                          "scatter_pair": 1}
 
 
@@ -307,13 +318,39 @@ def test_only_cavity_of_builds_grids_and_elements():
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", getattr(func, "attr", None))
-                if name in ("build_grid", "t_elements"):
+                if name in ("build_grid", "t_elements", "detuned_elements"):
                     yield ".".join(scope), name
             yield from callers(child, scope)
 
     tree = ast.parse(Path(statesim.__file__).read_text(encoding="utf-8"))
     assert sorted(callers(tree)) == [("Cavity.of", "build_grid"),
-                                     ("Cavity.of", "t_elements")]
+                                     ("Cavity.of", "detuned_elements")]
+
+
+def test_cavity_of_builds_no_second_params(monkeypatch):
+    # the elements are evaluated at the grid's detunings, so no SystemParams
+    # with k_c = 0 is built, and checked, beside the caller's
+    calls = []
+    check = params_module.validate
+
+    def counting(params):
+        calls.append(params)
+        return check(params)
+
+    monkeypatch.setattr(params_module, "validate", counting)
+    SystemParams()
+    assert len(calls) == 1  # the count sees every SystemParams built
+    calls.clear()
+    for pulse in (GAUSS, LORENTZ):
+        cav = Cavity.of(OTHER, pulse)  # OTHER sits at k_c = -0.2
+        entanglement_storage(PhotonPair(0.6, 0.8j), LOSSY, OTHER, pulse,
+                             GAUSS, mode="swap")
+        assert calls == []
+        # the same elements, bit for bit, as at the shifted parameters
+        shifted = t_elements(cav.grid.k, replace(OTHER, k_c=0.0))
+        for got, ref in zip(cav.elements, shifted):
+            np.testing.assert_array_equal(got, ref)
+        calls.clear()
 
 
 @pytest.mark.parametrize("mode", ["postselect", "swap"])
@@ -447,6 +484,74 @@ def test_pair_storage_takes_one_contraction(monkeypatch, mode):
     entanglement_storage(PhotonPair(0.6, 0.8j), LOSSY, OTHER, GAUSS, GAUSS,
                          mode=mode)
     assert len(calls) == 1
+
+
+def _einsum_pair_density(left, right, w_1, w_2):
+    """Reference for `statesim._pair_density`: each side's Gram matrix by a
+    three-operand einsum, then their product summed over r and s."""
+    gram_1 = np.einsum("rapj,scpj,j->rsac", left, np.conjugate(left), w_1)
+    gram_2 = np.einsum("rbqj,sdqj,j->rsbd", right, np.conjugate(right), w_2)
+    return np.einsum("rsac,rsbd->abcd", gram_1, gram_2)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_gram_contraction_matches_the_einsum_reference(channels):
+    # one (X w) X^H product per side, on random stacks over unequal grids:
+    # the same sums as the einsums, taken in another order
+    rng = np.random.default_rng(17)
+
+    def stack(rank, n):
+        shape = (rank, 2, channels, n)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for rank, n_1, n_2 in ((2, 64, 64), (2, 104, 1040), (3, 520, 37)):
+        left, right = stack(rank, n_1), stack(rank, n_2)
+        w_1, w_2 = rng.uniform(0.0, 2.0, n_1), rng.uniform(0.0, 2.0, n_2)
+        got = statesim._pair_density(left, right, w_1, w_2)
+        ref = _einsum_pair_density(left, right, w_1, w_2)
+        assert got.shape == ref.shape == (2, 2, 2, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# Every case of the thread-count check: (pulse profile, Lorentzian node
+# count, mode).  At 26 x 1024 nodes the Gram product is large enough for
+# BLAS to hand it to more than one thread.
+_THREAD_CASES = [(profile, n, mode) for profile in ("gaussian", "lorentzian")
+                 for n in (1040, 26 * 1024) for mode in ("postselect", "swap")]
+
+_THREAD_PROBE = """
+from cavqmem import (PhotonPair, PulseSpec, QuadratureConfig, SystemParams,
+                     entanglement_storage)
+one = SystemParams(lambda_L=1.2, lambda_R=2.1, theta_L=0.4, gamma=0.8,
+                   delta_e=0.7)
+two = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_L=-1.1, gamma=0.4,
+                   k_c=-0.2, delta_e=-0.7)
+for profile, n, mode in {cases!r}:
+    pulse = PulseSpec(profile=profile, delta_p=0.1, kappa_p=0.3)
+    # an identical second node, then another one
+    for params, other in ((one, pulse), (two, PulseSpec(kappa_p=0.2))):
+        out = entanglement_storage(PhotonPair(0.6, 0.8j), one, params, pulse,
+                                   other, QuadratureConfig(n_lorentz=n), 0.9,
+                                   0.7, mode)
+        print(repr(out.probability), repr(out.fidelity))
+"""
+
+
+def test_pair_storage_does_not_depend_on_the_blas_thread_count():
+    # the Gram products run in BLAS, whose threads may split a product:
+    # outputs must not move, bit for bit, with the thread count
+    src = str(Path(statesim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE.format(cases=_THREAD_CASES)],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 2 * len(_THREAD_CASES)
+    assert outputs[0] == outputs[1]
 
 
 def test_heralded_pair_storage_matches_single_qubit_fidelity():
