@@ -80,13 +80,13 @@ from .statesim import (
     TwoCavityState,
     apply_scattering,
     atomic_readout_via_third_photon,
-    detect_photon_L,
     entanglement_storage,
     prepare_input,
     prepare_pair,
     retrieve,
     run_memory_protocol,
     scatter_pair,
+    store,
     swap_transfer_fidelity,
 )
 
@@ -131,7 +131,6 @@ __all__ = [
     "cycle_closed_forms",
     "cooperativity",
     "coupling_amplitude",
-    "detect_photon_L",
     "entanglement_storage",
     "point_from_dict",
     "point_rows",
@@ -148,6 +147,7 @@ __all__ = [
     "scattered_amplitude",
     "spectral_average",
     "spectral_moments",
+    "store",
     "swap_fidelity_leading",
     "swap_target_atom",
     "swap_target_photon",

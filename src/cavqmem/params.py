@@ -426,10 +426,15 @@ def require_normalized(qubit, tol: float = 1e-9) -> None:
 def check_efficiency(eta) -> float:
     """The detector efficiency eta as a float.  Raises InvalidField unless it
     is a real number in (0, 1]."""
-    if not isinstance(eta, numbers.Real) or not 0.0 < eta <= 1.0:
-        raise InvalidField(
-            "eta", f"constant efficiency must be in (0, 1], got {eta!r}")
-    return float(eta)
+    # a plain float skips the ABC check, which costs microseconds on a cold
+    # cache
+    if type(eta) is float:
+        if 0.0 < eta <= 1.0:
+            return eta
+    elif isinstance(eta, numbers.Real) and 0.0 < eta <= 1.0:
+        return float(eta)
+    raise InvalidField(
+        "eta", f"constant efficiency must be in (0, 1], got {eta!r}")
 
 
 def rescaled(params: SystemParams, pulse: PulseSpec, factor: float

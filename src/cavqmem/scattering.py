@@ -24,9 +24,12 @@ The code evaluates none of this ratio.  With s = k - k_c the phase factor is
     h(s) = -i kappa lambda^2 / ((s - i kappa) w_-(s)),
 
 and every pointwise element of the map (the phase factor and the four
-t_xy) is linear in h.  So h is the only rational function evaluated at a
-point, and w_+ stays here as documentation: the tests check the code
-against the ratio above.
+t_xy) is linear in h.  So h is the only rational function the map
+evaluates at a point, and w_+ stays here as documentation: the tests check
+the code against the ratio above.  The one other pointwise function is the
+decay weight 1 - |t_RR|^2 - |t_LR|^2 (`detuned_decay`), which passivity
+turns into a product over |w_-| that keeps its digits where the loss is
+small.
 
 All wavenumber arguments accept scalars or numpy arrays and broadcast;
 `detuned_elements` takes detunings s in their place, as a grid built around
@@ -81,15 +84,20 @@ def scattered_amplitude(k, params: SystemParams | ParamRows):
 def _detuned_amplitude(s, params: SystemParams | ParamRows):
     """h at the detunings s = k - k_c (see `scattered_amplitude`)."""
     ik = 1j * params.kappa
-    # w_- = (s - delta_e + i gamma)(s + i kappa) - lambda^2, factored:
-    # expanded, its terms cancel near s = delta_e at weak coupling and
-    # gamma = 0, where one root nears the real axis
-    den = (s - ik) * ((s - (params.delta_e - 1j * params.gamma)) * (s + ik)
-                      - params.lambda_sq)
-    if (np.abs(den) < 1e-300).any():
+    lambda_sq = params.lambda_sq
+    den = (s - ik) * _w_minus(s, params, lambda_sq)
+    if np.count_nonzero(np.abs(den) < 1e-300):
         raise DegenerateDenominator()
-    out = -ik * params.lambda_sq / den
+    out = -ik * lambda_sq / den
     return out if out.ndim else complex(out)
+
+
+def _w_minus(s, params: SystemParams | ParamRows, lambda_sq):
+    """w_-(s) = (s - delta_e + i gamma)(s + i kappa) - lambda^2, factored:
+    expanded, its terms cancel near s = delta_e at weak coupling and
+    gamma = 0, where one root nears the real axis."""
+    return ((s - (params.delta_e - 1j * params.gamma)) * (s + 1j * params.kappa)
+            - lambda_sq)
 
 
 def bright_phase_factor(k, params: SystemParams | ParamRows):
@@ -114,12 +122,27 @@ def detuned_elements(s, params: SystemParams):
     """`t_elements` at the detunings s = k - k_c, the coordinates of a grid
     built around the cavity resonance: no wavenumber is shifted."""
     h = _detuned_amplitude(np.asarray(s, dtype=float), params)
-    sin_xi, cos_xi = params.sin_xi, params.cos_xi
+    lam = params.lam                       # sin_xi and cos_xi, one sqrt
+    sin_xi, cos_xi = params.lambda_L / lam, params.lambda_R / lam
     # e^{-i(theta_L - theta_R)} sin(2 xi), one Python complex
     cross = (cmath.exp(-1j * (params.theta_L - params.theta_R))
              * (2.0 * sin_xi * cos_xi))
     return (1.0 + (2.0 * sin_xi**2) * h, 1.0 + (2.0 * cos_xi**2) * h,
             cross * h, cross.conjugate() * h)
+
+
+def detuned_decay(s, params: SystemParams):
+    """The decay weight 1 - |t_RR|^2 - |t_LR|^2 at the detunings s: the share
+    of a |R, k_R> photon that the atom sheds into spontaneous emission on
+    one pass.  By passivity it equals 4 cos^2(xi) kappa gamma lambda^2 /
+    |w_-(s)|^2 = (4 lambda_R^2 kappa/|w_-|)(gamma/|w_-|), a product with
+    no cancellation, so a small loss keeps its digits where 1 minus the
+    surviving weight would leave a few ulp of 1.  Where |w_-| overflows the
+    weight reads 0."""
+    size = np.abs(_w_minus(np.asarray(s, dtype=float), params,
+                           params.lambda_sq))
+    return (4.0 * params.lambda_R**2 * params.kappa / size) * (
+        params.gamma / size)
 
 
 class PoleExpansion(NamedTuple):

@@ -24,6 +24,24 @@ matrix is one matrix product (X w) X^H of its stack X, reshaped to
 (rank x atom, polarization x node).  This is an exact re-representation:
 every sum that the full array would take is still taken, node by node.
 
+The memory cycle carries only the amplitudes it fills.  The atom starts in
+|R>, so the storage pass (`store`) leaves c_L f on the dark |R, k_L> and
+t_LR c_R f on |L, k_L>; the |R, k_R> branch is never counted, and only the
+weight it sheds into spontaneous emission is kept.  The k_L count scales
+the two counted branches by sqrt(eta) into the node-indexed `AtomEnsemble`,
+whose 2 x 2 Gram matrix holds every sum over the storage nodes.  In
+`retrieve` each branch's released photon is its amplitude times a fixed
+retrieval envelope per polarization, so its overlap with the target takes
+two scalar channel overlaps, and every sum over the retrieval nodes is one
+of [1], [t_LR] and [|t_LR|^2] on the cavity's grid.  Decay weights are
+summed node by node from 1 - |t_RR|^2 - |t_LR|^2 in a form that does not
+cancel (`Cavity.decay`), never as a difference of norms, so a small loss
+keeps its digits.  The full (2, 2, n) `JointState`, with `prepare_input`
+and `apply_scattering`, serves an arbitrary atomic pre-state
+(`swap_transfer_fidelity`).  Sums over the nodes are pairwise sums or
+matrix products, not BLAS dot products: BLAS threads split a long dot
+product, so its last bits would move with the thread count.
+
 A step that sends a photon through a cavity takes a `Cavity`: a pulse's
 grid with one node's scattering elements at its nodes, which `Cavity.of`
 builds, in the grid's detuning coordinates and from the caller's
@@ -38,7 +56,9 @@ checked where they enter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +72,7 @@ from .params import (
     qubit_norm,
     require_normalized,
 )
-from .scattering import detuned_elements
+from .scattering import detuned_decay, detuned_elements
 from .spectral import DEFAULT_QUAD, KGrid, QuadratureConfig, build_grid
 
 ATOM_L, ATOM_R = 0, 1
@@ -65,8 +85,8 @@ TINY_PROB = 1e-300
 @dataclass(frozen=True, eq=False)
 class Cavity:
     """One atom-cavity node as a pulse's photon meets it: the pulse's grid,
-    the `t_elements` (t_LL, t_RR, t_LR, t_RL) at its nodes, and whether the
-    atom is lossless (gamma = 0).  Build it with `Cavity.of`.
+    the `t_elements` (t_LL, t_RR, t_LR, t_RL) at its nodes, and the
+    parameters they were evaluated at.  Build it with `Cavity.of`.
 
     The grid is in detuning coordinates, its nodes at k - k_c, and the
     elements are evaluated there (`scattering.detuned_elements`): the
@@ -76,7 +96,7 @@ class Cavity:
 
     grid: KGrid
     elements: tuple
-    lossless: bool
+    params: SystemParams
 
     @classmethod
     def of(cls, params: SystemParams, pulse: PulseSpec,
@@ -91,7 +111,25 @@ class Cavity:
         if not (np.isfinite(grid.w).all() and np.isfinite(elements[0]).all()):
             raise NonFiniteIntegrand("the simulated cycle overflows at this "
                                      "parameter point")
-        return cls(grid=grid, elements=elements, lossless=params.gamma == 0.0)
+        return cls(grid=grid, elements=elements, params=params)
+
+    @property
+    def lossless(self) -> bool:
+        """Whether the atom never decays (gamma = 0)."""
+        return self.params.gamma == 0.0
+
+    @cached_property
+    def decay(self) -> float:
+        """[1 - |t_RR|^2 - |t_LR|^2]_f: the share of a k_R photon that an
+        atom in |R> sheds into spontaneous emission, summed node by node
+        from `scattering.detuned_decay`, which does not cancel; exactly 0.0
+        when the atom is lossless.  Only the memory cycle reads it, on
+        first use."""
+        if self.lossless:
+            return 0.0
+        with np.errstate(over="ignore"):
+            weight = detuned_decay(self.grid.k, self.params)
+        return float((self.grid.omega * weight).sum())
 
 
 def _require_grid(grid: KGrid, cav: Cavity) -> None:
@@ -172,36 +210,61 @@ class AtomEnsemble:
 
     The counter does not resolve k, so the atom is left in a mixture indexed
     by the grid node: branch j has (unnormalized) amplitudes beta[:, j] and
-    grid weight w_j.  `probability` is the detection probability; the branch
-    amplitudes keep their raw scale, so sum_j w_j |beta[:, j]|^2 equals it.
+    grid weight w_j.  The branch amplitudes keep their raw scale, so the
+    trace of `gram`, sum_j w_j |beta[:, j]|^2, is the detection probability.
     """
 
     grid: KGrid
     beta: np.ndarray
-    probability: float
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The unnormalized density matrix g[a, b] = sum_j w_j beta[a, j]
+        conj(beta[b, j]), one (2, n) by (n, 2) product."""
+        # `_gram` on a (1, 2, 1, n) view would give the same; its reshapes
+        # cost ~30 us on a cold cache
+        return (self.beta * self.grid.w) @ self.beta.conj().T
+
+    @cached_property
+    def probability(self) -> float:
+        """The detection probability, the trace of `gram`."""
+        return float(self.gram.trace().real)
 
     def density(self) -> np.ndarray:
         """Normalized 2x2 atomic density matrix of the ensemble."""
-        rho = np.einsum("aj,bj,j->ab", self.beta, np.conjugate(self.beta),
-                        self.grid.w)
-        return rho / self.probability
+        return self.gram / self.probability
 
 
-def detect_photon_L(state: JointState, detector: float = 1.0
-                    ) -> tuple[AtomEnsemble, float]:
-    """Count the photon in the k_L polarization channel with efficiency
+def store(cav: Cavity, photon: PhotonQubit, detector: float = 1.0
+          ) -> tuple[AtomEnsemble, float]:
+    """Store the polarization qubit `photon` on the atom, prepared in |R>,
+    and count the scattered photon in the k_L channel with efficiency
     `detector`.
 
-    Returns the conditioned atomic ensemble and the detection probability
-    P(k_L).  Raises InvalidField unless 0 < detector <= 1, and
-    ZeroProbability when that outcome has no support.
+    The photon c_L |k_L> + c_R |k_R> with the grid's envelope f meets the
+    cavity once.  Its |R, k_L> part is dark and passes as c_L f; its
+    |R, k_R> part is bright and leaves as t_LR c_R f on |L, k_L> (counted)
+    and t_RR c_R f on |R, k_R> (never counted), shedding |c_R|^2 [1 -
+    |t_RR|^2 - |t_LR|^2]_f into spontaneous emission.  The count's Kraus
+    factor sqrt(eta) scales the two counted branches into the ensemble:
+    beta[L] = sqrt(eta) t_LR c_R f and beta[R] = sqrt(eta) c_L f.
+
+    Returns the ensemble, whose probability is P(k_L), and the decay weight
+    of the pass (`Cavity.decay` times |c_R|^2, exactly 0.0 at gamma = 0).
+    Raises InvalidField unless the photon is normalized and 0 < detector
+    <= 1, and ZeroProbability when the count has no support.
     """
-    beta = np.sqrt(check_efficiency(detector)) * state.amps[:, POL_L, :]
-    prob = float(np.real(np.einsum("aj,aj,j->", beta, np.conjugate(beta),
-                                   state.grid.w)))
-    if prob < TINY_PROB:
+    require_normalized(photon)
+    root_eta = math.sqrt(check_efficiency(detector))
+    grid = cav.grid
+    beta = np.empty((2, grid.n), dtype=complex)
+    np.multiply(cav.elements[2], (root_eta * photon.c_R) * grid.f,
+                out=beta[ATOM_L])
+    np.multiply(root_eta * photon.c_L, grid.f, out=beta[ATOM_R])
+    stored = AtomEnsemble(grid=grid, beta=beta)
+    if stored.probability < TINY_PROB:
         raise ZeroProbability("k_L photon detection")
-    return AtomEnsemble(grid=state.grid, beta=beta, probability=prob), prob
+    return stored, abs(photon.c_R) ** 2 * cav.decay
 
 
 @dataclass(frozen=True)
@@ -228,33 +291,32 @@ def retrieve(stored: AtomEnsemble, cav: Cavity,
     by the same envelope.
     """
     require_normalized(target)
-    grid = cav.grid
-    _, t_rr, t_lr, _ = cav.elements
-    # Atom found in |L>: on polarization channel p the released photon of
-    # storage branch j has amplitude storage_amps[p, j] * release_amps[p, j']
-    # at retrieval node k'_j'.  The scattered |R> branch arrives on k_L via
-    # T_LR, the transparent |L> branch keeps polarization k_R.
-    storage_amps = stored.beta[[ATOM_R, ATOM_L]]
-    release_amps = np.stack([t_lr * grid.f, grid.f])
-    w1 = stored.grid.w
-    w2 = grid.w
-    stored_mass = np.abs(storage_amps) ** 2 @ w1
-    mass = float(stored_mass @ (np.abs(release_amps) ** 2 @ w2))
+    omega = cav.grid.omega
+    t_lr = cav.elements[2]
+    # Atom found in |L>: storage branch j releases beta[R, j] t_LR f' on
+    # k_L (the scattered |R> branch, converted) and beta[L, j] f' on k_R
+    # (the transparent |L> branch).  Every sum over the retrieval nodes is
+    # then one of [1], [t_LR] and [|t_LR|^2] on the cavity's grid.
+    weighted = omega * t_lr
+    norm = float(omega.sum())
+    mean = complex(weighted.sum())
+    converted = float((weighted * t_lr.conj()).real.sum())
+    (g_ll, g_lr), (_, g_rr) = stored.gram.tolist()
+    mass = g_rr.real * converted + g_ll.real * norm
     if mass < TINY_PROB:
         raise ZeroProbability("atom found in the retrieval level")
-    # Overlap with the target qubit on the retrieval envelope, branch by
-    # branch; the unresolved storage node makes the branches incoherent.
-    target_amps = np.array([[target.c_L], [target.c_R]]) * grid.f
-    channel_ovl = (release_amps * np.conjugate(target_amps)) @ w2
-    ovl = channel_ovl @ storage_amps
-    fidelity = float(np.real(np.sum(w1 * np.abs(ovl) ** 2)) / mass)
-    survive = float(np.real(np.sum(
-        w2 * np.abs(grid.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
-    decay = 0.0 if cav.lossless else float(stored_mass[0] * (1.0 - survive))
+    # Branch j's overlap with the target on the retrieval envelope is
+    # v_L beta[L, j] + v_R beta[R, j], one scalar channel overlap per
+    # atomic level.  The unresolved storage node makes the branches
+    # incoherent, so the fidelity sums |overlap|^2 over them: v g v^H.
+    v_l = target.c_R.conjugate() * norm
+    v_r = target.c_L.conjugate() * mean
+    overlap_sq = (abs(v_l) ** 2 * g_ll.real + abs(v_r) ** 2 * g_rr.real
+                  + 2.0 * (v_l * v_r.conjugate() * g_lr).real)
     return RetrievalOutcome(
         probability=mass / stored.probability,
-        fidelity=fidelity,
-        loss=decay / stored.probability,
+        fidelity=overlap_sq / mass,
+        loss=g_rr.real * cav.decay / stored.probability,
     )
 
 
@@ -323,10 +385,9 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     # Storage, retrieval and probe photons share the pulse, so one cavity
     # serves the whole cycle.
     cav = Cavity.of(params, pulse, quad)
-    state = apply_scattering(
-        prepare_input(AtomQubit(0.0, 1.0), photon, cav.grid), cav)
-    stored, p_k_l = detect_photon_L(state, eta)
+    stored, decay = store(cav, photon, eta)
     outcome = retrieve(stored, cav, photon)
+    p_k_l = stored.probability
     p_qm = p_k_l * outcome.probability
     p_readout = None
     if readout == "third_photon":
@@ -335,7 +396,7 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     return MemoryRecord(
         p_k_l=p_k_l, p_l=outcome.probability, p_qm=p_qm,
         fidelity=outcome.fidelity,
-        loss_weight=state.loss_weight + outcome.loss, readout=readout,
+        loss_weight=decay + outcome.loss, readout=readout,
         p_readout=p_readout,
         p_total=p_qm if p_readout is None else p_qm * p_readout)
 

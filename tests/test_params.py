@@ -3,6 +3,8 @@
 import ast
 import math
 from dataclasses import astuple
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +42,8 @@ from cavqmem.params import (
     validate_pulse,
 )
 from cavqmem.scattering import coupling_amplitude
-from cavqmem.spectral import QuadratureConfig, build_grid
-from cavqmem.statesim import PhotonPair, prepare_input
+from cavqmem.spectral import QuadratureConfig
+from cavqmem.statesim import PhotonPair
 
 PACKAGE_DIR = Path(cavqmem.__file__).parent
 
@@ -251,10 +253,22 @@ def test_normalized_refuses_zero_and_non_finite_norms(qubit):
 
 
 def test_constant_detector_bounds():
-    for good in (0.8, 1.0, 1, np.float64(0.25), 1e-310):
-        assert check_efficiency(good) == good
+    # any real number in (0, 1], returned as a float; a plain float takes
+    # a fast path that must accept and refuse exactly as the general one
+    class Real(float):
+        pass
+
+    for good in (0.8, 1.0, 1e-310, 5e-324, math.nextafter(0.0, 1.0),
+                 Real(0.5), np.float64(0.25), np.float32(0.5),
+                 np.float16(1.0), 1, True, np.int64(1), Fraction(1, 3)):
+        assert check_efficiency(good) == float(good)
         assert type(check_efficiency(good)) is float
-    for bad in (0.0, -0.1, 1.2, math.nan, math.inf, "0.5", None, 0.5j):
+    for bad in (0.0, -0.0, -0.1, 1.2, math.nextafter(1.0, 2.0), math.nan,
+                -math.nan, math.inf, -math.inf, Real(1.5), np.float64(0.0),
+                np.float64(math.nan), np.float32(1.5), 0, 2, -1, False,
+                np.int64(0), Fraction(3, 2), Fraction(0), "0.5", "1", b"1",
+                None, 0.5j, complex(0.5, 0.0), np.complex128(0.5),
+                Decimal("0.5"), [0.5]):
         with pytest.raises(InvalidField, match=r"must be in \(0, 1\]"):
             check_efficiency(bad)
 
@@ -264,19 +278,14 @@ _PAIR = (PhotonPair(0.6, 0.8), SystemParams(), SystemParams(), PulseSpec(),
          PulseSpec())
 
 
-def _stored_state():
-    grid = build_grid(_POINT[1], k_c=_POINT[0].k_c)
-    return prepare_input(AtomQubit(0.0, 1.0), PhotonQubit(0.6, 0.8), grid)
-
-
 #: Every public function that takes the detector efficiency, called with it.
 EFFICIENCY_ENTRIES = {
     "cycle_closed_forms": lambda eta: metrics.cycle_closed_forms(
         *_POINT, detector=eta),
     "metric_columns": lambda eta: metrics.metric_columns(
         point_rows([_POINT]), eta=eta),
-    "detect_photon_L": lambda eta: statesim.detect_photon_L(_stored_state(),
-                                                            eta),
+    "store": lambda eta: statesim.store(statesim.Cavity.of(*_POINT),
+                                        PhotonQubit(0.6, 0.8), eta),
     "atomic_readout_via_third_photon": lambda eta:
         statesim.atomic_readout_via_third_photon(
             AtomQubit(1.0, 0.0), statesim.Cavity.of(*_POINT), detector=eta),

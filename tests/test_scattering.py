@@ -14,6 +14,7 @@ from cavqmem.params import PulseSpec, SystemParams, point_rows
 from cavqmem.scattering import (
     bright_phase_factor,
     coupling_amplitude,
+    detuned_decay,
     scattered_amplitude,
     t_elements,
 )
@@ -132,6 +133,19 @@ def test_map_is_passive(tup, k):
     assert abs(bright_phase_factor(k, p)) <= 1.0 + 1e-12
     assert abs(t_ll) ** 2 + abs(t_rl) ** 2 <= 1.0 + 1e-12
     assert abs(t_rr) ** 2 + abs(t_lr) ** 2 <= 1.0 + 1e-12
+    # the decay weight is the passivity loss of a |R, k_R> photon
+    decay = detuned_decay(k - p.k_c, p)
+    assert decay >= 0.0
+    assert decay == pytest.approx(1.0 - abs(t_rr) ** 2 - abs(t_lr) ** 2,
+                                  abs=1e-12)
+
+
+def test_decay_weight_reads_zero_where_w_minus_overflows():
+    p = SystemParams(lambda_L=1.2, lambda_R=2.1, gamma=0.8, delta_e=0.7)
+    with np.errstate(over="ignore"):
+        weight = detuned_decay(np.array([0.3, 1e160, -1e200]), p)
+    assert weight[0] > 0.0
+    assert weight[1:].tolist() == [0.0, 0.0]
 
 
 @settings(deadline=None, max_examples=150)

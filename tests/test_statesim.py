@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,13 +46,13 @@ from cavqmem.statesim import (
     TwoCavityState,
     apply_scattering,
     atomic_readout_via_third_photon,
-    detect_photon_L,
     entanglement_storage,
     prepare_input,
     prepare_pair,
     retrieve,
     run_memory_protocol,
     scatter_pair,
+    store,
     swap_transfer_fidelity,
 )
 
@@ -110,6 +111,8 @@ def test_lossless_scattering_leaves_loss_weight_bitwise_zero():
     state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid), cav)
     assert state.loss_weight == 0.0
     assert state.norm == pytest.approx(1.0, abs=1e-12)
+    assert cav.decay == 0.0
+    assert store(cav, BALANCED)[1] == 0.0
     record = run_memory_protocol(clean, GAUSS, photon=BALANCED)
     assert record.loss_weight == 0.0
 
@@ -146,11 +149,12 @@ def test_ideal_swap_produces_the_product_state():
 
 
 def test_detection_at_ideal_point_is_certain():
+    # the storage step counts the scattered photon in k_L
     params, pulse = ideal_point()
     cav = Cavity.of(params, pulse)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid), cav)
-    ensemble, prob = detect_photon_L(state)
-    assert prob == pytest.approx(1.0, abs=1e-5)
+    ensemble, decay = store(cav, BALANCED)
+    assert ensemble.probability == pytest.approx(1.0, abs=1e-5)
+    assert 0.0 < decay < 1e-5
     rho = ensemble.density()
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
@@ -159,10 +163,8 @@ def test_detection_with_no_support_is_refused():
     # lambda_L = 0 never converts a |k_R> photon into the k_L channel
     params = SystemParams(lambda_L=0.0, lambda_R=2.0)
     cav = Cavity.of(params, GAUSS)
-    state = apply_scattering(
-        prepare_input(ATOM_START, PhotonQubit(0.0, 1.0), cav.grid), cav)
-    with pytest.raises(ZeroProbability):
-        detect_photon_L(state)
+    with pytest.raises(ZeroProbability, match="k_L photon"):
+        store(cav, PhotonQubit(0.0, 1.0))
     # nor, in a pair, photon 1 of the c_RL term, the only one sent on k_R
     with pytest.raises(ZeroProbability, match="two-photon"):
         entanglement_storage(PhotonPair(0.0, 1.0), params, LOSSY, GAUSS,
@@ -251,9 +253,8 @@ def test_heralded_readout_multiplies_success_probabilities():
         run_memory_protocol(params, GAUSS, readout="homodyne")
 
 
-ONE_PATH = ("build_grid", "detuned_elements", "apply_scattering",
-            "detect_photon_L", "retrieve", "atomic_readout_via_third_photon",
-            "scatter_pair")
+ONE_PATH = ("build_grid", "detuned_elements", "apply_scattering", "store",
+            "retrieve", "atomic_readout_via_third_photon", "scatter_pair")
 
 
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
@@ -274,8 +275,8 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
     run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED, detector=0.7,
                         readout=readout)
     assert calls == {"build_grid": 1, "detuned_elements": 1, "Cavity": 1,
-                     "apply_scattering": 1, "detect_photon_L": 1,
-                     "retrieve": 1, "scatter_pair": 0,
+                     "apply_scattering": 0, "store": 1, "retrieve": 1,
+                     "scatter_pair": 0,
                      "atomic_readout_via_third_photon":
                          int(readout == "third_photon")}
     mode = "swap" if readout == "projective" else "postselect"
@@ -410,9 +411,9 @@ def test_a_state_on_another_grid_is_refused():
 def test_memory_cycle_equals_the_public_steps(pulse, readout):
     photon, eta = PhotonQubit(0.6, 0.8j), 0.7
     cav = Cavity.of(LOSSY, pulse, DEFAULT_QUAD)
-    state = apply_scattering(prepare_input(ATOM_START, photon, cav.grid), cav)
-    stored, p_k_l = detect_photon_L(state, eta)
+    stored, decay = store(cav, photon, eta)
     outcome = retrieve(stored, cav, target=photon)
+    p_k_l = stored.probability
     p_qm = p_k_l * outcome.probability
     p_readout = p_total = None
     if readout == "third_photon":
@@ -422,11 +423,129 @@ def test_memory_cycle_equals_the_public_steps(pulse, readout):
     by_hand = MemoryRecord(
         p_k_l=p_k_l, p_l=outcome.probability, p_qm=p_qm,
         fidelity=outcome.fidelity,
-        loss_weight=state.loss_weight + outcome.loss, readout=readout,
+        loss_weight=decay + outcome.loss, readout=readout,
         p_readout=p_readout, p_total=p_qm if p_total is None else p_total)
     record = run_memory_protocol(LOSSY, pulse, photon=photon, detector=eta,
                                  readout=readout)
     assert record == by_hand
+
+
+def _stepwise_cycle(params, pulse, quad, photon, eta, readout):
+    """Reference for `run_memory_protocol`: the cycle step by step on the
+    full state, as it stood before it carried only the channels it fills.
+    The (2, 2, n) input is scattered by `apply_scattering`, whose decay
+    weight is a difference of norms, the k_L count keeps both atomic
+    levels, and retrieval builds the node arrays of both polarization
+    channels."""
+    cav = Cavity.of(params, pulse, quad)
+    grid, w = cav.grid, cav.grid.w
+    state = apply_scattering(prepare_input(ATOM_START, photon, grid), cav)
+    beta = math.sqrt(eta) * state.amps[:, POL_L, :]
+    p_k_l = float(np.real(np.einsum("aj,aj,j->", beta, np.conjugate(beta),
+                                    w)))
+    _, t_rr, t_lr, _ = cav.elements
+    storage_amps = beta[[ATOM_R, ATOM_L]]
+    release_amps = np.stack([t_lr * grid.f, grid.f])
+    stored_mass = np.abs(storage_amps) ** 2 @ w
+    mass = float(stored_mass @ (np.abs(release_amps) ** 2 @ w))
+    target_amps = np.array([[photon.c_L], [photon.c_R]]) * grid.f
+    ovl = ((release_amps * np.conjugate(target_amps)) @ w) @ storage_amps
+    fidelity = float(np.real(np.sum(w * np.abs(ovl) ** 2)) / mass)
+    survive = float(np.real(np.sum(
+        w * np.abs(grid.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
+    decay = 0.0 if cav.lossless else float(stored_mass[0] * (1.0 - survive))
+    p_l = mass / p_k_l
+    p_qm = p_k_l * p_l
+    p_readout = None
+    if readout == "third_photon":
+        p_readout = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0), cav,
+                                                    eta)
+    return MemoryRecord(
+        p_k_l=p_k_l, p_l=p_l, p_qm=p_qm, fidelity=fidelity,
+        loss_weight=state.loss_weight + decay / p_k_l, readout=readout,
+        p_readout=p_readout,
+        p_total=p_qm if p_readout is None else p_qm * p_readout)
+
+
+RULE_520 = QuadratureConfig(n_gauss=128, n_lorentz=520)
+
+
+@pytest.mark.parametrize("quad", [DEFAULT_QUAD, RULE_520],
+                         ids=["default", "rule520"])
+@pytest.mark.parametrize("readout", ["projective", "third_photon"])
+@pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
+                                                         "lorentzian"])
+def test_memory_cycle_matches_the_stepwise_reference(pulse, readout, quad):
+    # the cycle on the channels it fills against the full state, step by
+    # step: every figure agrees to rounding, and the decay weight to the
+    # few ulp of 1 that the reference's difference of norms leaves
+    photons = (PhotonQubit(0.6, 0.8j), BALANCED, PhotonQubit(0.28, -0.96))
+    for gamma in (0.0, 0.05, 0.8):
+        for ratio in (0.1, 0.5, 1.0, 3.0, 10.0):
+            params = replace(LOSSY, lambda_L=ratio * LOSSY.lambda_R,
+                             gamma=gamma)
+            for photon, eta in zip(photons, (0.7, 1.0, 0.35)):
+                got = run_memory_protocol(params, pulse, quad, photon, eta,
+                                          readout)
+                ref = _stepwise_cycle(params, pulse, quad, photon, eta,
+                                      readout)
+                assert got.readout == ref.readout
+                assert (got.p_readout is None) == (ref.p_readout is None)
+                for field in ("p_k_l", "p_l", "p_qm", "fidelity", "p_total",
+                              "p_readout"):
+                    value = getattr(ref, field)
+                    if value is not None:
+                        assert getattr(got, field) == pytest.approx(
+                            value, rel=1e-14, abs=0.0), field
+                assert got.loss_weight == pytest.approx(
+                    ref.loss_weight, rel=0.0, abs=1e-14)
+                assert (got.loss_weight == 0.0) == (gamma == 0.0)
+
+
+def _loss_weight_40_digits(params, pulse, quad, photon, eta):
+    """`loss_weight` of the cycle to 40 digits on the same rule: the
+    per-node decay weight 1 - |t_RR|^2 - |t_LR|^2 and the branch masses
+    summed exactly over the rule's float nodes and weights (mpmath, from
+    the scattering map's definition, not the package's forms)."""
+    grid = Cavity.of(params, pulse, quad).grid
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        kappa, gamma = mpf(params.kappa), mpf(params.gamma)
+        delta_e = mpf(params.delta_e)
+        lam_l, lam_r = mpf(params.lambda_L), mpf(params.lambda_R)
+        lam_sq = lam_l**2 + lam_r**2
+        cos_sq, sin_2xi = lam_r**2 / lam_sq, 2 * lam_l * lam_r / lam_sq
+        ik = mpmath.mpc(0, kappa)
+        decay = converted = norm = mpf(0)
+        for s, omega in zip(grid.k.tolist(), grid.omega.tolist()):
+            s, omega = mpf(s), mpf(omega)
+            w_minus = (s - delta_e + mpmath.mpc(0, gamma)) * (s + ik) - lam_sq
+            h = -ik * lam_sq / ((s - ik) * w_minus)
+            t_lr_sq = sin_2xi**2 * abs(h) ** 2
+            decay += omega * (1 - abs(1 + 2 * cos_sq * h) ** 2 - t_lr_sq)
+            converted += omega * t_lr_sq
+            norm += omega
+        c_l_sq, c_r_sq = abs(photon.c_L) ** 2, abs(photon.c_R) ** 2
+        p_k_l = eta * (c_l_sq * norm + c_r_sq * converted)
+        return float(c_r_sq * decay + eta * c_l_sq * norm * decay / p_k_l)
+
+
+@pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
+                                                         "lorentzian"])
+def test_loss_weight_keeps_its_digits(pulse):
+    # the decay weight is summed per node from a form that does not
+    # cancel, so a small loss keeps its digits: a difference of norms is
+    # off by up to 9e-3 relative here at gamma = 1e-9
+    photon, eta = PhotonQubit(0.6, 0.8j), 0.7
+    for gamma in (1e-9, 1e-6, 1e-3, 0.1, 1.0):
+        for params in (replace(LOSSY, gamma=gamma),
+                       replace(OTHER, gamma=gamma, lambda_L=20.0)):
+            got = run_memory_protocol(params, pulse, LORENTZ_104, photon,
+                                      eta).loss_weight
+            ref = _loss_weight_40_digits(params, pulse, LORENTZ_104, photon,
+                                         eta)
+            assert 0.0 < ref < 1.0
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0), gamma
 
 
 def test_swap_transfer_twin_matches_closed_form():
@@ -514,14 +633,19 @@ def test_gram_contraction_matches_the_einsum_reference(channels):
 
 
 # Every case of the thread-count check: (pulse profile, Lorentzian node
-# count, mode).  At 26 x 1024 nodes the Gram product is large enough for
-# BLAS to hand it to more than one thread.
+# count, pair mode or memory readout).  At 26 x 1024 nodes the Gram
+# products are large enough for BLAS to hand them to more than one thread,
+# as it would a dot product over the nodes.
 _THREAD_CASES = [(profile, n, mode) for profile in ("gaussian", "lorentzian")
                  for n in (1040, 26 * 1024) for mode in ("postselect", "swap")]
+_THREAD_CYCLES = [(profile, n, readout)
+                  for profile in ("gaussian", "lorentzian")
+                  for n in (1040, 26 * 1024)
+                  for readout in ("projective", "third_photon")]
 
 _THREAD_PROBE = """
-from cavqmem import (PhotonPair, PulseSpec, QuadratureConfig, SystemParams,
-                     entanglement_storage)
+from cavqmem import (PhotonPair, PhotonQubit, PulseSpec, QuadratureConfig,
+                     SystemParams, entanglement_storage, run_memory_protocol)
 one = SystemParams(lambda_L=1.2, lambda_R=2.1, theta_L=0.4, gamma=0.8,
                    delta_e=0.7)
 two = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_L=-1.1, gamma=0.4,
@@ -534,12 +658,17 @@ for profile, n, mode in {cases!r}:
                                    other, QuadratureConfig(n_lorentz=n), 0.9,
                                    0.7, mode)
         print(repr(out.probability), repr(out.fidelity))
+for profile, n, readout in {cycles!r}:
+    pulse = PulseSpec(profile=profile, delta_p=0.1, kappa_p=0.3)
+    print(run_memory_protocol(one, pulse, QuadratureConfig(n_lorentz=n),
+                              PhotonQubit(0.6, 0.8j), 0.9, readout))
 """
 
 
 def test_pair_storage_does_not_depend_on_the_blas_thread_count():
     # the Gram products run in BLAS, whose threads may split a product:
-    # outputs must not move, bit for bit, with the thread count
+    # outputs of the pair storage and of the memory cycle must not move,
+    # bit for bit, with the thread count
     src = str(Path(statesim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
@@ -547,10 +676,12 @@ def test_pair_storage_does_not_depend_on_the_blas_thread_count():
         env = {**os.environ, "PYTHONPATH": path,
                "OPENBLAS_NUM_THREADS": threads}
         run = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE.format(cases=_THREAD_CASES)],
+            [sys.executable, "-c", _THREAD_PROBE.format(
+                cases=_THREAD_CASES, cycles=_THREAD_CYCLES)],
             env=env, capture_output=True, text=True, timeout=120, check=True)
         outputs.append(run.stdout)
-    assert outputs[0].count("\n") == 2 * len(_THREAD_CASES)
+    assert outputs[0].count("\n") == (2 * len(_THREAD_CASES)
+                                      + len(_THREAD_CYCLES))
     assert outputs[0] == outputs[1]
 
 
@@ -762,9 +893,7 @@ def test_factored_pair_matches_dense_reference(pulses, cavities):
                                                          "lorentzian"])
 def test_factored_retrieval_matches_dense_reference(pulse, params):
     cav = Cavity.of(params, pulse, LORENTZ_104)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid),
-                             cav)
-    stored, _ = detect_photon_L(state, 0.6)
+    stored, _ = store(cav, BALANCED, 0.6)
     target = PhotonQubit(0.28, 0.96j)
     outcome = retrieve(stored, cav, target=target)
     prob, fid, loss = _dense_retrieve(stored, params, pulse, LORENTZ_104,
