@@ -77,15 +77,12 @@ from .statesim import (
     MemoryRecord,
     PhotonPair,
     RetrievalOutcome,
-    TwoCavityState,
     apply_scattering,
     atomic_readout_via_third_photon,
     entanglement_storage,
     prepare_input,
-    prepare_pair,
     retrieve,
     run_memory_protocol,
-    scatter_pair,
     store,
     swap_transfer_fidelity,
 )
@@ -118,7 +115,6 @@ __all__ = [
     "RetrievalOutcome",
     "SpectralMoments",
     "SystemParams",
-    "TwoCavityState",
     "UnequalCouplings",
     "ZeroCoupling",
     "ZeroProbability",
@@ -136,14 +132,12 @@ __all__ = [
     "point_rows",
     "point_to_dict",
     "prepare_input",
-    "prepare_pair",
     "profile_amplitude",
     "qm_fidelity",
     "quadrature_rule",
     "rescaled",
     "retrieve",
     "run_memory_protocol",
-    "scatter_pair",
     "scattered_amplitude",
     "spectral_average",
     "spectral_moments",

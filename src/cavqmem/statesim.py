@@ -12,18 +12,6 @@ The grid convention follows `spectral.KGrid`: amplitudes carry the envelope
 f(k_j) explicitly and quadratic functionals are summed against the plain dk
 weights `w`, so the norm of a single-photon state is sum_j w_j |f(k_j)|^2 = 1.
 
-States that live on two grids are kept as the factors of their outer
-products, never as node-by-node arrays.  Each scattering event acts on one
-grid only, so a state that starts as a sum of r products stays one: the two
-cavities of `TwoCavityState` hold rank-r factor stacks, one per grid, and
-the photon that `retrieve` releases is a storage-branch factor times a
-retrieval-envelope factor per polarization.  Norms, probabilities and
-overlaps are contractions of r x r Gram matrices of the factors, O(r^2 n)
-work and memory, and no path builds a node-by-node array.  A side's Gram
-matrix is one matrix product (X w) X^H of its stack X, reshaped to
-(rank x atom, polarization x node).  This is an exact re-representation:
-every sum that the full array would take is still taken, node by node.
-
 The memory cycle carries only the amplitudes it fills.  The atom starts in
 |R>, so the storage pass (`store`) leaves c_L f on the dark |R, k_L> and
 t_LR c_R f on |L, k_L>; the |R, k_R> branch is never counted, and only the
@@ -33,14 +21,20 @@ whose 2 x 2 Gram matrix holds every sum over the storage nodes.  In
 `retrieve` each branch's released photon is its amplitude times a fixed
 retrieval envelope per polarization, so its overlap with the target takes
 two scalar channel overlaps, and every sum over the retrieval nodes is one
-of [1], [t_LR] and [|t_LR|^2] on the cavity's grid.  Decay weights are
-summed node by node from 1 - |t_RR|^2 - |t_LR|^2 in a form that does not
-cancel (`Cavity.decay`), never as a difference of norms, so a small loss
-keeps its digits.  The full (2, 2, n) `JointState`, with `prepare_input`
-and `apply_scattering`, serves an arbitrary atomic pre-state
-(`swap_transfer_fidelity`).  Sums over the nodes are pairwise sums or
-matrix products, not BLAS dot products: BLAS threads split a long dot
-product, so its last bits would move with the thread count.
+of the cavity's node sums [1], [t_LR] and [|t_LR|^2].  The two-cavity pair
+(`entanglement_storage`) fills four orthogonal channels, one product of a
+fixed amplitude per photon each, so every figure it reports is a sum of
+products of one node sum per cavity, [|t_RR|^2] being the fourth; no path
+builds a node-by-node array.  A `Cavity` takes each node sum once, on
+first use.  Decay weights are summed node by node from 1 - |t_RR|^2 -
+|t_LR|^2 in a form that does not cancel (`Cavity.decay`), never as a
+difference of norms, so a small loss keeps its digits; the pair's swap
+probability is the sum of its surviving branches.  The full (2, 2, n)
+`JointState`, with `prepare_input` and `apply_scattering`, serves an
+arbitrary atomic pre-state (`swap_transfer_fidelity`).  Sums over the
+nodes are pairwise sums or matrix products, not BLAS dot products: BLAS
+threads split a long dot product, so its last bits would move with the
+thread count.
 
 A step that sends a photon through a cavity takes a `Cavity`: a pulse's
 grid with one node's scattering elements at its nodes, which `Cavity.of`
@@ -86,7 +80,9 @@ TINY_PROB = 1e-300
 class Cavity:
     """One atom-cavity node as a pulse's photon meets it: the pulse's grid,
     the `t_elements` (t_LL, t_RR, t_LR, t_RL) at its nodes, and the
-    parameters they were evaluated at.  Build it with `Cavity.of`.
+    parameters they were evaluated at.  Build it with `Cavity.of`.  Its
+    node sums ([1], [t_LR], [|t_LR|^2], [|t_RR|^2] and the decay weight)
+    are cached properties, each taken on first use, as pairwise sums.
 
     The grid is in detuning coordinates, its nodes at k - k_c, and the
     elements are evaluated there (`scattering.detuned_elements`): the
@@ -117,6 +113,31 @@ class Cavity:
     def lossless(self) -> bool:
         """Whether the atom never decays (gamma = 0)."""
         return self.params.gamma == 0.0
+
+    @cached_property
+    def norm(self) -> float:
+        """[1]_f, the sum of the intensity weights."""
+        return float(self.grid.omega.sum())
+
+    @cached_property
+    def mean(self) -> complex:
+        """[t_LR]_f."""
+        return complex((self.grid.omega * self.elements[2]).sum())
+
+    @cached_property
+    def converted(self) -> float:
+        """[|t_LR|^2]_f: the share of a k_R photon that an atom in |R>
+        converts to k_L (and, since |t_RL| = |t_LR|, of a k_L photon that an
+        atom in |L> converts to k_R)."""
+        t_lr = self.elements[2]
+        return float((self.grid.omega * t_lr * t_lr.conj()).real.sum())
+
+    @cached_property
+    def kept(self) -> float:
+        """[|t_RR|^2]_f: the share of a k_R photon that an atom in |R>
+        returns on k_R."""
+        t_rr = self.elements[1]
+        return float((self.grid.omega * t_rr * t_rr.conj()).real.sum())
 
     @cached_property
     def decay(self) -> float:
@@ -221,8 +242,6 @@ class AtomEnsemble:
     def gram(self) -> np.ndarray:
         """The unnormalized density matrix g[a, b] = sum_j w_j beta[a, j]
         conj(beta[b, j]), one (2, n) by (n, 2) product."""
-        # `_gram` on a (1, 2, 1, n) view would give the same; its reshapes
-        # cost ~30 us on a cold cache
         return (self.beta * self.grid.w) @ self.beta.conj().T
 
     @cached_property
@@ -291,16 +310,11 @@ def retrieve(stored: AtomEnsemble, cav: Cavity,
     by the same envelope.
     """
     require_normalized(target)
-    omega = cav.grid.omega
-    t_lr = cav.elements[2]
     # Atom found in |L>: storage branch j releases beta[R, j] t_LR f' on
     # k_L (the scattered |R> branch, converted) and beta[L, j] f' on k_R
     # (the transparent |L> branch).  Every sum over the retrieval nodes is
     # then one of [1], [t_LR] and [|t_LR|^2] on the cavity's grid.
-    weighted = omega * t_lr
-    norm = float(omega.sum())
-    mean = complex(weighted.sum())
-    converted = float((weighted * t_lr.conj()).real.sum())
+    norm, mean, converted = cav.norm, cav.mean, cav.converted
     (g_ll, g_lr), (_, g_rr) = stored.gram.tolist()
     mass = g_rr.real * converted + g_ll.real * norm
     if mass < TINY_PROB:
@@ -327,13 +341,12 @@ def atomic_readout_via_third_photon(atom: AtomQubit, cav: Cavity,
 
     Only the |L> component converts the probe to the k_R channel (T_RL), so a
     k_R click occurs with probability |a_L|^2 eta [|T_RL|^2]_f and pins the
-    atom to |R>.  A transparent pass (|R> atom) never clicks.  Raises
-    InvalidField unless 0 < detector <= 1.
+    atom to |R>; |T_RL| = |T_LR|, so the sum is the cavity's `converted`.  A
+    transparent pass (|R> atom) never clicks.  Raises InvalidField unless
+    0 < detector <= 1.
     """
     require_normalized(atom)
-    eta = check_efficiency(detector)
-    click = float(np.real(cav.grid.average(eta * np.abs(cav.elements[3]) ** 2)))
-    return click * abs(atom.a_L) ** 2
+    return check_efficiency(detector) * cav.converted * abs(atom.a_L) ** 2
 
 
 @dataclass(frozen=True)
@@ -437,98 +450,6 @@ class PhotonPair:
 
 
 @dataclass(frozen=True)
-class TwoCavityState:
-    """Pure state of two atom-cavity nodes, one photon at each, as a sum of
-    rank-r outer products.
-
-    left[r, a, p, j] is a function of atom 1 in level a with photon 1 in
-    polarization channel p at node k_j of grid_1; right[r, b, q, j'] one of
-    atom 2 in level b with photon 2 in channel q at node k'_j' of grid_2.
-    The amplitude of (a, b, p, q, j, j') is sum_r left[r, a, p, j]
-    right[r, b, q, j'].  Each cavity acts on its own factor stack, so the
-    rank never grows.  The decay mass of both cavities is the drop in
-    `norm`.
-    """
-
-    grid_1: KGrid
-    grid_2: KGrid
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return _trace(self.atom_density())
-
-    def atom_density(self) -> np.ndarray:
-        """Two-atom density matrix rho[a, b, c, d], both photons traced out.
-        Not normalized: its trace is the surviving probability mass."""
-        return _pair_density(self.left, self.right, self.grid_1.w,
-                             self.grid_2.w)
-
-
-def _gram(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gram matrix g[(r, a), (s, c)] = sum_{p, j} w_j stack[r, a, p, j]
-    conj(stack[s, c, p, j]) of a factor stack: one matrix product (X w) X^H
-    of its (r a, p n) reshape X."""
-    rows = stack.shape[0] * stack.shape[1]
-    return ((stack * w).reshape(rows, -1)
-            @ np.conjugate(stack).reshape(rows, -1).T)
-
-
-def _pair_density(left: np.ndarray, right: np.ndarray, w_1: np.ndarray,
-                  w_2: np.ndarray) -> np.ndarray:
-    """rho[a, b, c, d] of sum_r left[r] x right[r] with the photon channels
-    and nodes traced against the weights w_1 and w_2.
-
-    Each side contributes its r x r Gram matrix with the atom index left
-    open, g[r, a, s, c] (`_gram`); the trace over both photons is the
-    product of the two summed over r and s, rho[a, b, c, d] =
-    sum_{r, s} g_1[r, a, s, c] g_2[r, b, s, d]: a (4, r^2) by (r^2, 4)
-    product.
-    """
-    r, atoms = left.shape[:2]
-    g_1 = _gram(left, w_1).reshape(r, atoms, r, atoms).transpose(1, 3, 0, 2)
-    g_2 = _gram(right, w_2).reshape(r, atoms, r, atoms).transpose(0, 2, 1, 3)
-    rho = (g_1.reshape(atoms * atoms, r * r)
-           @ g_2.reshape(r * r, atoms * atoms))       # [(a, c), (b, d)]
-    return rho.reshape((atoms,) * 4).transpose(0, 2, 1, 3)
-
-
-def _trace(rho: np.ndarray) -> float:
-    """Trace sum_{a, b} rho[a, b, a, b] of a two-atom density matrix."""
-    return float(rho.reshape(4, 4).trace().real)
-
-
-def prepare_pair(pair: PhotonPair, grid_1: KGrid, grid_2: KGrid
-                 ) -> TwoCavityState:
-    """Both atoms in |R>, the photon pair c_LR |k_L, k'_R> + c_RL |k_R, k'_L>
-    carried by the two grid envelopes: one rank term per pair amplitude."""
-    require_normalized(pair)
-    left = np.zeros((2, 2, 2, grid_1.n), dtype=complex)
-    right = np.zeros((2, 2, 2, grid_2.n), dtype=complex)
-    left[0, ATOM_R, POL_L] = pair.c_LR * grid_1.f
-    right[0, ATOM_R, POL_R] = grid_2.f
-    left[1, ATOM_R, POL_R] = pair.c_RL * grid_1.f
-    right[1, ATOM_R, POL_L] = grid_2.f
-    return TwoCavityState(grid_1=grid_1, grid_2=grid_2, left=left, right=right)
-
-
-def scatter_pair(state: TwoCavityState, cav_1: Cavity,
-                 cav_2: Cavity) -> TwoCavityState:
-    """Scatter photon 1 off cavity 1 and photon 2 off cavity 2.
-
-    Each event is the single-node map of `apply_scattering` on its own
-    factor stack, so their order is immaterial.  Raises InvalidField unless
-    each side lives on its cavity's grid.
-    """
-    _require_grid(state.grid_1, cav_1)
-    _require_grid(state.grid_2, cav_2)
-    return TwoCavityState(grid_1=state.grid_1, grid_2=state.grid_2,
-                          left=_scatter(state.left, cav_1.elements),
-                          right=_scatter(state.right, cav_2.elements))
-
-
-@dataclass(frozen=True)
 class EntanglementOutcome:
     """Two-cavity storage result: heralding (or survival) probability and the
     fidelity against the swap image c_LR |RL> + c_RL |LR> of the pair."""
@@ -559,48 +480,52 @@ def entanglement_storage(pair: PhotonPair,
     transparent passes counting as failure (probability reports the
     surviving trace).
 
-    Identical nodes (equal params and equal pulses) share one `Cavity`, so
-    both photons live on one grid.  Each call takes one contraction of the
-    factor Gram matrices, the heralded norm or the two-atom density matrix.
-    Both modes raise InvalidField unless both efficiencies lie in (0, 1],
-    and NonFiniteIntegrand where a cavity overflows.
+    Both atoms start in |R>.  Photon 1 of the c_LR term and photon 2 of the
+    c_RL term arrive on k_L and pass their dark atoms untouched; the other
+    photon leaves its cavity as t_RR f on |R, k_R> or as t_LR f on |L, k_L>.
+    So after both passes the pair fills four orthogonal channels, and every
+    figure is a sum of products of one node sum per cavity: N = [1],
+    M = [t_LR], Q = [|t_LR|^2] and S = [|t_RR|^2] (`Cavity.norm`, `mean`,
+    `converted` and `kept`).  With a = |c_LR|^2 and b = |c_RL|^2, swap mode
+    keeps P = a N_1 Q_2 + a N_1 S_2 + b S_1 N_2 + b Q_1 N_2, the surviving
+    branches, and F = a^2 N_1 Q_2 + b^2 Q_1 N_2 + 2ab Re(conj(M_1) M_2).
+    Postselect mode heralds H = a N_1 Q_2 + b Q_1 N_2, the two branches with
+    both photons on k_L, with P = eta_1 eta_2 H, and its overlap with the
+    image on the detected envelopes is a N_1 M_2 + b M_1 N_2; the Kraus
+    factors scale the overlap, H and the image's norm N_1 N_2 alike, so eta
+    cancels from F = |overlap|^2 / (N_1 N_2 H).
+
+    Identical nodes (equal params and equal pulses) share one `Cavity`, and
+    so one set of sums.  Both modes raise InvalidField unless both
+    efficiencies lie in (0, 1] and the pair is normalized,
+    NonFiniteIntegrand where a cavity overflows, and postselect mode
+    ZeroProbability where the heralding has no support.
     """
     if mode not in ("postselect", "swap"):
         raise InvalidField(mode, "unknown storage mode")
     eta = check_efficiency(detector_1) * check_efficiency(detector_2)
     cav_1 = Cavity.of(params_1, pulse_1, quad)
-    # identical nodes meet their photons alike: one cavity, and one grid,
-    # serves both
+    # identical nodes meet their photons alike: one cavity, and one set of
+    # node sums, serves both
     cav_2 = (cav_1 if (params_2, pulse_2) == (params_1, pulse_1)
              else Cavity.of(params_2, pulse_2, quad))
-    grid_1, grid_2 = cav_1.grid, cav_2.grid
-    state = scatter_pair(prepare_pair(pair, grid_1, grid_2), cav_1, cav_2)
-    # the swap image c_LR |RL> + c_RL |LR> as a vector over (a, b)
-    target = np.zeros(4, dtype=complex)
-    target[2 * ATOM_R + ATOM_L] = pair.c_LR
-    target[2 * ATOM_L + ATOM_R] = pair.c_RL
+    require_normalized(pair)
+    a, b = abs(pair.c_LR) ** 2, abs(pair.c_RL) ** 2
+    n_1, n_2 = cav_1.norm, cav_2.norm
+    m_1, m_2 = cav_1.mean, cav_2.mean
+    q_1, q_2 = cav_1.converted, cav_2.converted
     if mode == "swap":
-        rho = state.atom_density().reshape(4, 4)      # [(a, b), (c, d)]
+        s_1, s_2 = cav_1.kept, cav_2.kept
         return EntanglementOutcome(
-            probability=float(rho.trace().real),
-            fidelity=float(np.vdot(target, rho @ target).real), mode=mode)
-    # Both photons counted in k_L: the Kraus factors sqrt(eta) act on each
-    # side's POL_L channel, which keeps the state a sum of the same rank
-    # terms and scales the heralded norm by eta_1 eta_2.
-    sel_1 = state.left[:, :, POL_L]
-    sel_2 = state.right[:, :, POL_L]
-    heralded = _trace(_pair_density(sel_1[:, :, None], sel_2[:, :, None],
-                                    grid_1.w, grid_2.w))
+            probability=(a * n_1 * q_2 + a * n_1 * s_2 + b * s_1 * n_2
+                         + b * q_1 * n_2),
+            fidelity=(a * a * n_1 * q_2 + b * b * q_1 * n_2
+                      + 2.0 * a * b * (m_1.conjugate() * m_2).real),
+            mode=mode)
+    heralded = a * n_1 * q_2 + b * q_1 * n_2
     prob = eta * heralded
     if prob < TINY_PROB:
         raise ZeroProbability("two-photon k_L detection")
-    # Overlap with the swap image carried by the detected envelopes: each
-    # rank term factors into one node sum per grid.  The Kraus factors
-    # scale the overlap, the heralded norm and the image's norm alike, so
-    # eta cancels from the fidelity.
-    ovl_1 = sel_1 @ (grid_1.w * np.conjugate(grid_1.f))
-    ovl_2 = sel_2 @ (grid_2.w * np.conjugate(grid_2.f))
-    overlap = np.vdot(target, (ovl_1.T @ ovl_2).ravel())
-    weight = float(grid_1.omega.sum()) * float(grid_2.omega.sum())
-    fidelity = float(abs(overlap) ** 2 / (weight * heralded))
+    overlap = a * n_1 * m_2 + b * m_1 * n_2
+    fidelity = abs(overlap) ** 2 / (n_1 * n_2 * heralded)
     return EntanglementOutcome(probability=prob, fidelity=fidelity, mode=mode)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import mpmath
@@ -43,15 +44,12 @@ from cavqmem.statesim import (
     JointState,
     MemoryRecord,
     PhotonPair,
-    TwoCavityState,
     apply_scattering,
     atomic_readout_via_third_photon,
     entanglement_storage,
     prepare_input,
-    prepare_pair,
     retrieve,
     run_memory_protocol,
-    scatter_pair,
     store,
     swap_transfer_fidelity,
 )
@@ -62,6 +60,15 @@ GAUSS = PulseSpec(profile=Profile.GAUSSIAN, delta_p=0.2, kappa_p=0.3)
 LORENTZ = PulseSpec(profile=Profile.LORENTZIAN, delta_p=-0.1, kappa_p=0.15)
 ATOM_START = AtomQubit(0.0, 1.0)
 BALANCED = PhotonQubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
+
+LORENTZ_104 = QuadratureConfig(n_lorentz=104)
+OTHER = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_L=-1.1, theta_R=0.6,
+                     gamma=0.4, k_c=-0.2, delta_e=-0.7)
+CLEAN_1 = SystemParams(lambda_L=1.2, lambda_R=2.1, theta_L=0.4, gamma=0.0)
+CLEAN_2 = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_R=-0.3, gamma=0.0,
+                       delta_e=0.9)
+PULSE_PAIRS = [(GAUSS, GAUSS), (LORENTZ, LORENTZ), (GAUSS, LORENTZ)]
+PULSE_IDS = ["gaussian", "lorentzian", "mixed"]
 
 
 def ideal_point():
@@ -254,7 +261,7 @@ def test_heralded_readout_multiplies_success_probabilities():
 
 
 ONE_PATH = ("build_grid", "detuned_elements", "apply_scattering", "store",
-            "retrieve", "atomic_readout_via_third_photon", "scatter_pair")
+            "retrieve", "atomic_readout_via_third_photon")
 
 
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
@@ -276,7 +283,6 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
                         readout=readout)
     assert calls == {"build_grid": 1, "detuned_elements": 1, "Cavity": 1,
                      "apply_scattering": 0, "store": 1, "retrieve": 1,
-                     "scatter_pair": 0,
                      "atomic_readout_via_third_photon":
                          int(readout == "third_photon")}
     mode = "swap" if readout == "projective" else "postselect"
@@ -293,8 +299,7 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
         entanglement_storage(PhotonPair(0.6, 0.8j), params_1, params_2,
                              pulse_1, pulse_2, mode=mode)
         assert calls == {**dict.fromkeys(calls, 0), "build_grid": builds,
-                         "detuned_elements": builds, "Cavity": builds,
-                         "scatter_pair": 1}
+                         "detuned_elements": builds, "Cavity": builds}
 
 
 def _one_field_off(point, field):
@@ -356,8 +361,9 @@ def test_cavity_of_builds_no_second_params(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["postselect", "swap"])
 def test_shared_cavity_equals_two_built_cavities(mode):
-    # identical nodes take one cavity; the same cycle through the public
-    # steps on two separately built cavities gives the same outcome
+    # identical nodes take one cavity; two separately built cavities take
+    # the same node sums, bit for bit, and the stacked path on them gives
+    # the same outcome
     pair, (eta_1, eta_2) = PhotonPair(0.6, 0.8j), (0.9, 0.6)
     for pulse in (GAUSS, LORENTZ):
         out = entanglement_storage(pair, LOSSY, LOSSY, pulse, pulse,
@@ -365,31 +371,12 @@ def test_shared_cavity_equals_two_built_cavities(mode):
                                    mode=mode)
         cav_1, cav_2 = Cavity.of(LOSSY, pulse), Cavity.of(LOSSY, pulse)
         assert cav_1.grid is not cav_2.grid
-        state = scatter_pair(prepare_pair(pair, cav_1.grid, cav_2.grid),
-                             cav_1, cav_2)
-        target = np.zeros((2, 2), dtype=complex)
-        target[ATOM_R, ATOM_L], target[ATOM_L, ATOM_R] = pair.c_LR, pair.c_RL
-        if mode == "swap":
-            rho4 = state.atom_density()
-            prob = state.norm
-            fid = np.real(np.einsum("ab,abcd,cd->", np.conjugate(target),
-                                    rho4, target))
-        else:
-            # both photons counted in k_L, each with its Kraus factor, and
-            # the overlap with the swap image on the detected envelopes
-            sel, ovl, weight = [], [], 1.0
-            for stack, grid, eta in ((state.left, cav_1.grid, eta_1),
-                                     (state.right, cav_2.grid, eta_2)):
-                sel.append(stack[:, :, POL_L] * np.sqrt(eta))
-                ovl.append(sel[-1] @ (grid.w * np.sqrt(eta)
-                                      * np.conjugate(grid.f)))
-                weight *= np.real(grid.average(np.sqrt(eta) ** 2))
-            prob = replace(state, left=sel[0][:, :, None],
-                           right=sel[1][:, :, None]).norm
-            overlap = np.einsum("ab,ra,rb->", np.conjugate(target), *ovl)
-            fid = abs(overlap) ** 2 / (weight * prob)
-        assert out.probability == pytest.approx(prob, rel=0.0, abs=1e-15)
-        assert out.fidelity == pytest.approx(fid, rel=0.0, abs=1e-15)
+        for name in NODE_SUMS:
+            assert getattr(cav_1, name) == getattr(cav_2, name)
+        prob, fid = _stacked_entanglement_storage(pair, cav_1, cav_2, eta_1,
+                                                  eta_2, mode)
+        assert out.probability == pytest.approx(prob, rel=1e-14, abs=0.0)
+        assert out.fidelity == pytest.approx(fid, rel=1e-14, abs=0.0)
 
 
 def test_a_state_on_another_grid_is_refused():
@@ -397,12 +384,6 @@ def test_a_state_on_another_grid_is_refused():
     twin = Cavity.of(LOSSY, GAUSS)  # the same nodes, another grid
     with pytest.raises(InvalidField, match="another grid"):
         apply_scattering(prepare_input(ATOM_START, BALANCED, twin.grid), cav)
-    pair = prepare_pair(PhotonPair(0.6, 0.8j), cav.grid, twin.grid)
-    with pytest.raises(InvalidField, match="another grid"):
-        scatter_pair(pair, twin, cav)
-    with pytest.raises(InvalidField, match="another grid"):
-        scatter_pair(pair, cav, cav)
-    assert scatter_pair(pair, cav, twin).norm < 1.0
 
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
@@ -564,59 +545,150 @@ def test_pair_state_bookkeeping():
     pair = PhotonPair(0.6, 0.8j)
     assert pair.norm_sq == pytest.approx(1.0)
     assert PhotonPair(1.0, 1.0).normalized().norm_sq == pytest.approx(1.0)
-    grid = build_grid(GAUSS)
-    state = prepare_pair(pair, grid, grid)
-    assert isinstance(state, TwoCavityState)
-    assert state.norm == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        prepare_pair(PhotonPair(1.0, 1.0), grid, grid)
+    # an unnormalized pair is refused in both modes, after the efficiencies
+    # and the cavities are checked
+    wide = PulseSpec(kappa_p=1e200)
+    for mode in ("postselect", "swap"):
+        with pytest.raises(InvalidField, match="not normalized"):
+            entanglement_storage(PhotonPair(1.0, 1.0), LOSSY, OTHER, GAUSS,
+                                 LORENTZ, mode=mode)
+        with pytest.raises(InvalidField, match="efficiency"):
+            entanglement_storage(PhotonPair(1.0, 1.0), LOSSY, OTHER, GAUSS,
+                                 wide, detector_2=0.0, mode=mode)
+        with pytest.raises(NonFiniteIntegrand, match="overflows"):
+            entanglement_storage(PhotonPair(1.0, 1.0), LOSSY, OTHER, GAUSS,
+                                 wide, mode=mode)
 
 
 def test_pair_scattering_preserves_trace_including_loss():
-    # a pair's decay mass is its drop in norm: none without decay
+    # swap mode reports the surviving branches: all of them without decay,
+    # a visible share less with it
     other = SystemParams(lambda_L=2.0, lambda_R=1.0, gamma=0.4, delta_e=-0.7)
     clean_1 = SystemParams(lambda_L=1.2, lambda_R=2.1, gamma=0.0)
     clean_2 = SystemParams(lambda_L=2.0, lambda_R=1.0, gamma=0.0)
     for params_1, params_2, lossy in ((LOSSY, other, True),
                                       (clean_1, clean_2, False)):
-        cav_1, cav_2 = Cavity.of(params_1, GAUSS), Cavity.of(params_2, GAUSS)
-        prepared = prepare_pair(PhotonPair(0.6, 0.8j), cav_1.grid, cav_2.grid)
-        state = scatter_pair(prepared, cav_1, cav_2)
-        decay = prepared.norm - state.norm
-        if lossy:
-            assert 1e-3 < decay < 1.0
-        else:
-            assert decay == pytest.approx(0.0, abs=1e-12)
+        for pulse_2 in (GAUSS, LORENTZ):
+            kept = entanglement_storage(PhotonPair(0.6, 0.8j), params_1,
+                                        params_2, GAUSS, pulse_2,
+                                        mode="swap").probability
+            if lossy:
+                assert 0.0 < kept < 1.0 - 1e-3
+            else:
+                assert kept == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+NODE_SUMS = ("norm", "mean", "converted", "kept")
 
 
 @pytest.mark.parametrize("mode", ["postselect", "swap"])
-def test_pair_storage_takes_one_contraction(monkeypatch, mode):
-    # no decay bookkeeping: the outcome needs one density contraction
+def test_pair_storage_takes_each_cavitys_sums_once(monkeypatch, mode):
+    # every figure is arithmetic on the cavities' node sums: each distinct
+    # cavity takes each sum the mode needs once, and identical nodes share
+    # theirs
     calls = []
-    density = statesim._pair_density
+    for name in NODE_SUMS:
+        def counting(cav, name=name, func=getattr(Cavity, name).func):
+            calls.append((id(cav), name))
+            return func(cav)
+        prop = cached_property(counting)
+        prop.__set_name__(Cavity, name)
+        monkeypatch.setattr(Cavity, name, prop)
+    needed = {"norm", "mean", "converted"} | ({"kept"} if mode == "swap"
+                                              else set())
+    for params_2, pulse_2, cavities in ((LOSSY, GAUSS, 1), (OTHER, GAUSS, 2),
+                                        (LOSSY, LORENTZ, 2)):
+        calls.clear()
+        entanglement_storage(PhotonPair(0.6, 0.8j), LOSSY, params_2, GAUSS,
+                             pulse_2, mode=mode)
+        assert len(set(calls)) == len(calls) == cavities * len(needed)
+        assert {name for _, name in calls} == needed
 
-    def counting(*args):
-        calls.append(args)
-        return density(*args)
 
-    monkeypatch.setattr(statesim, "_pair_density", counting)
-    entanglement_storage(PhotonPair(0.6, 0.8j), LOSSY, OTHER, GAUSS, GAUSS,
-                         mode=mode)
-    assert len(calls) == 1
+# Stacked reference: the two-cavity path as it stood before it took each
+# cavity's node sums.  The pair is kept as rank-2 factor stacks, one per
+# grid, left[r, a, p, j] for atom 1 and photon 1 and right[r, b, q, j'] for
+# atom 2 and photon 2, whose amplitude is sum_r left[r] x right[r]; each
+# cavity scatters its own stack, and every figure is a contraction of the
+# two sides' Gram matrices.  Test-only.
+
+def _prepare_pair(pair, grid_1, grid_2):
+    """Both atoms in |R>, the pair on the two grid envelopes: one rank term
+    per pair amplitude."""
+    left = np.zeros((2, 2, 2, grid_1.n), dtype=complex)
+    right = np.zeros((2, 2, 2, grid_2.n), dtype=complex)
+    left[0, ATOM_R, POL_L] = pair.c_LR * grid_1.f
+    right[0, ATOM_R, POL_R] = grid_2.f
+    left[1, ATOM_R, POL_R] = pair.c_RL * grid_1.f
+    right[1, ATOM_R, POL_L] = grid_2.f
+    return left, right
 
 
-def _einsum_pair_density(left, right, w_1, w_2):
-    """Reference for `statesim._pair_density`: each side's Gram matrix by a
-    three-operand einsum, then their product summed over r and s."""
-    gram_1 = np.einsum("rapj,scpj,j->rsac", left, np.conjugate(left), w_1)
-    gram_2 = np.einsum("rbqj,sdqj,j->rsbd", right, np.conjugate(right), w_2)
-    return np.einsum("rsac,rsbd->abcd", gram_1, gram_2)
+def _scatter_pair(stacks, cav_1, cav_2):
+    left, right = stacks
+    return (statesim._scatter(left, cav_1.elements),
+            statesim._scatter(right, cav_2.elements))
+
+
+def _gram(stack, w):
+    """g[(r, a), (s, c)] = sum_{p, j} w_j stack[r, a, p, j]
+    conj(stack[s, c, p, j]): one product (X w) X^H of the (r a, p n)
+    reshape X."""
+    rows = stack.shape[0] * stack.shape[1]
+    return ((stack * w).reshape(rows, -1)
+            @ np.conjugate(stack).reshape(rows, -1).T)
+
+
+def _pair_density(left, right, w_1, w_2):
+    """rho[a, b, c, d] of sum_r left[r] x right[r], the photon channels and
+    nodes traced against w_1 and w_2: sum_{r, s} g_1[r, a, s, c]
+    g_2[r, b, s, d], one (4, r^2) by (r^2, 4) product."""
+    r, atoms = left.shape[:2]
+    g_1 = _gram(left, w_1).reshape(r, atoms, r, atoms).transpose(1, 3, 0, 2)
+    g_2 = _gram(right, w_2).reshape(r, atoms, r, atoms).transpose(0, 2, 1, 3)
+    rho = (g_1.reshape(atoms * atoms, r * r)
+           @ g_2.reshape(r * r, atoms * atoms))       # [(a, c), (b, d)]
+    return rho.reshape((atoms,) * 4).transpose(0, 2, 1, 3)
+
+
+def _pair_norm(left, right, w_1, w_2):
+    return float(_pair_density(left, right, w_1, w_2).reshape(4, 4)
+                 .trace().real)
+
+
+def _stacked_entanglement_storage(pair, cav_1, cav_2, detector_1, detector_2,
+                                  mode):
+    """Returns (probability, fidelity) of `entanglement_storage` on the
+    cavities, by the stacked path."""
+    grid_1, grid_2 = cav_1.grid, cav_2.grid
+    left, right = _scatter_pair(_prepare_pair(pair, grid_1, grid_2), cav_1,
+                                cav_2)
+    target = np.zeros(4, dtype=complex)
+    target[2 * ATOM_R + ATOM_L] = pair.c_LR
+    target[2 * ATOM_L + ATOM_R] = pair.c_RL
+    if mode == "swap":
+        rho = _pair_density(left, right, grid_1.w, grid_2.w).reshape(4, 4)
+        return (float(rho.trace().real),
+                float(np.vdot(target, rho @ target).real))
+    # both photons counted in k_L; the Kraus factors scale the overlap, the
+    # heralded norm and the image's norm alike, so eta cancels from the
+    # fidelity
+    sel_1, sel_2 = left[:, :, POL_L], right[:, :, POL_L]
+    heralded = _pair_norm(sel_1[:, :, None], sel_2[:, :, None], grid_1.w,
+                          grid_2.w)
+    ovl_1 = sel_1 @ (grid_1.w * np.conjugate(grid_1.f))
+    ovl_2 = sel_2 @ (grid_2.w * np.conjugate(grid_2.f))
+    overlap = np.vdot(target, (ovl_1.T @ ovl_2).ravel())
+    weight = float(grid_1.omega.sum()) * float(grid_2.omega.sum())
+    return (detector_1 * detector_2 * heralded,
+            float(abs(overlap) ** 2 / (weight * heralded)))
 
 
 @pytest.mark.parametrize("channels", [1, 2])
 def test_gram_contraction_matches_the_einsum_reference(channels):
-    # one (X w) X^H product per side, on random stacks over unequal grids:
-    # the same sums as the einsums, taken in another order
+    # the stacked reference's (X w) X^H product per side, on random stacks
+    # over unequal grids: the same sums as the einsums, taken in another
+    # order
     rng = np.random.default_rng(17)
 
     def stack(rank, n):
@@ -626,16 +698,54 @@ def test_gram_contraction_matches_the_einsum_reference(channels):
     for rank, n_1, n_2 in ((2, 64, 64), (2, 104, 1040), (3, 520, 37)):
         left, right = stack(rank, n_1), stack(rank, n_2)
         w_1, w_2 = rng.uniform(0.0, 2.0, n_1), rng.uniform(0.0, 2.0, n_2)
-        got = statesim._pair_density(left, right, w_1, w_2)
+        got = _pair_density(left, right, w_1, w_2)
         ref = _einsum_pair_density(left, right, w_1, w_2)
         assert got.shape == ref.shape == (2, 2, 2, 2)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _einsum_pair_density(left, right, w_1, w_2):
+    """Each side's Gram matrix by a three-operand einsum, then their product
+    summed over r and s."""
+    gram_1 = np.einsum("rapj,scpj,j->rsac", left, np.conjugate(left), w_1)
+    gram_2 = np.einsum("rbqj,sdqj,j->rsbd", right, np.conjugate(right), w_2)
+    return np.einsum("rsac,rsbd->abcd", gram_1, gram_2)
+
+
+WIDE_GAUSS = PulseSpec(profile=Profile.GAUSSIAN, delta_p=-0.4, kappa_p=0.7)
+
+
+@pytest.mark.parametrize("mode", ["postselect", "swap"])
+@pytest.mark.parametrize("pulses", PULSE_PAIRS + [(GAUSS, WIDE_GAUSS)],
+                         ids=PULSE_IDS + ["unequal"])
+@pytest.mark.parametrize("cavities",
+                         [(LOSSY, OTHER), (CLEAN_1, CLEAN_2), (LOSSY, LOSSY)],
+                         ids=["lossy", "lossless", "equal"])
+def test_pair_storage_matches_the_stacked_reference(cavities, pulses, mode):
+    # the node sums against the rank-2 factor stacks, scattered and
+    # contracted: every figure agrees to rounding, for equal nodes (one
+    # shared cavity) and for nodes that differ in params, pulse or profile
+    (params_1, params_2), (pulse_1, pulse_2) = cavities, pulses
+    cav_1 = Cavity.of(params_1, pulse_1)
+    cav_2 = (cav_1 if (params_2, pulse_2) == (params_1, pulse_1)
+             else Cavity.of(params_2, pulse_2))
+    for pair in (PhotonPair(0.6, 0.8j), PhotonPair(1.0, 0.0),
+                 PhotonPair(0.0, 1.0)):
+        for detectors in ((1.0, 1.0), (0.9, 0.6)):
+            out = entanglement_storage(pair, params_1, params_2, pulse_1,
+                                       pulse_2, DEFAULT_QUAD, *detectors,
+                                       mode=mode)
+            prob, fid = _stacked_entanglement_storage(pair, cav_1, cav_2,
+                                                      *detectors, mode)
+            assert out.mode == mode
+            assert out.probability == pytest.approx(prob, rel=1e-14, abs=0.0)
+            assert out.fidelity == pytest.approx(fid, rel=1e-14, abs=0.0)
+
+
 # Every case of the thread-count check: (pulse profile, Lorentzian node
-# count, pair mode or memory readout).  At 26 x 1024 nodes the Gram
-# products are large enough for BLAS to hand them to more than one thread,
-# as it would a dot product over the nodes.
+# count, pair mode or memory readout).  At 26 x 1024 nodes the memory
+# cycle's Gram product is large enough for BLAS to hand it to more than one
+# thread, as it would a dot product over the nodes.
 _THREAD_CASES = [(profile, n, mode) for profile in ("gaussian", "lorentzian")
                  for n in (1040, 26 * 1024) for mode in ("postselect", "swap")]
 _THREAD_CYCLES = [(profile, n, readout)
@@ -666,9 +776,10 @@ for profile, n, readout in {cycles!r}:
 
 
 def test_pair_storage_does_not_depend_on_the_blas_thread_count():
-    # the Gram products run in BLAS, whose threads may split a product:
-    # outputs of the pair storage and of the memory cycle must not move,
-    # bit for bit, with the thread count
+    # node sums are pairwise sums and the cycle's Gram product runs in
+    # BLAS, whose threads may split a product: outputs of the pair storage
+    # and of the memory cycle must not move, bit for bit, with the thread
+    # count
     src = str(Path(statesim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
@@ -841,16 +952,6 @@ def _dense_retrieve(stored, params, pulse, quad, target):
             decay / stored.probability)
 
 
-LORENTZ_104 = QuadratureConfig(n_lorentz=104)
-OTHER = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_L=-1.1, theta_R=0.6,
-                     gamma=0.4, k_c=-0.2, delta_e=-0.7)
-CLEAN_1 = SystemParams(lambda_L=1.2, lambda_R=2.1, theta_L=0.4, gamma=0.0)
-CLEAN_2 = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_R=-0.3, gamma=0.0,
-                       delta_e=0.9)
-PULSE_PAIRS = [(GAUSS, GAUSS), (LORENTZ, LORENTZ), (GAUSS, LORENTZ)]
-PULSE_IDS = ["gaussian", "lorentzian", "mixed"]
-
-
 @pytest.mark.parametrize("cavities",
                          [(LOSSY, OTHER), (CLEAN_1, CLEAN_2), (LOSSY, LOSSY)],
                          ids=["lossy", "lossless", "equal"])
@@ -863,18 +964,20 @@ def test_factored_pair_matches_dense_reference(pulses, cavities):
     grid_1, grid_2 = cav_1.grid, cav_2.grid
     assert {grid_1.n, grid_2.n} <= {64, 104}
     dense = _dense_prepare_pair(pair, grid_1, grid_2)
-    prepared = prepare_pair(pair, grid_1, grid_2)
-    assert prepared.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
-                                          abs=1e-12)
+    prepared = _prepare_pair(pair, grid_1, grid_2)
+    norm = _pair_norm(*prepared, grid_1.w, grid_2.w)
+    assert norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
+                                 abs=1e-12)
     # the cavities' grids are in detuning coordinates (nodes at k - k_c)
     dense, loss = _dense_scatter_pair(dense, grid_1, grid_2,
                                       replace(params_1, k_c=0.0),
                                       replace(params_2, k_c=0.0))
-    state = scatter_pair(prepared, cav_1, cav_2)
-    assert state.norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
-                                       abs=1e-12)
-    assert prepared.norm - state.norm == pytest.approx(loss, abs=1e-12)
-    amps = np.einsum("rapj,rbqk->abpqjk", state.left, state.right)
+    left, right = _scatter_pair(prepared, cav_1, cav_2)
+    kept = _pair_norm(left, right, grid_1.w, grid_2.w)
+    assert kept == pytest.approx(_dense_norm(dense, grid_1, grid_2),
+                                 abs=1e-12)
+    assert norm - kept == pytest.approx(loss, abs=1e-12)
+    amps = np.einsum("rapj,rbqk->abpqjk", left, right)
     np.testing.assert_allclose(amps, dense, rtol=0.0, atol=1e-12)
     for mode in ("postselect", "swap"):
         for detectors in ((1.0, 1.0), (0.9, 0.6)):
