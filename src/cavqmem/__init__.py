@@ -36,7 +36,6 @@ from .metrics import (
     spectral_moments,
     swap_fidelity_leading,
     swap_target_atom,
-    swap_target_photon,
     transfer_fidelity,
 )
 from .params import (
@@ -50,7 +49,6 @@ from .params import (
     point_from_dict,
     point_rows,
     point_to_dict,
-    rescaled,
     validate,
     validate_pulse,
 )
@@ -65,7 +63,6 @@ from .spectral import (
     KGrid,
     QuadratureConfig,
     build_grid,
-    profile_amplitude,
     quadrature_rule,
     spectral_average,
 )
@@ -73,14 +70,11 @@ from .statesim import (
     AtomEnsemble,
     Cavity,
     EntanglementOutcome,
-    JointState,
     MemoryRecord,
     PhotonPair,
     RetrievalOutcome,
-    apply_scattering,
     atomic_readout_via_third_photon,
     entanglement_storage,
-    prepare_input,
     retrieve,
     run_memory_protocol,
     store,
@@ -99,7 +93,6 @@ __all__ = [
     "EntanglementOutcome",
     "GammaZero",
     "InvalidField",
-    "JointState",
     "KGrid",
     "MemoryRecord",
     "NegativeGamma",
@@ -119,7 +112,6 @@ __all__ = [
     "ZeroCoupling",
     "ZeroProbability",
     "ZeroScatteringWeight",
-    "apply_scattering",
     "atomic_readout_via_third_photon",
     "bright_phase_factor",
     "build_grid",
@@ -131,11 +123,8 @@ __all__ = [
     "point_from_dict",
     "point_rows",
     "point_to_dict",
-    "prepare_input",
-    "profile_amplitude",
     "qm_fidelity",
     "quadrature_rule",
-    "rescaled",
     "retrieve",
     "run_memory_protocol",
     "scattered_amplitude",
@@ -144,7 +133,6 @@ __all__ = [
     "store",
     "swap_fidelity_leading",
     "swap_target_atom",
-    "swap_target_photon",
     "swap_transfer_fidelity",
     "t_elements",
     "transfer_fidelity",

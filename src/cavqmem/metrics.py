@@ -349,15 +349,6 @@ def swap_target_atom(photon: PhotonQubit, params: SystemParams) -> AtomQubit:
     )
 
 
-def swap_target_photon(atom: AtomQubit, params: SystemParams) -> PhotonQubit:
-    """Photonic state onto which an ideal swap maps the atomic qubit:
-    -a_R e^{i theta_R} |k_L> + a_L e^{i theta_L} |k_R>."""
-    return PhotonQubit(
-        c_L=-atom.a_R * np.exp(1j * params.theta_R),
-        c_R=atom.a_L * np.exp(1j * params.theta_L),
-    )
-
-
 def transfer_fidelity(params: SystemParams, pulse: PulseSpec,
                       atom: AtomQubit = AtomQubit(0.0, 1.0),
                       photon: PhotonQubit = PhotonQubit(0.0, 1.0)) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -435,30 +435,3 @@ def check_efficiency(eta) -> float:
         return float(eta)
     raise InvalidField(
         "eta", f"constant efficiency must be in (0, 1], got {eta!r}")
-
-
-def rescaled(params: SystemParams, pulse: PulseSpec, factor: float
-             ) -> tuple[SystemParams, PulseSpec]:
-    """Scale every rate-like quantity by a common positive factor.
-
-    Dimensionless outputs (fidelities, probabilities, xi, C) are invariant
-    under this map; it exists mainly so the invariance can be tested.
-    """
-    if factor <= 0.0:
-        raise InvalidField("factor", "scale factor must be > 0")
-    new_params = replace(
-        params,
-        lambda_L=params.lambda_L * factor,
-        lambda_R=params.lambda_R * factor,
-        kappa=params.kappa * factor,
-        gamma=params.gamma * factor,
-        k_c=params.k_c * factor,
-        delta_e=params.delta_e * factor,
-    )
-    new_pulse = replace(
-        pulse,
-        delta_p=pulse.delta_p * factor,
-        kappa_p=pulse.kappa_p * factor,
-        x_0=pulse.x_0 / factor,
-    )
-    return new_params, new_pulse

@@ -14,12 +14,6 @@ layers next to theta = +-pi/2, where a single Legendre panel converges only
 algebraically.  Node tables are cached and immutable, and each average is a
 fixed-order vectorized sum, so results are deterministic.
 
-Beside each node table sits the pulse of unit width at its nodes: the
-envelope f1(x) and the plain weights w1 = omega/|f1|^2.  A pulse of width
-kappa_p has f(k) = f1(x)/sqrt(kappa_p) and w = kappa_p w1 at its node
-k = k_p + kappa_p x, so `build_grid` scales two cached arrays where it
-would otherwise evaluate the profile, and f never forms k - k_p.
-
 Exact, for rational integrands: `pole_averages` gives [1/(s - z)]_f for a
 pole z off the real axis and [1/((s - z1)(s - z2))]_f for a pair of poles
 on one side of it, in closed form.  A Lorentzian average of 1/(s - z) is
@@ -40,23 +34,6 @@ import numpy as np
 
 from .errors import InvalidField, NonFiniteIntegrand
 from .params import Profile, PulseSpec
-
-
-def profile_amplitude(k, pulse: PulseSpec, k_c: float = 0.0):
-    """Spectral amplitude f(k), unit-normalized: integral |f|^2 dk = 1.
-
-    The pulse position x_0 would multiply f by e^{i(k - k_p) x_0}.  Every
-    sum in the package pairs f(k_j) with conj f(k_j) at the same node, so
-    no output reads that phase, and f leaves it out."""
-    k_p = k_c + pulse.delta_p
-    d = np.asarray(k, dtype=float) - k_p
-    kp = pulse.kappa_p
-    if pulse.profile is Profile.GAUSSIAN:
-        out = (np.exp(-(d * d) / (2.0 * kp * kp))
-               / math.sqrt(math.sqrt(math.pi) * kp))
-    else:
-        out = math.sqrt(kp / math.pi) / (d + 1j * kp)
-    return out if out.ndim else complex(out)
 
 
 @dataclass(frozen=True)
@@ -90,29 +67,19 @@ class QuadratureConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 
-def _unit_pulse(x: np.ndarray, omega: np.ndarray, f1: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The node table (x, omega) with the unit-width envelope f1 at its
-    nodes and the plain weights w1 = omega/|f1|^2, all four read-only."""
-    out = (x, omega, f1, omega / np.abs(f1) ** 2)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=32)
-def _hermite_table(n: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite rule normalized to the Gaussian intensity measure:
-    (u, weight, f1, w1) with sum(weight) = 1, wavenumber nodes
-    k_p + kappa_p * u and f1 = exp(-u^2/2)/pi^(1/4) (see `_unit_pulse`).
-    Raises InvalidField where `hermgauss` underflows (numpy 2.4: n > 370)."""
+    (u, weight), both read-only, with sum(weight) = 1 and wavenumber nodes
+    k_p + kappa_p * u.  Raises InvalidField where `hermgauss` underflows
+    (numpy 2.4: n > 370)."""
     with np.errstate(all="ignore"):
         u, w = np.polynomial.hermite.hermgauss(n)
     omega = w / np.sqrt(np.pi)
     if not (np.all(omega > 0.0) and abs(omega.sum() - 1.0) <= 1e-12):
         raise InvalidField("n_gauss", "Gauss-Hermite weights underflow")
-    return _unit_pulse(u, omega, np.exp(-0.5 * u * u) / math.pi ** 0.25)
+    u.flags.writeable = omega.flags.writeable = False
+    return u, omega
 
 
 #: Geometric grading depth of the Lorentzian panels: each endpoint gets
@@ -122,14 +89,13 @@ _LORENTZ_GRADING = 12
 
 
 @lru_cache(maxsize=32)
-def _lorentz_table(n: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _lorentz_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule for (1/pi) d(theta) on (-pi/2, pi/2).
 
-    Returns (cot, weight, f1, w1) with sum(weight) = 1, wavenumber nodes
-    k_p + kappa_p * cot and f1 = 1/(sqrt(pi) (cot + i)) (see `_unit_pulse`).
-    Values of cot are computed from the panel-local endpoint distance t as
-    1/tan(t), which stays accurate arbitrarily close to theta = +-pi/2.
+    Returns (cot, weight), both read-only, with sum(weight) = 1 and
+    wavenumber nodes k_p + kappa_p * cot.  Values of cot are computed from
+    the panel-local endpoint distance t as 1/tan(t), which stays accurate
+    arbitrarily close to theta = +-pi/2.
     """
     m = max(2, n // (2 * (_LORENTZ_GRADING + 1)))
     x, w = np.polynomial.legendre.leggauss(m)
@@ -147,7 +113,8 @@ def _lorentz_table(n: int
     weight = np.concatenate(weights)
     order = np.argsort(cot)
     cot, weight = cot[order], weight[order]
-    return _unit_pulse(cot, weight, (1.0 / math.sqrt(math.pi)) / (cot + 1j))
+    cot.flags.writeable = weight.flags.writeable = False
+    return cot, weight
 
 
 @dataclass(frozen=True)
@@ -157,16 +124,10 @@ class KGrid:
     k      : node wavenumbers
     omega  : intensity-measure weights, sum(omega) = 1 and
              [G]_f = sum(omega * G(k))
-    f      : pulse amplitude f(k) at the nodes
-    w      : plain-dk weights, w = omega / |f|^2, so amplitude-space sums
-             sum(w * |psi(k)|^2) reproduce intensity averages when psi
-             carries an explicit factor of f
     """
 
     k: np.ndarray
     omega: np.ndarray
-    f: np.ndarray
-    w: np.ndarray
 
     @property
     def n(self) -> int:
@@ -186,13 +147,6 @@ def quadrature_rule(profile: Profile, quad: QuadratureConfig = DEFAULT_QUAD
     intensity weights omega, sum(omega) = 1.  Every spectral average in the
     package takes its nodes from here.
     """
-    return _node_table(profile, quad)[:2]
-
-
-def _node_table(profile: Profile, quad: QuadratureConfig
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The profile's cached (x, omega, f1, w1): `quadrature_rule` with the
-    unit-width pulse beside it."""
     if profile is Profile.GAUSSIAN:
         return _hermite_table(quad.n_gauss)
     return _lorentz_table(quad.n_lorentz)
@@ -200,18 +154,12 @@ def _node_table(profile: Profile, quad: QuadratureConfig
 
 def build_grid(pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,
                k_c: float = 0.0) -> KGrid:
-    """Quadrature nodes, weights and pulse amplitudes for one pulse: the
-    cached unit-width pulse scaled to kappa_p, f = f1/sqrt(kappa_p) and
-    w = kappa_p w1, which equal `profile_amplitude` and omega/|f|^2 at the
-    nodes up to rounding (and without the cancellation of k - k_p)."""
-    x, omega, f1, w1 = _node_table(pulse.profile, quad)
-    kappa_p = pulse.kappa_p
-    k = k_c + pulse.delta_p + kappa_p * x
-    f = f1 / math.sqrt(kappa_p)
-    w = kappa_p * w1
-    for arr in (k, f, w):
-        arr.flags.writeable = False
-    return KGrid(k=k, omega=omega, f=f, w=w)
+    """Quadrature nodes k = k_c + delta_p + kappa_p x and intensity weights
+    for one pulse, on the profile's cached rule (x, omega)."""
+    x, omega = quadrature_rule(pulse.profile, quad)
+    k = k_c + pulse.delta_p + pulse.kappa_p * x
+    k.flags.writeable = False
+    return KGrid(k=k, omega=omega)
 
 
 def spectral_average(G, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,

@@ -1,40 +1,41 @@
 """State-vector simulation of the memory protocol.
 
 Every quantity in `metrics` has a twin here that is obtained the long way:
-amplitudes on an explicit wavenumber grid are propagated through each
-scattering event, the photon counter is applied as a Kraus factor sqrt(eta)
-on the detected channel, and measurements between interactions turn the state
-into a wavenumber-indexed ensemble, exactly as an unresolved detector does.
-Nothing is averaged before the step that physically averages it, which is what
-makes the module useful as an oracle for the closed forms.
+a photon on an explicit wavenumber grid meets each cavity through the
+scattering elements at the grid's nodes, the photon counter is applied as a
+Kraus factor sqrt(eta) on the detected channel, and measurements between
+interactions turn the state into a wavenumber-indexed ensemble, exactly as
+an unresolved detector does.  Nothing is averaged before the step that
+physically averages it, which is what makes the module useful as an oracle
+for the closed forms.
 
-The grid convention follows `spectral.KGrid`: amplitudes carry the envelope
-f(k_j) explicitly and quadratic functionals are summed against the plain dk
-weights `w`, so the norm of a single-photon state is sum_j w_j |f(k_j)|^2 = 1.
-
-The memory cycle carries only the amplitudes it fills.  The atom starts in
-|R>, so the storage pass (`store`) leaves c_L f on the dark |R, k_L> and
-t_LR c_R f on |L, k_L>; the |R, k_R> branch is never counted, and only the
-weight it sheds into spontaneous emission is kept.  The k_L count scales
-the two counted branches by sqrt(eta) into the node-indexed `AtomEnsemble`,
-whose 2 x 2 Gram matrix holds every sum over the storage nodes.  In
-`retrieve` each branch's released photon is its amplitude times a fixed
-retrieval envelope per polarization, so its overlap with the target takes
-two scalar channel overlaps, and every sum over the retrieval nodes is one
-of the cavity's node sums [1], [t_LR] and [|t_LR|^2].  The two-cavity pair
+Every branch that a step fills is one fixed amplitude per channel times a
+scattering element at the node, all on the pulse's envelope f.  So every
+quadratic figure is a node sum of omega-weighted elements on the cavity's
+grid, [G]_f = sum_j omega_j G(k_j), and no step builds an amplitude
+array.  The memory cycle starts with the atom in |R>: the storage pass
+(`store`) leaves c_L on the dark |R, k_L> and t_LR c_R on |L, k_L>; the
+|R, k_R> branch is never counted, and only the weight it sheds into
+spontaneous emission is kept.  The k_L count scales the two counted
+branches by sqrt(eta) into the `AtomEnsemble`, whose 2 x 2 Gram matrix
+holds every sum over the storage nodes: eta [[|c_R|^2 Q, c_R conj(c_L) M],
+[conj(c_R) c_L conj(M), |c_L|^2 N]] with N = [1], M = [t_LR] and
+Q = [|t_LR|^2].  In `retrieve` each branch's released photon is its
+amplitude times a fixed retrieval amplitude per polarization, so its
+overlap with the target takes two scalar channel overlaps, and every sum
+over the retrieval nodes is one of N, M and Q again.  The two-cavity pair
 (`entanglement_storage`) fills four orthogonal channels, one product of a
 fixed amplitude per photon each, so every figure it reports is a sum of
-products of one node sum per cavity, [|t_RR|^2] being the fourth; no path
-builds a node-by-node array.  A `Cavity` takes each node sum once, on
-first use.  Decay weights are summed node by node from 1 - |t_RR|^2 -
-|t_LR|^2 in a form that does not cancel (`Cavity.decay`), never as a
-difference of norms, so a small loss keeps its digits; the pair's swap
-probability is the sum of its surviving branches.  The full (2, 2, n)
-`JointState`, with `prepare_input` and `apply_scattering`, serves an
-arbitrary atomic pre-state (`swap_transfer_fidelity`).  Sums over the
-nodes are pairwise sums or matrix products, not BLAS dot products: BLAS
-threads split a long dot product, so its last bits would move with the
-thread count.
+products of one node sum per cavity, S = [|t_RR|^2] being the fourth.  The
+swap from an arbitrary atomic pre-state (`swap_transfer_fidelity`)
+projects each photon channel's atomic amplitudes on the swap image node by
+node, and sums the two squared overlaps.  A `Cavity` takes each node sum
+once, on first use.  Decay weights are summed node by node from 1 -
+|t_RR|^2 - |t_LR|^2 in a form that does not cancel (`Cavity.decay`), never
+as a difference of norms, so a small loss keeps its digits; the pair's
+swap probability is the sum of its surviving branches.  Sums over the
+nodes are pairwise sums, not BLAS dot products: BLAS threads split a long
+dot product, so its last bits would move with the thread count.
 
 A step that sends a photon through a cavity takes a `Cavity`: a pulse's
 grid with one node's scattering elements at its nodes, which `Cavity.of`
@@ -50,8 +51,7 @@ checked where they enter.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -68,9 +68,6 @@ from .params import (
 )
 from .scattering import detuned_decay, detuned_elements
 from .spectral import DEFAULT_QUAD, KGrid, QuadratureConfig, build_grid
-
-ATOM_L, ATOM_R = 0, 1
-POL_L, POL_R = 0, 1
 
 #: Probability mass below which conditioning on an outcome is refused.
 TINY_PROB = 1e-300
@@ -100,11 +97,11 @@ class Cavity:
         """The cavity of `params` on the grid of `pulse` under rule `quad`.
         Raises NonFiniteIntegrand where the grid or the elements overflow (a
         rate too large for double precision): an overflow of the grid shows
-        in w = kappa_p w1, and a NaN in h in t_LL = 1 + 2 sin^2(xi) h."""
+        in its nodes k, and a NaN in h in t_LL = 1 + 2 sin^2(xi) h."""
         with np.errstate(over="ignore", invalid="ignore"):
             grid = build_grid(pulse, quad)
             elements = detuned_elements(grid.k, params)
-        if not (np.isfinite(grid.w).all() and np.isfinite(elements[0]).all()):
+        if not (np.isfinite(grid.k).all() and np.isfinite(elements[0]).all()):
             raise NonFiniteIntegrand("the simulated cycle overflows at this "
                                      "parameter point")
         return cls(grid=grid, elements=elements, params=params)
@@ -153,96 +150,19 @@ class Cavity:
         return float((self.grid.omega * weight).sum())
 
 
-def _require_grid(grid: KGrid, cav: Cavity) -> None:
-    """Refuse a state that lives on another grid than the cavity's map."""
-    if grid is not cav.grid:
-        raise InvalidField("grid", "the state lives on another grid")
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Pure atom-photon state on a wavenumber grid.
-
-    amps[a, p, j] is the amplitude of atom level a (0 = |L>, 1 = |R>) with a
-    photon of polarization p (0 = k_L channel, 1 = k_R channel) at grid node
-    k_j.  `loss_weight` accumulates the norm shed into the spontaneous-decay
-    channel by earlier scattering events.
-    """
-
-    grid: KGrid
-    amps: np.ndarray
-    loss_weight: float = 0.0
-
-    @property
-    def norm(self) -> float:
-        return float(np.real(np.einsum("apj,apj,j->", self.amps,
-                                       np.conjugate(self.amps), self.grid.w)))
-
-    def atom_density(self) -> np.ndarray:
-        """Reduced atomic density matrix, photon traced out.  Not normalized:
-        its trace is the surviving probability mass."""
-        return np.einsum("apj,bpj,j->ab", self.amps, np.conjugate(self.amps),
-                         self.grid.w)
-
-
-def prepare_input(atom: AtomQubit, photon: PhotonQubit, grid: KGrid) -> JointState:
-    """Product state (atomic qubit) x (polarization qubit with envelope f)."""
-    require_normalized(atom)
-    require_normalized(photon)
-    amps = np.zeros((2, 2, grid.n), dtype=complex)
-    for a, qa in ((ATOM_L, atom.a_L), (ATOM_R, atom.a_R)):
-        amps[a, POL_L] = qa * photon.c_L * grid.f
-        amps[a, POL_R] = qa * photon.c_R * grid.f
-    return JointState(grid=grid, amps=amps)
-
-
-def _scatter(amps: np.ndarray, elements: tuple) -> np.ndarray:
-    """The single-node scattering map on amps[..., a, p, j], given the
-    `t_elements` (t_LL, t_RR, t_LR, t_RL) at the nodes j.
-
-    The bright channels |L, k_L> and |R, k_R> mix through the 2x2 block of
-    elements; |L, k_R> and |R, k_L> pass through untouched.
-    """
-    t_ll, t_rr, t_lr, t_rl = elements
-    bright_l = amps[..., ATOM_L, POL_L, :]
-    bright_r = amps[..., ATOM_R, POL_R, :]
-    out = amps.copy()
-    out[..., ATOM_L, POL_L, :] = t_ll * bright_l + t_lr * bright_r
-    out[..., ATOM_R, POL_R, :] = t_rl * bright_l + t_rr * bright_r
-    return out
-
-
-def apply_scattering(state: JointState, cav: Cavity) -> JointState:
-    """One pass of the photon through the cavity (see `_scatter`).  Norm lost
-    to spontaneous decay (gamma > 0) is added to loss_weight.  Raises
-    InvalidField unless the state lives on the cavity's grid."""
-    _require_grid(state.grid, cav)
-    out = JointState(grid=state.grid, amps=_scatter(state.amps, cav.elements),
-                     loss_weight=state.loss_weight)
-    if cav.lossless:
-        # unitary pass: keep the loss weight free of rounding residue
-        return out
-    return replace(out, loss_weight=out.loss_weight + state.norm - out.norm)
-
-
 @dataclass(frozen=True)
 class AtomEnsemble:
     """Atomic state after the scattered photon was counted in the k_L channel.
 
     The counter does not resolve k, so the atom is left in a mixture indexed
-    by the grid node: branch j has (unnormalized) amplitudes beta[:, j] and
-    grid weight w_j.  The branch amplitudes keep their raw scale, so the
-    trace of `gram`, sum_j w_j |beta[:, j]|^2, is the detection probability.
+    by the grid node.  `gram` is its unnormalized 2 x 2 density matrix,
+    g[a, b] = sum_j omega_j beta_a(k_j) conj(beta_b(k_j)) over the branch
+    amplitudes beta of the levels (0 = |L>, 1 = |R>) on the envelope; the
+    branches keep their raw scale, so its trace is the detection
+    probability.
     """
 
-    grid: KGrid
-    beta: np.ndarray
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The unnormalized density matrix g[a, b] = sum_j w_j beta[a, j]
-        conj(beta[b, j]), one (2, n) by (n, 2) product."""
-        return (self.beta * self.grid.w) @ self.beta.conj().T
+    gram: np.ndarray
 
     @cached_property
     def probability(self) -> float:
@@ -265,8 +185,10 @@ def store(cav: Cavity, photon: PhotonQubit, detector: float = 1.0
     |R, k_R> part is bright and leaves as t_LR c_R f on |L, k_L> (counted)
     and t_RR c_R f on |R, k_R> (never counted), shedding |c_R|^2 [1 -
     |t_RR|^2 - |t_LR|^2]_f into spontaneous emission.  The count's Kraus
-    factor sqrt(eta) scales the two counted branches into the ensemble:
-    beta[L] = sqrt(eta) t_LR c_R f and beta[R] = sqrt(eta) c_L f.
+    factor sqrt(eta) scales the two counted branches into the ensemble,
+    whose Gram matrix is eta [[|c_R|^2 Q, c_R conj(c_L) M], [conj(c_R) c_L
+    conj(M), |c_L|^2 N]] with N, M and Q the cavity's `norm`, `mean` and
+    `converted`.
 
     Returns the ensemble, whose probability is P(k_L), and the decay weight
     of the pass (`Cavity.decay` times |c_R|^2, exactly 0.0 at gamma = 0).
@@ -274,16 +196,15 @@ def store(cav: Cavity, photon: PhotonQubit, detector: float = 1.0
     <= 1, and ZeroProbability when the count has no support.
     """
     require_normalized(photon)
-    root_eta = math.sqrt(check_efficiency(detector))
-    grid = cav.grid
-    beta = np.empty((2, grid.n), dtype=complex)
-    np.multiply(cav.elements[2], (root_eta * photon.c_R) * grid.f,
-                out=beta[ATOM_L])
-    np.multiply(root_eta * photon.c_L, grid.f, out=beta[ATOM_R])
-    stored = AtomEnsemble(grid=grid, beta=beta)
+    eta = check_efficiency(detector)
+    c_l, c_r = photon.c_L, photon.c_R
+    cross = eta * c_r * c_l.conjugate() * cav.mean
+    stored = AtomEnsemble(gram=np.array(
+        [[eta * abs(c_r) ** 2 * cav.converted, cross],
+         [cross.conjugate(), eta * abs(c_l) ** 2 * cav.norm]]))
     if stored.probability < TINY_PROB:
         raise ZeroProbability("k_L photon detection")
-    return stored, abs(photon.c_R) ** 2 * cav.decay
+    return stored, abs(c_r) ** 2 * cav.decay
 
 
 @dataclass(frozen=True)
@@ -310,10 +231,11 @@ def retrieve(stored: AtomEnsemble, cav: Cavity,
     by the same envelope.
     """
     require_normalized(target)
-    # Atom found in |L>: storage branch j releases beta[R, j] t_LR f' on
-    # k_L (the scattered |R> branch, converted) and beta[L, j] f' on k_R
-    # (the transparent |L> branch).  Every sum over the retrieval nodes is
-    # then one of [1], [t_LR] and [|t_LR|^2] on the cavity's grid.
+    # Atom found in |L>: storage branch j, with amplitudes beta[L, j] and
+    # beta[R, j], releases beta[R, j] t_LR f' on k_L (the scattered |R>
+    # branch, converted) and beta[L, j] f' on k_R (the transparent |L>
+    # branch).  Every sum over the retrieval nodes is then one of [1],
+    # [t_LR] and [|t_LR|^2] on the cavity's grid.
     norm, mean, converted = cav.norm, cav.mean, cav.converted
     (g_ll, g_lr), (_, g_rr) = stored.gram.tolist()
     mass = g_rr.real * converted + g_ll.real * norm
@@ -417,20 +339,36 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
 def swap_transfer_fidelity(atom: AtomQubit, photon: PhotonQubit,
                            params: SystemParams, pulse: PulseSpec,
                            quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """One-shot swap fidelity from the propagated state.
+    """One-shot swap fidelity from the scattered state.
 
     Scatters the photon off an arbitrary atomic pre-state, traces out the
     photon without any detection, and projects the atomic density matrix on
-    the ideal swap image of the photonic qubit.  Decay mass counts as
-    failure, matching the closed form in `metrics.transfer_fidelity`.
-    Raises NonFiniteIntegrand where the cavity overflows.
+    the ideal swap image psi = c_R e^{i theta_R} |L> - c_L e^{i theta_L} |R>
+    of the photonic qubit.  The bright channels |L, k_L> and |R, k_R> mix
+    through the elements, and |L, k_R> and |R, k_L> pass untouched, so at
+    node j the photon channels k_L and k_R carry the overlaps
+
+        o_L = conj(psi_R) a_R c_L + conj(psi_L) (a_L c_L t_LL + a_R c_R t_LR),
+        o_R = conj(psi_L) a_L c_R + conj(psi_R) (a_L c_L t_RL + a_R c_R t_RR),
+
+    and F = [|o_L|^2 + |o_R|^2]_f.  Decay mass counts as failure, matching
+    the closed form in `metrics.transfer_fidelity`.  Raises
+    NonFiniteIntegrand where the cavity overflows, and InvalidField unless
+    both qubits are normalized.
     """
     cav = Cavity.of(params, pulse, quad)
-    state = apply_scattering(prepare_input(atom, photon, cav.grid), cav)
-    rho = state.atom_density()
-    psi = np.array([photon.c_R * np.exp(1j * params.theta_R),
-                    -photon.c_L * np.exp(1j * params.theta_L)])
-    return float(np.real(np.conjugate(psi) @ rho @ psi))
+    require_normalized(atom)
+    require_normalized(photon)
+    t_ll, t_rr, t_lr, t_rl = cav.elements
+    bar_l = (photon.c_R * np.exp(1j * params.theta_R)).conjugate()
+    bar_r = (-photon.c_L * np.exp(1j * params.theta_L)).conjugate()
+    a_l, a_r, c_l, c_r = atom.a_L, atom.a_R, photon.c_L, photon.c_R
+    o_l = (bar_r * a_r * c_l + (bar_l * a_l * c_l) * t_ll
+           + (bar_l * a_r * c_r) * t_lr)
+    o_r = (bar_l * a_l * c_r + (bar_r * a_l * c_l) * t_rl
+           + (bar_r * a_r * c_r) * t_rr)
+    return float((cav.grid.omega * ((o_l * o_l.conj()).real
+                                    + (o_r * o_r.conj()).real)).sum())
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from cavqmem.metrics import (
     spectral_moments,
     swap_fidelity_leading,
     swap_target_atom,
-    swap_target_photon,
     transfer_fidelity,
 )
 from cavqmem.params import (
@@ -238,7 +237,10 @@ def test_swap_targets_are_inverse_maps():
     photon = PhotonQubit(0.6, 0.8j)
     atom = swap_target_atom(photon, params)
     assert atom.norm_sq == pytest.approx(1.0, abs=1e-12)
-    back = swap_target_photon(atom, params)
+    # the photonic image of the atom: -a_R e^{i theta_R} |k_L>
+    # + a_L e^{i theta_L} |k_R>
+    back = PhotonQubit(c_L=-atom.a_R * np.exp(1j * params.theta_R),
+                       c_R=atom.a_L * np.exp(1j * params.theta_L))
     # the double swap returns the qubit up to the expected joint phase
     ratio = back.c_L / photon.c_L
     assert back.c_R / photon.c_R == pytest.approx(ratio, abs=1e-12)

@@ -2,7 +2,7 @@
 
 import ast
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +37,6 @@ from cavqmem.params import (
     point_rows,
     point_to_dict,
     require_normalized,
-    rescaled,
     validate,
     validate_pulse,
 )
@@ -312,18 +311,18 @@ def test_efficiency_is_refused_at_every_public_entry(entry):
 @given(factor=st.floats(min_value=0.05, max_value=20.0))
 def test_rescaling_preserves_dimensionless_combinations(factor):
     params, pulse = SystemParams(delta_e=1.3, k_c=0.4), PulseSpec(delta_p=0.7)
-    sp, su = rescaled(params, pulse, factor)
+    # every rate-like field times one positive factor
+    sp = replace(params, **{name: factor * getattr(params, name) for name in
+                            ("lambda_L", "lambda_R", "kappa", "gamma", "k_c",
+                             "delta_e")})
+    su = replace(pulse, delta_p=factor * pulse.delta_p,
+                 kappa_p=factor * pulse.kappa_p)
     assert cooperativity(sp) == pytest.approx(cooperativity(params), rel=1e-12)
     assert sp.xi == pytest.approx(params.xi, rel=1e-12)
     assert su.kappa_p / sp.kappa == pytest.approx(pulse.kappa_p / params.kappa,
                                                  rel=1e-12)
     assert sp.delta_e / sp.gamma == pytest.approx(params.delta_e / params.gamma,
                                                   rel=1e-12)
-
-
-def test_rescaling_rejects_nonpositive_factor():
-    with pytest.raises(ValueError):
-        rescaled(SystemParams(), PulseSpec(), 0.0)
 
 
 def test_input_failures_are_typed_and_still_value_errors():
@@ -337,7 +336,6 @@ def test_input_failures_are_typed_and_still_value_errors():
                  # counts that are not integers
                  lambda: QuadratureConfig(n_gauss=64.5),
                  lambda: QuadratureConfig(n_gauss="64"),
-                 lambda: rescaled(SystemParams(), PulseSpec(), -1.0),
                  lambda: coupling_amplitude(0.0, SystemParams(), "H")):
         with pytest.raises(InvalidField):
             make()

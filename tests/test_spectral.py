@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from longway import envelope, profile_amplitude
 from scipy.integrate import quad
 from scipy.special import wofz
 
@@ -19,7 +20,6 @@ from cavqmem.spectral import (
     faddeeva,
     faddeeva_difference,
     pole_averages,
-    profile_amplitude,
     quadrature_rule,
     spectral_average,
 )
@@ -132,25 +132,27 @@ def test_lorentzian_grid_size_is_panel_multiple():
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ])
 def test_grid_arrays_are_immutable(pulse):
     grid = build_grid(pulse)
-    for arr in (grid.k, grid.omega, grid.f, grid.w):
+    for arr in (grid.k, grid.omega):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ])
 def test_plain_weights_invert_intensity(pulse):
-    # w = omega / |f|^2, so amplitude-space sums with an explicit f factor
-    # reproduce intensity averages
+    # the long-way envelope's w = omega / |f|^2, so amplitude-space sums
+    # with an explicit f factor reproduce intensity averages
     grid = build_grid(pulse)
+    f, w = envelope(pulse)
     values = np.cos(grid.k)
-    assert np.sum(grid.w * np.abs(grid.f) ** 2 * values) == pytest.approx(
+    assert np.sum(w * np.abs(f) ** 2 * values) == pytest.approx(
         complex(grid.average(values)).real, abs=1e-12)
 
 
 @pytest.mark.parametrize("profile", list(Profile))
 def test_grid_scales_the_unit_width_pulse(profile):
-    # build_grid scales the cached unit-width pulse to kappa_p; the envelope
-    # and plain weights must be the profile's at the nodes.  The direct
+    # the long-way envelope scales the unit-width pulse at the rule's nodes
+    # to kappa_p; the envelope and plain weights must be the profile's at
+    # the grid's nodes.  The direct
     # evaluation reads f at the rounded node k, the grid at the exact
     # delta_p + kappa_p x, so beyond 1e-12 the two may part by the slope of
     # log f times that rounding: |x|/kappa_p (Gaussian) or
@@ -165,16 +167,16 @@ def test_grid_scales_the_unit_width_pulse(profile):
                 pulse = PulseSpec(profile=profile, delta_p=delta_p,
                                   kappa_p=kappa_p)
                 grid = build_grid(pulse, quad)
+                f_x, w_x = envelope(pulse, quad)
                 f = profile_amplitude(grid.k, pulse)
                 w = grid.omega / np.abs(f) ** 2
                 shift = slope * (np.spacing(np.abs(grid.k))
                                  + np.spacing(np.abs(kappa_p * x)))
-                assert np.all(np.abs(grid.f - f)
-                              <= (1e-12 + shift) * np.abs(f))
-                assert np.all(np.abs(grid.w - w) <= (1e-12 + 2 * shift) * w)
+                assert np.all(np.abs(f_x - f) <= (1e-12 + shift) * np.abs(f))
+                assert np.all(np.abs(w_x - w) <= (1e-12 + 2 * shift) * w)
                 # the plain weights invert the intensity to a few ulp
-                assert np.all(np.abs(grid.w * np.abs(grid.f) ** 2
-                                     - grid.omega) <= 6 * eps * grid.omega)
+                assert np.all(np.abs(w_x * np.abs(f_x) ** 2 - grid.omega)
+                              <= 6 * eps * grid.omega)
 
 
 def test_non_finite_integrand_is_reported():

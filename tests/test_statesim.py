@@ -1,4 +1,5 @@
-"""Propagated-amplitude oracle: conservation laws and closed-form twins."""
+"""State oracle: conservation laws, closed-form twins and long-way
+references (`longway`)."""
 
 import ast
 import math
@@ -10,9 +11,11 @@ from dataclasses import fields, replace
 from functools import cached_property
 from pathlib import Path
 
+import longway
 import mpmath
 import numpy as np
 import pytest
+from longway import ATOM_L, ATOM_R, POL_L, POL_R
 
 from cavqmem import params as params_module
 from cavqmem import statesim
@@ -22,7 +25,6 @@ from cavqmem.metrics import (
     metric_columns,
     qm_fidelity,
     swap_target_atom,
-    swap_target_photon,
     transfer_fidelity,
 )
 from cavqmem.params import (
@@ -36,18 +38,11 @@ from cavqmem.params import (
 from cavqmem.scattering import t_elements
 from cavqmem.spectral import DEFAULT_QUAD, QuadratureConfig, build_grid, spectral_average
 from cavqmem.statesim import (
-    ATOM_L,
-    ATOM_R,
-    POL_L,
-    POL_R,
     Cavity,
-    JointState,
     MemoryRecord,
     PhotonPair,
-    apply_scattering,
     atomic_readout_via_third_photon,
     entanglement_storage,
-    prepare_input,
     retrieve,
     run_memory_protocol,
     store,
@@ -82,42 +77,49 @@ def ideal_point():
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ])
 def test_prepared_state_is_normalized_with_envelope_marginal(pulse):
-    grid = build_grid(pulse, k_c=LOSSY.k_c)
-    state = prepare_input(AtomQubit(0.6, 0.8j), PhotonQubit(0.28, 0.96), grid)
-    assert state.norm == pytest.approx(1.0, abs=1e-12)
-    assert state.loss_weight == 0.0
+    # the long-way input: a normalized product state on the envelope
+    f, w = longway.envelope(pulse)
+    amps = longway.prepare(AtomQubit(0.6, 0.8j), PhotonQubit(0.28, 0.96), f)
+    assert longway.norm(amps, w) == pytest.approx(1.0, abs=1e-12)
     # per-node marginal reproduces the pulse intensity times |c_p|^2
-    marg_l = np.einsum("aj,aj->j", state.amps[:, POL_L, :],
-                       np.conjugate(state.amps[:, POL_L, :]))
-    np.testing.assert_allclose(marg_l, 0.28**2 * np.abs(grid.f) ** 2,
-                               rtol=1e-12)
+    marg_l = np.einsum("aj,aj->j", amps[:, POL_L, :],
+                       np.conjugate(amps[:, POL_L, :]))
+    np.testing.assert_allclose(marg_l, 0.28**2 * np.abs(f) ** 2, rtol=1e-12)
 
 
-def test_prepare_input_requires_normalized_qubits():
-    grid = build_grid(GAUSS)
-    with pytest.raises(ValueError):
-        prepare_input(AtomQubit(1.0, 1.0), PhotonQubit(0.0, 1.0), grid)
-    with pytest.raises(ValueError):
-        prepare_input(ATOM_START, PhotonQubit(0.5, 0.5), grid)
+def test_swap_transfer_fidelity_requires_normalized_qubits():
+    for atom, photon in ((AtomQubit(1.0, 1.0), PhotonQubit(0.0, 1.0)),
+                         (ATOM_START, PhotonQubit(0.5, 0.5))):
+        with pytest.raises(InvalidField, match="not normalized"):
+            swap_transfer_fidelity(atom, photon, LOSSY, GAUSS)
+        # after the cavity is checked
+        with pytest.raises(NonFiniteIntegrand, match="overflows"):
+            swap_transfer_fidelity(atom, photon, LOSSY,
+                                   PulseSpec(kappa_p=1e200))
 
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ])
 def test_scattering_preserves_trace_including_loss(pulse):
     cav = Cavity.of(LOSSY, pulse)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid), cav)
-    assert state.loss_weight > 0.0
-    assert state.norm + state.loss_weight == pytest.approx(1.0, abs=1e-10)
+    f, w = longway.envelope(pulse)
+    prepared = longway.prepare(ATOM_START, BALANCED, f)
+    state, loss = longway.pass_through(prepared, cav, w)
+    assert loss > 0.0
+    assert longway.norm(state, w) + loss == pytest.approx(1.0, abs=1e-10)
     # a second pass keeps pooling decay mass
-    again = apply_scattering(state, cav)
-    assert again.norm + again.loss_weight == pytest.approx(1.0, abs=1e-10)
+    again, more = longway.pass_through(state, cav, w)
+    assert longway.norm(again, w) + loss + more == pytest.approx(1.0,
+                                                                 abs=1e-10)
 
 
 def test_lossless_scattering_leaves_loss_weight_bitwise_zero():
     clean = SystemParams(lambda_L=1.2, lambda_R=2.1, gamma=0.0, delta_e=1.0)
     cav = Cavity.of(clean, GAUSS)
-    state = apply_scattering(prepare_input(ATOM_START, BALANCED, cav.grid), cav)
-    assert state.loss_weight == 0.0
-    assert state.norm == pytest.approx(1.0, abs=1e-12)
+    f, w = longway.envelope(GAUSS)
+    prepared = longway.prepare(ATOM_START, BALANCED, f)
+    state, loss = longway.pass_through(prepared, cav, w)
+    assert loss == 0.0
+    assert longway.norm(state, w) == pytest.approx(1.0, abs=1e-12)
     assert cav.decay == 0.0
     assert store(cav, BALANCED)[1] == 0.0
     record = run_memory_protocol(clean, GAUSS, photon=BALANCED)
@@ -126,12 +128,11 @@ def test_lossless_scattering_leaves_loss_weight_bitwise_zero():
 
 def test_cross_channels_are_transparent():
     cav = Cavity.of(LOSSY, GAUSS)
-    state = prepare_input(AtomQubit(0.6, 0.8), PhotonQubit(0.6, 0.8), cav.grid)
-    out = apply_scattering(state, cav)
-    np.testing.assert_array_equal(out.amps[ATOM_L, POL_R],
-                                  state.amps[ATOM_L, POL_R])
-    np.testing.assert_array_equal(out.amps[ATOM_R, POL_L],
-                                  state.amps[ATOM_R, POL_L])
+    f, _ = longway.envelope(GAUSS)
+    state = longway.prepare(AtomQubit(0.6, 0.8), PhotonQubit(0.6, 0.8), f)
+    out = longway.scatter(state, cav.elements)
+    np.testing.assert_array_equal(out[ATOM_L, POL_R], state[ATOM_L, POL_R])
+    np.testing.assert_array_equal(out[ATOM_R, POL_L], state[ATOM_R, POL_L])
 
 
 def test_ideal_swap_produces_the_product_state():
@@ -139,18 +140,16 @@ def test_ideal_swap_produces_the_product_state():
     atom = AtomQubit(0.6, 0.8j)
     photon = PhotonQubit(0.28, -0.96)
     cav = Cavity.of(params, pulse)
-    grid = cav.grid
-    state = apply_scattering(prepare_input(atom, photon, grid), cav)
+    f, w = longway.envelope(pulse)
+    state = longway.scatter(longway.prepare(atom, photon, f), cav.elements)
 
     psi = swap_target_atom(photon, params)      # atomic image of the photon
-    phi = swap_target_photon(atom, params)      # photonic image of the atom
+    phi = PhotonQubit(                          # photonic image of the atom
+        c_L=-atom.a_R * np.exp(1j * params.theta_R),
+        c_R=atom.a_L * np.exp(1j * params.theta_L))
     joint_phase = np.exp(-1j * (params.theta_L + params.theta_R))
-    expected = np.zeros_like(state.amps)
-    for a, qa in ((ATOM_L, psi.a_L), (ATOM_R, psi.a_R)):
-        expected[a, POL_L] = joint_phase * qa * phi.c_L * grid.f
-        expected[a, POL_R] = joint_phase * qa * phi.c_R * grid.f
-    overlap = np.einsum("apj,apj,j->", np.conjugate(expected), state.amps,
-                        grid.w)
+    expected = joint_phase * longway.prepare(psi, phi, f)
+    overlap = np.einsum("apj,apj,j->", np.conjugate(expected), state, w)
     assert abs(overlap) ** 2 >= 1.0 - 1e-5
     assert abs(np.angle(overlap)) < 1e-2
 
@@ -260,8 +259,8 @@ def test_heralded_readout_multiplies_success_probabilities():
         run_memory_protocol(params, GAUSS, readout="homodyne")
 
 
-ONE_PATH = ("build_grid", "detuned_elements", "apply_scattering", "store",
-            "retrieve", "atomic_readout_via_third_photon")
+ONE_PATH = ("build_grid", "detuned_elements", "store", "retrieve",
+            "atomic_readout_via_third_photon")
 
 
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
@@ -282,7 +281,7 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
     run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED, detector=0.7,
                         readout=readout)
     assert calls == {"build_grid": 1, "detuned_elements": 1, "Cavity": 1,
-                     "apply_scattering": 0, "store": 1, "retrieve": 1,
+                     "store": 1, "retrieve": 1,
                      "atomic_readout_via_third_photon":
                          int(readout == "third_photon")}
     mode = "swap" if readout == "projective" else "postselect"
@@ -373,17 +372,11 @@ def test_shared_cavity_equals_two_built_cavities(mode):
         assert cav_1.grid is not cav_2.grid
         for name in NODE_SUMS:
             assert getattr(cav_1, name) == getattr(cav_2, name)
-        prob, fid = _stacked_entanglement_storage(pair, cav_1, cav_2, eta_1,
-                                                  eta_2, mode)
+        prob, fid = longway.stacked_entanglement_storage(
+            pair, LOSSY, LOSSY, pulse, pulse, DEFAULT_QUAD, eta_1, eta_2,
+            mode)
         assert out.probability == pytest.approx(prob, rel=1e-14, abs=0.0)
         assert out.fidelity == pytest.approx(fid, rel=1e-14, abs=0.0)
-
-
-def test_a_state_on_another_grid_is_refused():
-    cav = Cavity.of(LOSSY, GAUSS)
-    twin = Cavity.of(LOSSY, GAUSS)  # the same nodes, another grid
-    with pytest.raises(InvalidField, match="another grid"):
-        apply_scattering(prepare_input(ATOM_START, BALANCED, twin.grid), cav)
 
 
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
@@ -411,43 +404,6 @@ def test_memory_cycle_equals_the_public_steps(pulse, readout):
     assert record == by_hand
 
 
-def _stepwise_cycle(params, pulse, quad, photon, eta, readout):
-    """Reference for `run_memory_protocol`: the cycle step by step on the
-    full state, as it stood before it carried only the channels it fills.
-    The (2, 2, n) input is scattered by `apply_scattering`, whose decay
-    weight is a difference of norms, the k_L count keeps both atomic
-    levels, and retrieval builds the node arrays of both polarization
-    channels."""
-    cav = Cavity.of(params, pulse, quad)
-    grid, w = cav.grid, cav.grid.w
-    state = apply_scattering(prepare_input(ATOM_START, photon, grid), cav)
-    beta = math.sqrt(eta) * state.amps[:, POL_L, :]
-    p_k_l = float(np.real(np.einsum("aj,aj,j->", beta, np.conjugate(beta),
-                                    w)))
-    _, t_rr, t_lr, _ = cav.elements
-    storage_amps = beta[[ATOM_R, ATOM_L]]
-    release_amps = np.stack([t_lr * grid.f, grid.f])
-    stored_mass = np.abs(storage_amps) ** 2 @ w
-    mass = float(stored_mass @ (np.abs(release_amps) ** 2 @ w))
-    target_amps = np.array([[photon.c_L], [photon.c_R]]) * grid.f
-    ovl = ((release_amps * np.conjugate(target_amps)) @ w) @ storage_amps
-    fidelity = float(np.real(np.sum(w * np.abs(ovl) ** 2)) / mass)
-    survive = float(np.real(np.sum(
-        w * np.abs(grid.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
-    decay = 0.0 if cav.lossless else float(stored_mass[0] * (1.0 - survive))
-    p_l = mass / p_k_l
-    p_qm = p_k_l * p_l
-    p_readout = None
-    if readout == "third_photon":
-        p_readout = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0), cav,
-                                                    eta)
-    return MemoryRecord(
-        p_k_l=p_k_l, p_l=p_l, p_qm=p_qm, fidelity=fidelity,
-        loss_weight=state.loss_weight + decay / p_k_l, readout=readout,
-        p_readout=p_readout,
-        p_total=p_qm if p_readout is None else p_qm * p_readout)
-
-
 RULE_520 = QuadratureConfig(n_gauss=128, n_lorentz=520)
 
 
@@ -468,8 +424,8 @@ def test_memory_cycle_matches_the_stepwise_reference(pulse, readout, quad):
             for photon, eta in zip(photons, (0.7, 1.0, 0.35)):
                 got = run_memory_protocol(params, pulse, quad, photon, eta,
                                           readout)
-                ref = _stepwise_cycle(params, pulse, quad, photon, eta,
-                                      readout)
+                ref = longway.stepwise_cycle(params, pulse, quad, photon,
+                                             eta, readout)
                 assert got.readout == ref.readout
                 assert (got.p_readout is None) == (ref.p_readout is None)
                 for field in ("p_k_l", "p_l", "p_qm", "fidelity", "p_total",
@@ -541,6 +497,32 @@ def test_swap_transfer_twin_matches_closed_form():
         assert sim == pytest.approx(closed, abs=1e-10)
 
 
+@pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
+                                                         "lorentzian"])
+def test_swap_transfer_fidelity_matches_the_long_way_off_balance(pulse):
+    # the node sums against the scattered (2, 2, n) state, where no closed
+    # form holds: coupling ratios from 0.1 to 10, gamma = 0 among the
+    # draws, random phases and random atom and photon qubits
+    rng = np.random.default_rng(26)
+
+    def qubit(kind):
+        return kind(*(rng.normal(size=2) + 1j * rng.normal(size=2))
+                    ).normalized()
+
+    for draw, ratio in enumerate(np.geomspace(0.1, 10.0, 24)):
+        lam = rng.uniform(0.3, 4.0)
+        params = SystemParams(
+            lambda_L=ratio * lam, lambda_R=lam,
+            theta_L=rng.uniform(-np.pi, np.pi),
+            theta_R=rng.uniform(-np.pi, np.pi), kappa=rng.uniform(0.5, 3.0),
+            gamma=0.0 if draw % 3 == 0 else rng.uniform(0.05, 2.0),
+            delta_e=rng.uniform(-2.0, 2.0))
+        atom, photon = qubit(AtomQubit), qubit(PhotonQubit)
+        got = swap_transfer_fidelity(atom, photon, params, pulse)
+        ref = longway.swap_transfer_fidelity(atom, photon, params, pulse)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def test_pair_state_bookkeeping():
     pair = PhotonPair(0.6, 0.8j)
     assert pair.norm_sq == pytest.approx(1.0)
@@ -605,85 +587,6 @@ def test_pair_storage_takes_each_cavitys_sums_once(monkeypatch, mode):
         assert {name for _, name in calls} == needed
 
 
-# Stacked reference: the two-cavity path as it stood before it took each
-# cavity's node sums.  The pair is kept as rank-2 factor stacks, one per
-# grid, left[r, a, p, j] for atom 1 and photon 1 and right[r, b, q, j'] for
-# atom 2 and photon 2, whose amplitude is sum_r left[r] x right[r]; each
-# cavity scatters its own stack, and every figure is a contraction of the
-# two sides' Gram matrices.  Test-only.
-
-def _prepare_pair(pair, grid_1, grid_2):
-    """Both atoms in |R>, the pair on the two grid envelopes: one rank term
-    per pair amplitude."""
-    left = np.zeros((2, 2, 2, grid_1.n), dtype=complex)
-    right = np.zeros((2, 2, 2, grid_2.n), dtype=complex)
-    left[0, ATOM_R, POL_L] = pair.c_LR * grid_1.f
-    right[0, ATOM_R, POL_R] = grid_2.f
-    left[1, ATOM_R, POL_R] = pair.c_RL * grid_1.f
-    right[1, ATOM_R, POL_L] = grid_2.f
-    return left, right
-
-
-def _scatter_pair(stacks, cav_1, cav_2):
-    left, right = stacks
-    return (statesim._scatter(left, cav_1.elements),
-            statesim._scatter(right, cav_2.elements))
-
-
-def _gram(stack, w):
-    """g[(r, a), (s, c)] = sum_{p, j} w_j stack[r, a, p, j]
-    conj(stack[s, c, p, j]): one product (X w) X^H of the (r a, p n)
-    reshape X."""
-    rows = stack.shape[0] * stack.shape[1]
-    return ((stack * w).reshape(rows, -1)
-            @ np.conjugate(stack).reshape(rows, -1).T)
-
-
-def _pair_density(left, right, w_1, w_2):
-    """rho[a, b, c, d] of sum_r left[r] x right[r], the photon channels and
-    nodes traced against w_1 and w_2: sum_{r, s} g_1[r, a, s, c]
-    g_2[r, b, s, d], one (4, r^2) by (r^2, 4) product."""
-    r, atoms = left.shape[:2]
-    g_1 = _gram(left, w_1).reshape(r, atoms, r, atoms).transpose(1, 3, 0, 2)
-    g_2 = _gram(right, w_2).reshape(r, atoms, r, atoms).transpose(0, 2, 1, 3)
-    rho = (g_1.reshape(atoms * atoms, r * r)
-           @ g_2.reshape(r * r, atoms * atoms))       # [(a, c), (b, d)]
-    return rho.reshape((atoms,) * 4).transpose(0, 2, 1, 3)
-
-
-def _pair_norm(left, right, w_1, w_2):
-    return float(_pair_density(left, right, w_1, w_2).reshape(4, 4)
-                 .trace().real)
-
-
-def _stacked_entanglement_storage(pair, cav_1, cav_2, detector_1, detector_2,
-                                  mode):
-    """Returns (probability, fidelity) of `entanglement_storage` on the
-    cavities, by the stacked path."""
-    grid_1, grid_2 = cav_1.grid, cav_2.grid
-    left, right = _scatter_pair(_prepare_pair(pair, grid_1, grid_2), cav_1,
-                                cav_2)
-    target = np.zeros(4, dtype=complex)
-    target[2 * ATOM_R + ATOM_L] = pair.c_LR
-    target[2 * ATOM_L + ATOM_R] = pair.c_RL
-    if mode == "swap":
-        rho = _pair_density(left, right, grid_1.w, grid_2.w).reshape(4, 4)
-        return (float(rho.trace().real),
-                float(np.vdot(target, rho @ target).real))
-    # both photons counted in k_L; the Kraus factors scale the overlap, the
-    # heralded norm and the image's norm alike, so eta cancels from the
-    # fidelity
-    sel_1, sel_2 = left[:, :, POL_L], right[:, :, POL_L]
-    heralded = _pair_norm(sel_1[:, :, None], sel_2[:, :, None], grid_1.w,
-                          grid_2.w)
-    ovl_1 = sel_1 @ (grid_1.w * np.conjugate(grid_1.f))
-    ovl_2 = sel_2 @ (grid_2.w * np.conjugate(grid_2.f))
-    overlap = np.vdot(target, (ovl_1.T @ ovl_2).ravel())
-    weight = float(grid_1.omega.sum()) * float(grid_2.omega.sum())
-    return (detector_1 * detector_2 * heralded,
-            float(abs(overlap) ** 2 / (weight * heralded)))
-
-
 @pytest.mark.parametrize("channels", [1, 2])
 def test_gram_contraction_matches_the_einsum_reference(channels):
     # the stacked reference's (X w) X^H product per side, on random stacks
@@ -698,7 +601,7 @@ def test_gram_contraction_matches_the_einsum_reference(channels):
     for rank, n_1, n_2 in ((2, 64, 64), (2, 104, 1040), (3, 520, 37)):
         left, right = stack(rank, n_1), stack(rank, n_2)
         w_1, w_2 = rng.uniform(0.0, 2.0, n_1), rng.uniform(0.0, 2.0, n_2)
-        got = _pair_density(left, right, w_1, w_2)
+        got = longway.pair_density(left, right, w_1, w_2)
         ref = _einsum_pair_density(left, right, w_1, w_2)
         assert got.shape == ref.shape == (2, 2, 2, 2)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -726,26 +629,25 @@ def test_pair_storage_matches_the_stacked_reference(cavities, pulses, mode):
     # contracted: every figure agrees to rounding, for equal nodes (one
     # shared cavity) and for nodes that differ in params, pulse or profile
     (params_1, params_2), (pulse_1, pulse_2) = cavities, pulses
-    cav_1 = Cavity.of(params_1, pulse_1)
-    cav_2 = (cav_1 if (params_2, pulse_2) == (params_1, pulse_1)
-             else Cavity.of(params_2, pulse_2))
     for pair in (PhotonPair(0.6, 0.8j), PhotonPair(1.0, 0.0),
                  PhotonPair(0.0, 1.0)):
         for detectors in ((1.0, 1.0), (0.9, 0.6)):
             out = entanglement_storage(pair, params_1, params_2, pulse_1,
                                        pulse_2, DEFAULT_QUAD, *detectors,
                                        mode=mode)
-            prob, fid = _stacked_entanglement_storage(pair, cav_1, cav_2,
-                                                      *detectors, mode)
+            prob, fid = longway.stacked_entanglement_storage(
+                pair, params_1, params_2, pulse_1, pulse_2, DEFAULT_QUAD,
+                *detectors, mode)
             assert out.mode == mode
             assert out.probability == pytest.approx(prob, rel=1e-14, abs=0.0)
             assert out.fidelity == pytest.approx(fid, rel=1e-14, abs=0.0)
 
 
 # Every case of the thread-count check: (pulse profile, Lorentzian node
-# count, pair mode or memory readout).  At 26 x 1024 nodes the memory
-# cycle's Gram product is large enough for BLAS to hand it to more than one
-# thread, as it would a dot product over the nodes.
+# count, pair mode or memory readout).  At 26 x 1024 nodes a BLAS dot or
+# matrix product over the nodes is long enough to be split between
+# threads; the cycle, the swap and the pair take no such product, only
+# pairwise sums, so none of their outputs may move.
 _THREAD_CASES = [(profile, n, mode) for profile in ("gaussian", "lorentzian")
                  for n in (1040, 26 * 1024) for mode in ("postselect", "swap")]
 _THREAD_CYCLES = [(profile, n, readout)
@@ -754,8 +656,9 @@ _THREAD_CYCLES = [(profile, n, readout)
                   for readout in ("projective", "third_photon")]
 
 _THREAD_PROBE = """
-from cavqmem import (PhotonPair, PhotonQubit, PulseSpec, QuadratureConfig,
-                     SystemParams, entanglement_storage, run_memory_protocol)
+from cavqmem import (AtomQubit, PhotonPair, PhotonQubit, PulseSpec,
+                     QuadratureConfig, SystemParams, entanglement_storage,
+                     run_memory_protocol, swap_transfer_fidelity)
 one = SystemParams(lambda_L=1.2, lambda_R=2.1, theta_L=0.4, gamma=0.8,
                    delta_e=0.7)
 two = SystemParams(lambda_L=2.0, lambda_R=1.0, theta_L=-1.1, gamma=0.4,
@@ -772,14 +675,16 @@ for profile, n, readout in {cycles!r}:
     pulse = PulseSpec(profile=profile, delta_p=0.1, kappa_p=0.3)
     print(run_memory_protocol(one, pulse, QuadratureConfig(n_lorentz=n),
                               PhotonQubit(0.6, 0.8j), 0.9, readout))
+    print(repr(swap_transfer_fidelity(AtomQubit(0.6, 0.8j),
+                                      PhotonQubit(0.28, -0.96), two, pulse,
+                                      QuadratureConfig(n_lorentz=n))))
 """
 
 
 def test_pair_storage_does_not_depend_on_the_blas_thread_count():
-    # node sums are pairwise sums and the cycle's Gram product runs in
-    # BLAS, whose threads may split a product: outputs of the pair storage
-    # and of the memory cycle must not move, bit for bit, with the thread
-    # count
+    # node sums are pairwise sums, never a BLAS product, whose threads may
+    # split a long sum: outputs of the pair storage, the memory cycle and
+    # the swap must not move, bit for bit, with the thread count
     src = str(Path(statesim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
@@ -791,8 +696,8 @@ def test_pair_storage_does_not_depend_on_the_blas_thread_count():
                 cases=_THREAD_CASES, cycles=_THREAD_CYCLES)],
             env=env, capture_output=True, text=True, timeout=120, check=True)
         outputs.append(run.stdout)
-    assert outputs[0].count("\n") == (2 * len(_THREAD_CASES)
-                                      + len(_THREAD_CYCLES))
+    assert outputs[0].count("\n") == 2 * (len(_THREAD_CASES)
+                                           + len(_THREAD_CYCLES))
     assert outputs[0] == outputs[1]
 
 
@@ -862,40 +767,41 @@ def test_unknown_mode_strings_raise_typed_errors():
 
 
 # Dense reference: the two-grid code as it stood before the states were kept
-# as factors, with every n1 x n2 array built in full.  Test-only.
+# as factors, with every n1 x n2 array built in full, on the envelopes and
+# plain weights of `longway.envelope`.  Test-only.
 
-def _dense_norm(amps, grid_1, grid_2):
+def _dense_norm(amps, w_1, w_2):
     return float(np.real(np.einsum("abpqjk,abpqjk,j,k->", amps,
-                                   np.conjugate(amps), grid_1.w, grid_2.w)))
+                                   np.conjugate(amps), w_1, w_2)))
 
 
-def _dense_prepare_pair(pair, grid_1, grid_2):
-    amps = np.zeros((2, 2, 2, 2, grid_1.n, grid_2.n), dtype=complex)
-    envelope = grid_1.f[:, None] * grid_2.f[None, :]
+def _dense_prepare_pair(pair, f_1, f_2):
+    amps = np.zeros((2, 2, 2, 2, f_1.size, f_2.size), dtype=complex)
+    envelope = f_1[:, None] * f_2[None, :]
     amps[ATOM_R, ATOM_R, POL_L, POL_R] = pair.c_LR * envelope
     amps[ATOM_R, ATOM_R, POL_R, POL_L] = pair.c_RL * envelope
     return amps
 
 
-def _dense_scatter_pair(amps, grid_1, grid_2, params_1, params_2):
-    """Returns the scattered amplitudes and the decay mass shed."""
-    before = _dense_norm(amps, grid_1, grid_2)
+def _dense_scatter_pair(amps, k_1, k_2, params_1, params_2):
+    """The amplitudes after each photon met its cavity, at nodes k_1 and
+    k_2."""
     psi = amps.copy()
-    t_ll, t_rr, t_lr, t_rl = t_elements(grid_1.k, params_1)
+    t_ll, t_rr, t_lr, t_rl = t_elements(k_1, params_1)
     bright_l = psi[ATOM_L, :, POL_L, :].copy()
     bright_r = psi[ATOM_R, :, POL_R, :].copy()
     psi[ATOM_L, :, POL_L, :] = (t_ll[None, None, :, None] * bright_l
                                 + t_lr[None, None, :, None] * bright_r)
     psi[ATOM_R, :, POL_R, :] = (t_rl[None, None, :, None] * bright_l
                                 + t_rr[None, None, :, None] * bright_r)
-    t_ll, t_rr, t_lr, t_rl = t_elements(grid_2.k, params_2)
+    t_ll, t_rr, t_lr, t_rl = t_elements(k_2, params_2)
     bright_l = psi[:, ATOM_L, :, POL_L].copy()
     bright_r = psi[:, ATOM_R, :, POL_R].copy()
     psi[:, ATOM_L, :, POL_L] = (t_ll[None, None, None, :] * bright_l
                                 + t_lr[None, None, None, :] * bright_r)
     psi[:, ATOM_R, :, POL_R] = (t_rl[None, None, None, :] * bright_l
                                 + t_rr[None, None, None, :] * bright_r)
-    return psi, before - _dense_norm(psi, grid_1, grid_2)
+    return psi
 
 
 def _dense_entanglement_storage(pair, params_1, params_2, pulse_1, pulse_2,
@@ -903,10 +809,11 @@ def _dense_entanglement_storage(pair, params_1, params_2, pulse_1, pulse_2,
     """Returns (probability, fidelity)."""
     grid_1 = build_grid(pulse_1, quad, k_c=params_1.k_c)
     grid_2 = build_grid(pulse_2, quad, k_c=params_2.k_c)
-    envelope = grid_1.f[:, None] * grid_2.f[None, :]
-    psi, _ = _dense_scatter_pair(_dense_prepare_pair(pair, grid_1, grid_2),
-                                 grid_1, grid_2, params_1, params_2)
-    w1, w2 = grid_1.w, grid_2.w
+    (f_1, w1), (f_2, w2) = (longway.envelope(pulse, quad)
+                            for pulse in (pulse_1, pulse_2))
+    envelope = f_1[:, None] * f_2[None, :]
+    psi = _dense_scatter_pair(_dense_prepare_pair(pair, f_1, f_2), grid_1.k,
+                              grid_2.k, params_1, params_2)
     if mode == "swap":
         rho4 = np.einsum("abpqjk,cdpqjk,j,k->abcd", psi, np.conjugate(psi),
                          w1, w2)
@@ -929,27 +836,31 @@ def _dense_entanglement_storage(pair, params_1, params_2, pulse_1, pulse_2,
     return prob, float(abs(overlap) ** 2 / (weight * prob))
 
 
-def _dense_retrieve(stored, params, pulse, quad, target):
-    """Returns (probability, fidelity, loss), in the detuning coordinates
-    of `Cavity` (nodes at k - k_c)."""
-    grid2 = build_grid(pulse, quad)
-    _, t_rr, t_lr, _ = t_elements(grid2.k, replace(params, k_c=0.0))
-    gam_l = stored.beta[ATOM_R][:, None] * (t_lr * grid2.f)[None, :]
-    gam_r = stored.beta[ATOM_L][:, None] * grid2.f[None, :]
-    w1 = stored.grid.w
-    w2 = grid2.w
+def _dense_retrieve(photon, eta, params, pulse, quad, target):
+    """Returns (probability, fidelity, loss) of retrieving what `store`
+    leaves of `photon` at efficiency `eta`, in the detuning coordinates of
+    `Cavity` (nodes at k - k_c): the storage branches are built on the
+    storage nodes j, and each released photon on the retrieval nodes a."""
+    grid = build_grid(pulse, quad)
+    f, w = longway.envelope(pulse, quad)
+    _, t_rr, t_lr, _ = t_elements(grid.k, replace(params, k_c=0.0))
+    # atom in |L>: the converted branch; atom in |R>: the dark one
+    beta_l = math.sqrt(eta) * photon.c_R * t_lr * f
+    beta_r = math.sqrt(eta) * photon.c_L * f
+    p_k_l = float(np.sum(w * (np.abs(beta_l) ** 2 + np.abs(beta_r) ** 2)))
+    gam_l = beta_r[:, None] * (t_lr * f)[None, :]
+    gam_r = beta_l[:, None] * f[None, :]
     mass = float(np.real(
-        np.einsum("ja,ja,j,a->", gam_l, np.conjugate(gam_l), w1, w2)
-        + np.einsum("ja,ja,j,a->", gam_r, np.conjugate(gam_r), w1, w2)))
-    ovl = (gam_l @ (w2 * np.conjugate(target.c_L * grid2.f))
-           + gam_r @ (w2 * np.conjugate(target.c_R * grid2.f)))
-    fidelity = float(np.real(np.sum(w1 * np.abs(ovl) ** 2)) / mass)
+        np.einsum("ja,ja,j,a->", gam_l, np.conjugate(gam_l), w, w)
+        + np.einsum("ja,ja,j,a->", gam_r, np.conjugate(gam_r), w, w)))
+    ovl = (gam_l @ (w * np.conjugate(target.c_L * f))
+           + gam_r @ (w * np.conjugate(target.c_R * f)))
+    fidelity = float(np.real(np.sum(w * np.abs(ovl) ** 2)) / mass)
     survive = float(np.real(np.sum(
-        w2 * np.abs(grid2.f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
+        w * np.abs(f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
     decay = (0.0 if params.gamma == 0.0 else
-             float(np.sum(w1 * np.abs(stored.beta[ATOM_R]) ** 2) * (1.0 - survive)))
-    return (mass / stored.probability, fidelity,
-            decay / stored.probability)
+             float(np.sum(w * np.abs(beta_r) ** 2) * (1.0 - survive)))
+    return mass / p_k_l, fidelity, decay / p_k_l
 
 
 @pytest.mark.parametrize("cavities",
@@ -961,24 +872,24 @@ def test_factored_pair_matches_dense_reference(pulses, cavities):
     pair = PhotonPair(0.6, 0.8j)
     cav_1 = Cavity.of(params_1, pulse_1, LORENTZ_104)
     cav_2 = Cavity.of(params_2, pulse_2, LORENTZ_104)
-    grid_1, grid_2 = cav_1.grid, cav_2.grid
-    assert {grid_1.n, grid_2.n} <= {64, 104}
-    dense = _dense_prepare_pair(pair, grid_1, grid_2)
-    prepared = _prepare_pair(pair, grid_1, grid_2)
-    norm = _pair_norm(*prepared, grid_1.w, grid_2.w)
-    assert norm == pytest.approx(_dense_norm(dense, grid_1, grid_2),
-                                 abs=1e-12)
+    (f_1, w_1), (f_2, w_2) = (longway.envelope(pulse, LORENTZ_104)
+                              for pulse in (pulse_1, pulse_2))
+    assert {f_1.size, f_2.size} <= {64, 104}
+    dense = _dense_prepare_pair(pair, f_1, f_2)
+    prepared = longway.prepare_pair(pair, f_1, f_2)
+    norm = longway.pair_norm(*prepared, w_1, w_2)
+    assert norm == pytest.approx(_dense_norm(dense, w_1, w_2), abs=1e-12)
     # the cavities' grids are in detuning coordinates (nodes at k - k_c)
-    dense, loss = _dense_scatter_pair(dense, grid_1, grid_2,
-                                      replace(params_1, k_c=0.0),
-                                      replace(params_2, k_c=0.0))
-    left, right = _scatter_pair(prepared, cav_1, cav_2)
-    kept = _pair_norm(left, right, grid_1.w, grid_2.w)
-    assert kept == pytest.approx(_dense_norm(dense, grid_1, grid_2),
-                                 abs=1e-12)
+    scattered = _dense_scatter_pair(dense, cav_1.grid.k, cav_2.grid.k,
+                                    replace(params_1, k_c=0.0),
+                                    replace(params_2, k_c=0.0))
+    loss = _dense_norm(dense, w_1, w_2) - _dense_norm(scattered, w_1, w_2)
+    left, right = longway.scatter_pair(prepared, cav_1, cav_2)
+    kept = longway.pair_norm(left, right, w_1, w_2)
+    assert kept == pytest.approx(_dense_norm(scattered, w_1, w_2), abs=1e-12)
     assert norm - kept == pytest.approx(loss, abs=1e-12)
     amps = np.einsum("rapj,rbqk->abpqjk", left, right)
-    np.testing.assert_allclose(amps, dense, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(amps, scattered, rtol=0.0, atol=1e-12)
     for mode in ("postselect", "swap"):
         for detectors in ((1.0, 1.0), (0.9, 0.6)):
             out = entanglement_storage(pair, params_1, params_2, pulse_1,
@@ -999,8 +910,8 @@ def test_factored_retrieval_matches_dense_reference(pulse, params):
     stored, _ = store(cav, BALANCED, 0.6)
     target = PhotonQubit(0.28, 0.96j)
     outcome = retrieve(stored, cav, target=target)
-    prob, fid, loss = _dense_retrieve(stored, params, pulse, LORENTZ_104,
-                                      target)
+    prob, fid, loss = _dense_retrieve(BALANCED, 0.6, params, pulse,
+                                      LORENTZ_104, target)
     assert outcome.probability == pytest.approx(prob, abs=1e-12)
     assert outcome.fidelity == pytest.approx(fid, abs=1e-12)
     assert outcome.loss == pytest.approx(loss, abs=1e-12)
