@@ -12,10 +12,10 @@ Unit convention: the spontaneous-emission rate gamma is the unit (gamma = 1),
 so "kappa = 2 gamma" is simply kappa = 2; wavenumbers are measured in the
 same unit relative to k = 0.  No MHz <-> rate conversion is provided.
 
-The closed forms are always exact: no `metrics` call here passes a
-quadrature rule.  Only the state-vector oracle of `oracle` and `validate`
-integrates on a rule, `--quad-n`'s, else DEFAULT_QUAD; `oracle` compares it
-with the exact closed forms, so its deltas include the rule's error.
+The closed forms are always exact.  Only the state-vector oracle of `oracle`
+and `validate` integrates on a rule, `--quad-n`'s, else DEFAULT_QUAD; both
+compare it with the exact closed forms, so their deltas include the rule's
+error.
 
 A sweep grid or curve family is one batch, a `params.ParamRows`: one
 float array per field, outer axis major, and no SystemParams or PulseSpec

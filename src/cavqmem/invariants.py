@@ -7,9 +7,10 @@ left-unit relation, dependence on lambda^2 only) and the averaged claims
 F_qm independent of the coupling ratio, the factored success probability,
 memory >= swap, oracle agreement).  Each family maps given inputs to its
 worst residual; the averaged ones take their closed forms from one
-`metrics` batch.  The families that check an identity on one
-rule (normalization, the factored success probability, oracle agreement)
-take that rule; the others run on the exact closed forms.
+`metrics` batch, which is exact.  The families that check an identity on
+one rule (normalization, the factored success probability) or measure its
+error (exact-route agreement) take their on-rule moments from
+`spectral_average`; oracle agreement runs the state oracle on the rule.
 `validate_suite` draws the inputs and applies the bounds of
 `cavqmem validate`; the acceptance tests call the same families on their
 own draws.
@@ -29,7 +30,8 @@ from .metrics import Point
 from .params import (FAMILY_KAPPA, FIG2_CASES, FIG3_CASES, PhotonQubit,
                      Profile, PulseSpec, SystemParams, family_params,
                      point_rows)
-from .scattering import bright_phase_factor, scattered_amplitude, t_elements
+from .scattering import (bright_phase_factor, detuned_elements,
+                         scattered_amplitude, t_elements)
 from .spectral import (DEFAULT_QUAD, QuadratureConfig, quadrature_rule,
                        spectral_average)
 from .statesim import run_memory_protocol
@@ -106,30 +108,38 @@ def quadrature_normalization(quad: QuadratureConfig = DEFAULT_QUAD) -> float:
                for profile in Profile)
 
 
+def _on_rule(moment, params: SystemParams, pulse: PulseSpec,
+             quad: QuadratureConfig) -> complex:
+    """[moment(h)]_f on the rule `quad`, h at the pulse's detunings as on the
+    state oracle's grid."""
+    detuned = replace(params, k_c=0.0)
+    return spectral_average(
+        lambda s: moment(scattered_amplitude(s, detuned)), pulse, quad)
+
+
 def exact_route_agreement(points: Sequence[Point],
                           quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Worst |exact - quadrature on `quad`| of [h]_f, F_qm and F_swap over
     the points: the error of the rule the state oracle integrates on."""
-    rows = point_rows(points)
-    exact, ruled = (metrics.spectral_moments(rows, rule)
-                    for rule in (None, quad))
-    f_qm = [abs(m.h) ** 2 / m.h2 for m in (exact, ruled)]
-    return float(max(np.max(np.abs(exact.h - ruled.h)),
-                     np.max(np.abs(f_qm[0] - f_qm[1])),
-                     np.max(np.abs(exact.h2 - ruled.h2))))
+    exact = metrics.spectral_moments(point_rows(points))
+    h = np.array([_on_rule(lambda a: a, *point, quad) for point in points])
+    h2 = np.array([_on_rule(lambda a: np.abs(a) ** 2, *point, quad).real
+                   for point in points])
+    f_qm = abs(exact.h) ** 2 / exact.h2 - abs(h) ** 2 / h2
+    return float(max(np.max(np.abs(exact.h - h)), np.max(np.abs(f_qm)),
+                     np.max(np.abs(exact.h2 - h2))))
 
 
 def success_dual_route(points: Sequence[tuple[SystemParams, PulseSpec, float]],
                        quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Worst |eta [|T_LR|^2]_f - eta sin^2(2 xi) F_swap| over (params, pulse,
-    eta) points; the direct side averages the map element outside `metrics`."""
-    f_swap = metrics.metric_columns(point_rows(
-        [point[:2] for point in points]), quad).F_swap
+    """Worst |eta [|T_LR|^2]_f - eta sin^2(2 xi) [|h|^2]_f| over (params,
+    pulse, eta) points, both averages on the rule `quad`."""
     worst = 0.0
-    for (params, pulse, eta), swap in zip(points, f_swap.tolist()):
+    for params, pulse, eta in points:
         direct = eta * spectral_average(
-            lambda k: np.abs(t_elements(k, params)[2]) ** 2, pulse, quad,
-            params.k_c).real
+            lambda s: np.abs(detuned_elements(s, params)[2]) ** 2, pulse,
+            quad).real
+        swap = _on_rule(lambda a: np.abs(a) ** 2, params, pulse, quad).real
         worst = max(worst, abs(direct - eta * params.sin_2xi ** 2 * swap))
     return worst
 
@@ -152,13 +162,13 @@ def memory_swap_margin(points: Sequence[Point]) -> float:
 def oracle_equivalence(cases: Sequence[tuple[SystemParams, PulseSpec, float,
                                              Sequence[PhotonQubit]]],
                        quad: QuadratureConfig = DEFAULT_QUAD) -> dict[str, float]:
-    """Worst |state oracle - closed form| per quantity over (params, pulse,
-    eta, qubits) cases: F_qm from a |k_L> input, the `ORACLE_KEYS` from each
-    qubit."""
+    """Worst |state oracle on `quad` - exact closed form| per quantity over
+    (params, pulse, eta, qubits) cases, the rule's error included: F_qm from
+    a |k_L> input, the `ORACLE_KEYS` from each qubit."""
     worst = dict.fromkeys(("F_qm",) + ORACLE_KEYS, 0.0)
     k_l = PhotonQubit(1.0, 0.0)
     for params, pulse, eta, qubits in cases:
-        base, *closed = metrics.cycle_closed_forms(params, pulse, quad,
+        base, *closed = metrics.cycle_closed_forms(params, pulse,
                                                    [k_l, *qubits], eta)
         record = run_memory_protocol(params, pulse, quad, photon=k_l,
                                      detector=eta)

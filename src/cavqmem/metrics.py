@@ -13,28 +13,17 @@ amplitude h(k) over the pulse,
 
     [h]_f and [|h|^2]_f.
 
-`spectral_moments` computes both for a batch of parameter points, a
-`params.ParamRows`, by one of two routes:
+`spectral_moments` computes both exactly for a batch of parameter points, a
+`params.ParamRows`: h has three poles, so [h]_f and [|h|^2]_f are finite
+sums of exact pole averages (`scattering.pole_expansion`,
+`spectral.pole_averages`).  Nothing here integrates on a quadrature rule
+but `qm_fidelity`'s optional `quad` (see there); the state oracle does.
 
-* exact (quad=None, the default, and the only route the command line
-  uses): h has three poles, so [h]_f and [|h|^2]_f are finite sums of
-  exact pole averages (`scattering.pole_expansion`,
-  `spectral.pole_averages`).
-* on a rule (an explicit QuadratureConfig): each moment is an average over
-  the pulse's grid (`spectral.build_grid`, `KGrid.average`), one point at
-  a time.  This is the grid the state-vector oracle in `statesim`
-  integrates on, so the two agree to rounding on the same rule.
-  `invariants` passes a rule to check an identity on one rule, and to
-  measure a rule's error against the exact route.
-
-Four public functions take `quad`: `spectral_moments`, `metric_columns`,
-`cycle_closed_forms` and `qm_fidelity`; `transfer_fidelity` is exact only.
-
-A moment that overflows to NaN or infinity raises NonFiniteIntegrand on
-either route, and a [|h|^2]_f outside [0, 1] (passivity bounds |h|^2 by 1
+A moment that overflows to NaN or infinity raises NonFiniteIntegrand, and
+a [|h|^2]_f outside [0, 1] (passivity bounds |h|^2 by 1
 pointwise) raises PrecisionLoss.
 
-The exact route works in row chunks of at most CHUNK_ROWS (512) points, so
+The exact pass works in row chunks of at most CHUNK_ROWS (512) points, so
 memory stays flat in the batch size: it is bounded by one Gaussian chunk's
 Faddeeva table.  With cold caches a chunk's fixed cost outweighs its
 per-row work, so a chunk is large enough to take a curve family, or a
@@ -60,7 +49,7 @@ nothing here re-checks one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -79,7 +68,7 @@ from .params import (
     require_normalized,
 )
 from .scattering import pole_expansion, scattered_amplitude
-from .spectral import QuadratureConfig, build_grid, pole_averages
+from .spectral import QuadratureConfig, pole_averages, spectral_average
 
 #: Relative coupling asymmetry below which lambda_L and lambda_R count as equal.
 EQUAL_COUPLING_RTOL = 1e-12
@@ -113,11 +102,10 @@ class SpectralMoments:
     h2: np.ndarray      # [|h|^2]_f
 
 
-def spectral_moments(rows: ParamRows,
-                     quad: QuadratureConfig | None = None) -> SpectralMoments:
-    """[h]_f and [|h|^2]_f of every row of the batch: exact for quad=None,
-    else on the given rule (see the module docstring).  `rows` comes from
-    `params.point_rows` (or `params.grid_rows`), which checked every row.
+def spectral_moments(rows: ParamRows) -> SpectralMoments:
+    """[h]_f and [|h|^2]_f of every row of the batch, exactly (see the
+    module docstring).  `rows` comes from `params.point_rows` (or
+    `params.grid_rows`), which checked every row.
 
     Raises DegenerateDenominator from the scattering map,
     NonFiniteIntegrand where a moment overflows (a rate or detuning too
@@ -126,8 +114,7 @@ def spectral_moments(rows: ParamRows,
     kappa = 1e16).
     """
     with np.errstate(all="ignore"):
-        h, h2 = (_exact_moments(rows) if quad is None
-                 else _quadrature_moments(rows, quad))
+        h, h2 = _exact_moments(rows)
     # passivity, 0 <= [|h|^2] <= 1 up to rounding; NaN fails it too
     passive = (h2 >= _ZERO) & (h2 <= _PASSIVE_MAX)
     if np.count_nonzero(passive & np.isfinite(h)) < passive.size:
@@ -138,31 +125,11 @@ def spectral_moments(rows: ParamRows,
     return SpectralMoments(h=h, h2=h2)
 
 
-def _profile_index(rows: ParamRows):
-    """(profile, index) for each profile in the batch: the positions of its
-    rows, in order."""
-    for profile, mask in ((Profile.GAUSSIAN, ~rows.lorentzian),
-                          (Profile.LORENTZIAN, rows.lorentzian)):
-        index = mask.nonzero()[0]
-        if index.size:
-            yield profile, index
-
-
-def _chunks(index: np.ndarray, step: int):
-    """`index` cut into pieces of at most `step` entries."""
-    return (index[start:start + step] for start in range(0, index.size, step))
-
-
-def _take(rows: ParamRows, index) -> ParamRows:
-    """The rows at `index`: columns for an index array, scalars for an
-    integer."""
-    return ParamRows(*(column[index] for column in rows))
-
-
 def _exact_moments(rows: ParamRows) -> tuple[np.ndarray, np.ndarray]:
-    """[h]_f and [|h|^2]_f of every row from the pole sums of h.  A batch of
-    one profile that fits in a chunk (a single point among them) is that
-    chunk: no row is selected and no output is gathered."""
+    """[h]_f and [|h|^2]_f of every row from the pole sums of h, each
+    profile's rows in chunks of at most CHUNK_ROWS.  A batch of one profile
+    that fits in a chunk (a single point among them) is that chunk: no row
+    is selected and no output is gathered."""
     count = len(rows.kappa)
     lorentzian = np.count_nonzero(rows.lorentzian)
     if count <= CHUNK_ROWS and lorentzian in (0, count):
@@ -170,9 +137,13 @@ def _exact_moments(rows: ParamRows) -> tuple[np.ndarray, np.ndarray]:
                             else Profile.GAUSSIAN, rows)
     h = np.empty(count, dtype=complex)
     h2 = np.empty(count)
-    for profile, index in _profile_index(rows):
-        for chunk in _chunks(index, CHUNK_ROWS):
-            h[chunk], h2[chunk] = _chunk_exact(profile, _take(rows, chunk))
+    for profile, mask in ((Profile.GAUSSIAN, ~rows.lorentzian),
+                          (Profile.LORENTZIAN, rows.lorentzian)):
+        index = mask.nonzero()[0]
+        for start in range(0, index.size, CHUNK_ROWS):
+            chunk = index[start:start + CHUNK_ROWS]
+            h[chunk], h2[chunk] = _chunk_exact(
+                profile, ParamRows(*(column[chunk] for column in rows)))
     return h, h2
 
 
@@ -186,25 +157,6 @@ def _chunk_exact(profile: Profile, rows: ParamRows
                                    (e.z1, e.z2))
     h = e.a0 * (a_0 - a_2) + e.a12 * a_12
     h2 = (e.l2 * a_2 + e.l12 * a_12).real - h.real
-    return h, h2
-
-
-def _quadrature_moments(rows: ParamRows, quad: QuadratureConfig
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """[h]_f and [|h|^2]_f on the rule `quad`, row by row on the pulse's
-    grid (`spectral.build_grid`).  The grid is in detuning coordinates, its
-    nodes at k - k_c, as the state oracle's: absolute nodes at a large k_c
-    would round the pulse's width away."""
-    h = np.empty(len(rows.kappa), dtype=complex)
-    h2 = np.empty(len(rows.kappa))
-    for i in range(len(rows.kappa)):
-        row = _take(rows, i)._replace(k_c=0.0)
-        pulse = PulseSpec(Profile.LORENTZIAN if row.lorentzian
-                          else Profile.GAUSSIAN, row.delta_p, row.kappa_p)
-        grid = build_grid(pulse, quad)
-        amp = scattered_amplitude(grid.k, row)
-        h[i] = grid.average(amp)
-        h2[i] = grid.average(amp.real ** 2 + amp.imag ** 2).real
     return h, h2
 
 
@@ -306,13 +258,30 @@ def qm_fidelity(params: SystemParams, pulse: PulseSpec,
     Independent of the coupling ratio lambda_L/lambda_R (only lambda^2 enters
     h) and of the detection efficiency.  Raises ZeroScatteringWeight when the
     pulse effectively never scatters.
+
+    Exact for quad=None.  An explicit rule averages h over the pulse's
+    detunings (`spectral_average`), refusing what `spectral_moments` does,
+    for the benchmark's pair check, which compares the state oracle on that
+    rule; the rule goes when that check moves to the exact forms.
     """
-    m = spectral_moments(point_rows([(params, pulse)]), quad)
-    return _memory_fidelity(m.h.item(), m.h2.item())
+    if quad is None:
+        m = spectral_moments(point_rows([(params, pulse)]))
+        return _memory_fidelity(m.h.item(), m.h2.item())
+    detuned = replace(params, k_c=0.0)
+
+    def power(s):
+        amp = scattered_amplitude(s, detuned)
+        return amp.real ** 2 + amp.imag ** 2
+    with np.errstate(all="ignore"):   # an overflow raises NonFiniteIntegrand
+        h = spectral_average(lambda s: scattered_amplitude(s, detuned), pulse,
+                             quad)
+        h2 = spectral_average(power, pulse, quad).real
+    if not 0.0 <= h2 <= 1.0 + PASSIVITY_SLACK:
+        raise PrecisionLoss(h2)
+    return _memory_fidelity(h, h2)
 
 
 def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
-                       quad: QuadratureConfig | None = None,
                        photons: Sequence[PhotonQubit] = (PhotonQubit(0.0, 1.0),),
                        detector: float = 1.0) -> list[dict[str, float]]:
     """Every closed form of one store-and-retrieve cycle, per input qubit,
@@ -326,7 +295,7 @@ def cycle_closed_forms(params: SystemParams, pulse: PulseSpec,
     """
     weights = [_input_weights(photon) for photon in photons]
     eta = check_efficiency(detector)
-    m = spectral_moments(point_rows([(params, pulse)]), quad)
+    m = spectral_moments(point_rows([(params, pulse)]))
     h, h2 = m.h.item(), m.h2.item()
     sin2 = _sin2(params.lambda_L, params.lambda_R, params.lambda_sq)
     f_qm = float(_memory_fidelity(h, h2))
@@ -391,7 +360,6 @@ class MetricColumns(NamedTuple):
 
 
 def metric_columns(rows: ParamRows,
-                   quad: QuadratureConfig | None = None,
                    eta: float = 1.0,
                    photon: PhotonQubit = _BALANCED) -> MetricColumns:
     """Every closed-form metric of every row of the batch (from
@@ -400,7 +368,7 @@ def metric_columns(rows: ParamRows,
     ZeroScatteringWeight where any metric is undefined."""
     cl2, cr2 = _input_weights(photon)
     eta = check_efficiency(eta)
-    m = spectral_moments(rows, quad)
+    m = spectral_moments(rows)
     h, h2 = m.h, m.h2
     sin2 = _sin2(rows.lambda_L, rows.lambda_R, rows.lambda_sq)
     p_qm = _success(h2, sin2, eta)

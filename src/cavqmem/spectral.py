@@ -162,15 +162,16 @@ def build_grid(pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,
     return KGrid(k=k, omega=omega)
 
 
-def spectral_average(G, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD,
-                     k_c: float = 0.0) -> complex:
+def spectral_average(G, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD
+                     ) -> complex:
     """[G]_f = integral |f(k)|^2 G(k) dk by the profile's quadrature rule.
 
-    G must accept a numpy array of wavenumbers.  Raises NonFiniteIntegrand if
-    any node value is NaN or infinite.
+    G must accept a numpy array of nodes delta_p + kappa_p x, with no carrier
+    added: detunings from the cavity resonance, or wavenumbers at k_c = 0.
+    Raises NonFiniteIntegrand if any node value is NaN or infinite.
     """
     x, omega = quadrature_rule(pulse.profile, quad)
-    values = np.asarray(G(k_c + pulse.delta_p + pulse.kappa_p * x))
+    values = np.asarray(G(pulse.delta_p + pulse.kappa_p * x))
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand()
     return complex(np.sum(omega * values))

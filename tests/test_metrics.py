@@ -7,6 +7,7 @@ analytic integrands, independently of the package's fixed quadrature rules.
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cavqmem.cli import SweepAxis, SweepSpec, sweep_rows
 from cavqmem.invariants import (
     coupling_ratio_invariance,
     draw_equivalence_point,
+    exact_route_agreement,
     success_dual_route,
 )
 from cavqmem.errors import (DegenerateDenominator, InvalidField,
@@ -42,9 +44,8 @@ from cavqmem.params import (
     SystemParams,
     point_rows,
 )
-from cavqmem.scattering import (pole_expansion, scattered_amplitude,
-                                t_elements)
-from cavqmem.spectral import DEFAULT_QUAD, build_grid, spectral_average
+from cavqmem.scattering import pole_expansion, scattered_amplitude
+from cavqmem.spectral import DEFAULT_QUAD, spectral_average
 
 
 def family_point(coop, width_ratio, profile=Profile.GAUSSIAN, delta_e=0.0,
@@ -278,12 +279,11 @@ def test_transfer_fidelity_requires_balanced_couplings():
 
 
 def test_quadrature_health_margin_on_family_points():
-    # the default rule's error on [h] against the exact route
+    # the default rule's error on [h], F_qm and F_swap against the exact
+    # route, its moments from spectral_average
     points = [family_point(coop, 0.1) for coop in (1.0, 20.0, 100.0)]
     points.append(family_point(20.0, 0.01, Profile.LORENTZIAN))
-    rows = point_rows(points)
-    ruled = spectral_moments(rows, DEFAULT_QUAD).h
-    assert np.max(np.abs(ruled - spectral_moments(rows).h)) < 1e-9
+    assert exact_route_agreement(points) < 1e-9
 
 
 def test_report_bundles_consistent_values():
@@ -304,28 +304,22 @@ def test_report_bundles_consistent_values():
     assert all(column.shape == (3,) for column in columns)
 
 
-def _per_point_reference(params, pulse, eta, photon):
-    """The closed forms evaluated one point at a time from a fresh grid and
-    the full polarization map, the way they were computed before the moment
-    pass existed."""
-    grid = build_grid(pulse, DEFAULT_QUAD, k_c=params.k_c)
-    h = scattered_amplitude(grid.k, params)
-    t_lr = t_elements(grid.k, params)[2]
-    t2 = np.abs(t_lr) ** 2
+def _per_point_reference(params, pulse, eta, photon, mean_h, mean_h2):
+    """The closed forms of one point, written apart from the helpers of
+    `metrics` from the flip element's averages [t_LR] = e^{-i(theta_L -
+    theta_R)} sin(2 xi) [h] and [|t_LR|^2] = sin^2(2 xi) [|h|^2]."""
+    cross = np.exp(-1j * (params.theta_L - params.theta_R)) * params.sin_2xi
     cl2, cr2 = abs(photon.c_L) ** 2, abs(photon.c_R) ** 2
-    mean_h2 = grid.average(np.abs(h) ** 2).real
-    mean_t, mean_t2 = grid.average(t_lr), grid.average(t2).real
-    mean_eta = grid.average(eta).real
-    mean_eta_t = grid.average(eta * t_lr)
-    mean_eta_t2 = grid.average(eta * t2).real
-    p_kl = grid.average(eta * (cl2 + cr2 * t2)).real
-    joint = cr2 * mean_eta_t2 + cl2 * mean_t2 * mean_eta
+    mean_t, mean_t2 = cross * mean_h, params.sin_2xi ** 2 * mean_h2
+    mean_eta_t, mean_eta_t2 = eta * mean_t, eta * mean_t2
+    p_kl = eta * (cl2 + cr2 * mean_t2)
+    joint = cr2 * mean_eta_t2 + cl2 * mean_t2 * eta
     fidelity = (cr2 * cr2 * mean_eta_t2
                 + 2.0 * cr2 * cl2 * (np.conjugate(mean_t) * mean_eta_t).real
-                + cl2 * cl2 * abs(mean_t) ** 2 * mean_eta) / joint
+                + cl2 * cl2 * abs(mean_t) ** 2 * eta) / joint
     return {"F_swap": mean_h2,
             "F_swap_leading": swap_fidelity_leading(params, pulse),
-            "F_qm": abs(grid.average(h)) ** 2 / mean_h2,
+            "F_qm": abs(mean_h) ** 2 / mean_h2,
             "P_kL": p_kl, "P_L": joint / p_kl, "P_qm": mean_eta_t2,
             "P_qm_conditional": mean_eta_t2 ** 2, "fidelity": fidelity}
 
@@ -341,21 +335,20 @@ def test_batching_does_not_change_results(profile, detector):
         points.append((params, PulseSpec(profile, pulse.delta_p, pulse.kappa_p,
                                          pulse.x_0)))
     photon = PhotonQubit(0.6, 0.8 * np.exp(0.7j))
-    batches = {quad: metric_columns(point_rows(points), quad, detector, photon)
-               for quad in (None, DEFAULT_QUAD)}
+    batch = metric_columns(point_rows(points), detector, photon)
+    moments = spectral_moments(point_rows(points))
     for i, (params, pulse) in enumerate(points):
-        for quad, batch in batches.items():
-            alone = metric_columns(point_rows([(params, pulse)]), quad,
-                                   detector, photon)
-            # every column, floats bit for bit
-            assert [column[i] for column in batch] \
-                == [column[0] for column in alone]
-        forms, = cycle_closed_forms(params, pulse, DEFAULT_QUAD, [photon],
-                                    detector)
-        ref = _per_point_reference(params, pulse, detector, photon)
+        alone = metric_columns(point_rows([(params, pulse)]), detector,
+                               photon)
+        # every column, floats bit for bit
+        assert [column[i] for column in batch] \
+            == [column[0] for column in alone]
+        forms, = cycle_closed_forms(params, pulse, [photon], detector)
+        ref = _per_point_reference(params, pulse, detector, photon,
+                                   moments.h[i], moments.h2[i])
         for name, value in ref.items():
             got = (forms[name] if name == "fidelity"
-                   else getattr(batches[DEFAULT_QUAD], name)[i])
+                   else getattr(batch, name)[i])
             assert got == pytest.approx(value, abs=1e-12), name
 
     # a point that never flips the polarization poisons the conditioning of
@@ -363,11 +356,10 @@ def test_batching_does_not_change_results(profile, detector):
     dark = (SystemParams(lambda_L=0.0, lambda_R=2.0), points[1][1])
     with pytest.raises(ZeroScatteringWeight):
         metric_columns(point_rows(points[:-1] + [dark] + points[-1:]),
-                       DEFAULT_QUAD, detector, PhotonQubit(0.0, 1.0))
+                       detector, PhotonQubit(0.0, 1.0))
 
 
-@pytest.mark.parametrize("quad", [None, DEFAULT_QUAD],
-                         ids=["exact", "quadrature"])
+@pytest.mark.parametrize("quad", [None], ids=["exact"])
 @pytest.mark.parametrize("detector", [0.8], ids=["constant"])
 @pytest.mark.parametrize("profile", list(Profile))
 def test_cycle_closed_forms_equal_the_scalar_calls(profile, detector, quad):
@@ -376,14 +368,13 @@ def test_cycle_closed_forms_equal_the_scalar_calls(profile, detector, quad):
     pulse = PulseSpec(profile, pulse.delta_p, pulse.kappa_p, pulse.x_0)
     photons = [PhotonQubit(1.0, 0.0), PhotonQubit(0.0, 1.0),
                PhotonQubit(0.6, 0.8 * np.exp(0.7j))]
-    forms = cycle_closed_forms(params, pulse, quad, photons, detector)
+    forms = cycle_closed_forms(params, pulse, photons, detector)
     assert len(forms) == len(photons)
     f_qm = qm_fidelity(params, pulse, quad)
     for photon, got in zip(photons, forms):
         # bit for bit: the cycle's forms, the qubit's row of the batch entry
         # and the scalar F_qm come from one arithmetic on one moment pass
-        row = metric_columns(point_rows([(params, pulse)]), quad, detector,
-                             photon)
+        row = metric_columns(point_rows([(params, pulse)]), detector, photon)
         assert got["F_qm"] == f_qm
         for key in ("F_qm", "P_kL", "P_L", "P_qm"):
             assert got[key] == getattr(row, key)[0].item(), key
@@ -461,9 +452,9 @@ def test_one_point_entries_raise_typed_errors(name, profile):
 
 def test_one_point_takes_one_kernel_call(monkeypatch):
     # a batch of one goes straight to the chunk kernel: one pole expansion,
-    # one set of pole averages and no row selected; a mixed batch makes one
-    # call per profile per chunk
-    calls = dict.fromkeys(("pole_expansion", "pole_averages", "_take"), 0)
+    # one set of pole averages and no rows selected into a new batch; a
+    # mixed batch makes one call per profile per chunk
+    calls = dict.fromkeys(("pole_expansion", "pole_averages", "ParamRows"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -483,7 +474,7 @@ def test_one_point_takes_one_kernel_call(monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             entry()
             assert calls == {"pole_expansion": 1, "pole_averages": 1,
-                             "_take": 0}
+                             "ParamRows": 0}
     # every third row Lorentzian, the batch sized so the Gaussian rows fill
     # one chunk and spill into a second; the Lorentzian ones fit in one
     count = 3 * (CHUNK_ROWS // 2 + 1)
@@ -631,8 +622,8 @@ def test_constant_efficiency_factors_out_of_the_exact_moments():
 
 @pytest.mark.parametrize("profile", list(Profile))
 def test_on_rule_moments_ignore_the_carrier(profile):
-    # the rule's grid is in detuning coordinates (nodes at k - k_c), so a
-    # large carrier cannot round the pulse's width away
+    # qm_fidelity's rule averages h at the pulse's detunings (nodes at
+    # k - k_c), so a large carrier cannot round the pulse's width away
     pulse = PulseSpec(profile=profile, kappa_p=0.5)
     base = qm_fidelity(SystemParams(k_c=0.0), pulse, DEFAULT_QUAD)
     for k_c in (1e8, 1e12, 1e17):
@@ -644,15 +635,16 @@ def test_on_rule_moments_ignore_the_carrier(profile):
                          ids=["exact", "quadrature"])
 @pytest.mark.parametrize("profile", list(Profile))
 def test_overflowing_moments_raise_a_typed_error(profile, quad):
-    # kappa^2 overflows in both routes; the pass neither warns (warnings are
-    # errors in this suite) nor hands NaN on to the closed forms
+    # kappa^2 overflows in the exact pass and on qm_fidelity's rule; neither
+    # warns (warnings are errors in this suite) nor hands NaN on
     point = (SystemParams(kappa=1e200), PulseSpec(profile=profile))
+    with pytest.raises(NonFiniteIntegrand):
+        qm_fidelity(*point, quad)
     with pytest.raises(NonFiniteIntegrand, match="overflow"):
-        spectral_moments(point_rows([point]), quad)
+        spectral_moments(point_rows([point]))
     with pytest.raises(NonFiniteIntegrand):
         metric_columns(point_rows([(SystemParams(),
-                                    PulseSpec(profile=profile)), point]),
-                       quad)
+                                    PulseSpec(profile=profile)), point]))
 
 
 @pytest.mark.parametrize("profile", list(Profile))
@@ -664,13 +656,13 @@ def test_lost_precision_raises_a_typed_error(profile, monkeypatch):
         spectral_moments(point_rows([stiff]))
     with pytest.raises(PrecisionLoss):
         qm_fidelity(*stiff)
-    # the rule route meets the same bound
-    rows = point_rows([(SystemParams(), PulseSpec(profile=profile))])
+    # qm_fidelity's rule meets the same bound
     for h2 in (-1e-300, 1.0 + 2e-12):
-        monkeypatch.setattr(metrics, "_quadrature_moments", lambda rows, quad:
-                            (np.zeros(1, complex), np.array([h2])))
+        monkeypatch.setattr(metrics, "spectral_average",
+                            lambda G, pulse, quad: complex(h2))
         with pytest.raises(PrecisionLoss):
-            spectral_moments(rows, DEFAULT_QUAD)
+            qm_fidelity(SystemParams(), PulseSpec(profile=profile),
+                        DEFAULT_QUAD)
 
 
 def test_passivity_bound_holds_on_the_validated_ranges():
@@ -680,9 +672,13 @@ def test_passivity_bound_holds_on_the_validated_ranges():
     points = [(SystemParams(), PulseSpec(profile=profile))
               for profile in Profile]
     points += [draw_equivalence_point(rng)[:2] for _ in range(400)]
-    for quad in (None, DEFAULT_QUAD):
-        h2 = spectral_moments(point_rows(points), quad).h2
-        assert ((h2 >= 0.0) & (h2 <= 1.0)).all()
+    h2 = spectral_moments(point_rows(points)).h2
+    assert ((h2 >= 0.0) & (h2 <= 1.0)).all()
+    # and on the default rule, h at the pulse's detunings
+    for params, pulse in points:
+        params = replace(params, k_c=0.0)
+        assert 0.0 <= spectral_average(lambda s: np.abs(scattered_amplitude(
+            s, params)) ** 2, pulse).real <= 1.0
     for columns in (cli.fig2_rows(), cli.fig3_rows(), cli.fig4_rows()):
         assert min(map(len, columns)) > 100
 

@@ -1,6 +1,7 @@
 """Parameter containers, validation, serialization and the detector efficiency."""
 
 import ast
+import inspect
 import math
 from dataclasses import astuple, replace
 from decimal import Decimal
@@ -190,6 +191,15 @@ def test_oracle_and_closed_forms_stay_independent():
     assert {"params", "scattering", "spectral"} <= _package_closure("statesim")
 
 
+def test_closed_forms_take_no_quadrature_rule():
+    # only the state oracle integrates on a rule: qm_fidelity's `quad` is
+    # the one rule left in `metrics`, which builds no grid
+    assert {name for name, fn in inspect.getmembers(metrics, callable)
+            if not name.startswith("_") and fn.__module__ == metrics.__name__
+            and "quad" in inspect.signature(fn).parameters} == {"qm_fidelity"}
+    assert not {"build_grid", "KGrid"} & set(vars(metrics))
+
+
 def test_pulse_accepts_profile_as_string():
     assert PulseSpec(profile="lorentzian").profile is Profile.LORENTZIAN
 
@@ -216,6 +226,11 @@ def test_point_from_dict_fills_defaults_and_rejects_unknown_keys():
         point_from_dict({"kapa": 3.0})
     with pytest.raises(InvalidField):
         point_from_dict({"profile": "boxcar"})
+    # a value must be a JSON number, not a string float() parses or a bool
+    for data in ({"kappa": "3.5"}, {"delta_p": " 1e1 "}, {"kappa": "1_0"},
+                 {"kappa": True}, {"kappa_p": False}, {"gamma": None}):
+        with pytest.raises(InvalidField, match="not a number"):
+            point_from_dict(data)
 
 
 def test_qubit_normalization_helpers():
