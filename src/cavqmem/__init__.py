@@ -67,24 +67,18 @@ from .spectral import (
     spectral_average,
 )
 from .statesim import (
-    AtomEnsemble,
     Cavity,
     EntanglementOutcome,
     MemoryRecord,
     PhotonPair,
-    RetrievalOutcome,
-    atomic_readout_via_third_photon,
     entanglement_storage,
-    retrieve,
     run_memory_protocol,
-    store,
     swap_transfer_fidelity,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomEnsemble",
     "AtomQubit",
     "Cavity",
     "CavqmemError",
@@ -105,14 +99,12 @@ __all__ = [
     "Profile",
     "PulseSpec",
     "QuadratureConfig",
-    "RetrievalOutcome",
     "SpectralMoments",
     "SystemParams",
     "UnequalCouplings",
     "ZeroCoupling",
     "ZeroProbability",
     "ZeroScatteringWeight",
-    "atomic_readout_via_third_photon",
     "bright_phase_factor",
     "build_grid",
     "check_efficiency",
@@ -125,12 +117,10 @@ __all__ = [
     "point_to_dict",
     "qm_fidelity",
     "quadrature_rule",
-    "retrieve",
     "run_memory_protocol",
     "scattered_amplitude",
     "spectral_average",
     "spectral_moments",
-    "store",
     "swap_fidelity_leading",
     "swap_target_atom",
     "swap_transfer_fidelity",

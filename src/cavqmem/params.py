@@ -294,9 +294,14 @@ FIG3_CASES: tuple[tuple[str, float, float], ...] = (
 def split_coupling(lambda_sq, ratio):
     """(lambda_L, lambda_R) with lambda_L^2 + lambda_R^2 = lambda_sq and
     lambda_L / lambda_R = ratio, elementwise on floats or arrays; NaN where
-    lambda_sq < 0, which the point or row check then names."""
-    with np.errstate(invalid="ignore"):
-        lam_r = np.sqrt(lambda_sq / (1.0 + ratio * ratio))
+    lambda_sq < 0, which the point or row check then names.  Where ratio^2
+    overflows (|ratio| > ~1.3e154), lambda_R = sqrt(lambda_sq) / |ratio|,
+    so every finite ratio gives finite couplings."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio_sq = ratio * ratio
+        lam_r = np.sqrt(lambda_sq / (1.0 + ratio_sq))
+        lam_r = np.where(np.isinf(ratio_sq),
+                         np.sqrt(lambda_sq) / np.abs(ratio), lam_r)
     return ratio * lam_r, lam_r
 
 

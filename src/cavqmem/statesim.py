@@ -9,40 +9,33 @@ an unresolved detector does.  Nothing is averaged before the step that
 physically averages it, which is what makes the module useful as an oracle
 for the closed forms.
 
-Every branch that a step fills is one fixed amplitude per channel times a
-scattering element at the node, all on the pulse's envelope f.  So every
-quadratic figure is a node sum of omega-weighted elements on the cavity's
-grid, [G]_f = sum_j omega_j G(k_j), and no step builds an amplitude
-array.  The memory cycle starts with the atom in |R>: the storage pass
-(`store`) leaves c_L on the dark |R, k_L> and t_LR c_R on |L, k_L>; the
-|R, k_R> branch is never counted, and only the weight it sheds into
-spontaneous emission is kept.  The k_L count scales the two counted
-branches by sqrt(eta) into the `AtomEnsemble`, whose 2 x 2 Gram matrix
-holds every sum over the storage nodes: eta [[|c_R|^2 Q, c_R conj(c_L) M],
-[conj(c_R) c_L conj(M), |c_L|^2 N]] with N = [1], M = [t_LR] and
-Q = [|t_LR|^2].  In `retrieve` each branch's released photon is its
-amplitude times a fixed retrieval amplitude per polarization, so its
-overlap with the target takes two scalar channel overlaps, and every sum
-over the retrieval nodes is one of N, M and Q again.  The two-cavity pair
-(`entanglement_storage`) fills four orthogonal channels, one product of a
-fixed amplitude per photon each, so every figure it reports is a sum of
-products of one node sum per cavity, S = [|t_RR|^2] being the fourth.  The
-swap from an arbitrary atomic pre-state (`swap_transfer_fidelity`)
-projects each photon channel's atomic amplitudes on the swap image node by
-node, and sums the two squared overlaps.  A `Cavity` takes each node sum
-once, on first use.  Decay weights are summed node by node from 1 -
-|t_RR|^2 - |t_LR|^2 in a form that does not cancel (`Cavity.decay`), never
-as a difference of norms, so a small loss keeps its digits; the pair's
-swap probability is the sum of its surviving branches.  Sums over the
-nodes are pairwise sums, not BLAS dot products: BLAS threads split a long
-dot product, so its last bits would move with the thread count.
+Every branch that the protocol fills is one fixed amplitude per channel
+times a scattering element at the node, all on the pulse's envelope f.  So
+every quadratic figure is a node sum of omega-weighted elements on the
+cavity's grid, [G]_f = sum_j omega_j G(k_j), and no function builds an
+amplitude array.  The memory cycle (`run_memory_protocol`) is one function
+of four node sums of one cavity: N = [1], M = [t_LR], Q = [|t_LR|^2] and
+the decay weight D.  Its storage count leaves the atom in a 2 x 2 mixture
+whose entries are N, M and Q times the photon's amplitudes, and its
+retrieval and herald take every sum over the retrieval nodes from N, M
+and Q again.  The two-cavity pair (`entanglement_storage`) fills four
+orthogonal channels, one product of a fixed amplitude per photon each, so
+every figure it reports is a sum of products of one node sum per cavity,
+S = [|t_RR|^2] being the fourth.  The swap from an arbitrary atomic
+pre-state (`swap_transfer_fidelity`) projects each photon channel's atomic
+amplitudes on the swap image node by node, and sums the two squared
+overlaps.  A `Cavity` takes each node sum once, on first use.  Decay
+weights are summed node by node from 1 - |t_RR|^2 - |t_LR|^2 in a form
+that does not cancel (`Cavity.decay`), never as a difference of norms, so
+a small loss keeps its digits; the pair's swap probability is the sum of
+its surviving branches.  Sums over the nodes are pairwise sums, not BLAS
+dot products: BLAS threads split a long dot product, so its last bits
+would move with the thread count.
 
-A step that sends a photon through a cavity takes a `Cavity`: a pulse's
-grid with one node's scattering elements at its nodes, which `Cavity.of`
-builds, in the grid's detuning coordinates and from the caller's
-parameters, and refuses if it overflows.  The entry points build their
-cavities once and call the public steps, so each step has one
-implementation.
+Every photon that meets a cavity meets a `Cavity`: a pulse's grid with one
+node's scattering elements at its nodes, which `Cavity.of` builds, in the
+grid's detuning coordinates and from the caller's parameters, and refuses
+if it overflows.  Each entry point builds its cavities once.
 
 SystemParams and PulseSpec check themselves when they are built; the qubit
 amplitudes (for normalization) and the detector efficiency (in (0, 1]) are
@@ -151,127 +144,6 @@ class Cavity:
 
 
 @dataclass(frozen=True)
-class AtomEnsemble:
-    """Atomic state after the scattered photon was counted in the k_L channel.
-
-    The counter does not resolve k, so the atom is left in a mixture indexed
-    by the grid node.  `gram` is its unnormalized 2 x 2 density matrix,
-    g[a, b] = sum_j omega_j beta_a(k_j) conj(beta_b(k_j)) over the branch
-    amplitudes beta of the levels (0 = |L>, 1 = |R>) on the envelope; the
-    branches keep their raw scale, so its trace is the detection
-    probability.
-    """
-
-    gram: np.ndarray
-
-    @cached_property
-    def probability(self) -> float:
-        """The detection probability, the trace of `gram`."""
-        return float(self.gram.trace().real)
-
-    def density(self) -> np.ndarray:
-        """Normalized 2x2 atomic density matrix of the ensemble."""
-        return self.gram / self.probability
-
-
-def store(cav: Cavity, photon: PhotonQubit, detector: float = 1.0
-          ) -> tuple[AtomEnsemble, float]:
-    """Store the polarization qubit `photon` on the atom, prepared in |R>,
-    and count the scattered photon in the k_L channel with efficiency
-    `detector`.
-
-    The photon c_L |k_L> + c_R |k_R> with the grid's envelope f meets the
-    cavity once.  Its |R, k_L> part is dark and passes as c_L f; its
-    |R, k_R> part is bright and leaves as t_LR c_R f on |L, k_L> (counted)
-    and t_RR c_R f on |R, k_R> (never counted), shedding |c_R|^2 [1 -
-    |t_RR|^2 - |t_LR|^2]_f into spontaneous emission.  The count's Kraus
-    factor sqrt(eta) scales the two counted branches into the ensemble,
-    whose Gram matrix is eta [[|c_R|^2 Q, c_R conj(c_L) M], [conj(c_R) c_L
-    conj(M), |c_L|^2 N]] with N, M and Q the cavity's `norm`, `mean` and
-    `converted`.
-
-    Returns the ensemble, whose probability is P(k_L), and the decay weight
-    of the pass (`Cavity.decay` times |c_R|^2, exactly 0.0 at gamma = 0).
-    Raises InvalidField unless the photon is normalized and 0 < detector
-    <= 1, and ZeroProbability when the count has no support.
-    """
-    require_normalized(photon)
-    eta = check_efficiency(detector)
-    c_l, c_r = photon.c_L, photon.c_R
-    cross = eta * c_r * c_l.conjugate() * cav.mean
-    stored = AtomEnsemble(gram=np.array(
-        [[eta * abs(c_r) ** 2 * cav.converted, cross],
-         [cross.conjugate(), eta * abs(c_l) ** 2 * cav.norm]]))
-    if stored.probability < TINY_PROB:
-        raise ZeroProbability("k_L photon detection")
-    return stored, abs(c_r) ** 2 * cav.decay
-
-
-@dataclass(frozen=True)
-class RetrievalOutcome:
-    """Result of scattering a retrieval photon and finding the atom in |L>:
-    `probability` is P(L) conditioned on the earlier detection, `fidelity`
-    the overlap of the released photon with the target qubit, and `loss` the
-    decay mass shed during retrieval (same conditioning)."""
-
-    probability: float
-    fidelity: float
-    loss: float
-
-
-def retrieve(stored: AtomEnsemble, cav: Cavity,
-             target: PhotonQubit = PhotonQubit(0.0, 1.0)) -> RetrievalOutcome:
-    """Send a k_R-polarized retrieval photon, on the cavity's grid, and
-    measure the atom.
-
-    Each stored branch j sees the fresh photon envelope f'(k'): the |R>
-    component scatters (T_RR keeps k_R, T_LR converts to k_L), the |L>
-    component is transparent.  Finding the atom in |L> releases the qubit
-    onto the photon; the outcome fidelity compares it with `target` carried
-    by the same envelope.
-    """
-    require_normalized(target)
-    # Atom found in |L>: storage branch j, with amplitudes beta[L, j] and
-    # beta[R, j], releases beta[R, j] t_LR f' on k_L (the scattered |R>
-    # branch, converted) and beta[L, j] f' on k_R (the transparent |L>
-    # branch).  Every sum over the retrieval nodes is then one of [1],
-    # [t_LR] and [|t_LR|^2] on the cavity's grid.
-    norm, mean, converted = cav.norm, cav.mean, cav.converted
-    (g_ll, g_lr), (_, g_rr) = stored.gram.tolist()
-    mass = g_rr.real * converted + g_ll.real * norm
-    if mass < TINY_PROB:
-        raise ZeroProbability("atom found in the retrieval level")
-    # Branch j's overlap with the target on the retrieval envelope is
-    # v_L beta[L, j] + v_R beta[R, j], one scalar channel overlap per
-    # atomic level.  The unresolved storage node makes the branches
-    # incoherent, so the fidelity sums |overlap|^2 over them: v g v^H.
-    v_l = target.c_R.conjugate() * norm
-    v_r = target.c_L.conjugate() * mean
-    overlap_sq = (abs(v_l) ** 2 * g_ll.real + abs(v_r) ** 2 * g_rr.real
-                  + 2.0 * (v_l * v_r.conjugate() * g_lr).real)
-    return RetrievalOutcome(
-        probability=mass / stored.probability,
-        fidelity=overlap_sq / mass,
-        loss=g_rr.real * cav.decay / stored.probability,
-    )
-
-
-def atomic_readout_via_third_photon(atom: AtomQubit, cav: Cavity,
-                                    detector: float = 1.0) -> float:
-    """Interrogate the atom with a k_L-polarized probe photon on the
-    cavity's grid; returns the probability of a k_R click.
-
-    Only the |L> component converts the probe to the k_R channel (T_RL), so a
-    k_R click occurs with probability |a_L|^2 eta [|T_RL|^2]_f and pins the
-    atom to |R>; |T_RL| = |T_LR|, so the sum is the cavity's `converted`.  A
-    transparent pass (|R> atom) never clicks.  Raises InvalidField unless
-    0 < detector <= 1.
-    """
-    require_normalized(atom)
-    return check_efficiency(detector) * cav.converted * abs(atom.a_L) ** 2
-
-
-@dataclass(frozen=True)
 class MemoryRecord:
     """End-to-end bookkeeping of one simulated store-and-retrieve cycle."""
 
@@ -306,13 +178,41 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
                         readout: str = "projective") -> MemoryRecord:
     """Simulate the full cycle: store a polarization qubit, retrieve it.
 
+    Storage: the photon c_L |k_L> + c_R |k_R> on the pulse's envelope f
+    meets the atom, prepared in |R>.  Its |R, k_L> part is dark and passes
+    as c_L f; its |R, k_R> part is bright and leaves as t_LR c_R f on
+    |L, k_L> (counted) and t_RR c_R f on |R, k_R> (never counted),
+    shedding |c_R|^2 D into spontaneous emission.  The k_L count does not
+    resolve k and scales the two counted branches by its Kraus factor
+    sqrt(eta), so it leaves the atom in a node-indexed mixture whose
+    unnormalized 2 x 2 density matrix (levels |L>, |R>) is
+    g = eta [[|c_R|^2 Q, c_R conj(c_L) M], [conj(c_R) c_L conj(M),
+    |c_L|^2 N]], with N = [1], M = [t_LR], Q = [|t_LR|^2] and D = [1 -
+    |t_RR|^2 - |t_LR|^2] the cavity's `norm`, `mean`, `converted` and
+    `decay`; P(k_L) = g_LL + g_RR.
+
+    Retrieval: a k_R photon on the same envelope meets each stored branch.
+    Finding the atom in |L> releases the branch's |R> amplitude times
+    t_LR f on k_L and its |L> amplitude times f on k_R, so every sum over
+    the retrieval nodes is one of N, M and Q again: the retrieved mass is
+    g_RR Q + g_LL N, and P(L) is that over P(k_L).  Against the input
+    photon on that envelope a branch overlaps by v_L beta_L + v_R beta_R,
+    with v_L = conj(c_R) N and v_R = conj(c_L) M; the unresolved storage
+    node makes the branches incoherent, so the fidelity is v g v^H over the
+    mass.  The retrieval's |R> branch sheds g_RR D / P(k_L), and
+    loss_weight adds it to the storage's |c_R|^2 D.
+
     readout="projective" ends with an ideal projective measurement of the
-    atom.  readout="third_photon" heralds the same outcome with a probe
-    photon instead: every retained branch acquires the identical spectral
-    factor, so the released state and its fidelity are unchanged and only an
-    extra success factor eta [|T_RL|^2]_f appears in p_total.  Raises
-    InvalidField unless 0 < detector <= 1, and NonFiniteIntegrand where the
-    cavity overflows (see `Cavity.of`).
+    atom.  readout="third_photon" heralds the same outcome with a k_L probe
+    photon instead: only the |L> atom converts it to k_R (|t_RL| = |t_LR|),
+    so the click has P_readout = eta Q, every retained branch acquires the
+    identical spectral factor, and the released state and its fidelity are
+    unchanged; only P_total picks up the factor.
+
+    Raises InvalidField for an unknown readout, unless 0 < detector <= 1,
+    and unless the photon is normalized; NonFiniteIntegrand where the
+    cavity overflows (see `Cavity.of`); ZeroProbability when the k_L count
+    or the retrieval measurement has no support.
     """
     if readout not in ("projective", "third_photon"):
         raise InvalidField(readout, "unknown readout mode")
@@ -320,19 +220,35 @@ def run_memory_protocol(params: SystemParams, pulse: PulseSpec,
     # Storage, retrieval and probe photons share the pulse, so one cavity
     # serves the whole cycle.
     cav = Cavity.of(params, pulse, quad)
-    stored, decay = store(cav, photon, eta)
-    outcome = retrieve(stored, cav, photon)
-    p_k_l = stored.probability
-    p_qm = p_k_l * outcome.probability
-    p_readout = None
-    if readout == "third_photon":
-        p_readout = atomic_readout_via_third_photon(
-            AtomQubit(1.0, 0.0), cav, eta)
+    require_normalized(photon)
+    c_l, c_r = photon.c_L, photon.c_R
+    norm, mean, converted = cav.norm, cav.mean, cav.converted
+    # Storage count: the two counted branches' weights on |L> and |R>, and
+    # their coherence.
+    g_ll = eta * abs(c_r) ** 2 * converted
+    g_rr = eta * abs(c_l) ** 2 * norm
+    g_lr = eta * c_r * c_l.conjugate() * mean
+    p_k_l = float(g_ll + g_rr)
+    if p_k_l < TINY_PROB:
+        raise ZeroProbability("k_L photon detection")
+    # Retrieval measurement: the atom found in |L> and the released
+    # photon's overlap with the input, summed over the storage branches.
+    mass = g_rr * converted + g_ll * norm
+    if mass < TINY_PROB:
+        raise ZeroProbability("atom found in the retrieval level")
+    v_l = c_r.conjugate() * norm
+    v_r = c_l.conjugate() * mean
+    overlap_sq = (abs(v_l) ** 2 * g_ll + abs(v_r) ** 2 * g_rr
+                  + 2.0 * (v_l * v_r.conjugate() * g_lr).real)
+    decay = cav.decay
+    p_l = mass / p_k_l
+    p_qm = p_k_l * p_l
+    # Herald: the probe's k_R click on the released atom.
+    p_readout = eta * converted if readout == "third_photon" else None
     return MemoryRecord(
-        p_k_l=p_k_l, p_l=outcome.probability, p_qm=p_qm,
-        fidelity=outcome.fidelity,
-        loss_weight=decay + outcome.loss, readout=readout,
-        p_readout=p_readout,
+        p_k_l=p_k_l, p_l=p_l, p_qm=p_qm, fidelity=overlap_sq / mass,
+        loss_weight=abs(c_r) ** 2 * decay + g_rr * decay / p_k_l,
+        readout=readout, p_readout=p_readout,
         p_total=p_qm if p_readout is None else p_qm * p_readout)
 
 

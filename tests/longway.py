@@ -15,13 +15,9 @@ import math
 
 import numpy as np
 
-from cavqmem.params import AtomQubit, Profile
+from cavqmem.params import AtomQubit, PhotonQubit, Profile
 from cavqmem.spectral import DEFAULT_QUAD, quadrature_rule
-from cavqmem.statesim import (
-    Cavity,
-    MemoryRecord,
-    atomic_readout_via_third_photon,
-)
+from cavqmem.statesim import Cavity, MemoryRecord
 
 ATOM_L, ATOM_R = 0, 1
 POL_L, POL_R = 0, 1
@@ -115,8 +111,9 @@ def stepwise_cycle(params, pulse, quad, photon, eta, readout):
     """Reference for `run_memory_protocol`: the cycle step by step on the
     full state.  The (2, 2, n) input is scattered by `pass_through`, whose
     decay weight is a difference of norms, the k_L count keeps both atomic
-    levels, and retrieval builds the node arrays of both polarization
-    channels."""
+    levels, retrieval builds the node arrays of both polarization
+    channels, and the third-photon herald scatters a k_L probe off the
+    released |L> atom and counts its |R, k_R> channel."""
     cav = Cavity.of(params, pulse, quad)
     f, w = envelope(pulse, quad)
     start = AtomQubit(0.0, 1.0)
@@ -139,8 +136,10 @@ def stepwise_cycle(params, pulse, quad, photon, eta, readout):
     p_qm = p_k_l * p_l
     p_readout = None
     if readout == "third_photon":
-        p_readout = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0), cav,
-                                                    eta)
+        probe = scatter(prepare(AtomQubit(1.0, 0.0), PhotonQubit(1.0, 0.0),
+                                f), cav.elements)
+        click = probe[ATOM_R, POL_R]
+        p_readout = eta * float(np.real(np.sum(w * np.abs(click) ** 2)))
     return MemoryRecord(
         p_k_l=p_k_l, p_l=p_l, p_qm=p_qm, fidelity=fidelity,
         loss_weight=loss + decay / p_k_l, readout=readout,

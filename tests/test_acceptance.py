@@ -14,7 +14,6 @@ import pytest
 from cavqmem import invariants, metrics
 from cavqmem.cli import fig2_rows, fig3_rows, fig4_rows
 from cavqmem.params import (
-    AtomQubit,
     PhotonQubit,
     Profile,
     PulseSpec,
@@ -24,9 +23,7 @@ from cavqmem.params import (
 from cavqmem.scattering import t_elements
 from cavqmem.spectral import spectral_average
 from cavqmem.statesim import (
-    Cavity,
     PhotonPair,
-    atomic_readout_via_third_photon,
     entanglement_storage,
     run_memory_protocol,
 )
@@ -185,9 +182,7 @@ def test_a8_ideal_limit_probabilities_and_heralded_composition():
     assert record.fidelity >= 0.999
 
     p_qm = metrics.cycle_closed_forms(params, pulse)[0]["P_qm"]
-    probe = atomic_readout_via_third_photon(AtomQubit(1.0, 0.0),
-                                            Cavity.of(params, pulse))
-    assert abs(probe - p_qm) <= 1e-8
     heralded = run_memory_protocol(params, pulse, photon=photon,
                                    readout="third_photon")
+    assert abs(heralded.p_readout - p_qm) <= 1e-8
     assert abs(heralded.p_total - p_qm**2) <= 1e-8

@@ -187,6 +187,27 @@ def test_sweep_over_coupling_ratio_keeps_memory_fidelity_flat(tmp_path):
     assert max(f_qm) - min(f_qm) < 1e-12
 
 
+def test_coupling_ratio_past_the_square_overflow_keeps_both_couplings(
+        tmp_path):
+    # ratio^2 overflows past |ratio| ~ 1.3e154; the split still keeps the
+    # total coupling and the ratio, with no RuntimeWarning (an error here)
+    out = tmp_path / "ratio.csv"
+    assert main(["sweep", "--axis", "lambda_ratio,log,1e100,1e200,3",
+                 "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert len(rows) == 3
+    lam_l = np.array([float(r[header.index("lambda_L")]) for r in rows])
+    lam_r = np.array([float(r[header.index("lambda_R")]) for r in rows])
+    np.testing.assert_allclose(lam_l**2 + lam_r**2,
+                               SystemParams().lambda_sq, rtol=1e-12)
+    np.testing.assert_allclose(lam_l / lam_r, [1e100, 1e150, 1e200],
+                               rtol=1e-12)
+    params = family_params(10.0, ratio=1e200)
+    assert params.lambda_L / params.lambda_R == pytest.approx(1e200,
+                                                              rel=1e-12)
+    assert params.lambda_sq == pytest.approx(10.0 * params.kappa, rel=1e-12)
+
+
 def test_sweep_over_cooperativity_axis(tmp_path):
     out = tmp_path / "coop.csv"
     assert main(["sweep", "--axis", "cooperativity,log,1,100,5",
@@ -756,7 +777,9 @@ def _reference_set_field(fields: dict, field: str, value: float) -> None:
     except OverflowError:
         raise NonFiniteField("lambda_sq") from None
     if field == "lambda_ratio":
-        lam_r = math.sqrt(lam_sq / (1.0 + value * value))
+        ratio_sq = value * value
+        lam_r = (math.sqrt(lam_sq) / abs(value) if math.isinf(ratio_sq)
+                 else math.sqrt(lam_sq / (1.0 + ratio_sq)))
         fields.update(lambda_L=value * lam_r, lambda_R=lam_r)
         return
     if value <= 0.0:

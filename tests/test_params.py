@@ -191,6 +191,36 @@ def test_oracle_and_closed_forms_stay_independent():
     assert {"params", "scattering", "spectral"} <= _package_closure("statesim")
 
 
+def _statesim_names_imported(path: Path) -> set[str]:
+    """Names that the module at `path` imports from `cavqmem.statesim`,
+    directly or through the package; a plain import of the package or of
+    `cavqmem.statesim` counts as its dotted name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "cavqmem"}
+        elif isinstance(node, ast.ImportFrom) and node.module in (
+                "cavqmem", statesim.__name__):
+            names |= {alias.name for alias in node.names
+                      if node.module == statesim.__name__
+                      or alias.name == "statesim"
+                      or getattr(getattr(cavqmem, alias.name, None),
+                                 "__module__", None) == statesim.__name__}
+    return names
+
+
+def test_long_way_reference_borrows_no_oracle_figure():
+    # tests/longway.py checks the state oracle only while it computes every
+    # figure itself: from statesim it takes the cavity (grid and elements)
+    # and the record type, nothing that computes a figure
+    borrowed = _statesim_names_imported(
+        Path(__file__).with_name("longway.py"))
+    assert borrowed <= {"Cavity", "MemoryRecord"}
+    # the walk does see the imports it allows, so the check is not vacuous
+    assert "Cavity" in borrowed
+
+
 def test_closed_forms_take_no_quadrature_rule():
     # only the state oracle integrates on a rule: qm_fidelity's `quad` is
     # the one rule left in `metrics`, which builds no grid
@@ -298,11 +328,6 @@ EFFICIENCY_ENTRIES = {
         *_POINT, detector=eta),
     "metric_columns": lambda eta: metrics.metric_columns(
         point_rows([_POINT]), eta=eta),
-    "store": lambda eta: statesim.store(statesim.Cavity.of(*_POINT),
-                                        PhotonQubit(0.6, 0.8), eta),
-    "atomic_readout_via_third_photon": lambda eta:
-        statesim.atomic_readout_via_third_photon(
-            AtomQubit(1.0, 0.0), statesim.Cavity.of(*_POINT), detector=eta),
     "run_memory_protocol": lambda eta: statesim.run_memory_protocol(
         *_POINT, detector=eta),
     **{f"entanglement_storage-{mode}-{side}": (

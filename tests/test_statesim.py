@@ -41,11 +41,8 @@ from cavqmem.statesim import (
     Cavity,
     MemoryRecord,
     PhotonPair,
-    atomic_readout_via_third_photon,
     entanglement_storage,
-    retrieve,
     run_memory_protocol,
-    store,
     swap_transfer_fidelity,
 )
 
@@ -121,7 +118,6 @@ def test_lossless_scattering_leaves_loss_weight_bitwise_zero():
     assert loss == 0.0
     assert longway.norm(state, w) == pytest.approx(1.0, abs=1e-12)
     assert cav.decay == 0.0
-    assert store(cav, BALANCED)[1] == 0.0
     record = run_memory_protocol(clean, GAUSS, photon=BALANCED)
     assert record.loss_weight == 0.0
 
@@ -155,22 +151,19 @@ def test_ideal_swap_produces_the_product_state():
 
 
 def test_detection_at_ideal_point_is_certain():
-    # the storage step counts the scattered photon in k_L
+    # the storage step counts the scattered photon in k_L, and almost
+    # nothing decays
     params, pulse = ideal_point()
-    cav = Cavity.of(params, pulse)
-    ensemble, decay = store(cav, BALANCED)
-    assert ensemble.probability == pytest.approx(1.0, abs=1e-5)
-    assert 0.0 < decay < 1e-5
-    rho = ensemble.density()
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    record = run_memory_protocol(params, pulse, photon=BALANCED)
+    assert record.p_k_l == pytest.approx(1.0, abs=1e-5)
+    assert 0.0 < record.loss_weight < 1e-5
 
 
 def test_detection_with_no_support_is_refused():
     # lambda_L = 0 never converts a |k_R> photon into the k_L channel
     params = SystemParams(lambda_L=0.0, lambda_R=2.0)
-    cav = Cavity.of(params, GAUSS)
     with pytest.raises(ZeroProbability, match="k_L photon"):
-        store(cav, PhotonQubit(0.0, 1.0))
+        run_memory_protocol(params, GAUSS, photon=PhotonQubit(0.0, 1.0))
     # nor, in a pair, photon 1 of the c_RL term, the only one sent on k_R
     with pytest.raises(ZeroProbability, match="two-photon"):
         entanglement_storage(PhotonPair(0.0, 1.0), params, LOSSY, GAUSS,
@@ -230,19 +223,14 @@ def test_protocol_ignores_global_qubit_phase():
             getattr(base, field), abs=1e-12)
 
 
-def test_third_photon_click_never_fires_on_the_transparent_atom():
-    params = SystemParams(lambda_L=1.5, lambda_R=1.5)
-    assert atomic_readout_via_third_photon(AtomQubit(0.0, 1.0),
-                                           Cavity.of(params, GAUSS)) == 0.0
-
-
 def test_third_photon_click_rate():
+    # the probe's click on the released |L> atom is counted with the same
+    # efficiency as the storage photon
     params = SystemParams(lambda_L=1.5, lambda_R=1.5, gamma=0.8)
-    atom = AtomQubit(0.6, 0.8j)
-    click = atomic_readout_via_third_photon(atom, Cavity.of(params, GAUSS),
-                                            detector=0.9)
+    click = run_memory_protocol(params, GAUSS, photon=BALANCED, detector=0.9,
+                                readout="third_photon").p_readout
     p_qm = cycle_closed_forms(params, GAUSS, detector=0.9)[0]["P_qm"]
-    assert click == pytest.approx(0.36 * p_qm, abs=1e-12)
+    assert click == pytest.approx(p_qm, abs=1e-12)
 
 
 def test_heralded_readout_multiplies_success_probabilities():
@@ -259,13 +247,12 @@ def test_heralded_readout_multiplies_success_probabilities():
         run_memory_protocol(params, GAUSS, readout="homodyne")
 
 
-ONE_PATH = ("build_grid", "detuned_elements", "store", "retrieve",
-            "atomic_readout_via_third_photon")
+ONE_PATH = ("build_grid", "detuned_elements")
 
 
 @pytest.mark.parametrize("readout", ["projective", "third_photon"])
 def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
-    # every entry point builds its cavities once and runs the public steps
+    # every entry point builds its cavities once
     calls = dict.fromkeys(ONE_PATH + ("Cavity",), 0)
 
     def counting(name, fn):
@@ -280,10 +267,7 @@ def test_memory_cycle_builds_one_grid_and_scatters_once(monkeypatch, readout):
     monkeypatch.setattr(Cavity, "of", counting("Cavity", Cavity.of))
     run_memory_protocol(LOSSY, LORENTZ, photon=BALANCED, detector=0.7,
                         readout=readout)
-    assert calls == {"build_grid": 1, "detuned_elements": 1, "Cavity": 1,
-                     "store": 1, "retrieve": 1,
-                     "atomic_readout_via_third_photon":
-                         int(readout == "third_photon")}
+    assert calls == {"build_grid": 1, "detuned_elements": 1, "Cavity": 1}
     mode = "swap" if readout == "projective" else "postselect"
     # identical nodes share one cavity; nodes that differ in any one field
     # of the params or of the pulse build one each
@@ -377,31 +361,6 @@ def test_shared_cavity_equals_two_built_cavities(mode):
             mode)
         assert out.probability == pytest.approx(prob, rel=1e-14, abs=0.0)
         assert out.fidelity == pytest.approx(fid, rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
-                                                         "lorentzian"])
-@pytest.mark.parametrize("readout", ["projective", "third_photon"])
-def test_memory_cycle_equals_the_public_steps(pulse, readout):
-    photon, eta = PhotonQubit(0.6, 0.8j), 0.7
-    cav = Cavity.of(LOSSY, pulse, DEFAULT_QUAD)
-    stored, decay = store(cav, photon, eta)
-    outcome = retrieve(stored, cav, target=photon)
-    p_k_l = stored.probability
-    p_qm = p_k_l * outcome.probability
-    p_readout = p_total = None
-    if readout == "third_photon":
-        p_readout = atomic_readout_via_third_photon(
-            AtomQubit(1.0, 0.0), cav, eta)
-        p_total = p_qm * p_readout
-    by_hand = MemoryRecord(
-        p_k_l=p_k_l, p_l=outcome.probability, p_qm=p_qm,
-        fidelity=outcome.fidelity,
-        loss_weight=decay + outcome.loss, readout=readout,
-        p_readout=p_readout, p_total=p_qm if p_total is None else p_total)
-    record = run_memory_protocol(LOSSY, pulse, photon=photon, detector=eta,
-                                 readout=readout)
-    assert record == by_hand
 
 
 RULE_520 = QuadratureConfig(n_gauss=128, n_lorentz=520)
@@ -836,11 +795,13 @@ def _dense_entanglement_storage(pair, params_1, params_2, pulse_1, pulse_2,
     return prob, float(abs(overlap) ** 2 / (weight * prob))
 
 
-def _dense_retrieve(photon, eta, params, pulse, quad, target):
-    """Returns (probability, fidelity, loss) of retrieving what `store`
-    leaves of `photon` at efficiency `eta`, in the detuning coordinates of
-    `Cavity` (nodes at k - k_c): the storage branches are built on the
-    storage nodes j, and each released photon on the retrieval nodes a."""
+def _dense_retrieve(photon, eta, params, pulse, quad):
+    """Returns (P_L, fidelity, loss_weight) of the memory cycle of `photon`
+    at efficiency `eta`, in the detuning coordinates of `Cavity` (nodes at
+    k - k_c): the storage branches are built on the storage nodes j, and
+    each released photon on the retrieval nodes a; the fidelity is against
+    the input photon, and the loss adds the storage pass's decay to the
+    retrieval's."""
     grid = build_grid(pulse, quad)
     f, w = longway.envelope(pulse, quad)
     _, t_rr, t_lr, _ = t_elements(grid.k, replace(params, k_c=0.0))
@@ -853,14 +814,16 @@ def _dense_retrieve(photon, eta, params, pulse, quad, target):
     mass = float(np.real(
         np.einsum("ja,ja,j,a->", gam_l, np.conjugate(gam_l), w, w)
         + np.einsum("ja,ja,j,a->", gam_r, np.conjugate(gam_r), w, w)))
-    ovl = (gam_l @ (w * np.conjugate(target.c_L * f))
-           + gam_r @ (w * np.conjugate(target.c_R * f)))
+    ovl = (gam_l @ (w * np.conjugate(photon.c_L * f))
+           + gam_r @ (w * np.conjugate(photon.c_R * f)))
     fidelity = float(np.real(np.sum(w * np.abs(ovl) ** 2)) / mass)
     survive = float(np.real(np.sum(
         w * np.abs(f) ** 2 * (np.abs(t_rr) ** 2 + np.abs(t_lr) ** 2))))
-    decay = (0.0 if params.gamma == 0.0 else
-             float(np.sum(w * np.abs(beta_r) ** 2) * (1.0 - survive)))
-    return mass / p_k_l, fidelity, decay / p_k_l
+    if params.gamma == 0.0:
+        return mass / p_k_l, fidelity, 0.0
+    stored_decay = abs(photon.c_R) ** 2 * (1.0 - survive)
+    decay = float(np.sum(w * np.abs(beta_r) ** 2) * (1.0 - survive))
+    return mass / p_k_l, fidelity, stored_decay + decay / p_k_l
 
 
 @pytest.mark.parametrize("cavities",
@@ -906,16 +869,13 @@ def test_factored_pair_matches_dense_reference(pulses, cavities):
 @pytest.mark.parametrize("pulse", [GAUSS, LORENTZ], ids=["gaussian",
                                                          "lorentzian"])
 def test_factored_retrieval_matches_dense_reference(pulse, params):
-    cav = Cavity.of(params, pulse, LORENTZ_104)
-    stored, _ = store(cav, BALANCED, 0.6)
-    target = PhotonQubit(0.28, 0.96j)
-    outcome = retrieve(stored, cav, target=target)
+    record = run_memory_protocol(params, pulse, LORENTZ_104, BALANCED, 0.6)
     prob, fid, loss = _dense_retrieve(BALANCED, 0.6, params, pulse,
-                                      LORENTZ_104, target)
-    assert outcome.probability == pytest.approx(prob, abs=1e-12)
-    assert outcome.fidelity == pytest.approx(fid, abs=1e-12)
-    assert outcome.loss == pytest.approx(loss, abs=1e-12)
-    assert (outcome.loss == 0.0) == (params.gamma == 0.0)
+                                      LORENTZ_104)
+    assert record.p_l == pytest.approx(prob, abs=1e-12)
+    assert record.fidelity == pytest.approx(fid, abs=1e-12)
+    assert record.loss_weight == pytest.approx(loss, abs=1e-12)
+    assert (record.loss_weight == 0.0) == (params.gamma == 0.0)
 
 
 def _peak_bytes(call) -> int:
