@@ -21,9 +21,12 @@ A sweep grid or curve family is one batch, a `params.ParamRows`: one
 float array per field, outer axis major, and no SystemParams or PulseSpec
 per row.  The sweep axes act on those arrays; `params.grid_rows` checks
 every row at once and raises, for the first row that fails, the error of
-that row's own point.  `sweep_rows` and `fig2_rows`-`fig4_rows` return
-their CSV columns, not rows: float64 arrays straight from the grid, the
-axes and `metrics.metric_columns`, and lists of text for the labels.
+that row's own point.  Each curve family is one `params.CurveFamily`
+record of `params.FAMILIES`, and one parser entry, one `_cmd_fig` and one
+builder, `family_columns`, serve every record.  `sweep_rows` and
+`family_columns` return their CSV columns, not rows: float64 arrays
+straight from the grid, the axes and `metrics.metric_columns`, and lists
+of text for the labels.
 `write_csv` formats each distinct float of a column once and places the
 cells in the file's rows without building a row.  CSV outputs are
 deterministic byte for byte at fixed configuration: fixed sampling order,
@@ -51,18 +54,17 @@ from .errors import (CavqmemError, GammaZero, InvalidField, NonFiniteField,
                      ZeroCoupling)
 from .invariants import ORACLE_KEYS, validate_suite
 from .params import (
+    FAMILIES,
     FAMILY_KAPPA,
-    FIG2_CASES,
-    FIG3_CASES,
     PULSE_FIELDS,
     PULSE_NUMERIC_FIELDS,
     SYSTEM_FIELDS,
+    CurveFamily,
     PhotonQubit,
     Profile,
     PulseSpec,
     SystemParams,
     coupling_sq,
-    family_rows,
     grid_rows,
     point_from_dict,
     point_rows,
@@ -87,52 +89,14 @@ CSV_ROUTE_META = {"closed_forms": "exact",
                            "n_lorentz": DEFAULT_QUAD.n_lorentz}}
 
 
-def _case_cells(cases, count: int) -> list[str]:
-    """The case column of a family: each case's label `count` times."""
-    return [case for case, _, _ in cases for _ in range(count)]
-
-
-def fig2_rows(count: int = 61) -> list:
-    """Memory and swap fidelity versus cooperativity, Gaussian pulse with
-    kappa_p = 0.1 kappa, one row block per detuning case: the columns of
-    ("C", "case", "F_qm", "F_swap")."""
-    coops = np.geomspace(1.0, 100.0, count)
-    columns = metrics.metric_columns(family_rows(
-        [(False, delta_e, delta_p) for _, delta_e, delta_p in FIG2_CASES],
-        coops, 1.0, 0.1))
-    return [np.tile(coops, len(FIG2_CASES)), _case_cells(FIG2_CASES, count),
-            columns.F_qm, columns.F_swap]
-
-
-def fig3_rows(count: int = 25) -> list:
-    """Memory fidelity versus pulse bandwidth for both spectral profiles at
-    cooperativity 20: the columns of ("kappa_p_over_kappa", "profile",
-    "case", "F_qm")."""
-    ratios = np.geomspace(0.01, 0.5, count)
-    blocks = [(profile is Profile.LORENTZIAN, delta_e, delta_p)
-              for profile in Profile for _, delta_e, delta_p in FIG3_CASES]
-    columns = metrics.metric_columns(family_rows(blocks, 20.0, 1.0, ratios))
-    return [np.tile(ratios, len(blocks)),
-            [profile.value for profile in Profile
-             for _ in range(len(FIG3_CASES) * count)],
-            _case_cells(FIG3_CASES, count) * len(Profile), columns.F_qm]
-
-
-def fig4_rows(count: int = 41) -> list:
-    """Success probability versus coupling ratio at eta = 1 for cooperativity
-    1, 10, 100, Gaussian pulse with kappa_p = 0.1 kappa: the columns of
-    ("lambda_ratio", "C", "case", "P_qm")."""
-    ratios = np.geomspace(0.1, 10.0, count)
-    # Pin the symmetric midpoint so the grid contains ratio 1 exactly.
-    ratios[np.abs(ratios - 1.0) < 1e-9] = 1.0
-    coops = np.repeat([1.0, 10.0, 100.0], count)
-    ratios = np.tile(ratios, 3)
-    columns = metrics.metric_columns(family_rows(
-        [(False, delta_e, delta_p) for _, delta_e, delta_p in FIG2_CASES],
-        coops, ratios, 0.1))
-    blocks = len(FIG2_CASES)
-    return [np.tile(ratios, blocks), np.tile(coops, blocks),
-            _case_cells(FIG2_CASES, coops.size), columns.P_qm]
+def family_columns(family: CurveFamily, count: int) -> list:
+    """The CSV columns of a curve family at `count` samples per curve, in
+    its header order: samples and metrics as float64 arrays, labels as
+    lists of text."""
+    columns, rows = family.rows(count)
+    metric = metrics.metric_columns(rows)._asdict()
+    return [columns[name] if name in columns else metric[name]
+            for name in family.header]
 
 
 @dataclass(frozen=True)
@@ -176,6 +140,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 2:
             raise InvalidField("axes", "one or two sweep axes required")
+        # a second axis on one field would overwrite the first
+        if len({axis.field for axis in self.axes}) < len(self.axes):
+            raise InvalidField("axes", "each axis must sweep its own field")
 
 
 def parse_axis(text: str) -> SweepAxis:
@@ -367,34 +334,14 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 def _cmd_fig(args: argparse.Namespace) -> int:
     family = args.family
-    builders = {"fig2": (fig2_rows, ("C", "case", "F_qm", "F_swap"), 61),
-                "fig3": (fig3_rows, ("kappa_p_over_kappa", "profile", "case",
-                                     "F_qm"), 25),
-                "fig4": (fig4_rows, ("lambda_ratio", "C", "case", "P_qm"), 41)}
-    build, header, default_count = builders[family]
-    count = args.points if args.points is not None else default_count
+    count = args.points if args.points is not None else family.count
     if count < 2:
         raise InvalidField("points", "need at least two samples")
-    cases = FIG3_CASES if family == "fig3" else FIG2_CASES
-    meta = {
-        "family": family,
-        "kappa": FAMILY_KAPPA,
-        "gamma": 1.0,
-        "cases": {name: {"delta_e": de, "delta_p": dp}
-                  for name, de, dp in cases},
-        "points": count,
-        **CSV_ROUTE_META,
-    }
-    if family == "fig2":
-        meta.update(profile="gaussian", kappa_p_over_kappa=0.1,
-                    cooperativity_range=[1.0, 100.0])
-    elif family == "fig3":
-        meta.update(cooperativity=20.0, kappa_p_over_kappa_range=[0.01, 0.5])
-    else:
-        meta.update(profile="gaussian", kappa_p_over_kappa=0.1, eta=1.0,
-                    cooperativities=[1.0, 10.0, 100.0],
-                    lambda_ratio_range=[0.1, 10.0])
-    write_csv(args.out, meta, header, build(count))
+    meta = {"family": family.name, "kappa": FAMILY_KAPPA, "gamma": 1.0,
+            "cases": {name: {"delta_e": de, "delta_p": dp}
+                      for name, de, dp in family.cases},
+            "points": count, **family.meta, **CSV_ROUTE_META}
+    write_csv(args.out, meta, family.header, family_columns(family, count))
     return 0
 
 
@@ -485,13 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: the pulse peak)")
     p_point.set_defaults(func=_cmd_point)
 
-    for family, blurb in (("fig2", "fidelities versus cooperativity"),
-                          ("fig3", "memory fidelity versus pulse bandwidth"),
-                          ("fig4", "success probability versus coupling "
-                                   "ratio")):
-        p_fig = sub.add_parser(family, help=blurb + " (CSV)")
-        p_fig.add_argument("--out", metavar="PATH", default=f"{family}.csv",
-                           help=f"output CSV path (default {family}.csv)")
+    for name, family in FAMILIES.items():
+        p_fig = sub.add_parser(name, help=family.help + " (CSV)")
+        p_fig.add_argument("--out", metavar="PATH", default=f"{name}.csv",
+                           help=f"output CSV path (default {name}.csv)")
         p_fig.add_argument("--points", type=int, default=None,
                            help="samples per curve")
         p_fig.set_defaults(func=_cmd_fig, family=family)

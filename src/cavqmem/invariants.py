@@ -27,9 +27,8 @@ import numpy as np
 from . import metrics
 from .errors import InvalidField
 from .metrics import Point
-from .params import (FAMILY_KAPPA, FIG2_CASES, FIG3_CASES, PhotonQubit,
-                     Profile, PulseSpec, SystemParams, family_params,
-                     point_rows)
+from .params import (FAMILIES, PhotonQubit, Profile, PulseSpec,
+                     SystemParams, family_params, point_rows)
 from .scattering import (bright_phase_factor, detuned_elements,
                          scattered_amplitude, t_elements)
 from .spectral import (DEFAULT_QUAD, QuadratureConfig, quadrature_rule,
@@ -234,26 +233,6 @@ def random_photon_qubit(rng: np.random.Generator) -> PhotonQubit:
                                                          math.sin(phase)))
 
 
-def _fig2_points(ratio: float = 1.0) -> list[Point]:
-    """The cooperativity family's grid at one coupling ratio."""
-    return [(family_params(coop, ratio, delta_e),
-             PulseSpec(delta_p=delta_p, kappa_p=0.1 * FAMILY_KAPPA))
-            for _, delta_e, delta_p in FIG2_CASES for coop in (1.0, 10.0, 100.0)]
-
-
-def _gate_points() -> list[Point]:
-    """Representative points of the three curve families."""
-    return (_fig2_points()
-            + [(family_params(20.0, delta_e=delta_e),
-                PulseSpec(profile=profile, delta_p=delta_p,
-                          kappa_p=x * FAMILY_KAPPA))
-               for profile in Profile for _, delta_e, delta_p in FIG3_CASES
-               for x in (0.01, 0.1, 0.5)]
-            + [(family_params(10.0, ratio),
-                PulseSpec(kappa_p=0.1 * FAMILY_KAPPA))
-               for ratio in (0.1, 1.0, 10.0)])
-
-
 def validate_suite(trials: int = 20, seed: int = 20112,
                    quad: QuadratureConfig = DEFAULT_QUAD
                    ) -> tuple[bool, list[str]]:
@@ -282,13 +261,19 @@ def validate_suite(trials: int = 20, seed: int = 20112,
              for _ in range(trials)]
     eq = oracle_equivalence(cases, quad)
     worst = max(eq, key=eq.get)
-    grid = _fig2_points()
-    groups = list(zip(grid, _fig2_points(0.1), _fig2_points(10.0)))
+    # every family at 3 samples per curve; each curve of the coupling-ratio
+    # family (ratios 0.1, 1, 10) is one group of the ratio invariance
+    family_points = {name: family.points(3)
+                     for name, family in FAMILIES.items()}
+    grid = family_points["fig2"]
+    by_ratio = family_points["fig4"]
+    groups = [by_ratio[i:i + 3] for i in range(0, len(by_ratio), 3)]
     spread = phase_ratio_spread(np.linspace(-6.0, 6.0, 121), [
         family_params(10.0, ratio) for ratio in (1.0, 0.1, 0.5, 2.0, 10.0)])
     norm = quadrature_normalization(quad)
     agreement = exact_route_agreement(
-        _gate_points() + [case[:2] for case in cases], quad)
+        [point for points in family_points.values() for point in points]
+        + [case[:2] for case in cases], quad)
     dual = success_dual_route([(*point, 1.0) for point in grid], quad)
     ratio = coupling_ratio_invariance(groups)
     margin = memory_swap_margin(grid)

@@ -1,5 +1,5 @@
-"""System parameters, pulse profiles, the detector efficiency and qubit
-amplitudes.
+"""System parameters, pulse profiles, the detector efficiency, qubit
+amplitudes and the bundled curve families.
 
 Unit convention: every rate and frequency is a dimensionless multiple of one
 global rate unit (the CLI fixes gamma = 1).  Frequencies enter the formulas
@@ -17,6 +17,11 @@ columns with `grid_rows`, whose one vectorised row check stands in for the
 per-point checks and raises, for the first failing row, the error that
 row's own SystemParams or PulseSpec would raise.  `point_rows` turns a list
 of points, already checked, into the same batch.
+
+Each bundled curve family is one `CurveFamily` record in `FAMILIES`: its
+name and help text, CSV header, default count, axes (profiles, detuning
+cases, an optional listed axis, the log-swept axis and its range), fixed
+samples and CSV metadata.  `CurveFamily.rows` makes a record's batch.
 """
 
 from __future__ import annotations
@@ -251,9 +256,15 @@ def _raise_row_error(rows: ParamRows, row: int,
     for mask, error in failures:
         if mask[row]:
             raise error
-    SystemParams(*(float(getattr(rows, name)[row]) for name in SYSTEM_FIELDS))
-    PulseSpec(**{name: float(getattr(rows, name)[row])
-                 for name in PULSE_NUMERIC_FIELDS})
+    _row_point(rows, row)
+
+
+def _row_point(rows: ParamRows, row: int) -> tuple[SystemParams, PulseSpec]:
+    """Row `row` of a batch as a point, which checks itself when built."""
+    values = [float(column[row]) for column in rows[:len(ROW_FIELDS)]]
+    profile = Profile.LORENTZIAN if rows.lorentzian[row] else Profile.GAUSSIAN
+    return (SystemParams(*values[:len(SYSTEM_FIELDS)]),
+            PulseSpec(profile, *values[len(SYSTEM_FIELDS):]))
 
 
 _SYSTEM_VALUES = attrgetter(*SYSTEM_FIELDS)
@@ -314,22 +325,99 @@ def family_params(coop: float, ratio: float = 1.0,
                         kappa=FAMILY_KAPPA, gamma=1.0, delta_e=delta_e)
 
 
-def family_rows(blocks: Sequence[tuple[bool, float, float]], coop, ratio,
-                width) -> ParamRows:
-    """Checked rows of a curve family: the samples (coop, ratio, width),
-    each a float or an array of one length, once per (lorentzian, delta_e,
-    delta_p) block, block major.  coop and ratio set the couplings as in
-    `family_params`, and width is kappa_p / kappa."""
-    coop, ratio, width = np.broadcast_arrays(coop, ratio, width)
-    lorentzian, delta_e, delta_p = (np.repeat(column, coop.size)
-                                    for column in zip(*blocks))
-    lam_l, lam_r = split_coupling(np.tile(coop, len(blocks)) * FAMILY_KAPPA,
-                                  np.tile(ratio, len(blocks)))
-    return grid_rows({"lambda_L": lam_l, "lambda_R": lam_r, "theta_L": 0.0,
-                      "theta_R": 0.0, "kappa": FAMILY_KAPPA, "gamma": 1.0,
-                      "k_c": 0.0, "delta_e": delta_e, "delta_p": delta_p,
-                      "kappa_p": np.tile(width, len(blocks)) * FAMILY_KAPPA,
-                      "x_0": 0.0}, lorentzian)
+class CurveFamily(NamedTuple):
+    """One bundled curve family, the CSV of `cavqmem <name>`.
+
+    Its rows come in blocks, one per (profile, case), profile major.  Each
+    block samples C, lambda_ratio and kappa_p_over_kappa: the `listed`
+    axis (name, values) major, the `swept` axis (name, lo, hi), log spaced
+    at `count` points, minor, and `fixed` the samples no axis sets.
+    `header` names the CSV columns, and `meta` the metadata keys of this
+    family beyond those every family writes.
+    """
+
+    name: str
+    help: str
+    header: tuple[str, ...]
+    count: int
+    cases: tuple[tuple[str, float, float], ...]
+    swept: tuple[str, float, float]
+    fixed: Mapping[str, float]
+    meta: Mapping[str, object]
+    profiles: tuple[Profile, ...] = (Profile.GAUSSIAN,)
+    listed: tuple[str, tuple[float, ...]] | None = None
+
+    def rows(self, count: int) -> tuple[dict[str, object], ParamRows]:
+        """The checked rows at `count` samples per curve, and their CSV
+        columns by name: each sample a float64 array, "profile" and "case"
+        lists of text.  C and lambda_ratio set the couplings as in
+        `family_params`."""
+        name, lo, hi = self.swept
+        swept = np.geomspace(lo, hi, count)
+        # Pin the symmetric midpoint so a grid across 1 contains 1 exactly.
+        swept[np.abs(swept - 1.0) < 1e-9] = 1.0
+        blocks = [(profile, case) for profile in self.profiles
+                  for case in self.cases]
+        curves = 1 if self.listed is None else len(self.listed[1])
+        size = curves * count
+        columns = {key: np.full(size * len(blocks), value)
+                   for key, value in self.fixed.items()}
+        columns[name] = np.tile(swept, curves * len(blocks))
+        if self.listed is not None:
+            columns[self.listed[0]] = np.tile(
+                np.repeat(self.listed[1], count), len(blocks))
+        lorentzian, delta_e, delta_p = (
+            np.repeat(column, size) for column in zip(*(
+                (profile is Profile.LORENTZIAN, de, dp)
+                for profile, (_, de, dp) in blocks)))
+        lam_l, lam_r = split_coupling(columns["C"] * FAMILY_KAPPA,
+                                      columns["lambda_ratio"])
+        rows = grid_rows({
+            "lambda_L": lam_l, "lambda_R": lam_r, "theta_L": 0.0,
+            "theta_R": 0.0, "kappa": FAMILY_KAPPA, "gamma": 1.0, "k_c": 0.0,
+            "delta_e": delta_e, "delta_p": delta_p,
+            "kappa_p": columns["kappa_p_over_kappa"] * FAMILY_KAPPA,
+            "x_0": 0.0}, lorentzian)
+        columns["profile"] = [cell for profile, _ in blocks
+                              for cell in [profile.value] * size]
+        columns["case"] = [cell for _, (label, _, _) in blocks
+                           for cell in [label] * size]
+        return columns, rows
+
+    def points(self, count: int) -> list[tuple[SystemParams, PulseSpec]]:
+        """The rows at `count` samples per curve as points, in row order."""
+        rows = self.rows(count)[1]
+        return [_row_point(rows, row) for row in range(rows.kappa.size)]
+
+
+#: The bundled curve families by command name, in help order: memory
+#: against swap fidelity over the cooperativity, memory fidelity over the
+#: pulse bandwidth, and the success probability over the coupling ratio.
+FAMILIES = {family.name: family for family in (
+    CurveFamily(
+        "fig2", "fidelities versus cooperativity",
+        ("C", "case", "F_qm", "F_swap"), 61, FIG2_CASES,
+        swept=("C", 1.0, 100.0),
+        fixed={"lambda_ratio": 1.0, "kappa_p_over_kappa": 0.1},
+        meta={"profile": "gaussian", "kappa_p_over_kappa": 0.1,
+              "cooperativity_range": [1.0, 100.0]}),
+    CurveFamily(
+        "fig3", "memory fidelity versus pulse bandwidth",
+        ("kappa_p_over_kappa", "profile", "case", "F_qm"), 25, FIG3_CASES,
+        swept=("kappa_p_over_kappa", 0.01, 0.5),
+        fixed={"C": 20.0, "lambda_ratio": 1.0},
+        meta={"cooperativity": 20.0, "kappa_p_over_kappa_range": [0.01, 0.5]},
+        profiles=tuple(Profile)),
+    CurveFamily(
+        "fig4", "success probability versus coupling ratio",
+        ("lambda_ratio", "C", "case", "P_qm"), 41, FIG2_CASES,
+        swept=("lambda_ratio", 0.1, 10.0),
+        fixed={"kappa_p_over_kappa": 0.1},
+        meta={"profile": "gaussian", "kappa_p_over_kappa": 0.1, "eta": 1.0,
+              "cooperativities": [1.0, 10.0, 100.0],
+              "lambda_ratio_range": [0.1, 10.0]},
+        listed=("C", (1.0, 10.0, 100.0))),
+)}
 
 
 def cooperativity(params: SystemParams) -> float:
@@ -396,10 +484,6 @@ class AtomQubit:
     def norm_sq(self) -> float:
         return abs(self.a_L) ** 2 + abs(self.a_R) ** 2
 
-    def normalized(self) -> "AtomQubit":
-        n = qubit_norm(self)
-        return AtomQubit(self.a_L / n, self.a_R / n)
-
 
 @dataclass(frozen=True)
 class PhotonQubit:
@@ -411,20 +495,6 @@ class PhotonQubit:
     @property
     def norm_sq(self) -> float:
         return abs(self.c_L) ** 2 + abs(self.c_R) ** 2
-
-    def normalized(self) -> "PhotonQubit":
-        n = qubit_norm(self)
-        return PhotonQubit(self.c_L / n, self.c_R / n)
-
-
-def qubit_norm(qubit) -> float:
-    """sqrt(|amplitudes|^2), the divisor of `normalized`.  Raises InvalidField
-    when it is zero or non-finite, as no unit vector is then in reach."""
-    n = math.sqrt(qubit.norm_sq)
-    if not 0.0 < n < math.inf:
-        raise InvalidField("qubit",
-                           f"cannot be normalized, |a|^2 = {qubit.norm_sq!r}")
-    return n
 
 
 def require_normalized(qubit, tol: float = 1e-9) -> None:

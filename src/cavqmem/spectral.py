@@ -60,9 +60,6 @@ class QuadratureConfig:
             if not 8 <= n <= cap:
                 raise InvalidField(name, f"quadrature needs 8 to {cap} nodes")
 
-    def doubled(self) -> "QuadratureConfig":
-        return QuadratureConfig(2 * self.n_gauss, 2 * self.n_lorentz)
-
 
 DEFAULT_QUAD = QuadratureConfig()
 

@@ -56,7 +56,6 @@ from .params import (
     PulseSpec,
     SystemParams,
     check_efficiency,
-    qubit_norm,
     require_normalized,
 )
 from .scattering import detuned_decay, detuned_elements
@@ -297,10 +296,6 @@ class PhotonPair:
     @property
     def norm_sq(self) -> float:
         return abs(self.c_LR) ** 2 + abs(self.c_RL) ** 2
-
-    def normalized(self) -> "PhotonPair":
-        n = qubit_norm(self)
-        return PhotonPair(self.c_LR / n, self.c_RL / n)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from cavqmem import invariants, metrics
-from cavqmem.cli import fig2_rows, fig3_rows, fig4_rows
+from cavqmem.cli import family_columns
 from cavqmem.params import (
+    FAMILIES,
     PhotonQubit,
     Profile,
     PulseSpec,
@@ -119,26 +120,32 @@ def test_a5_exact_scattering_and_average_identities():
     assert invariants.coupling_ratio_invariance(groups) < 1e-12
 
 
+def _default_columns(name):
+    family = FAMILIES[name]
+    return family_columns(family, family.count)
+
+
 def test_a6_curve_family_orderings():
     # memory fidelity never drops below the swap fidelity
-    for _, _, f_qm, f_swap in zip(*fig2_rows()):
+    for _, _, f_qm, f_swap in zip(*_default_columns("fig2")):
         assert f_qm >= f_swap
     # the Gaussian envelope is never the worse profile at equal bandwidth
     by_profile = {}
-    for x, profile, case, f_qm in zip(*fig3_rows()):
+    for x, profile, case, f_qm in zip(*_default_columns("fig3")):
         by_profile[(profile, case, x)] = f_qm
     for (profile, case, x), value in by_profile.items():
         if profile == "lorentzian":
             assert by_profile[("gaussian", case, x)] >= value
     # success probability peaks at balanced couplings, and grows with the
     # cooperativity at every coupling ratio
+    ratio_rows = list(zip(*_default_columns("fig4")))
     curves = {}
-    for ratio, coop, case, p_qm in zip(*fig4_rows()):
+    for ratio, coop, case, p_qm in ratio_rows:
         curves.setdefault((case, coop), []).append((ratio, p_qm))
     for (case, coop), points in curves.items():
         peak_ratio, _ = max(points, key=lambda rp: rp[1])
         assert peak_ratio == 1.0
-    for ratio, coop, case, p_qm in zip(*fig4_rows()):
+    for ratio, coop, case, p_qm in ratio_rows:
         if coop > 1.0:
             weaker = curves[(case, coop / 10.0)]
             match = [p for r, p in weaker if r == ratio]
@@ -153,7 +160,7 @@ def test_a7_two_cavity_storage_matches_single_memory_and_swap_bounds():
     rng = np.random.default_rng(7303)
     for _ in range(4):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        pair = PhotonPair(z[0], z[1]).normalized()
+        pair = PhotonPair(*(z / np.linalg.norm(z)))
         heralded = entanglement_storage(pair, params, params, pulse, pulse,
                                         detector_1=0.8, detector_2=0.6)
         assert abs(heralded.fidelity - f_qm) <= 1e-8
@@ -165,8 +172,9 @@ def test_a7_two_cavity_storage_matches_single_memory_and_swap_bounds():
     lo = abs(spectral_average(t_lr, pulse)) ** 2
     hi = float(np.real(spectral_average(lambda k: np.abs(t_lr(k)) ** 2,
                                         pulse)))
-    swap = entanglement_storage(PhotonPair(1.0, 1.0).normalized(), balanced,
-                                balanced, pulse, pulse, mode="swap")
+    bell = PhotonPair(math.sqrt(0.5), math.sqrt(0.5))
+    swap = entanglement_storage(bell, balanced, balanced, pulse, pulse,
+                                mode="swap")
     assert lo - 1e-12 <= swap.fidelity <= hi + 1e-12
 
 

@@ -32,6 +32,7 @@ from cavqmem.errors import (CavqmemError, GammaZero, InvalidField,
                             ZeroCoupling)
 from cavqmem.invariants import validate_suite
 from cavqmem.params import (
+    FAMILIES,
     FAMILY_KAPPA,
     FIG2_CASES,
     FIG3_CASES,
@@ -238,6 +239,21 @@ def test_axis_parsing_rejects_malformed_specs():
         SweepSpec(params=SystemParams(), pulse=PulseSpec(), axes=())
 
 
+def test_sweep_refuses_two_axes_on_one_field(tmp_path, capsys):
+    # the inner axis would overwrite the outer one: refused, not 4 rows of
+    # the inner axis alone under metadata naming both
+    out = tmp_path / "d.csv"
+    assert main(["sweep", "--axis", "delta_e,linear,0,1,2",
+                 "--axis", "delta_e,linear,5,6,2", "--out", str(out)]) == 2
+    assert "axes" in capsys.readouterr().err
+    assert not out.exists()
+    for field in ("delta_e", "lambda_ratio", "cooperativity"):
+        axes = (SweepAxis(field, "log", 1.0, 2.0, 2),
+                SweepAxis(field, "log", 3.0, 4.0, 2))
+        with pytest.raises(InvalidField, match="axes"):
+            SweepSpec(params=SystemParams(), pulse=PulseSpec(), axes=axes)
+
+
 def _bits(rows):
     """Rows as the repr of every cell: equal only for equal bits and types."""
     return [[repr(cell) for cell in row] for row in rows]
@@ -311,7 +327,7 @@ def test_sweep_rows_match_metric_calls():
             [(family_params(c, delta_e=delta_e), pulse) for c in coops])
         expected += [(c, case, r["F_qm"], r["F_swap"])
                      for c, r in zip(coops, reports)]
-    assert _bits(_rows(cli.fig2_rows(5))) == _bits(expected)
+    assert _bits(_rows(cli.family_columns(FAMILIES["fig2"], 5))) == _bits(expected)
 
     ratios = np.geomspace(0.01, 0.5, 4).tolist()
     expected = []
@@ -324,7 +340,7 @@ def test_sweep_rows_match_metric_calls():
                  for x in ratios])
             expected += [(x, profile.value, case, r["F_qm"])
                          for x, r in zip(ratios, reports)]
-    assert _bits(_rows(cli.fig3_rows(4))) == _bits(expected)
+    assert _bits(_rows(cli.family_columns(FAMILIES["fig3"], 4))) == _bits(expected)
 
     ratios = [0.1, 1.0, 10.0]
     expected = []
@@ -336,7 +352,49 @@ def test_sweep_rows_match_metric_calls():
              for c, x in keys])
         expected += [(x, c, case, r["P_qm"])
                      for (c, x), r in zip(keys, reports)]
-    assert _bits(_rows(cli.fig4_rows(3))) == _bits(expected)
+    assert _bits(_rows(cli.family_columns(FAMILIES["fig4"], 3))) == _bits(expected)
+
+
+@pytest.mark.parametrize("points", [None, 3])
+@pytest.mark.parametrize("family", ["fig2", "fig3", "fig4"])
+def test_family_rows_rebuild_from_their_metadata_line(tmp_path, family,
+                                                      points):
+    # every row's point from its own cells and the CSV's metadata line
+    # alone, as a reader of the file would build it: C, ratio, case and
+    # profile from the row, kappa, gamma, width and detunings from the line
+    out = tmp_path / f"{family}.csv"
+    argv = [family, "--out", str(out)]
+    assert main(argv + ([] if points is None else ["--points",
+                                                   str(points)])) == 0
+    meta, header, rows = read_csv(out)
+    assert meta["family"] == family
+    # one curve per case, per profile (both unless the line names one) and
+    # per listed cooperativity
+    curves = (len(meta["cases"]) * (1 if "profile" in meta else len(Profile))
+              * len(meta.get("cooperativities", [None])))
+    assert len(rows) == meta["points"] * curves
+    kappa, gamma = meta["kappa"], meta["gamma"]
+    cells = [dict(zip(header, row)) for row in rows]
+    built = []
+    for cell in cells:
+        coop = float(cell.get("C", meta.get("cooperativity", "nan")))
+        ratio = float(cell.get("lambda_ratio", 1.0))
+        width = float(cell.get("kappa_p_over_kappa",
+                               meta.get("kappa_p_over_kappa", "nan")))
+        case = meta["cases"][cell["case"]]
+        lam_r = math.sqrt(coop * kappa * gamma / (1.0 + ratio * ratio))
+        built.append((
+            SystemParams(lambda_L=ratio * lam_r, lambda_R=lam_r, kappa=kappa,
+                         gamma=gamma, delta_e=case["delta_e"]),
+            PulseSpec(profile=cell.get("profile", meta.get("profile")),
+                      delta_p=case["delta_p"], kappa_p=width * kappa)))
+    expected = metrics.metric_columns(point_rows(built),
+                                      eta=meta.get("eta", 1.0))
+    compared = [name for name in ("F_qm", "F_swap", "P_qm") if name in header]
+    assert compared
+    for name in compared:
+        assert _bits([[float(c[name]) for c in cells]]) == _bits(
+            [getattr(expected, name).tolist()])
 
 
 def test_point_report_structure(tmp_path, capsys):
@@ -433,7 +491,7 @@ def test_cli_closed_forms_pass_no_rule():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
              and getattr(node.func.value, "id", None) == "metrics"]
-    assert len(calls) >= 5
+    assert len(calls) >= 4
     for call in calls:
         names = list(inspect.signature(
             getattr(metrics, call.func.attr)).parameters)
@@ -856,7 +914,9 @@ def sweep_specs(draw):
     for _ in range(draw(st.integers(1, 2))):
         scale = draw(st.sampled_from(("linear", "log")))
         bounds = floats(1e-2, 1e2) if scale == "log" else floats(-1.0, 10.0)
-        axes.append(SweepAxis(draw(st.sampled_from(SWEEPABLE)), scale,
+        # each axis on its own field, as SweepSpec demands
+        fields = [f for f in SWEEPABLE if f not in {a.field for a in axes}]
+        axes.append(SweepAxis(draw(st.sampled_from(fields)), scale,
                               draw(bounds), draw(bounds),
                               draw(st.integers(2, 6))))
     return SweepSpec(params=params, pulse=pulse, axes=tuple(axes),

@@ -37,6 +37,7 @@ from cavqmem.metrics import (
     transfer_fidelity,
 )
 from cavqmem.params import (
+    FAMILIES,
     AtomQubit,
     PhotonQubit,
     Profile,
@@ -250,7 +251,7 @@ def test_swap_targets_are_inverse_maps():
 
 def test_transfer_fidelity_is_anchored_by_the_swap_target():
     params, pulse = family_point(30.0, 0.1)
-    photon = PhotonQubit(0.6, 0.8j).normalized()
+    photon = PhotonQubit(0.6, 0.8j)
     target = swap_target_atom(photon, params)
     f_swap = row_of(params, pulse)["F_swap"]
     assert transfer_fidelity(params, pulse, atom=target, photon=photon) == \
@@ -679,7 +680,8 @@ def test_passivity_bound_holds_on_the_validated_ranges():
         params = replace(params, k_c=0.0)
         assert 0.0 <= spectral_average(lambda s: np.abs(scattered_amplitude(
             s, params)) ** 2, pulse).real <= 1.0
-    for columns in (cli.fig2_rows(), cli.fig3_rows(), cli.fig4_rows()):
+    for family in FAMILIES.values():
+        columns = cli.family_columns(family, family.count)
         assert min(map(len, columns)) > 100
 
 

@@ -3,7 +3,7 @@
 import ast
 import inspect
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -191,6 +191,28 @@ def test_oracle_and_closed_forms_stay_independent():
     assert {"params", "scattering", "spectral"} <= _package_closure("statesim")
 
 
+def _names_read(stem: str) -> set[str]:
+    """Names that package module `stem` imports, or reads as an attribute."""
+    tree = ast.parse((PACKAGE_DIR / f"{stem}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_curve_family_decision_stays_in_params():
+    # a family is one record of params.FAMILIES: the command line and
+    # validate read the records, never the case tables or a row builder
+    for stem in ("cli", "invariants"):
+        names = _names_read(stem)
+        assert not names & {"FIG2_CASES", "FIG3_CASES", "family_rows"}, stem
+        # the walk does see the records, so the check is not vacuous
+        assert "FAMILIES" in names, stem
+
+
 def _statesim_names_imported(path: Path) -> set[str]:
     """Names that the module at `path` imports from `cavqmem.statesim`,
     directly or through the package; a plain import of the package or of
@@ -263,18 +285,6 @@ def test_point_from_dict_fills_defaults_and_rejects_unknown_keys():
             point_from_dict(data)
 
 
-def test_qubit_normalization_helpers():
-    q = PhotonQubit(3.0, 4.0j)
-    assert q.norm_sq == pytest.approx(25.0)
-    n = q.normalized()
-    assert n.norm_sq == pytest.approx(1.0)
-    require_normalized(n)
-    with pytest.raises(ValueError):
-        require_normalized(q)
-    a = AtomQubit(1.0, 1.0).normalized()
-    assert a.norm_sq == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 @pytest.mark.parametrize("qubit", [PhotonQubit, AtomQubit, PhotonPair])
 def test_non_finite_amplitudes_are_not_normalized(qubit, bad):
@@ -282,18 +292,6 @@ def test_non_finite_amplitudes_are_not_normalized(qubit, bad):
         require_normalized(qubit(bad, 0.0))
     with pytest.raises(InvalidField):
         require_normalized(qubit(0.0, bad))
-
-
-@pytest.mark.parametrize("qubit", [PhotonQubit, AtomQubit, PhotonPair])
-def test_normalized_refuses_zero_and_non_finite_norms(qubit):
-    # no unit vector lies along a zero or non-finite one: a typed error, not
-    # a ZeroDivisionError or NaN amplitudes
-    for bad in ((0.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
-        with pytest.raises(InvalidField):
-            qubit(*bad).normalized()
-    unit = astuple(qubit(3.0, 4.0).normalized())
-    assert unit == (0.6, 0.8)
-    assert all(type(a) is float for a in unit)
 
 
 def test_constant_detector_bounds():

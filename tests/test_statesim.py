@@ -63,6 +63,11 @@ PULSE_PAIRS = [(GAUSS, GAUSS), (LORENTZ, LORENTZ), (GAUSS, LORENTZ)]
 PULSE_IDS = ["gaussian", "lorentzian", "mixed"]
 
 
+def unit_qubit(kind, amplitudes):
+    """A qubit of type `kind` along the amplitudes, scaled to unit norm."""
+    return kind(*(amplitudes / np.linalg.norm(amplitudes)))
+
+
 def ideal_point():
     # huge cooperativity, balanced couplings, narrow resonant pulse
     lam = 1000.0
@@ -206,7 +211,7 @@ def test_memory_record_is_stable_under_node_doubling():
     for pulse in (GAUSS, LORENTZ):
         coarse = run_memory_protocol(params, pulse, photon=BALANCED)
         fine = run_memory_protocol(params, pulse, photon=BALANCED,
-                                   quad=DEFAULT_QUAD.doubled())
+                                   quad=QuadratureConfig(128, 2080))
         for field in ("p_k_l", "p_l", "p_qm", "fidelity"):
             assert getattr(fine, field) == pytest.approx(
                 getattr(coarse, field), abs=1e-8)
@@ -449,8 +454,9 @@ def test_swap_transfer_twin_matches_closed_form():
                           theta_R=0.1, gamma=0.7, delta_e=-1.0)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        a = AtomQubit(*(rng.normal(size=2) + 1j * rng.normal(size=2))).normalized()
-        c = PhotonQubit(*(rng.normal(size=2) + 1j * rng.normal(size=2))).normalized()
+        a = unit_qubit(AtomQubit, rng.normal(size=2) + 1j * rng.normal(size=2))
+        c = unit_qubit(PhotonQubit,
+                       rng.normal(size=2) + 1j * rng.normal(size=2))
         sim = swap_transfer_fidelity(a, c, params, GAUSS)
         closed = transfer_fidelity(params, GAUSS, atom=a, photon=c)
         assert sim == pytest.approx(closed, abs=1e-10)
@@ -465,8 +471,7 @@ def test_swap_transfer_fidelity_matches_the_long_way_off_balance(pulse):
     rng = np.random.default_rng(26)
 
     def qubit(kind):
-        return kind(*(rng.normal(size=2) + 1j * rng.normal(size=2))
-                    ).normalized()
+        return unit_qubit(kind, rng.normal(size=2) + 1j * rng.normal(size=2))
 
     for draw, ratio in enumerate(np.geomspace(0.1, 10.0, 24)):
         lam = rng.uniform(0.3, 4.0)
@@ -485,7 +490,7 @@ def test_swap_transfer_fidelity_matches_the_long_way_off_balance(pulse):
 def test_pair_state_bookkeeping():
     pair = PhotonPair(0.6, 0.8j)
     assert pair.norm_sq == pytest.approx(1.0)
-    assert PhotonPair(1.0, 1.0).normalized().norm_sq == pytest.approx(1.0)
+    assert PhotonPair(1.0, 1.0).norm_sq == pytest.approx(2.0)
     # an unnormalized pair is refused in both modes, after the efficiencies
     # and the cavities are checked
     wide = PulseSpec(kappa_p=1e200)
@@ -666,8 +671,8 @@ def test_heralded_pair_storage_matches_single_qubit_fidelity():
     params = SystemParams(lambda_L=1.7, lambda_R=1.3, theta_L=0.2,
                           theta_R=-0.5, gamma=0.8, delta_e=1.5)
     f_qm = qm_fidelity(params, GAUSS)
-    for pair in (PhotonPair(0.6, 0.8j), PhotonPair(1.0, 0.0).normalized(),
-                 PhotonPair(1.0, -1.0).normalized()):
+    for pair in (PhotonPair(0.6, 0.8j), PhotonPair(1.0, 0.0),
+                 PhotonPair(math.sqrt(0.5), -math.sqrt(0.5))):
         out = entanglement_storage(pair, params, params, GAUSS, GAUSS,
                                    detector_1=0.9, detector_2=0.7)
         assert out.mode == "postselect"
@@ -681,7 +686,7 @@ def test_unheralded_pair_storage_lies_between_the_spectral_bounds():
         lambda k: t_elements(k, params)[2], GAUSS)
     t2_mean = spectral_average(
         lambda k: np.abs(t_elements(k, params)[2]) ** 2, GAUSS)
-    pair = PhotonPair(1.0, 1.0).normalized()
+    pair = PhotonPair(math.sqrt(0.5), math.sqrt(0.5))
     out = entanglement_storage(pair, params, params, GAUSS, GAUSS, mode="swap")
     assert out.mode == "swap"
     lo = abs(t_lr_mean) ** 2
@@ -694,7 +699,7 @@ def test_unheralded_pair_storage_lies_between_the_spectral_bounds():
 
 def test_ideal_pair_storage_is_nearly_perfect():
     params, pulse = ideal_point()
-    bell = PhotonPair(1.0, 1.0).normalized()
+    bell = PhotonPair(math.sqrt(0.5), math.sqrt(0.5))
     out = entanglement_storage(bell, params, params, pulse, pulse)
     assert out.fidelity == pytest.approx(1.0, abs=1e-5)
     assert out.probability == pytest.approx(1.0, abs=1e-5)
